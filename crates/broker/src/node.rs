@@ -912,6 +912,21 @@ impl Broker {
         }
     }
 
+    /// Routes one encoded data frame as if it had arrived from the
+    /// neighbouring broker `peer_id`, synchronously on the caller's
+    /// thread — the neighbour-ingress twin of
+    /// [`Broker::ingest_client_frame`]: applies the hop TTL and patches
+    /// the frame's hop byte in place.
+    pub fn ingest_neighbor_frame(&self, peer_id: &str, frame: &mut [u8]) {
+        let inner = &self.inner;
+        if try_fast_route(inner, frame, OriginRef::Neighbor(peer_id)) {
+            return;
+        }
+        if let Ok(msg) = Message::from_bytes(frame) {
+            route(inner, msg, Origin::Neighbor(peer_id.to_string()));
+        }
+    }
+
     fn control_message(&self, payload: Payload) -> Message {
         Message::new(
             self.next_message_id(),
@@ -1366,7 +1381,8 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
         // In-process consumers need an owned Message.
         return false;
     }
-    if policy.requires_token && inner.config.require_tokens {
+    let relayed = matches!(origin, OriginRef::Neighbor(_));
+    if relayed && policy.requires_token && inner.config.require_tokens {
         // Session fast path (amortized RSA): a frame tagged under a
         // live session key authenticates with one HMAC over the
         // signable region, in place — no decode, no bignum math.
@@ -1387,8 +1403,8 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
             SessionVerdict::UnknownKey | SessionVerdict::Expired => {
                 // The publisher may hold a newer key than we do, or
                 // the key aged out mid-flight: let the slow path run
-                // the RSA token fallback instead of dropping.
-                inner.metrics.session_fallback.inc();
+                // the RSA token fallback instead of dropping (and
+                // count the fallback there, once).
                 return false;
             }
             SessionVerdict::Revoked => {
@@ -1398,10 +1414,18 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
                 inner.metrics.session_revoked_dropped.inc();
                 inner.metrics.dropped_spurious.inc();
                 if entry.monitored {
-                    let hop = view.trace.as_ref().map(|ctx| ctx.hop_count);
+                    let hop = match hop_patch {
+                        Some((_, hop)) => Some(hop),
+                        None => view.trace.as_ref().map(|ctx| ctx.hop_count),
+                    };
                     if let Some(monitor) = inner.monitor.read().as_ref() {
                         monitor.on_delivery(&DeliveryEvent::from_view(
-                            &inner.id, &view, frame, hash, hop,
+                            &inner.id,
+                            &view,
+                            frame,
+                            hash,
+                            hop,
+                            inner.clock.now_ms(),
                         ));
                     }
                 }
@@ -1426,8 +1450,15 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
         OriginRef::Neighbor(_) => !policy.suppress_broker,
     };
 
-    if entry.monitored && (!entry.clients.is_empty() || (forward_allowed && !entry.neighbors.is_empty()))
-    {
+    let has_recipient = entry.clients.iter().any(|dest| {
+        !matches!(origin, OriginRef::Client(id) if id == dest.id)
+            && !dest.terminated.load(Ordering::Acquire)
+    }) || (forward_allowed
+        && entry
+            .neighbors
+            .iter()
+            .any(|dest| !matches!(origin, OriginRef::Neighbor(from) if from == dest.id)));
+    if entry.monitored && has_recipient {
         // `monitored` was resolved against the attached monitor's
         // properties at fill time (attach bumps the cache version), so
         // unmonitored topics skip the tap with this one branch.
@@ -1439,7 +1470,14 @@ fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> boo
             None => view.trace.as_ref().map(|ctx| ctx.hop_count),
         };
         if let Some(monitor) = inner.monitor.read().as_ref() {
-            monitor.on_delivery(&DeliveryEvent::from_view(&inner.id, &view, frame, hash, hop));
+            monitor.on_delivery(&DeliveryEvent::from_view(
+                &inner.id,
+                &view,
+                frame,
+                hash,
+                hop,
+                inner.clock.now_ms(),
+            ));
         }
     }
     if let Some((off, hop)) = hop_patch {

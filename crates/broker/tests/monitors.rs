@@ -317,3 +317,80 @@ fn replayed_frames_are_caught_exactly_once_violation() {
         Some(1)
     );
 }
+
+/// Delivery events carry the broker's clock, never the timestamp the
+/// publisher wrote into the frame: a token that expired a minute ago
+/// is a violation even on a frame backdated to when it was valid.
+#[test]
+fn events_are_stamped_with_the_broker_clock() {
+    let net = lax_chain();
+    let clock: SharedClock = system_clock();
+    let mut rng = StdRng::seed_from_u64(44);
+    let owner = credential("entity:owner-b");
+    let delegate = RsaKeyPair::generate(512, &mut rng).unwrap();
+    let trace_topic = Uuid::new_v4(&mut rng);
+
+    let (monitor, auditor) = attach_monitor(
+        &net,
+        1,
+        "auth: require-token on /Constrained/Traces/*/Publish-Only/#\n",
+    );
+    let subscriber = net.attach_client(1, "tracker").unwrap();
+    let pub_topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
+    subscriber.subscribe(pub_topic.clone(), TIMEOUT).unwrap();
+    assert!(net.broker(0).wait_for_remote_subscription(&pub_topic, TIMEOUT));
+
+    let now = clock.now_ms();
+    let expired = AuthorizationToken::issue(
+        &owner,
+        trace_topic,
+        delegate.public.clone(),
+        Rights::Publish,
+        now - 120_000,
+        now - 60_000,
+    )
+    .unwrap();
+    let mut msg = trace_message(net.broker(0), trace_topic, &clock).with_token(expired);
+    msg.timestamp_ms = now - 90_000;
+    net.broker(0).publish_internal(msg);
+
+    subscriber.next_message(TIMEOUT).expect("lax broker delivers");
+    let report = next_audit_report(&auditor, &monitor);
+    assert_eq!(report.property, "auth");
+    assert!(
+        report.detail.contains("validity window"),
+        "detail: {}",
+        report.detail
+    );
+    assert!(report.timestamp_ms >= now, "stamped with the broker clock");
+    assert_eq!(monitor.violation_count(), 1);
+}
+
+/// A routing decision with nobody to deliver to is not a delivery: a
+/// client subscribed to its own topic publishes, echo suppression
+/// leaves no recipient, and the monitor must see no event.
+#[test]
+fn no_event_without_a_recipient() {
+    let net = BrokerNetwork::chain(1, LinkConfig::instant(), system_clock(), BrokerConfig::default());
+    let specs = parse_properties("replay: exactly-once on /Echo/#\n").unwrap();
+    let monitor = MonitorSet::new(specs, credential("Monitor"), 100);
+    net.broker(0).attach_monitor(monitor.clone());
+
+    let client = net.attach_client(0, "echo").unwrap();
+    let topic = nb_wire::Topic::parse("/Echo/Self").unwrap();
+    client.subscribe(topic.clone(), TIMEOUT).unwrap();
+    for i in 0..5u8 {
+        client
+            .publish(topic.clone(), Payload::Blob { data: vec![i] })
+            .unwrap();
+    }
+    // The publishes are processed in order behind this acknowledged
+    // control round trip.
+    client
+        .subscribe(nb_wire::Topic::parse("/Echo/Barrier").unwrap(), TIMEOUT)
+        .unwrap();
+    let stats = net.broker(0).stats();
+    assert_eq!(stats.published, 5);
+    assert_eq!(stats.delivered_local, 0);
+    assert_eq!(monitor.metrics_snapshot().counter("monitor.events"), Some(0));
+}

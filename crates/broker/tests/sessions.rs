@@ -282,3 +282,38 @@ fn revoked_session_replay_fires_exactly_one_violation() {
     subscriber.next_message(TIMEOUT).expect("new key delivers");
     assert_eq!(monitor.violation_count(), 1);
 }
+
+/// §5.2 applies before §4.3: a client publishing on a broker-reserved
+/// trace channel is punished for the attempt whatever authentication
+/// it attaches. Frames tagged with a live key id and a bad MAC must
+/// count as constraint rejections and get the client disconnected at
+/// the bogus-attempt limit, not slip away as spurious-token drops.
+#[test]
+fn session_tag_does_not_shield_a_client_from_punishment() {
+    let net = strict_chain();
+    let clock: SharedClock = system_clock();
+    let mut rng = StdRng::seed_from_u64(11);
+    let trace_topic = Uuid::new_v4(&mut rng);
+    let key = SessionKey::mint(trace_topic, clock.now_ms(), 600_000, 1 << 20, &mut rng);
+    net.broker(0).install_session_key(key.clone());
+
+    let rogue = net.attach_client(0, "rogue").unwrap();
+    for seq in 1..=6u64 {
+        let msg = trace_message(net.broker(0), trace_topic, &clock).with_session(SessionTag {
+            key_id: key.key_id,
+            seq,
+            mac: [0xAA; 32],
+        });
+        rogue.send_message(&msg).unwrap();
+    }
+    let notice = rogue.next_message(TIMEOUT).expect("termination notice");
+    assert!(
+        matches!(&notice.payload, Payload::Nack { reason } if reason.contains("terminated")),
+        "unexpected notice: {:?}",
+        notice.payload
+    );
+    let stats = net.broker(0).stats();
+    assert_eq!(stats.rejected, 3, "each attempt up to the limit is a rejection");
+    assert_eq!(stats.terminated_clients, 1);
+    assert_eq!(stats.dropped_spurious, 0, "no frame reached token admission");
+}

@@ -106,13 +106,16 @@ pub struct DeliveryEvent<'a> {
 impl<'a> DeliveryEvent<'a> {
     /// Builds an event from a zero-copy frame view (broker fast path).
     /// `hop` is the post-increment hop count the frame will carry
-    /// onward; `frame` must be the buffer `view` was parsed from.
+    /// onward; `frame` must be the buffer `view` was parsed from;
+    /// `now_ms` is the broker's clock (never the frame's own
+    /// timestamp, which the publisher chose).
     pub fn from_view(
         node: &'a str,
         view: &'a MessageView<'a>,
         frame: &'a [u8],
         topic_hash: u64,
         hop: Option<u8>,
+        now_ms: u64,
     ) -> Self {
         DeliveryEvent {
             node,
@@ -127,7 +130,7 @@ impl<'a> DeliveryEvent<'a> {
                 TokenSource::Absent
             },
             session: view.session,
-            now_ms: view.timestamp_ms,
+            now_ms,
         }
     }
 }
