@@ -56,10 +56,11 @@ if ! $quick; then
     echo "== chaos report (smoke) =="
     cargo run --release -p nb-bench --bin chaos_report -- --smoke
 
-    # Data-plane smoke: saturates a loopback broker with the route
-    # cache off and on, asserts (inside the binary) exact delivery and
-    # that the overhauled path wins, and writes BENCH_throughput.json;
-    # then validate the JSON shape documented in docs/PERFORMANCE.md.
+    # Data-plane smoke: saturates a loopback broker's routing
+    # pipeline, asserts (inside the binary) exact delivery and that
+    # every data frame routed without an owned decode, and writes
+    # BENCH_throughput.json; then validate the JSON shape documented
+    # in docs/PERFORMANCE.md.
     echo "== throughput report (quick) =="
     cargo run --release -p nb-bench --bin throughput_report -- --quick
     python3 ci/check_bench_json.py throughput

@@ -3,10 +3,9 @@
 //! `BENCH_monitor.json` (see `docs/OBSERVABILITY.md`).
 //!
 //! Three configurations of the same loopback broker are driven back to
-//! back with the route cache on (the overhauled fast path):
+//! back through its routing pipeline:
 //!
-//! * **monitors_off** — no monitors attached: the PR 6 fast-path
-//!   baseline;
+//! * **monitors_off** — no monitors attached: the fast-path baseline;
 //! * **monitors_on** — the standard property set attached, traffic on
 //!   an unmonitored topic: the cost every routed frame pays (one
 //!   branch on the `monitored` flag cached in its route entry);
@@ -161,10 +160,9 @@ fn routable_broker(
 ) -> (Broker, Arc<SinkSender>, Vec<crossbeam::channel::Sender<Vec<u8>>>) {
     let cfg = BrokerConfig {
         advert_refresh: None,
-        data_plane_cache: true,
         require_tokens: false,
-        // Keep traced frames on the fast path: broker-side span
-        // recording is not what this bench measures.
+        // Keep span recording off: broker-side telemetry is not what
+        // this bench measures.
         telemetry: nb_telemetry::TelemetryConfig { enabled: false, ..Default::default() },
         ..BrokerConfig::default()
     };

@@ -121,7 +121,6 @@ fn attach_sink_client(
 fn routable_broker() -> (Broker, Arc<SinkSender>, crossbeam::channel::Sender<Vec<u8>>) {
     let cfg = BrokerConfig {
         advert_refresh: None,
-        data_plane_cache: true,
         require_tokens: false,
         telemetry: nb_telemetry::TelemetryConfig { enabled: false, ..Default::default() },
         ..BrokerConfig::default()

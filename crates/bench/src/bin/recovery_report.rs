@@ -247,7 +247,6 @@ struct SteadyRun {
 fn run_fast_path(data_dir: Option<PathBuf>, threads: usize, per_thread: u64) -> SteadyRun {
     let cfg = BrokerConfig {
         advert_refresh: None,
-        data_plane_cache: true,
         data_dir: data_dir.clone(),
         ..BrokerConfig::default()
     };

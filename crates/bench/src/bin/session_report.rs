@@ -249,7 +249,6 @@ fn run_trace_config(
 ) -> (RunStats, SessionCounters) {
     let cfg = BrokerConfig {
         advert_refresh: None,
-        data_plane_cache: true,
         // Keep trace publications off the span recorder: broker-side
         // telemetry is not what this bench measures.
         telemetry: nb_telemetry::TelemetryConfig { enabled: false, ..Default::default() },
@@ -367,7 +366,6 @@ fn run_fastpath(
 ) -> RunStats {
     let cfg = BrokerConfig {
         advert_refresh: None,
-        data_plane_cache: true,
         ..BrokerConfig::default()
     };
     let broker = Broker::new("fast", system_clock(), cfg);

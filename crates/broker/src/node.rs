@@ -15,11 +15,11 @@ use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::supervisor::{Connector, LinkState, LinkStats, LinkSupervisor, SupervisorConfig};
 use nb_wire::codec::{Decode, Encode};
-use nb_wire::constrained::{Action, Actor, AllowedActions, ConstrainedTopic, EventType};
+use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
 use nb_wire::token::Rights;
-use nb_wire::payload::is_control_tag;
+use nb_wire::payload::{is_client_control_tag, is_neighbor_control_tag};
 use nb_wire::view::TopicView;
-use nb_monitor::{DeliveryEvent, MonitorSet, TokenSource, TopicRef};
+use nb_monitor::{DeliveryEvent, MonitorSet, TopicRef};
 use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_store::{Durable, DurableState, Recovery, StoreConfig};
 use nb_wire::{Message, MessageView, Payload, Topic};
@@ -61,13 +61,6 @@ pub struct BrokerConfig {
     /// reconnects with capped, jittered backoff. `None` keeps the
     /// historical behaviour (a failed link tears its worker down).
     pub link_supervision: Option<SupervisorConfig>,
-    /// Data-plane route cache (see `docs/PERFORMANCE.md`): when `true`
-    /// (the default), steady-state data frames are routed through a
-    /// sharded per-topic cache without decoding the envelope or taking
-    /// the broker state lock. `false` forces every frame through the
-    /// full decode-parse-match path — useful for A/B measurement and
-    /// as an escape hatch.
-    pub data_plane_cache: bool,
     /// Durability: when set, the broker journals its control plane
     /// (local subscriptions, trace-topic owner keys) to a write-ahead
     /// log + snapshot under this directory and recovers it on
@@ -91,7 +84,6 @@ impl Default for BrokerConfig {
             max_hops: 16,
             telemetry: TelemetryConfig::default(),
             link_supervision: None,
-            data_plane_cache: true,
             data_dir: None,
             store: StoreConfig::default(),
         }
@@ -123,7 +115,7 @@ struct BrokerMetrics {
     /// Clients disconnected for repeated bogus attempts.
     terminated_clients: Counter,
     /// Trace frames authenticated by a session-key MAC instead of the
-    /// RSA token path (fast and slow path combined).
+    /// RSA token path.
     session_verified: Counter,
     /// Session-tagged frames that fell back to the RSA token checks
     /// (unknown or expired key id — e.g. the publisher rotated first).
@@ -194,19 +186,6 @@ impl BrokerMetrics {
     }
 }
 
-/// Bounded-cardinality label for per-topic counters: the constrained
-/// topic's event-type segment, or `plain` for unconstrained topics.
-fn topic_family(constrained: &Option<ConstrainedTopic>) -> &str {
-    match constrained {
-        Some(c) => match &c.event_type {
-            EventType::RealTime => "RealTime",
-            EventType::Traces => "Traces",
-            EventType::Other(s) => s.as_str(),
-        },
-        None => "plain",
-    }
-}
-
 /// Point-in-time copy of a broker's core routing counters (see
 /// [`Broker::stats`]). The full instrumented view — including the
 /// per-topic-family splits and the gauges — is
@@ -264,7 +243,7 @@ struct Inner {
     /// [`Broker::wait_for_remote_subscription`]).
     subs_cv: Condvar,
     metrics: BrokerMetrics,
-    /// Sharded per-topic route cache backing the data-plane fast path
+    /// Sharded per-topic route cache backing the routing pipeline
     /// (see `crate::route`).
     routes: RouteCache,
     /// Per-broker causal-tracing span ring.
@@ -318,14 +297,6 @@ fn journal(inner: &Inner, op: BrokerOp) {
             let _ = p.durable.maybe_checkpoint(&p.mirror);
         }
     }
-}
-
-/// Where a message entered this broker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Origin {
-    Client(String),
-    Neighbor(String),
-    Internal,
 }
 
 /// A broker node. Cheap to clone (shared internals).
@@ -585,12 +556,11 @@ impl Broker {
     }
 
     /// Installs a negotiated session key: trace frames tagged under it
-    /// verify with one HMAC over the signable region — on the cached
-    /// fast path in place — instead of the per-frame RSA token chain.
+    /// verify with one HMAC over the signable region, in place on the
+    /// frame, instead of the per-frame RSA token chain.
     pub fn install_session_key(&self, key: SessionKey) {
-        // Bump under the state lock like every control-plane mutation:
-        // route entries resolve their `session_live` gate at fill time
-        // and must never survive a keyring change.
+        // Bump under the state lock like every control-plane mutation,
+        // so no cached route outlives a keyring change.
         let state = self.inner.state.lock();
         self.inner.session_keys.install(key);
         self.inner.routes.bump();
@@ -618,9 +588,9 @@ impl Broker {
 
     /// Attaches an online runtime-verification monitor: every delivery
     /// decision this broker makes on a topic one of the monitor's
-    /// properties governs (slow path, or cached fast path via the
-    /// route entry's `monitored` flag) is reported to `monitor` as a
-    /// [`DeliveryEvent`]. The monitor
+    /// properties governs (resolved once per route-cache entry into its
+    /// `monitored` flag) is reported to `monitor` as a
+    /// [`DeliveryEvent`] stamped with the broker's clock. The monitor
     /// inherits the broker's current trace-topic owner keys and stays
     /// in sync with future [`Broker::register_topic_owner`] calls.
     pub fn attach_monitor(&self, monitor: MonitorSet) {
@@ -886,9 +856,12 @@ impl Broker {
 
     /// Publishes a message as this broker (the tracing engine path).
     /// The caller is responsible for attaching any required
-    /// authorization token before publishing.
+    /// authorization token before publishing. The message is encoded
+    /// once and routed like any other frame; in-process consumers get
+    /// the caller's message, never a re-decode.
     pub fn publish_internal(&self, msg: Message) {
-        route(&self.inner, msg, Origin::Internal);
+        let mut frame = msg.to_bytes();
+        route_frame(&self.inner, &mut frame, Ingress::Internal, Some(msg));
     }
 
     /// Routes one encoded *data* frame as if it had arrived from the
@@ -899,32 +872,21 @@ impl Broker {
     /// transport in between. The frame may be mutated in place (hop-TTL
     /// patching), so callers reusing a buffer must re-encode per send.
     ///
-    /// Control payloads (attach/subscribe/…) are not dispatched here;
-    /// use a [`crate::BrokerClient`] over a real endpoint for those.
+    /// A frame carrying client session control (attach, subscribe,
+    /// unsubscribe) is left alone: only the client worker dispatches
+    /// those — use a [`crate::BrokerClient`] over a real endpoint.
     pub fn ingest_client_frame(&self, client_id: &str, frame: &mut [u8]) {
-        let inner = &self.inner;
-        if try_fast_route(inner, frame, OriginRef::Client(client_id)) {
-            return;
-        }
-        match Message::from_bytes(frame) {
-            Ok(msg) => route(inner, msg, Origin::Client(client_id.to_string())),
-            Err(_) => punish(inner, client_id),
-        }
+        route_frame(&self.inner, frame, Ingress::Client(client_id), None);
     }
 
     /// Routes one encoded data frame as if it had arrived from the
     /// neighbouring broker `peer_id`, synchronously on the caller's
     /// thread — the neighbour-ingress twin of
     /// [`Broker::ingest_client_frame`]: applies the hop TTL and patches
-    /// the frame's hop byte in place.
+    /// the frame's hop byte in place. Neighbour handshake frames are
+    /// left alone, as in [`Broker::ingest_client_frame`].
     pub fn ingest_neighbor_frame(&self, peer_id: &str, frame: &mut [u8]) {
-        let inner = &self.inner;
-        if try_fast_route(inner, frame, OriginRef::Neighbor(peer_id)) {
-            return;
-        }
-        if let Ok(msg) = Message::from_bytes(frame) {
-            route(inner, msg, Origin::Neighbor(peer_id.to_string()));
-        }
+        route_frame(&self.inner, frame, Ingress::Neighbor(peer_id), None);
     }
 
     fn control_message(&self, payload: Payload) -> Message {
@@ -967,563 +929,361 @@ impl Broker {
     }
 }
 
-/// Validates a trace publication's authorization token (§4.3, §5.2).
-///
-/// Returns `false` when the message must be discarded.
-fn token_acceptable(inner: &Inner, msg: &Message, constrained: &ConstrainedTopic) -> bool {
-    // Only broker-published trace channels require tokens.
-    let is_trace_publication = constrained.event_type == EventType::Traces
-        && constrained.allowed_actions == AllowedActions::PublishOnly;
-    if !is_trace_publication || !inner.config.require_tokens {
-        return true;
-    }
-    let Some(token) = &msg.token else {
-        return false;
-    };
-    let now = inner.clock.now_ms();
-    // Expiry/window check is always possible.
-    if now > token.valid_until_ms.saturating_add(inner.config.token_skew_ms)
-        || now + inner.config.token_skew_ms < token.valid_from_ms
-    {
-        return false;
-    }
-    // Full signature verification when this broker knows the topic
-    // owner (always true at the hosting broker; transit brokers fall
-    // back to the window check).
-    let owner_key = inner.state.lock().owner_keys.get(&token.trace_topic).cloned();
-    match owner_key {
-        Some(key) => token
-            .verify(&key, Rights::Publish, now, inner.config.token_skew_ms)
-            .is_ok(),
-        None => true,
-    }
-}
-
-/// Outcome of the slow path's session-layer admission check — the
-/// owned-decode analogue of the fast path's in-place keyring verify.
-enum SessionCheck {
-    /// Verified against a live session key: skip the token checks.
-    Accept,
-    /// No tag, no keys, or an unknown/expired key id: apply the full
-    /// RSA token checks.
-    Fallback,
-    /// Bad MAC or a key bound to another topic: discard.
-    Reject,
-    /// Tagged under a revoked key: report to the monitor, then discard.
-    RejectRevoked,
-}
-
-/// Checks a trace publication's session tag (if any) against the
-/// broker keyring. Only broker-published trace channels participate;
-/// everything else falls through to [`token_acceptable`] untouched.
-fn session_check(inner: &Inner, msg: &Message, constrained: &ConstrainedTopic) -> SessionCheck {
-    let is_trace_publication = constrained.event_type == EventType::Traces
-        && constrained.allowed_actions == AllowedActions::PublishOnly;
-    if !is_trace_publication || !inner.config.require_tokens || inner.session_keys.is_empty() {
-        return SessionCheck::Fallback;
-    }
-    let Some(tag) = &msg.session else {
-        return SessionCheck::Fallback;
-    };
-    let expected = constrained
-        .suffixes
-        .first()
-        .and_then(|s| s.parse::<Uuid>().ok());
-    let signable = msg.signable_bytes();
-    match inner.session_keys.verify(
-        tag.key_id,
-        tag.seq,
-        expected.as_ref(),
-        inner.clock.now_ms(),
-        &[&signable],
-        &tag.mac,
-    ) {
-        SessionVerdict::Verified => {
-            inner.metrics.session_verified.inc();
-            SessionCheck::Accept
-        }
-        SessionVerdict::UnknownKey | SessionVerdict::Expired => {
-            inner.metrics.session_fallback.inc();
-            SessionCheck::Fallback
-        }
-        SessionVerdict::Revoked => {
-            inner.metrics.session_revoked_dropped.inc();
-            SessionCheck::RejectRevoked
-        }
-        SessionVerdict::BadMac | SessionVerdict::WrongTopic => {
-            inner.metrics.session_rejected.inc();
-            SessionCheck::Reject
-        }
-    }
-}
-
-/// Combined session + token admission for trace publications on the
-/// slow path. Returns `false` when the message must be discarded
-/// (rejection accounting and monitor reporting already done).
-fn trace_admission(inner: &Inner, msg: &Message, constrained: &ConstrainedTopic) -> bool {
-    match session_check(inner, msg, constrained) {
-        SessionCheck::Accept => true,
-        SessionCheck::Reject => {
-            inner.metrics.dropped_spurious.inc();
-            false
-        }
-        SessionCheck::RejectRevoked => {
-            inner.metrics.dropped_spurious.inc();
-            // Report the attempt so the monitor's `require-session`
-            // property sees the replay it exists to catch.
-            if inner.monitor_on.load(Ordering::Relaxed) {
-                notify_monitor(inner, msg);
-            }
-            false
-        }
-        SessionCheck::Fallback => {
-            if token_acceptable(inner, msg, constrained) {
-                true
-            } else {
-                inner.metrics.dropped_spurious.inc();
-                false
-            }
-        }
-    }
-}
-
-fn route(inner: &Inner, mut msg: Message, origin: Origin) {
-    inner.routes.slowpath.inc();
-    // Hop accounting: every neighbour ingress is one broker-to-broker
-    // hop. The hop count doubles as a routing TTL closing the
-    // forwarding-loop hazard — a message bouncing between brokers is
-    // dropped here once it exceeds the bound.
-    if matches!(origin, Origin::Neighbor(_)) {
-        if let Some(ctx) = &mut msg.trace {
-            ctx.hop_count = ctx.hop_count.saturating_add(1);
-            if ctx.hop_count > inner.config.max_hops {
-                inner.metrics.dropped_ttl.inc();
-                return;
-            }
-        }
-    }
-    // The sampled-trace guard: everything tracing-related below is
-    // behind this, so unsampled messages pay only this check.
-    let traced = if inner.config.telemetry.enabled {
-        msg.trace.filter(|c| c.sampled)
-    } else {
-        None
-    };
-    let t_accept = if traced.is_some() { now_ns() } else { 0 };
-
-    let constrained = match ConstrainedTopic::parse(&msg.topic) {
-        Ok(c) => c,
-        Err(_) => {
-            inner.metrics.rejected.inc();
-            return;
-        }
-    };
-    let family = topic_family(&constrained).to_string();
-
-    // Enforcement depends on where the message came from.
-    match &origin {
-        Origin::Client(id) => {
-            if let Some(c) = &constrained {
-                if !c.permits(&Actor::Entity(id.clone()), Action::Publish) {
-                    inner.metrics.rejected.inc();
-                    punish(inner, id);
-                    return;
-                }
-            }
-        }
-        Origin::Neighbor(_) => {
-            if let Some(c) = &constrained {
-                if !trace_admission(inner, &msg, c) {
-                    return;
-                }
-            }
-        }
-        Origin::Internal => {}
-    }
-    if matches!(origin, Origin::Client(_) | Origin::Internal) {
-        // The hosting broker also validates tokens on its own trace
-        // publications' ingress from clients (clients can never publish
-        // there — permits() already refused — so this is for Internal).
-        if let (Origin::Internal, Some(c)) = (&origin, &constrained) {
-            if !trace_admission(inner, &msg, c) {
-                return;
-            }
-        }
-        inner.metrics.published.inc();
-        inner.metrics.published_for(&family).inc();
-    }
-
-    // Enforcement is done: the span from ingress to here is the
-    // auth-check cost (constraint parse + permits + token checks).
-    let t_auth_end = if traced.is_some() { now_ns() } else { 0 };
-    if let Some(ctx) = &traced {
-        inner
-            .recorder
-            .record(SpanEvent::new(ctx, Stage::AuthCheck, t_accept, t_auth_end));
-    }
-
-    // Distribution suppression: the constrainer's publishes stay local
-    // on Suppress links (§3.1 {Distribution}).
-    let origin_actor = match &origin {
-        Origin::Client(id) => Actor::Entity(id.clone()),
-        Origin::Neighbor(_) | Origin::Internal => Actor::Broker,
-    };
-    let forward_allowed = match &constrained {
-        Some(c) => !(c.suppressed() && c.is_constrainer(&origin_actor)),
-        None => true,
-    };
-
-    // Collect recipients under the lock, deliver outside it.
-    let (client_senders, internal_senders, neighbor_senders) = {
-        let state = inner.state.lock();
-        let locals = state.subs.local_matches(&msg.topic);
-        let mut client_senders = Vec::new();
-        let mut internal_senders = Vec::new();
-        for consumer in locals {
-            // Don't echo a message back to its publisher.
-            if matches!(&origin, Origin::Client(id) if id == &consumer) {
-                continue;
-            }
-            if let Some(handle) = state.clients.get(&consumer) {
-                if !handle.terminated.load(Ordering::Acquire) {
-                    client_senders.push(Arc::clone(&handle.sender));
-                }
-            } else if let Some(tx) = state.internal.get(&consumer) {
-                internal_senders.push(tx.clone());
-            }
-        }
-        let neighbor_senders: Vec<_> = if forward_allowed {
-            state
-                .subs
-                .remote_matches(&msg.topic)
-                .into_iter()
-                .filter(|n| !matches!(&origin, Origin::Neighbor(from) if from == n))
-                .filter_map(|n| state.neighbors.get(&n).map(Arc::clone))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        (client_senders, internal_senders, neighbor_senders)
-    };
-
-    // Subscription matching + recipient collection is the routing cost.
-    let t_route_end = if traced.is_some() { now_ns() } else { 0 };
-    if let Some(ctx) = &traced {
-        inner
-            .recorder
-            .record(SpanEvent::new(ctx, Stage::Route, t_auth_end, t_route_end));
-    }
-
-    // Tail sampling: an unsampled message that has already spent more
-    // than the slow threshold end-to-end gets its terminal spans
-    // recorded anyway, so slow outliers are never invisible.
-    let deliver_ctx = if traced.is_some() {
-        traced
-    } else if inner.config.telemetry.enabled
-        && msg.trace.is_some()
-        && inner.clock.now_ms().saturating_sub(msg.timestamp_ms)
-            >= inner.config.telemetry.slow_threshold_ms
-    {
-        msg.trace
-    } else {
-        None
-    };
-
-    if inner.monitor_on.load(Ordering::Relaxed)
-        && (!client_senders.is_empty()
-            || !internal_senders.is_empty()
-            || !neighbor_senders.is_empty())
-    {
-        notify_monitor(inner, &msg);
-    }
-
-    let frame = msg.to_bytes();
-    let delivered_family = inner.metrics.delivered_for(&family);
-    for sender in &client_senders {
-        let t0 = if deliver_ctx.is_some() { now_ns() } else { 0 };
-        if sender.send_frame(&frame).is_ok() {
-            inner.metrics.delivered_local.inc();
-            delivered_family.inc();
-            if let Some(ctx) = &deliver_ctx {
-                inner
-                    .recorder
-                    .record(SpanEvent::new(ctx, Stage::Deliver, t0, now_ns()));
-            }
-        }
-    }
-    for tx in &internal_senders {
-        let t0 = if deliver_ctx.is_some() { now_ns() } else { 0 };
-        if tx.send(msg.clone()).is_ok() {
-            inner.metrics.delivered_local.inc();
-            delivered_family.inc();
-            if let Some(ctx) = &deliver_ctx {
-                inner
-                    .recorder
-                    .record(SpanEvent::new(ctx, Stage::Enqueue, t0, now_ns()));
-            }
-        }
-    }
-    for sender in &neighbor_senders {
-        let t0 = if traced.is_some() { now_ns() } else { 0 };
-        if sender.send_frame(&frame).is_ok() {
-            inner.metrics.forwarded.inc();
-            if let Some(ctx) = &traced {
-                inner
-                    .recorder
-                    .record(SpanEvent::new(ctx, Stage::Forward, t0, now_ns()));
-            }
-        }
-    }
-}
-
-/// Reports a slow-path delivery decision to the attached monitor
-/// (caller has already checked `monitor_on` and that the message has
-/// at least one recipient).
-fn notify_monitor(inner: &Inner, msg: &Message) {
-    let guard = inner.monitor.read();
-    let Some(monitor) = guard.as_ref() else {
-        return;
-    };
-    monitor.on_delivery(&DeliveryEvent {
-        node: &inner.id,
-        topic: TopicRef::Owned(&msg.topic),
-        topic_hash: nb_wire::topic_hash(&msg.topic),
-        sender: &msg.sender,
-        msg_id: msg.id,
-        hop: msg.trace.map(|ctx| ctx.hop_count),
-        token: match &msg.token {
-            Some(token) => TokenSource::Decoded(token),
-            None => TokenSource::Absent,
-        },
-        session: msg.session,
-        now_ms: inner.clock.now_ms(),
-    });
-}
-
-/// Where a raw frame entered the broker, by reference — the fast
-/// path's allocation-free analogue of [`Origin`].
+/// Where a frame entered this broker.
 #[derive(Clone, Copy)]
-enum OriginRef<'a> {
+enum Ingress<'a> {
+    /// Published by the attached client with this id.
     Client(&'a str),
+    /// Relayed by the neighbouring broker with this id.
     Neighbor(&'a str),
+    /// Published by this broker itself ([`Broker::publish_internal`]).
+    Internal,
 }
 
-/// The data-plane fast path: routes an encoded frame using the
-/// sharded route cache, without decoding the envelope, re-encoding it,
-/// or taking the broker state lock (except on a cache fill).
-///
-/// Returns `true` when the frame was fully handled (fanned out, or
-/// dropped by the hop TTL) and `false` when it must go through the
-/// full [`route`] path — control traffic, pre-v3 frames, sampled or
-/// tail-sampling-eligible traces, token-bearing trace channels,
-/// topics with in-process consumers, and constraint violations (the
-/// slow path owns rejection accounting and punishment).
-///
-/// Steady-state invariant (enforced by `tests/no_alloc_route.rs`):
-/// a cache hit performs no heap allocation.
-fn try_fast_route(inner: &Inner, frame: &mut [u8], origin: OriginRef<'_>) -> bool {
-    if !inner.config.data_plane_cache {
-        return false;
+/// The owned decode of the frame being routed: made at most once, and
+/// only when something needs an owned [`Message`] — an in-process
+/// consumer or the RSA token fallback. `publish_internal` hands over
+/// the message it encoded, so its frames never decode.
+struct Owned {
+    msg: Option<Message>,
+    /// Whether the pipeline decoded the frame itself.
+    decoded: bool,
+}
+
+impl Owned {
+    fn get(&mut self, frame: &[u8]) -> Option<&mut Message> {
+        if self.msg.is_none() && !self.decoded {
+            self.decoded = true;
+            self.msg = Message::from_bytes(frame).ok();
+        }
+        self.msg.as_mut()
     }
+}
+
+/// Routes one encoded data frame: the broker's only data path, for
+/// client ingress, neighbour ingress and internal publishes alike.
+///
+/// The frame is borrow-parsed ([`MessageView`]) and matched through
+/// the sharded route cache (`crate::route`); its original bytes are
+/// fanned out, with the hop byte patched in place on neighbour
+/// ingress. Each step runs exactly once, in this order: hop TTL, route
+/// lookup, the client publish check with §5.2 punishment, §4.3
+/// session/token admission of relayed trace publications, publish
+/// accounting, distribution and echo suppression, the monitor tap,
+/// delivery with head- and tail-sampled spans.
+///
+/// Returns `false`, having touched nothing, for the control payloads
+/// the ingress link's worker dispatches itself (see
+/// `is_client_control_tag` / `is_neighbor_control_tag`): the worker
+/// then decodes and handles the frame.
+///
+/// `broker.route.fastpath` counts frames routed without an owned
+/// decode, `broker.route.slowpath` those the pipeline had to decode;
+/// `broker.route.ns` times every frame. Steady-state invariant
+/// (enforced by `tests/no_alloc_route.rs`): a cache hit that needs no
+/// owned decode performs no heap allocation, sampled or not.
+fn route_frame(
+    inner: &Inner,
+    frame: &mut [u8],
+    ingress: Ingress<'_>,
+    owned: Option<Message>,
+) -> bool {
     let t0 = now_ns();
-    let Ok(view) = MessageView::parse(frame) else {
-        // Pre-v3 or malformed: the owned decoder sorts it out.
-        return false;
+    let mut owned = Owned {
+        msg: owned,
+        decoded: false,
     };
-    if is_control_tag(view.payload_tag) {
+    if !route_steps(inner, frame, ingress, &mut owned, t0) {
         return false;
     }
-    if inner.config.telemetry.enabled {
-        if let Some(ctx) = &view.trace {
-            // Sampled messages need span recording; old unsampled ones
-            // may qualify for tail sampling. Both are slow-path work.
-            if ctx.sampled
-                || inner.clock.now_ms().saturating_sub(view.timestamp_ms)
-                    >= inner.config.telemetry.slow_threshold_ms
-            {
-                return false;
-            }
-        }
+    if owned.decoded {
+        inner.routes.slowpath.inc();
+    } else {
+        inner.routes.fastpath.inc();
     }
-    // Hop TTL on neighbour ingress: patch the hop byte in place
-    // instead of re-encoding the envelope. The write is deferred until
-    // every fall-through check has passed, so the slow path never sees
-    // a half-updated frame.
-    let mut hop_patch = None;
-    if let OriginRef::Neighbor(_) = origin {
-        if let Some(ctx) = &view.trace {
-            let hop = ctx.hop_count.saturating_add(1);
-            if hop > inner.config.max_hops {
-                inner.metrics.dropped_ttl.inc();
-                return true;
-            }
-            hop_patch = view.trace_hop_offset().map(|off| (off, hop));
+    inner.routes.latency_ns.record(now_ns().saturating_sub(t0));
+    true
+}
+
+/// The steps of [`route_frame`]; `false` means a worker-dispatched
+/// control payload, anything else is routed or dropped here.
+fn route_steps(
+    inner: &Inner,
+    frame: &mut [u8],
+    ingress: Ingress<'_>,
+    owned: &mut Owned,
+    t0: u64,
+) -> bool {
+    // A client that sends bytes no router can read is as bogus as one
+    // that publishes where it may not.
+    let bogus = || {
+        if let Ingress::Client(id) = ingress {
+            punish(inner, id);
         }
+        true
+    };
+    let Ok(view) = MessageView::parse(frame) else {
+        return bogus();
+    };
+    let control = match ingress {
+        Ingress::Client(_) => is_client_control_tag(view.payload_tag),
+        Ingress::Neighbor(_) => is_neighbor_control_tag(view.payload_tag),
+        Ingress::Internal => false,
+    };
+    if control {
+        return false;
     }
+    // Hop TTL: every neighbour ingress is one broker-to-broker hop, and
+    // the hop count closes the forwarding-loop hazard. The incremented
+    // count is written into the frame just before delivery.
+    let mut trace = view.trace;
+    let mut hop_offset = None;
+    if let (Ingress::Neighbor(_), Some(ctx)) = (ingress, trace.as_mut()) {
+        ctx.hop_count = ctx.hop_count.saturating_add(1);
+        if ctx.hop_count > inner.config.max_hops {
+            inner.metrics.dropped_ttl.inc();
+            return true;
+        }
+        hop_offset = view.trace_hop_offset();
+    }
+    let telemetry = &inner.config.telemetry;
+    let traced = trace.filter(|ctx| telemetry.enabled && ctx.sampled);
 
     let hash = view.topic.hash64();
     let entry = match inner.routes.lookup(hash, &view.topic) {
         Some(entry) => entry,
         None => {
             inner.routes.misses.inc();
-            match fill_route_entry(inner, &view.topic, hash) {
-                Some(entry) => entry,
-                None => return false,
-            }
+            let Some(entry) = fill_route_entry(inner, &view.topic, hash) else {
+                return bogus();
+            };
+            entry
         }
     };
-
+    let t_route = if traced.is_some() { now_ns() } else { 0 };
     let Some(policy) = &entry.policy else {
-        // Constrained-grammar parse error: slow path rejects.
-        return false;
+        inner.metrics.rejected.inc();
+        return true;
     };
-    if entry.has_internal {
-        // In-process consumers need an owned Message.
-        return false;
+
+    // §3.1 publish permission for clients, with §5.2 punishment; §4.3
+    // admission for the trace publications a broker relays or issues.
+    match ingress {
+        Ingress::Client(id) => {
+            if !policy.client_may_publish(id) {
+                inner.metrics.rejected.inc();
+                punish(inner, id);
+                return true;
+            }
+        }
+        Ingress::Neighbor(_) | Ingress::Internal => {
+            if policy.requires_token
+                && inner.config.require_tokens
+                && !admit(inner, &entry, &view, frame, hash, trace, owned)
+            {
+                return true;
+            }
+        }
     }
-    let relayed = matches!(origin, OriginRef::Neighbor(_));
-    if relayed && policy.requires_token && inner.config.require_tokens {
-        // Session fast path (amortized RSA): a frame tagged under a
-        // live session key authenticates with one HMAC over the
-        // signable region, in place — no decode, no bignum math.
-        // Untagged frames, or frames whose key this broker does not
-        // hold live, keep the full RSA token checks on the slow path.
-        let (Some(tag), true) = (&view.session, entry.session_live) else {
-            return false;
+    if !matches!(ingress, Ingress::Neighbor(_)) {
+        inner.metrics.published.inc();
+        entry.published_family.inc();
+    }
+    if let Some(ctx) = &traced {
+        let t_auth = now_ns();
+        inner.recorder.record(SpanEvent::new(ctx, Stage::Route, t0, t_route));
+        inner.recorder.record(SpanEvent::new(ctx, Stage::AuthCheck, t_route, t_auth));
+    }
+
+    // Distribution suppression: the constrainer's publishes stay local
+    // on Suppress links (§3.1 {Distribution}).
+    let forward = match ingress {
+        Ingress::Client(id) => policy.suppress_entity.as_deref() != Some(id),
+        Ingress::Neighbor(_) | Ingress::Internal => !policy.suppress_broker,
+    };
+    let echo = |id: &str| matches!(ingress, Ingress::Client(from) if from == id);
+    let returning = |id: &str| matches!(ingress, Ingress::Neighbor(from) if from == id);
+    // In-process consumers take an owned message. Decode before any
+    // delivery, so a frame that does not decode reaches nobody.
+    let consumer_msg = if entry.internal.is_empty() {
+        None
+    } else {
+        let Some(msg) = owned.get(frame) else {
+            return bogus();
         };
+        msg.trace = trace;
+        Some(&*msg)
+    };
+    if entry.monitored
+        && (consumer_msg.is_some()
+            || entry
+                .clients
+                .iter()
+                .any(|dest| !echo(&dest.id) && !dest.terminated.load(Ordering::Acquire))
+            || (forward && entry.neighbors.iter().any(|dest| !returning(&dest.id))))
+    {
+        report_delivery(inner, &view, frame, hash, trace);
+    }
+    // Tail sampling: an unsampled message already older than the slow
+    // threshold records its terminal spans anyway, so slow outliers
+    // are never invisible.
+    let deliver_ctx = traced.or_else(|| {
+        trace.filter(|_| {
+            telemetry.enabled
+                && inner.clock.now_ms().saturating_sub(view.timestamp_ms)
+                    >= telemetry.slow_threshold_ms
+        })
+    });
+    if let (Some(off), Some(ctx)) = (hop_offset, trace) {
+        frame[off] = ctx.hop_count;
+    }
+    let frame = &*frame;
+    let stamp = |ctx: &Option<TraceContext>| if ctx.is_some() { now_ns() } else { 0 };
+    let span = |ctx: &Option<TraceContext>, stage, start| {
+        if let Some(ctx) = ctx {
+            inner.recorder.record(SpanEvent::new(ctx, stage, start, now_ns()));
+        }
+    };
+    for dest in &entry.clients {
+        if echo(&dest.id) || dest.terminated.load(Ordering::Acquire) {
+            continue;
+        }
+        let start = stamp(&deliver_ctx);
+        if dest.sender.send_frame(frame).is_ok() {
+            inner.metrics.delivered_local.inc();
+            entry.delivered_family.inc();
+            span(&deliver_ctx, Stage::Deliver, start);
+        }
+    }
+    if let Some(msg) = consumer_msg {
+        for tx in &entry.internal {
+            let start = stamp(&deliver_ctx);
+            if tx.send(msg.clone()).is_ok() {
+                inner.metrics.delivered_local.inc();
+                entry.delivered_family.inc();
+                span(&deliver_ctx, Stage::Enqueue, start);
+            }
+        }
+    }
+    if forward {
+        for dest in &entry.neighbors {
+            if returning(&dest.id) {
+                continue;
+            }
+            let start = stamp(&traced);
+            if dest.sender.send_frame(frame).is_ok() {
+                inner.metrics.forwarded.inc();
+                span(&traced, Stage::Forward, start);
+            }
+        }
+    }
+    true
+}
+
+/// §4.3 admission of a trace publication this broker relays or issues.
+/// A session tag verifies against the keyring with one HMAC over the
+/// frame in place; untagged frames, an empty keyring, and unknown or
+/// expired keys fall back to the RSA token checks on an owned decode.
+/// Returns `false` when the frame must be discarded (accounting and
+/// the monitor report already done).
+fn admit(
+    inner: &Inner,
+    entry: &RouteEntry,
+    view: &MessageView<'_>,
+    frame: &[u8],
+    hash: u64,
+    trace: Option<TraceContext>,
+    owned: &mut Owned,
+) -> bool {
+    let m = &inner.metrics;
+    let session_topic = entry.policy.as_ref().and_then(|p| p.session_topic.as_ref());
+    if let (Some(tag), false) = (&view.session, inner.session_keys.is_empty()) {
         match inner.session_keys.verify(
             tag.key_id,
             tag.seq,
-            policy.session_topic.as_ref(),
+            session_topic,
             inner.clock.now_ms(),
             &view.signable_parts(),
             &tag.mac,
         ) {
-            SessionVerdict::Verified => inner.metrics.session_verified.inc(),
-            SessionVerdict::UnknownKey | SessionVerdict::Expired => {
-                // The publisher may hold a newer key than we do, or
-                // the key aged out mid-flight: let the slow path run
-                // the RSA token fallback instead of dropping (and
-                // count the fallback there, once).
-                return false;
+            SessionVerdict::Verified => {
+                m.session_verified.inc();
+                return true;
             }
+            // The publisher may hold a newer key than we do, or the key
+            // aged out mid-flight: fall back instead of dropping.
+            SessionVerdict::UnknownKey | SessionVerdict::Expired => m.session_fallback.inc(),
             SessionVerdict::Revoked => {
                 // A frame under a revoked key is the replay the
-                // monitor's `require-session` property watches for:
-                // report the attempt, then drop the frame.
-                inner.metrics.session_revoked_dropped.inc();
-                inner.metrics.dropped_spurious.inc();
+                // monitor's `require-session` property watches for.
+                m.session_revoked_dropped.inc();
+                m.dropped_spurious.inc();
                 if entry.monitored {
-                    let hop = match hop_patch {
-                        Some((_, hop)) => Some(hop),
-                        None => view.trace.as_ref().map(|ctx| ctx.hop_count),
-                    };
-                    if let Some(monitor) = inner.monitor.read().as_ref() {
-                        monitor.on_delivery(&DeliveryEvent::from_view(
-                            &inner.id,
-                            &view,
-                            frame,
-                            hash,
-                            hop,
-                            inner.clock.now_ms(),
-                        ));
-                    }
+                    report_delivery(inner, view, frame, hash, trace);
                 }
-                return true;
-            }
-            SessionVerdict::BadMac | SessionVerdict::WrongTopic => {
-                inner.metrics.session_rejected.inc();
-                inner.metrics.dropped_spurious.inc();
-                return true;
-            }
-        }
-    }
-    let forward_allowed = match origin {
-        OriginRef::Client(id) => {
-            if !policy.client_may_publish(id) {
-                // Slow path re-derives the violation, counts the
-                // rejection and punishes the client.
                 return false;
             }
-            policy.suppress_entity.as_deref() != Some(id)
+            SessionVerdict::BadMac | SessionVerdict::WrongTopic => {
+                m.session_rejected.inc();
+                m.dropped_spurious.inc();
+                return false;
+            }
         }
-        OriginRef::Neighbor(_) => !policy.suppress_broker,
-    };
+    }
+    let accepted = owned
+        .get(frame)
+        .is_some_and(|msg| token_acceptable(inner, msg));
+    if !accepted {
+        m.dropped_spurious.inc();
+    }
+    accepted
+}
 
-    let has_recipient = entry.clients.iter().any(|dest| {
-        !matches!(origin, OriginRef::Client(id) if id == dest.id)
-            && !dest.terminated.load(Ordering::Acquire)
-    }) || (forward_allowed
-        && entry
-            .neighbors
-            .iter()
-            .any(|dest| !matches!(origin, OriginRef::Neighbor(from) if from == dest.id)));
-    if entry.monitored && has_recipient {
-        // `monitored` was resolved against the attached monitor's
-        // properties at fill time (attach bumps the cache version), so
-        // unmonitored topics skip the tap with this one branch.
-        // Report the delivery before patching the hop byte (the view
-        // still borrows the frame); `hop` is the post-increment value
-        // the frame is about to carry onward.
-        let hop = match hop_patch {
-            Some((_, hop)) => Some(hop),
-            None => view.trace.as_ref().map(|ctx| ctx.hop_count),
-        };
-        if let Some(monitor) = inner.monitor.read().as_ref() {
-            monitor.on_delivery(&DeliveryEvent::from_view(
-                &inner.id,
-                &view,
-                frame,
-                hash,
-                hop,
-                inner.clock.now_ms(),
-            ));
-        }
+/// The RSA token check (§4.3, §5.2): the validity window always, the
+/// owner's signature when this broker knows the topic owner (always
+/// true at the hosting broker; transit brokers keep the window check).
+fn token_acceptable(inner: &Inner, msg: &Message) -> bool {
+    let Some(token) = &msg.token else {
+        return false;
+    };
+    let now = inner.clock.now_ms();
+    let skew = inner.config.token_skew_ms;
+    if now > token.valid_until_ms.saturating_add(skew) || now + skew < token.valid_from_ms {
+        return false;
     }
-    if let Some((off, hop)) = hop_patch {
-        frame[off] = hop;
+    let owner_key = inner.state.lock().owner_keys.get(&token.trace_topic).cloned();
+    match owner_key {
+        Some(key) => token.verify(&key, Rights::Publish, now, skew).is_ok(),
+        None => true,
     }
-    if let OriginRef::Client(_) = origin {
-        inner.metrics.published.inc();
-        entry.published_family.inc();
+}
+
+/// Reports one delivery decision to the attached monitor, stamped with
+/// this broker's clock. `trace` carries the hop count the frame
+/// travels on with.
+fn report_delivery(
+    inner: &Inner,
+    view: &MessageView<'_>,
+    frame: &[u8],
+    hash: u64,
+    trace: Option<TraceContext>,
+) {
+    if let Some(monitor) = inner.monitor.read().as_ref() {
+        monitor.on_delivery(&DeliveryEvent::from_view(
+            &inner.id,
+            view,
+            frame,
+            hash,
+            trace.map(|ctx| ctx.hop_count),
+            inner.clock.now_ms(),
+        ));
     }
-    for dest in &entry.clients {
-        if let OriginRef::Client(id) = origin {
-            // Don't echo a message back to its publisher.
-            if id == dest.id {
-                continue;
-            }
-        }
-        if dest.terminated.load(Ordering::Acquire) {
-            continue;
-        }
-        if dest.sender.send_frame(frame).is_ok() {
-            inner.metrics.delivered_local.inc();
-            entry.delivered_family.inc();
-        }
-    }
-    if forward_allowed {
-        for dest in &entry.neighbors {
-            if let OriginRef::Neighbor(from) = origin {
-                if from == dest.id {
-                    continue;
-                }
-            }
-            if dest.sender.send_frame(frame).is_ok() {
-                inner.metrics.forwarded.inc();
-            }
-        }
-    }
-    inner.routes.fastpath.inc();
-    inner.routes.latency_ns.record(now_ns().saturating_sub(t0));
-    true
 }
 
 /// Builds and installs a route-cache entry for `topic_view`: snapshots
 /// the matching destinations and the cache version atomically under
 /// the state lock, compiles the topic policy, then inserts outside the
-/// lock. Returns `None` when the topic fails owned validation (the
-/// slow path reports the error).
+/// lock. Returns `None` when the topic fails owned validation.
 fn fill_route_entry(
     inner: &Inner,
     topic_view: &TopicView<'_>,
@@ -1534,13 +1294,13 @@ fn fill_route_entry(
     let family = policy.as_ref().map_or("plain", |p| p.family.as_str());
     let published_family = inner.metrics.published_for(family);
     let delivered_family = inner.metrics.delivered_for(family);
-    let (version, clients, neighbors, has_internal) = {
+    let (version, clients, internal, neighbors) = {
         let state = inner.state.lock();
         // Read under the lock so (snapshot, version) are consistent:
         // every mutation bumps while holding the same lock.
         let version = inner.routes.current_version();
         let mut clients = Vec::new();
-        let mut has_internal = false;
+        let mut internal = Vec::new();
         for consumer in state.subs.local_matches(&topic) {
             if let Some(handle) = state.clients.get(&consumer) {
                 clients.push(ClientDest {
@@ -1548,8 +1308,8 @@ fn fill_route_entry(
                     sender: Arc::clone(&handle.sender),
                     terminated: Arc::clone(&handle.terminated),
                 });
-            } else if state.internal.contains_key(&consumer) {
-                has_internal = true;
+            } else if let Some(tx) = state.internal.get(&consumer) {
+                internal.push(tx.clone());
             }
         }
         let neighbors = state
@@ -1561,7 +1321,7 @@ fn fill_route_entry(
                 Some(NeighborDest { id: n, sender })
             })
             .collect();
-        (version, clients, neighbors, has_internal)
+        (version, clients, internal, neighbors)
     };
     // Resolve the monitor's interest *after* the version snapshot: a
     // monitor attached since then bumped the version under the same
@@ -1573,25 +1333,13 @@ fn fill_route_entry(
             .read()
             .as_ref()
             .is_some_and(|m| m.monitors_topic(hash, &TopicRef::Owned(&topic)));
-    // Same after-the-snapshot rule for the session-key gate: a key
-    // installed or revoked since the snapshot bumped the version under
-    // the state lock, so this entry is already stale.
-    let session_live = policy
-        .as_ref()
-        .and_then(|p| p.session_topic.as_ref())
-        .is_some_and(|trace_topic| {
-            inner
-                .session_keys
-                .has_live_key_for(trace_topic, inner.clock.now_ms())
-        });
     let entry = Arc::new(RouteEntry {
         topic,
         policy,
         clients,
+        internal,
         neighbors,
-        has_internal,
         monitored,
-        session_live,
         published_family,
         delivered_family,
     });
@@ -1701,9 +1449,9 @@ fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
         if terminated.load(Ordering::Acquire) {
             return;
         }
-        // Steady-state data frames short-circuit here without an
-        // envelope decode.
-        if try_fast_route(inner, &mut frame, OriginRef::Client(&client_id)) {
+        // Data frames are routed undecoded; only the session control
+        // the pipeline hands back is decoded here.
+        if route_frame(inner, &mut frame, Ingress::Client(&client_id), None) {
             continue;
         }
         let msg = match Message::from_bytes(&frame) {
@@ -1752,9 +1500,7 @@ fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
                 .correlated(msg.id);
                 let _ = endpoint.send(&ack.to_bytes());
             }
-            _ => {
-                route(inner, msg, Origin::Client(client_id.clone()));
-            }
+            _ => {}
         }
     }
 }
@@ -1882,7 +1628,7 @@ fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
     // reordered by jitter) that arrives before it. The hello is
     // retransmitted periodically so a lossy link cannot wedge the
     // handshake.
-    let mut buffered: Vec<Message> = Vec::new();
+    let mut buffered: Vec<Vec<u8>> = Vec::new();
     let peer_id = loop {
         match endpoint.recv_timeout(std::time::Duration::from_millis(200)) {
             Ok(frame) => {
@@ -1897,8 +1643,8 @@ fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
                         inner.neighbor_cv.notify_all();
                         break id;
                     }
-                    buffered.push(msg);
                 }
+                buffered.push(frame);
             }
             Err(nb_transport::TransportError::Timeout) => {
                 if endpoint.send(&hello.to_bytes()).is_err() {
@@ -1908,8 +1654,8 @@ fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
             Err(_) => return,
         }
     };
-    for msg in buffered {
-        handle_neighbor_message(inner, &peer_id, msg);
+    for mut frame in buffered {
+        handle_neighbor_frame(inner, &peer_id, &mut frame);
     }
 
     loop {
@@ -1922,19 +1668,20 @@ fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
             inner.neighbor_cv.notify_all();
             return;
         };
-        // Data frames forwarded by the peer short-circuit here (with
-        // the in-place hop-TTL patch); control frames fall through.
-        if try_fast_route(inner, &mut frame, OriginRef::Neighbor(&peer_id)) {
-            continue;
-        }
-        let Ok(msg) = Message::from_bytes(&frame) else {
-            continue;
-        };
-        handle_neighbor_message(inner, &peer_id, msg);
+        handle_neighbor_frame(inner, &peer_id, &mut frame);
     }
 }
 
-fn handle_neighbor_message(inner: &Arc<Inner>, peer_id: &str, msg: Message) {
+/// Handles one frame from neighbour `peer_id`: data frames are routed
+/// undecoded (the pipeline patches the hop byte in place); only the
+/// handshake the pipeline hands back is decoded here.
+fn handle_neighbor_frame(inner: &Arc<Inner>, peer_id: &str, frame: &mut [u8]) {
+    if route_frame(inner, frame, Ingress::Neighbor(peer_id), None) {
+        return;
+    }
+    let Ok(msg) = Message::from_bytes(frame) else {
+        return;
+    };
     {
         match &msg.payload {
             Payload::NeighborHello { .. } => {
@@ -2018,9 +1765,7 @@ fn handle_neighbor_message(inner: &Arc<Inner>, peer_id: &str, msg: Message) {
                     }
                 }
             }
-            _ => {
-                route(inner, msg, Origin::Neighbor(peer_id.to_string()));
-            }
+            _ => {}
         }
     }
 }

@@ -7,7 +7,7 @@
 //! verification. Data frames are never journalled — the paper's
 //! delivery model is best-effort pub/sub, and the PR 5 link supervisor
 //! already replays in-flight frames across outages — so the WAL stays
-//! off the routing fast path entirely.
+//! off the routing pipeline entirely.
 //!
 //! On restart the recovered subscriptions are re-installed before any
 //! link comes up, which makes neighbour re-sync automatic: the

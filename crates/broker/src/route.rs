@@ -1,15 +1,14 @@
-//! The broker data plane's fast path: a sharded, versioned routing
-//! cache.
+//! The route cache behind the broker's routing pipeline: a sharded,
+//! versioned map from topic to compiled routing decision.
 //!
-//! Routing a data frame through [`crate::node`]'s full path costs a
-//! decode of the whole envelope, a `ConstrainedTopic` parse, two
-//! subscription-table scans under the broker's single state mutex, and
-//! a re-encode — per message. This module caches the *outcome* of all
-//! of that per topic, so the steady-state data plane degenerates to:
-//! borrow-parse the frame ([`nb_wire::MessageView`]), hash the topic
-//! bytes, one sharded read-lock lookup, and a fan-out of the original
-//! frame bytes to the cached destinations. No allocation, no state
-//! mutex, no re-encode (enforced by `tests/no_alloc_route.rs`).
+//! Deciding where a data frame goes costs a `ConstrainedTopic` parse
+//! and two subscription-table scans under the broker's single state
+//! mutex. This module caches the *outcome* of that per topic, so
+//! [`crate::node`]'s pipeline routes a frame with: borrow-parse the
+//! frame ([`nb_wire::MessageView`]), hash the topic bytes, one sharded
+//! read-lock lookup, and a fan-out of the original frame bytes to the
+//! cached destinations. No allocation, no state mutex, no re-encode
+//! (enforced by `tests/no_alloc_route.rs`).
 //!
 //! ## Consistency model
 //!
@@ -22,8 +21,8 @@
 //! time; a lookup whose entry version differs from the current global
 //! version is treated as a miss and refilled. Entries are therefore
 //! never stale: either the version matches and the entry reflects the
-//! exact state the control plane last published, or the fast path
-//! falls back and refills.
+//! exact state the control plane last published, or the pipeline
+//! refills it.
 //!
 //! ## Locking
 //!
@@ -38,7 +37,8 @@ use nb_transport::endpoint::FrameSender;
 use nb_wire::constrained::{
     Action, Actor, AllowedActions, ConstrainedTopic, Constrainer, EventType,
 };
-use nb_wire::{Topic, TopicView};
+use crossbeam::channel::Sender;
+use nb_wire::{Message, Topic, TopicView};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +49,7 @@ use std::sync::Arc;
 const SHARDS: usize = 16;
 
 /// Who may publish on a topic, resolved once at cache-fill time so the
-/// fast path never re-parses the constrained-topic grammar.
+/// pipeline never re-parses the constrained-topic grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PublishRule {
     /// Anyone may publish (unconstrained, or publish not reserved).
@@ -67,8 +67,7 @@ pub(crate) struct TopicPolicy {
     /// Publish permission, per §3.1 constrained-topic enforcement.
     pub publish_rule: PublishRule,
     /// Broker-published trace channel (§4.3): neighbour/internal
-    /// ingress must carry a valid token. The fast path defers these to
-    /// the full path, which performs signature verification.
+    /// ingress must carry a live session tag or a valid token.
     pub requires_token: bool,
     /// Suppress/Limited distribution with a Broker constrainer:
     /// neighbour/internal publishes stay local.
@@ -88,8 +87,7 @@ pub(crate) struct TopicPolicy {
 
 impl TopicPolicy {
     /// Compiles the policy for `topic`. `Err` from the constrained
-    /// parser is surfaced so the caller can leave enforcement (reject +
-    /// punish) to the full path.
+    /// parser is surfaced so the caller can reject the frame.
     pub(crate) fn compile(topic: &Topic) -> Result<Self, ()> {
         let constrained = ConstrainedTopic::parse(topic).map_err(|_| ())?;
         Ok(match constrained {
@@ -167,6 +165,10 @@ pub(crate) struct ClientDest {
     pub terminated: Arc<AtomicBool>,
 }
 
+/// An in-process consumer's queue (the tracing engine, a hosted TDN):
+/// it takes owned [`Message`]s, decoded from the frame once per route.
+pub(crate) type InternalDest = Sender<Message>;
+
 /// A cached neighbour-broker destination.
 pub(crate) struct NeighborDest {
     /// Neighbour broker id (for ingress echo suppression).
@@ -184,15 +186,14 @@ pub(crate) struct RouteEntry {
     /// share an entry).
     pub topic: Topic,
     /// Precompiled constraint policy, or `None` when the constrained
-    /// grammar rejected the topic (the full path handles enforcement).
+    /// grammar rejected the topic (every frame on it is rejected).
     pub policy: Option<TopicPolicy>,
     /// Matching directly attached clients.
     pub clients: Vec<ClientDest>,
+    /// Matching in-process consumers.
+    pub internal: Vec<InternalDest>,
     /// Matching neighbour brokers.
     pub neighbors: Vec<NeighborDest>,
-    /// Whether any in-process consumer matches: those need an owned
-    /// [`nb_wire::Message`], so such topics always take the full path.
-    pub has_internal: bool,
     /// Whether an attached runtime monitor has at least one delivery
     /// property governing this topic, resolved at fill time (`false`
     /// when no monitor is attached). Attaching a monitor bumps the
@@ -200,13 +201,6 @@ pub(crate) struct RouteEntry {
     /// consulted afterwards — unmonitored topics pay one branch here
     /// instead of a lock probe per frame.
     pub monitored: bool,
-    /// Whether the broker's session keyring held at least one live key
-    /// for this topic's trace-topic uuid at fill time. Installing or
-    /// revoking a session key bumps the cache version under the state
-    /// lock, so the flag is never stale: `false` means the fast path
-    /// skips the keyring entirely and token-bearing channels keep
-    /// their slow-path RSA checks.
-    pub session_live: bool,
     /// Cached `broker.publish.topic.<family>` handle.
     pub published_family: Counter,
     /// Cached `broker.deliver.topic.<family>` handle.
@@ -219,19 +213,20 @@ type Shard = RwLock<HashMap<u64, Vec<(u64, Arc<RouteEntry>)>>>;
 pub(crate) struct RouteCache {
     shards: Vec<Shard>,
     version: AtomicU64,
-    /// `broker.route.cache_hit` — fast-path lookups served from cache.
+    /// `broker.route.cache_hit` — lookups served from cache.
     pub hits: Counter,
     /// `broker.route.cache_miss` — lookups that had to fill.
     pub misses: Counter,
     /// `broker.route.cache_stale` — entries invalidated by a version
     /// bump since fill.
     pub stale: Counter,
-    /// `broker.route.fastpath` — frames routed without a full decode.
+    /// `broker.route.fastpath` — frames routed without an owned decode.
     pub fastpath: Counter,
-    /// `broker.route.slowpath` — frames routed through the full path.
+    /// `broker.route.slowpath` — frames the pipeline had to decode (an
+    /// in-process consumer or the RSA token fallback needed them).
     pub slowpath: Counter,
     /// `broker.route.ns` — per-frame routing latency (nanoseconds),
-    /// fast path only.
+    /// every routed frame.
     pub latency_ns: Histogram,
 }
 
@@ -312,10 +307,9 @@ mod tests {
             topic: t(topic),
             policy: TopicPolicy::compile(&t(topic)).ok(),
             clients: Vec::new(),
+            internal: Vec::new(),
             neighbors: Vec::new(),
-            has_internal: false,
             monitored: false,
-            session_live: false,
             published_family: registry.counter("test.pub"),
             delivered_family: registry.counter("test.del"),
         })

@@ -1,14 +1,17 @@
 //! Proves the data-plane claim in `docs/PERFORMANCE.md`: once the
-//! route cache is warm, routing a client-published frame to its local
-//! subscribers allocates nothing. Uses a counting global allocator, so
+//! route cache is warm, routing a frame to its local subscribers
+//! allocates nothing — a plain client publish, a head-sampled one that
+//! records its AuthCheck/Route/Deliver spans, and neighbour ingress
+//! with its in-place hop patch. Uses a counting global allocator, so
 //! everything is measured inside one test function to keep the counter
 //! unpolluted by parallel tests.
 
 use nb_broker::{Broker, BrokerConfig};
+use nb_telemetry::{TelemetryConfig, TraceContext};
 use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_wire::codec::Encode;
-use nb_wire::{Message, Payload, Topic};
+use nb_wire::{Message, MessageView, Payload, Topic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,10 +53,38 @@ impl FrameSender for SinkSender {
     }
 }
 
+/// Warms `route` (route-cache entry, metric handles, the monotonic
+/// clock epoch), then asserts that 10,000 more routes allocate nothing
+/// and each reaches the subscriber.
+fn assert_route_never_allocates(label: &str, sink: &SinkSender, mut route: impl FnMut()) {
+    for _ in 0..1_000 {
+        route();
+    }
+    let delivered_before = sink.delivered.load(Ordering::Relaxed);
+    let before = allocations();
+    for _ in 0..10_000 {
+        route();
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "{label}: steady-state route path allocated"
+    );
+    assert_eq!(
+        sink.delivered.load(Ordering::Relaxed) - delivered_before,
+        10_000,
+        "{label}: every measured frame must reach the subscriber"
+    );
+}
+
 #[test]
 fn warm_route_path_never_allocates() {
     let cfg = BrokerConfig {
         advert_refresh: None,
+        telemetry: TelemetryConfig {
+            sample_ppm: 1_000_000,
+            ..TelemetryConfig::default()
+        },
         ..BrokerConfig::default()
     };
     let broker = Broker::new("b0", system_clock(), cfg);
@@ -92,14 +123,14 @@ fn warm_route_path_never_allocates() {
     // One pre-encoded data frame, reused for every publish. The
     // client-origin fast path never mutates the buffer (hop patching
     // only applies on neighbour ingress), so reuse is sound.
-    let mut frame = Message::new(
+    let message = Message::new(
         7,
         topic,
         "pub",
         0,
         Payload::Ping { seq: 0, sent_at_ms: 0 },
-    )
-    .to_bytes();
+    );
+    let mut frame = message.to_bytes();
 
     // Wait until the subscription is live: the sink sees two control
     // acks (attach + subscribe) and then the first delivered copy.
@@ -114,25 +145,31 @@ fn warm_route_path_never_allocates() {
     }
     assert!(ready, "subscription never became routable");
 
-    // Warm everything that is allowed to allocate once: the route
-    // cache entry, metric handles, and the monotonic clock epoch.
-    for _ in 0..1_000 {
-        broker.ingest_client_frame("pub", &mut frame);
-    }
+    assert_route_never_allocates("plain client frame", &sink, || {
+        broker.ingest_client_frame("pub", &mut frame)
+    });
 
-    let delivered_before = sink.delivered.load(Ordering::Relaxed);
-    let before = allocations();
-    for _ in 0..10_000 {
-        broker.ingest_client_frame("pub", &mut frame);
-    }
+    // Head-sampled: the same pipeline records its spans into the
+    // lock-free flight recorder.
+    let mut sampled = message.clone().with_trace(TraceContext::root(0, true)).to_bytes();
+    let recorded = broker.flight_recorder().recorded();
+    assert_route_never_allocates("head-sampled client frame", &sink, || {
+        broker.ingest_client_frame("pub", &mut sampled)
+    });
     assert_eq!(
-        allocations() - before,
-        0,
-        "steady-state route path allocated"
+        broker.flight_recorder().recorded() - recorded,
+        3 * 11_000,
+        "AuthCheck + Route + Deliver per sampled frame"
     );
-    assert_eq!(
-        sink.delivered.load(Ordering::Relaxed) - delivered_before,
-        10_000,
-        "every measured publish must reach the subscriber"
-    );
+
+    // Neighbour ingress patches the hop byte in place; restore it per
+    // frame so the TTL never trips.
+    let template = message.with_trace(TraceContext::root(0, false)).to_bytes();
+    let mut relayed = template.clone();
+    assert_route_never_allocates("neighbour ingress", &sink, || {
+        relayed.copy_from_slice(&template);
+        broker.ingest_neighbor_frame("peer", &mut relayed)
+    });
+    let hop = MessageView::parse(&relayed).unwrap().trace.map(|ctx| ctx.hop_count);
+    assert_eq!(hop, Some(1), "the relayed frame carries the incremented hop");
 }

@@ -250,8 +250,12 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 subs,
                 c2_terminated,
                 origin: [Origin::Client, Origin::Neighbor, Origin::Internal][origin as usize],
-                token: [TokenKind::None, TokenKind::Valid, TokenKind::Expired, TokenKind::Forged]
-                    [token as usize],
+                token: [
+                    TokenKind::None,
+                    TokenKind::Valid,
+                    TokenKind::Expired,
+                    TokenKind::Forged,
+                ][token as usize],
                 owner_registered,
                 tag: [
                     TagKind::None,
@@ -275,7 +279,11 @@ fn arb_case() -> impl Strategy<Value = Case> {
 /// Frame `i` of a case, authenticated and traced as the case says.
 fn build_frame(case: &Case, i: usize) -> Message {
     let fx = fixtures();
-    let ts = if case.old { START_MS - OLD_MS } else { START_MS };
+    let ts = if case.old {
+        START_MS - OLD_MS
+    } else {
+        START_MS
+    };
     let mut msg = Message::new(
         100 + i as u64,
         case.topic.clone(),
@@ -325,7 +333,7 @@ fn build_frame(case: &Case, i: usize) -> Message {
 /// One thing a client inbox received.
 #[derive(Debug, Clone, PartialEq)]
 enum Got {
-    Data(Message),
+    Data(Box<Message>),
     /// The §5.2 termination notice.
     Nack,
 }
@@ -416,7 +424,8 @@ impl Model {
             && START_MS - msg.timestamp_ms >= SLOW_MS;
         let hop_byte = hop.unwrap_or(0);
         if head {
-            out.spans.push((nb_telemetry::Stage::AuthCheck as u8, hop_byte));
+            out.spans
+                .push((nb_telemetry::Stage::AuthCheck as u8, hop_byte));
             out.spans.push((nb_telemetry::Stage::Route as u8, hop_byte));
         }
 
@@ -447,11 +456,12 @@ impl Model {
             out.clients
                 .entry(c.to_string())
                 .or_default()
-                .push(Got::Data(delivered.clone()));
+                .push(Got::Data(Box::new(delivered.clone())));
             out.count("broker.deliver.local");
             out.count(&format!("broker.deliver.topic.{family}"));
             if head || tail {
-                out.spans.push((nb_telemetry::Stage::Deliver as u8, hop_byte));
+                out.spans
+                    .push((nb_telemetry::Stage::Deliver as u8, hop_byte));
             }
         }
         if engine {
@@ -459,7 +469,8 @@ impl Model {
             out.count("broker.deliver.local");
             out.count(&format!("broker.deliver.topic.{family}"));
             if head || tail {
-                out.spans.push((nb_telemetry::Stage::Enqueue as u8, hop_byte));
+                out.spans
+                    .push((nb_telemetry::Stage::Enqueue as u8, hop_byte));
             }
         }
         for n in neighbors {
@@ -469,7 +480,8 @@ impl Model {
                 .push(delivered.clone());
             out.count("broker.forward.neighbor");
             if head {
-                out.spans.push((nb_telemetry::Stage::Forward as u8, hop_byte));
+                out.spans
+                    .push((nb_telemetry::Stage::Forward as u8, hop_byte));
             }
         }
         out.spans.sort_unstable();
@@ -539,7 +551,10 @@ impl Model {
             self.attached.remove(id);
             self.subscribed.remove(id);
             out.count("broker.client.terminated");
-            out.clients.entry(id.to_string()).or_default().push(Got::Nack);
+            out.clients
+                .entry(id.to_string())
+                .or_default()
+                .push(Got::Nack);
         }
     }
 }
@@ -583,11 +598,19 @@ fn control(sender: &str, payload: Payload) -> Vec<u8> {
     Message::new(1, Topic::parse(CONTROL).unwrap(), sender, START_MS, payload).to_bytes()
 }
 
+/// The far end of one link: peer id, what the broker sent it, and its
+/// uplink into the broker.
+type Link = (
+    &'static str,
+    Arc<Inbox>,
+    crossbeam::channel::Sender<Vec<u8>>,
+);
+
 /// A broker under test plus the far ends of its links.
 struct Rig {
     broker: Broker,
-    clients: Vec<(&'static str, Arc<Inbox>, crossbeam::channel::Sender<Vec<u8>>)>,
-    neighbors: Vec<(&'static str, Arc<Inbox>, crossbeam::channel::Sender<Vec<u8>>)>,
+    clients: Vec<Link>,
+    neighbors: Vec<Link>,
     engine: crossbeam::channel::Receiver<Message>,
     monitor: Option<MonitorSet>,
 }
@@ -601,7 +624,7 @@ fn permits_subscribe(topic: &Topic, actor: Actor) -> bool {
 impl Rig {
     /// Builds the broker and its subscription set; returns the rig and
     /// the model primed with the same state.
-    fn new(case: &Case, cache: bool) -> (Rig, Model) {
+    fn new(case: &Case) -> (Rig, Model) {
         let fx = fixtures();
         let clock: SharedClock = Arc::new(MockClock::new(START_MS));
         let config = BrokerConfig {
@@ -615,7 +638,6 @@ impl Rig {
                 slow_threshold_ms: SLOW_MS,
                 ..TelemetryConfig::default()
             },
-            data_plane_cache: cache,
             ..BrokerConfig::default()
         };
         let broker = Broker::new(NODE, clock, config);
@@ -650,8 +672,13 @@ impl Rig {
                 Arc::clone(&inbox) as Arc<dyn FrameSender>,
                 rx,
             ));
-            tx.send(control(id, Payload::Attach { client_id: id.into() }))
-                .unwrap();
+            tx.send(control(
+                id,
+                Payload::Attach {
+                    client_id: id.into(),
+                },
+            ))
+            .unwrap();
             inbox.wait_len(1);
             clients.push((id, inbox, tx));
         }
@@ -664,18 +691,29 @@ impl Rig {
                 Arc::clone(&inbox) as Arc<dyn FrameSender>,
                 rx,
             ));
-            tx.send(control(id, Payload::NeighborHello { broker_id: id.into() }))
-                .unwrap();
+            tx.send(control(
+                id,
+                Payload::NeighborHello {
+                    broker_id: id.into(),
+                },
+            ))
+            .unwrap();
             assert!(broker.wait_for_neighbors(i + 1, TIMEOUT));
             neighbors.push((id, inbox, tx));
         }
 
         let topic = &case.topic;
         for (bit, (id, inbox, tx)) in clients.iter().enumerate() {
-            if case.subs & (1 << bit) != 0 && permits_subscribe(topic, Actor::Entity(id.to_string()))
+            if case.subs & (1 << bit) != 0
+                && permits_subscribe(topic, Actor::Entity(id.to_string()))
             {
-                tx.send(control(id, Payload::Subscribe { filter: topic.clone() }))
-                    .unwrap();
+                tx.send(control(
+                    id,
+                    Payload::Subscribe {
+                        filter: topic.clone(),
+                    },
+                ))
+                .unwrap();
                 inbox.wait_len(2);
                 model.subscribed.insert(id);
             }
@@ -688,10 +726,20 @@ impl Rig {
                 // The worker handles its link in order: once the
                 // sentinel advert lands, the topic advert has too.
                 let sentinel = Topic::parse(&format!("/Parity/Sentinel/{id}")).unwrap();
-                tx.send(control(id, Payload::NeighborSubscribe { filter: topic.clone() }))
-                    .unwrap();
-                tx.send(control(id, Payload::NeighborSubscribe { filter: sentinel.clone() }))
-                    .unwrap();
+                tx.send(control(
+                    id,
+                    Payload::NeighborSubscribe {
+                        filter: topic.clone(),
+                    },
+                ))
+                .unwrap();
+                tx.send(control(
+                    id,
+                    Payload::NeighborSubscribe {
+                        filter: sentinel.clone(),
+                    },
+                ))
+                .unwrap();
                 assert!(broker.wait_for_remote_subscription(&sentinel, TIMEOUT));
                 model.subscribed.insert(id);
             }
@@ -757,7 +805,7 @@ impl Rig {
                 .into_iter()
                 .map(|m| match m.payload {
                     Payload::Nack { .. } => Got::Nack,
-                    _ => Got::Data(m),
+                    _ => Got::Data(Box::new(m)),
                 })
                 .collect();
             if !got.is_empty() {
@@ -845,17 +893,14 @@ fn violations(monitor: &MonitorSet) -> Vec<(String, String, String, String, u64)
         .collect()
 }
 
-fn run_case(case: &Case, cache: bool) {
-    let (rig, mut model) = Rig::new(case, cache);
+fn run_case(case: &Case) {
+    let (rig, mut model) = Rig::new(case);
     let twin = twin_monitor(case);
     for i in 0..case.frames {
         let msg = build_frame(case, i);
         let observed = rig.route(case.origin, &msg);
         let (expected, events) = model.route(case, &msg);
-        assert_eq!(
-            observed, expected,
-            "frame {i} diverged (data_plane_cache = {cache}) for {case:#?}"
-        );
+        assert_eq!(observed, expected, "frame {i} diverged for {case:#?}");
         if let Some(monitor) = &rig.monitor {
             for event in &events {
                 report(&twin, event);
@@ -863,12 +908,12 @@ fn run_case(case: &Case, cache: bool) {
             assert_eq!(
                 monitor.metrics_snapshot().counter("monitor.events"),
                 twin.metrics_snapshot().counter("monitor.events"),
-                "frame {i}: monitor event count (data_plane_cache = {cache}) for {case:#?}"
+                "frame {i}: monitor event count for {case:#?}"
             );
             assert_eq!(
                 violations(monitor),
                 violations(&twin),
-                "frame {i}: monitor violations (data_plane_cache = {cache}) for {case:#?}"
+                "frame {i}: monitor violations for {case:#?}"
             );
         }
     }
@@ -880,8 +925,6 @@ proptest! {
     /// Every drawn case routes exactly as the reference model says.
     #[test]
     fn routing_matches_the_reference_model(case in arb_case()) {
-        for cache in [false, true] {
-            run_case(&case, cache);
-        }
+        run_case(&case);
     }
 }

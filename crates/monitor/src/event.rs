@@ -1,16 +1,16 @@
 //! The observation model: what the broker and the tracing engine
 //! report to an attached [`MonitorSet`](crate::MonitorSet).
 //!
-//! Events borrow from the caller's stack — the broker's fast path
-//! hands over a [`nb_wire::MessageView`] into the very frame buffer it
-//! is about to forward, so building an event costs no allocation.
+//! Events borrow from the caller's stack — the broker hands over a
+//! [`nb_wire::MessageView`] into the very frame buffer it is about to
+//! forward, so building an event costs no allocation.
 
 use nb_wire::codec::Decode;
 use nb_wire::{AuthorizationToken, MessageView, SessionTag, Topic, TopicView};
 
 /// A borrowed view of the topic a delivery happened on — either the
-/// owned [`Topic`] of a decoded message (slow path) or the zero-copy
-/// [`TopicView`] of a cached-route frame (fast path).
+/// owned [`Topic`] of a decoded message or the zero-copy [`TopicView`]
+/// of a routed frame (what the broker reports).
 #[derive(Debug, Clone, Copy)]
 pub enum TopicRef<'a> {
     /// Owned-decode path: the topic of a `nb_wire::Message`.
@@ -44,18 +44,18 @@ impl TopicRef<'_> {
 
 /// Where an event's authorization token can be found, if anywhere.
 ///
-/// The fast path never decodes tokens (that is the point of the route
-/// cache), so it hands the monitor the raw frame instead; the monitor
+/// The broker's routing pipeline does not decode tokens it has no use
+/// for, so it hands the monitor the raw frame instead; the monitor
 /// performs the owned decode lazily, and only when a `require-token`
 /// property actually matched the topic.
 #[derive(Debug, Clone, Copy)]
 pub enum TokenSource<'a> {
     /// The envelope carries no token.
     Absent,
-    /// Slow path: the token was already decoded with the message.
+    /// The token was already decoded with the message.
     Decoded(&'a AuthorizationToken),
-    /// Fast path: the frame's header flags a token; decode from these
-    /// raw bytes on demand.
+    /// The frame's header flags a token; decode from these raw bytes
+    /// on demand.
     Frame(&'a [u8]),
 }
 
@@ -83,8 +83,8 @@ pub struct DeliveryEvent<'a> {
     pub node: &'a str,
     /// Topic the message was routed on.
     pub topic: TopicRef<'a>,
-    /// `nb_wire::topic_hash` of the topic — the caller already has it
-    /// on the fast path, and the monitor's prefilter keys on it.
+    /// `nb_wire::topic_hash` of the topic — the broker already has it
+    /// from the route lookup, and the monitor's prefilter keys on it.
     pub topic_hash: u64,
     /// Publishing client/broker id from the envelope.
     pub sender: &'a str,
@@ -104,7 +104,8 @@ pub struct DeliveryEvent<'a> {
 }
 
 impl<'a> DeliveryEvent<'a> {
-    /// Builds an event from a zero-copy frame view (broker fast path).
+    /// Builds an event from a zero-copy frame view (what the broker
+    /// reports).
     /// `hop` is the post-increment hop count the frame will carry
     /// onward; `frame` must be the buffer `view` was parsed from;
     /// `now_ms` is the broker's clock (never the frame's own

@@ -298,9 +298,8 @@ impl MonitorSet {
     /// Evaluates every matching delivery property against one routing
     /// decision. Called by the broker for each message it is about to
     /// deliver or forward on a topic that passed
-    /// [`MonitorSet::monitors_topic`] (the slow path calls it for every
-    /// delivery); cheap when nothing matches — one counter bump and one
-    /// atomic prefilter probe.
+    /// [`MonitorSet::monitors_topic`]; cheap when nothing matches — one
+    /// counter bump and one atomic prefilter probe.
     pub fn on_delivery(&self, ev: &DeliveryEvent<'_>) {
         let inner = &*self.inner;
         inner.metrics.events.inc();

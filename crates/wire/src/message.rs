@@ -6,21 +6,20 @@
 //! (broker delegation, §4.3), or an HMAC under a shared session key
 //! (the §6.3 signing-cost optimization).
 //!
-//! Since wire version 2 the envelope may also carry an optional
-//! [`TraceContext`] for causal tracing. It travels in a *trailing
-//! section* block after the authentication fields: a section count,
-//! then `(tag, length-prefixed body)` pairs. Decoders skip sections
-//! with tags they do not recognize, so the envelope can grow without
-//! another version bump; version-1 encodings (no section block at all)
-//! still decode.
+//! The wire format is version 3, the only version either decoder
+//! accepts: a version byte, the envelope head (id, correlation id,
+//! topic, sender, timestamp), the payload behind a big-endian `u32`
+//! length prefix, the optional authentication fields, and a *trailing
+//! section* block — a section count, then `(tag, length-prefixed
+//! body)` pairs carrying the optional [`TraceContext`] and
+//! [`SessionTag`]. Decoders skip sections with tags they do not
+//! recognize, so the envelope can grow without a version bump.
 //!
-//! Wire version 3 length-prefixes the payload with a big-endian `u32`
-//! so that a router can skip straight over the body to the
-//! authentication and section trailers without decoding it. That is
-//! what makes the zero-copy [`crate::view::MessageView`] possible:
-//! the broker data plane parses only the routing-relevant fields of a
-//! frame and forwards the original bytes untouched. Versions 1 and 2
-//! still decode.
+//! The payload length prefix lets a router skip straight over the
+//! body to the authentication and section trailers without decoding
+//! it. That is what makes the zero-copy [`crate::view::MessageView`]
+//! possible: the broker data plane parses only the routing-relevant
+//! fields of a frame and forwards the original bytes untouched.
 
 use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::error::WireError;
@@ -35,12 +34,9 @@ use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::sha256::Sha256;
 use nb_telemetry::TraceContext;
 
-/// Codec version byte leading every encoded message.
+/// Codec version byte leading every encoded message; decoders reject
+/// every other value with [`WireError::BadVersion`].
 pub const WIRE_VERSION: u8 = 3;
-
-/// Oldest version this decoder still accepts (version-1 frames carry
-/// no trailing-section block).
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Trailing-section tag carrying a [`TraceContext`].
 pub const SECTION_TRACE: u8 = 1;
@@ -54,11 +50,11 @@ pub const SESSION_TAG_MAC_LEN: usize = 32;
 /// Encoded length of a [`SessionTag`] section body.
 pub const SESSION_TAG_LEN: usize = 8 + 8 + SESSION_TAG_MAC_LEN;
 
-/// Session authentication tag (wire v3 trailing section).
+/// Session authentication tag (trailing section).
 ///
 /// Rides *outside* the signed region — like the trace section — so
 /// attaching or stripping it never invalidates an end-to-end RSA
-/// signature, and v1/v2 peers that predate it simply skip the section.
+/// signature.
 /// The MAC covers `key_id ‖ seq ‖ signable-bytes` under the session
 /// key named by `key_id` (see `nb_crypto::session`), so the tag binds
 /// to both the key and this message's position in the tagged stream.
@@ -124,12 +120,12 @@ pub struct Message {
     /// HMAC-SHA256 under a shared session key (§6.3 optimization;
     /// replaces `signature` on the entity→broker path).
     pub mac: Option<Vec<u8>>,
-    /// Causal tracing context (wire v2 trailing section). Not covered
+    /// Causal tracing context (trailing section). Not covered
     /// by signatures or MACs — the hop count mutates at every broker
     /// hop, and tampering with it can only corrupt telemetry, never
     /// authorization.
     pub trace: Option<TraceContext>,
-    /// Session authentication tag (wire v3 trailing section): an
+    /// Session authentication tag (trailing section): an
     /// HMAC-SHA256 over the signable bytes under a negotiated session
     /// key, letting brokers and trackers skip per-message RSA
     /// verification. Self-authenticating (the MAC covers the signed
@@ -240,62 +236,6 @@ impl Message {
         self.trace.is_some_and(|t| t.sampled)
     }
 
-    /// Encodes in the legacy version-1 layout (no trailing sections,
-    /// trace context dropped). Kept for wire-compatibility tests and
-    /// for talking to pre-v2 peers.
-    pub fn to_v1_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(MIN_WIRE_VERSION);
-        self.encode_legacy_body(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encodes in the legacy version-2 layout (trailing sections, but
-    /// no payload length prefix). Kept for wire-compatibility tests
-    /// and for talking to pre-v3 peers.
-    pub fn to_v2_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(2);
-        self.encode_legacy_body(&mut w);
-        self.encode_sections(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encodes every field after the version byte except the
-    /// trailing-section block, in the v1/v2 layout (payload not
-    /// length-prefixed).
-    fn encode_legacy_body(&self, w: &mut Writer) {
-        w.put_u64(self.id);
-        w.put_u64(self.correlation_id);
-        self.topic.encode(w);
-        w.put_str(&self.sender);
-        w.put_u64(self.timestamp_ms);
-        self.payload.encode(w);
-        self.encode_auth(w);
-    }
-
-    /// Encodes the optional authentication trailer (signature, token,
-    /// MAC) — identical across all wire versions.
-    fn encode_auth(&self, w: &mut Writer) {
-        w.put_option(&self.signature, |w, s| w.put_bytes(s));
-        w.put_option(&self.token, |w, t| t.encode(w));
-        w.put_option(&self.mac, |w, m| w.put_bytes(m));
-    }
-
-    /// Encodes the trailing-section block (v2+): count, then
-    /// `(tag, length-prefixed body)` pairs.
-    fn encode_sections(&self, w: &mut Writer) {
-        let count = u64::from(self.trace.is_some()) + u64::from(self.session.is_some());
-        w.put_varint(count);
-        if let Some(ctx) = &self.trace {
-            w.put_u8(SECTION_TRACE);
-            w.put_bytes(&encode_trace_section(ctx));
-        }
-        if let Some(tag) = &self.session {
-            w.put_u8(SECTION_SESSION);
-            w.put_bytes(&tag.to_section_bytes());
-        }
-    }
 }
 
 /// Encodes a trace context as a section body.
@@ -334,21 +274,32 @@ impl Encode for Message {
         self.topic.encode(w);
         w.put_str(&self.sender);
         w.put_u64(self.timestamp_ms);
-        // v3: the payload is u32-length-prefixed so zero-copy parsers
-        // can hop over it to the authentication/section trailers.
+        // The payload is u32-length-prefixed so zero-copy parsers can
+        // hop over it to the authentication/section trailers.
         let mark = w.reserve_u32();
         self.payload.encode(w);
         let payload_len = w.len() - mark - 4;
         w.patch_u32(mark, payload_len as u32);
-        self.encode_auth(w);
-        self.encode_sections(w);
+        w.put_option(&self.signature, |w, s| w.put_bytes(s));
+        w.put_option(&self.token, |w, t| t.encode(w));
+        w.put_option(&self.mac, |w, m| w.put_bytes(m));
+        let sections = u64::from(self.trace.is_some()) + u64::from(self.session.is_some());
+        w.put_varint(sections);
+        if let Some(ctx) = &self.trace {
+            w.put_u8(SECTION_TRACE);
+            w.put_bytes(&encode_trace_section(ctx));
+        }
+        if let Some(tag) = &self.session {
+            w.put_u8(SECTION_SESSION);
+            w.put_bytes(&tag.to_section_bytes());
+        }
     }
 }
 
 impl Decode for Message {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let version = r.get_u8()?;
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+        if version != WIRE_VERSION {
             return Err(WireError::BadVersion(version));
         }
         let id = r.get_u64()?;
@@ -356,19 +307,13 @@ impl Decode for Message {
         let topic = Topic::decode(r)?;
         let sender = r.get_str()?;
         let timestamp_ms = r.get_u64()?;
-        let payload = if version >= 3 {
-            let len = r.get_u32()? as usize;
-            if len > crate::codec::MAX_CHUNK_LEN {
-                return Err(WireError::LengthOverflow("payload"));
-            }
-            let body = r.get_exact(len, "payload body")?;
-            let mut pr = Reader::new(body);
-            let payload = Payload::decode(&mut pr)?;
-            pr.expect_end("payload")?;
-            payload
-        } else {
-            Payload::decode(r)?
-        };
+        let len = r.get_u32()? as usize;
+        if len > crate::codec::MAX_CHUNK_LEN {
+            return Err(WireError::LengthOverflow("payload"));
+        }
+        let mut pr = Reader::new(r.get_exact(len, "payload body")?);
+        let payload = Payload::decode(&mut pr)?;
+        pr.expect_end("payload")?;
         let mut msg = Message {
             id,
             correlation_id,
@@ -382,18 +327,16 @@ impl Decode for Message {
             trace: None,
             session: None,
         };
-        if version >= 2 {
-            let sections = r.get_varint()?;
-            for _ in 0..sections {
-                let tag = r.get_u8()?;
-                let body = r.get_bytes_ref()?;
-                if tag == SECTION_TRACE && msg.trace.is_none() {
-                    msg.trace = Some(decode_trace_section(body)?);
-                } else if tag == SECTION_SESSION && msg.session.is_none() {
-                    msg.session = Some(SessionTag::from_section_bytes(body)?);
-                }
-                // Any other tag: an extension from a newer peer — skip.
+        let sections = r.get_varint()?;
+        for _ in 0..sections {
+            let tag = r.get_u8()?;
+            let body = r.get_bytes_ref()?;
+            if tag == SECTION_TRACE && msg.trace.is_none() {
+                msg.trace = Some(decode_trace_section(body)?);
+            } else if tag == SECTION_SESSION && msg.session.is_none() {
+                msg.session = Some(SessionTag::from_section_bytes(body)?);
             }
+            // Any other tag: an extension from a newer peer — skip.
         }
         Ok(msg)
     }

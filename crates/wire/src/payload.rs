@@ -516,15 +516,20 @@ pub enum Payload {
     },
 }
 
-/// Whether a payload tag byte denotes broker control traffic
-/// (connection management and subscription state) rather than
-/// routable data. The broker's zero-copy fast path checks the tag
-/// straight off the wire — see [`crate::view::MessageView`] — and
-/// sends control frames through the full decode + dispatch path.
-pub fn is_control_tag(tag: u8) -> bool {
-    // Attach/Subscribe/Unsubscribe/Ack/Nack and the NeighborHello/
-    // NeighborSubscribe/NeighborUnsubscribe inter-broker handshakes.
-    matches!(tag, 1..=5 | 70..=72)
+/// Whether a payload tag byte (read straight off the wire, see
+/// [`crate::view::MessageView`]) is client session control a broker's
+/// client worker dispatches itself: Attach, Subscribe, Unsubscribe.
+/// Every other payload from a client is routed as data.
+pub fn is_client_control_tag(tag: u8) -> bool {
+    matches!(tag, 1..=3)
+}
+
+/// Whether a payload tag byte is the inter-broker handshake a broker's
+/// neighbour worker dispatches itself: NeighborHello,
+/// NeighborSubscribe, NeighborUnsubscribe. Every other payload from a
+/// neighbour is routed as data.
+pub fn is_neighbor_control_tag(tag: u8) -> bool {
+    matches!(tag, 70..=72)
 }
 
 impl Encode for Payload {

@@ -7,9 +7,10 @@
 //! directly out of a borrowed byte slice, allocating nothing, so the
 //! broker can match and forward the original frame bytes untouched.
 //!
-//! Views require the version-3 envelope (whose payload is
-//! u32-length-prefixed, see [`crate::message`]); frames from older
-//! peers fail to parse here and take the full-decode slow path.
+//! Views parse the version-3 envelope (whose payload is
+//! u32-length-prefixed, see [`crate::message`]) and reject every other
+//! version, exactly like the owned decoder. The owned [`crate::Message`]
+//! decode stays for consumers that need the payload or token.
 
 use crate::codec::Reader;
 use crate::error::WireError;
@@ -46,7 +47,7 @@ pub fn topic_hash(topic: &Topic) -> u64 {
 /// Segments are exposed as raw byte slices: matching and hashing
 /// compare bytes, so no UTF-8 validation or allocation happens on the
 /// hot path. Use [`TopicView::to_topic`] for a fully validated owned
-/// topic when leaving the fast path.
+/// topic (allocates).
 #[derive(Debug, Clone, Copy)]
 pub struct TopicView<'a> {
     /// Encoded segment list (varint length + bytes per segment),
@@ -167,9 +168,7 @@ impl<'a> Iterator for SegmentIter<'a> {
 ///
 /// Exposes exactly what routing needs; the payload body and
 /// authentication material stay as opaque borrowed slices. Construct
-/// with [`MessageView::parse`]; any frame it rejects (older wire
-/// version, malformed structure) must be routed through the owned
-/// [`crate::Message`] decoder instead.
+/// with [`MessageView::parse`]; a frame it rejects is not routable.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     /// Unique (per sender) message id.
@@ -209,10 +208,8 @@ pub struct MessageView<'a> {
 
 impl<'a> MessageView<'a> {
     /// Parses the routing-relevant fields of a version-3 frame without
-    /// copying. Rejects other versions with
-    /// [`WireError::BadVersion`] so callers fall back to the full
-    /// decoder ([`Decode::from_bytes`][crate::codec::Decode] on
-    /// [`crate::Message`]).
+    /// copying. Rejects other versions with [`WireError::BadVersion`],
+    /// as the owned decoder does.
     pub fn parse(frame: &'a [u8]) -> Result<Self> {
         let mut r = Reader::new(frame);
         let version = r.get_u8()?;
@@ -426,19 +423,6 @@ mod tests {
         assert_eq!(v.topic.to_topic().unwrap(), m.topic);
         // The payload slice is the exact encoding of the payload.
         assert_eq!(v.payload, m.payload.to_bytes().as_slice());
-    }
-
-    #[test]
-    fn view_rejects_legacy_versions() {
-        let m = sample();
-        assert!(matches!(
-            MessageView::parse(&m.to_v1_bytes()),
-            Err(WireError::BadVersion(1))
-        ));
-        assert!(matches!(
-            MessageView::parse(&m.to_v2_bytes()),
-            Err(WireError::BadVersion(2))
-        ));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the session-key layer's wire surface:
-//! the `SessionTag` trailing-section codec, skip-compatibility with
-//! decoders that predate the section, rejection of truncated/tampered
-//! tags, and the full RSA-sealed handshake (mint → sign+seal →
+//! the `SessionTag` trailing-section codec, rejection of
+//! truncated/tampered tags, and the full RSA-sealed handshake (mint → sign+seal →
 //! announce → open → install → tag → verify).
 
 use nb_crypto::aes::KeySize;
@@ -96,19 +95,6 @@ proptest! {
         tampered[flip_at] ^= 1 << flip_bit;
         let back = SessionTag::from_section_bytes(&tampered).unwrap();
         prop_assert_ne!(back, tag);
-    }
-
-    /// A v1 re-encode (which predates trailing sections entirely)
-    /// drops the tag but still decodes — the compat path for old
-    /// peers; the message content survives.
-    #[test]
-    fn v1_peers_simply_lose_the_tag(tag in arb_tag()) {
-        let m = sample_message(tag);
-        let v1 = m.to_v1_bytes();
-        let back = Message::from_bytes(&v1).unwrap();
-        prop_assert_eq!(back.session, None);
-        prop_assert_eq!(back.payload, m.payload);
-        prop_assert_eq!(back.topic, m.topic);
     }
 }
 

@@ -2,7 +2,7 @@
 //! parser and the owned [`Message`] decoder: for arbitrary envelopes
 //! (any combination of signature, token, MAC and trace context), for
 //! frames carrying unknown trailing sections from hypothetical newer
-//! peers, and across v2 → v3 wire upgrades.
+//! peers.
 
 use nb_wire::codec::{Decode, Encode, Writer};
 use nb_wire::message::{Message, SessionTag, SECTION_SESSION, SECTION_TRACE};
@@ -228,22 +228,5 @@ proptest! {
         prop_assert_eq!(&Message::from_bytes(&bytes).unwrap(), &m);
         // The zero-copy view agrees on every routing-relevant field.
         assert_view_agrees(&bytes, &m);
-    }
-
-    /// A v2 frame decodes to the same message, and re-encoding it as
-    /// v3 loses nothing: the upgrade path a broker takes when relaying
-    /// traffic from an older peer.
-    #[test]
-    fn v2_to_v3_round_trip_preserves_every_field(m in arb_message()) {
-        let v2 = m.to_v2_bytes();
-        // v2 frames are below the view's version floor — routing must
-        // fall back to the owned decoder.
-        prop_assert!(MessageView::parse(&v2).is_err());
-        let decoded = Message::from_bytes(&v2).unwrap();
-        prop_assert_eq!(&decoded, &m);
-        // Relay as v3: nothing dropped, and the view now applies.
-        let v3 = decoded.to_bytes();
-        prop_assert_eq!(&Message::from_bytes(&v3).unwrap(), &m);
-        assert_view_agrees(&v3, &m);
     }
 }

@@ -1,14 +1,13 @@
 //! Wire-compatibility regression tests for the version-3 envelope:
 //! the u32 payload length prefix must agree with the encoded payload,
 //! the trailing-section block must round-trip trace contexts and
-//! tolerate unknown sections from newer peers, and version-1/-2
-//! frames must keep decoding byte-for-byte as older encoders
-//! produced them.
+//! tolerate unknown sections from newer peers, and every other version
+//! byte — older or newer — is refused by both decoders.
 
 use nb_telemetry::TraceContext;
 use nb_wire::codec::{Decode, Encode, Reader, Writer};
 use nb_wire::error::WireError;
-use nb_wire::{Message, Payload, Topic};
+use nb_wire::{Message, MessageView, Payload, Topic};
 
 const NOW: u64 = 1_700_000_000_000;
 
@@ -52,67 +51,22 @@ fn round_trip_with_trace() {
 }
 
 #[test]
-fn v1_encoding_still_decodes() {
-    // Regression: a pre-extension peer's frame (version byte 1, no
-    // trailing-section block) must decode to the same message with no
-    // trace context.
-    let m = sample().with_trace(ctx());
-    let legacy = m.to_v1_bytes();
-    assert_eq!(legacy[0], 1, "legacy encoder must stamp version 1");
-    let back = Message::from_bytes(&legacy).unwrap();
-    assert_eq!(back.trace, None);
-    let mut expect = m.clone();
-    expect.trace = None;
-    assert_eq!(back, expect);
-}
-
-#[test]
-fn v2_encoding_still_decodes() {
-    // A pre-v3 peer's frame (trailing sections but no payload length
-    // prefix) must decode identically, trace included.
-    let m = sample().with_trace(ctx());
-    let legacy = m.to_v2_bytes();
-    assert_eq!(legacy[0], 2, "legacy encoder must stamp version 2");
-    assert_eq!(Message::from_bytes(&legacy).unwrap(), m);
-}
-
-#[test]
-fn v1_and_v2_differ_only_in_version_and_sections() {
-    // The v2 layout of a traceless message is the v1 layout plus a
-    // zero section count — structural proof of backward compatibility.
-    let m = sample();
-    let v1 = m.to_v1_bytes();
-    let v2 = m.to_v2_bytes();
-    assert_eq!(v2[0], 2);
-    assert_eq!(&v2[1..v2.len() - 1], &v1[1..]);
-    assert_eq!(*v2.last().unwrap(), 0, "empty section block is one 0 byte");
-}
-
-#[test]
-fn v3_is_v2_plus_payload_length_prefix() {
-    // The v3 layout is the v2 layout with a big-endian u32 payload
-    // length spliced in front of the payload — nothing else moves.
-    let m = sample().with_trace(ctx());
-    let v2 = m.to_v2_bytes();
-    let v3 = m.to_bytes();
-    assert_eq!(v3[0], 3);
-    assert_eq!(v3.len(), v2.len() + 4);
-
-    // Fixed-width prefix of the body: id + correlation id.
-    let mut r = Reader::new(&v2[1..]);
-    r.get_u64().unwrap();
-    r.get_u64().unwrap();
-    Topic::decode(&mut r).unwrap();
-    r.get_str().unwrap();
-    r.get_u64().unwrap();
-    let payload_at = 1 + (v2.len() - 1 - r.remaining());
-    Payload::decode(&mut r).unwrap();
-    let payload_len = v2.len() - r.remaining() - payload_at;
-
-    assert_eq!(&v3[1..payload_at], &v2[1..payload_at]);
-    let declared = u32::from_be_bytes(v3[payload_at..payload_at + 4].try_into().unwrap());
-    assert_eq!(declared as usize, payload_len);
-    assert_eq!(&v3[payload_at + 4..], &v2[payload_at..]);
+fn legacy_versions_are_rejected_by_both_decoders() {
+    // Version 3 is the only wire version: frames stamped 1 or 2 (the
+    // pre-length-prefix layouts) are refused by the owned decoder and
+    // the zero-copy view alike, never half-parsed.
+    for version in [1u8, 2] {
+        let mut bytes = sample().with_trace(ctx()).to_bytes();
+        bytes[0] = version;
+        assert_eq!(
+            Message::from_bytes(&bytes),
+            Err(WireError::BadVersion(version))
+        );
+        assert!(matches!(
+            MessageView::parse(&bytes),
+            Err(WireError::BadVersion(v)) if v == version
+        ));
+    }
 }
 
 #[test]
