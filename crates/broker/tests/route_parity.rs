@@ -62,7 +62,7 @@ const CONTROL: &str = "/Constrained/RealTime/Broker/PublishSubscribe/Control";
 
 const MONITOR_DSL: &str = "auth: require-token on /Constrained/Traces/*/Publish-Only/#\n\
      session: require-session on /Constrained/Traces/*/Publish-Only/#\n\
-     hops: max-hops 2 on /#\n\
+     hops: max-hops 0 on /#\n\
      once: exactly-once on /#\n";
 
 // ---------------------------------------------------------------- fixtures
@@ -228,9 +228,9 @@ struct Case {
 fn arb_case() -> impl Strategy<Value = Case> {
     (
         (0u8..5, 0usize..1_000, 0u8..64, any::<bool>(), 0u8..3),
-        (0u8..4, any::<bool>(), 0u8..5, any::<bool>()),
+        (0u8..4, any::<bool>(), 0u8..5, 0u8..4),
         (0u8..3, 0u8..MAX_HOPS + 2, any::<bool>()),
-        (0u8..4, any::<bool>(), any::<bool>(), 1usize..5),
+        (0u8..4, any::<bool>(), 0u8..4, 1usize..5),
     )
         .prop_map(|(a, b, c, d)| {
             let fx = fixtures();
@@ -264,13 +264,13 @@ fn arb_case() -> impl Strategy<Value = Case> {
                     TagKind::Revoked,
                     TagKind::BadMac,
                 ][tag as usize],
-                keys_installed,
+                keys_installed: keys_installed != 0,
                 trace: [TraceKind::None, TraceKind::Unsampled, TraceKind::Sampled][trace as usize],
                 hop,
                 old,
                 require_tokens: strict != 0,
                 telemetry,
-                monitor,
+                monitor: monitor != 0,
                 frames,
             }
         })
@@ -920,7 +920,7 @@ fn run_case(case: &Case) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// Every drawn case routes exactly as the reference model says.
     #[test]
