@@ -19,7 +19,7 @@ use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
 use nb_wire::token::Rights;
 use nb_wire::payload::{is_client_control_tag, is_neighbor_control_tag};
 use nb_wire::view::TopicView;
-use nb_monitor::{DeliveryEvent, MonitorSet, TopicRef};
+use nb_monitor::{DeliveryEvent, MonitorSet};
 use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_store::{Durable, DurableState, Recovery, StoreConfig};
 use nb_wire::{Message, MessageView, Payload, Topic};
@@ -1332,7 +1332,7 @@ fn fill_route_entry(
             .monitor
             .read()
             .as_ref()
-            .is_some_and(|m| m.monitors_topic(hash, &TopicRef::Owned(&topic)));
+            .is_some_and(|m| m.monitors_topic(hash, topic_view));
     let entry = Arc::new(RouteEntry {
         topic,
         policy,

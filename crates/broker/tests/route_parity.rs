@@ -26,7 +26,7 @@ use nb_broker::{Broker, BrokerConfig};
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
 use nb_crypto::rsa::RsaKeyPair;
 use nb_crypto::{SessionKey, Uuid};
-use nb_monitor::{parse_properties, DeliveryEvent, MonitorSet, TokenSource, TopicRef};
+use nb_monitor::{parse_properties, DeliveryEvent, MonitorSet, TokenSource};
 use nb_telemetry::{TelemetryConfig, TraceContext};
 use nb_transport::clock::{MockClock, SharedClock};
 use nb_transport::endpoint::{Endpoint, FrameSender};
@@ -870,7 +870,7 @@ fn report(twin: &MonitorSet, (msg, hop): &ExpectedEvent) {
     let view = MessageView::parse(&frame).unwrap();
     twin.on_delivery(&DeliveryEvent {
         node: NODE,
-        topic: TopicRef::View(&view.topic),
+        topic: &view.topic,
         topic_hash: view.topic.hash64(),
         sender: view.sender,
         msg_id: view.id,

@@ -6,41 +6,7 @@
 //! forward, so building an event costs no allocation.
 
 use nb_wire::codec::Decode;
-use nb_wire::{AuthorizationToken, MessageView, SessionTag, Topic, TopicView};
-
-/// A borrowed view of the topic a delivery happened on — either the
-/// owned [`Topic`] of a decoded message or the zero-copy [`TopicView`]
-/// of a routed frame (what the broker reports).
-#[derive(Debug, Clone, Copy)]
-pub enum TopicRef<'a> {
-    /// Owned-decode path: the topic of a `nb_wire::Message`.
-    Owned(&'a Topic),
-    /// Zero-copy path: the topic section of a raw frame.
-    View(&'a TopicView<'a>),
-}
-
-impl TopicRef<'_> {
-    /// Whether the topic matches a routing filter (`*` one segment,
-    /// trailing `#` any suffix). Allocation-free on both variants.
-    pub fn matches_filter(&self, filter: &Topic) -> bool {
-        match self {
-            TopicRef::Owned(t) => t.matches_filter(filter),
-            TopicRef::View(v) => v.matches_filter(filter),
-        }
-    }
-
-    /// Renders the topic path (only called on the violation path,
-    /// where allocation is fine).
-    pub fn render(&self) -> String {
-        match self {
-            TopicRef::Owned(t) => t.to_string(),
-            TopicRef::View(v) => v
-                .to_topic()
-                .map(|t| t.to_string())
-                .unwrap_or_else(|_| "<invalid topic>".to_string()),
-        }
-    }
-}
+use nb_wire::{AuthorizationToken, MessageView, SessionTag, TopicView};
 
 /// Where an event's authorization token can be found, if anywhere.
 ///
@@ -52,8 +18,6 @@ impl TopicRef<'_> {
 pub enum TokenSource<'a> {
     /// The envelope carries no token.
     Absent,
-    /// The token was already decoded with the message.
-    Decoded(&'a AuthorizationToken),
     /// The frame's header flags a token; decode from these raw bytes
     /// on demand.
     Frame(&'a [u8]),
@@ -66,7 +30,6 @@ impl TokenSource<'_> {
     pub fn resolve(&self) -> Option<Result<AuthorizationToken, nb_wire::WireError>> {
         match self {
             TokenSource::Absent => None,
-            TokenSource::Decoded(t) => Some(Ok((*t).clone())),
             TokenSource::Frame(frame) => match nb_wire::Message::from_bytes(frame) {
                 Ok(msg) => msg.token.map(Ok),
                 Err(e) => Some(Err(e)),
@@ -81,8 +44,9 @@ impl TokenSource<'_> {
 pub struct DeliveryEvent<'a> {
     /// Broker reporting the event.
     pub node: &'a str,
-    /// Topic the message was routed on.
-    pub topic: TopicRef<'a>,
+    /// Topic the message was routed on: the topic section of the
+    /// routed frame.
+    pub topic: &'a TopicView<'a>,
     /// `nb_wire::topic_hash` of the topic — the broker already has it
     /// from the route lookup, and the monitor's prefilter keys on it.
     pub topic_hash: u64,
@@ -104,6 +68,15 @@ pub struct DeliveryEvent<'a> {
 }
 
 impl<'a> DeliveryEvent<'a> {
+    /// Renders the topic path (only called on the violation path,
+    /// where allocation is fine).
+    pub fn topic_path(&self) -> String {
+        self.topic
+            .to_topic()
+            .map(|t| t.to_string())
+            .unwrap_or_else(|_| "<invalid topic>".to_string())
+    }
+
     /// Builds an event from a zero-copy frame view (what the broker
     /// reports).
     /// `hop` is the post-increment hop count the frame will carry
@@ -120,7 +93,7 @@ impl<'a> DeliveryEvent<'a> {
     ) -> Self {
         DeliveryEvent {
             node,
-            topic: TopicRef::View(&view.topic),
+            topic: &view.topic,
             topic_hash,
             sender: view.sender,
             msg_id: view.id,

@@ -42,5 +42,5 @@ pub mod event;
 mod set;
 
 pub use dsl::{parse_properties, standard_properties, PropertyKind, PropertySpec};
-pub use event::{DeliveryEvent, TokenSource, TopicRef, VerdictKind};
+pub use event::{DeliveryEvent, TokenSource, VerdictKind};
 pub use set::{audit_topic, AuditSink, MonitorSet, Violation};

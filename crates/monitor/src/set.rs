@@ -15,12 +15,12 @@ use nb_telemetry::SpanEvent;
 use nb_wire::codec::{Reader, Writer};
 use nb_wire::{
     AllowedActions, AuthorizationToken, ConstrainedTopic, Constrainer, Distribution, EventType,
-    Message, Payload, Rights, Topic,
+    Message, Payload, Rights, Topic, TopicView,
 };
 use parking_lot::{Mutex, RwLock};
 
 use crate::dsl::{PropertyKind, PropertySpec};
-use crate::event::{DeliveryEvent, TokenSource, TopicRef, VerdictKind};
+use crate::event::{DeliveryEvent, TokenSource, VerdictKind};
 
 /// Callback the monitor hands signed audit messages to — typically
 /// `Broker::publish_internal` on one broker of the deployment.
@@ -291,7 +291,7 @@ impl MonitorSet {
     /// resolves this once per route-cache fill and stores the verdict
     /// in the entry, so steady-state traffic on unmonitored topics
     /// never reaches [`MonitorSet::on_delivery`] at all.
-    pub fn monitors_topic(&self, hash: u64, topic: &TopicRef<'_>) -> bool {
+    pub fn monitors_topic(&self, hash: u64, topic: &TopicView<'_>) -> bool {
         self.property_mask(hash, topic) != 0
     }
 
@@ -303,7 +303,7 @@ impl MonitorSet {
     pub fn on_delivery(&self, ev: &DeliveryEvent<'_>) {
         let inner = &*self.inner;
         inner.metrics.events.inc();
-        let mask = self.property_mask(ev.topic_hash, &ev.topic);
+        let mask = self.property_mask(ev.topic_hash, ev.topic);
         if mask == 0 {
             // Unmonitored topic: the whole call cost one counter bump
             // and one prefilter probe.
@@ -327,7 +327,7 @@ impl MonitorSet {
     }
 
     /// Prefilter: which properties (bitmask) govern this topic.
-    fn property_mask(&self, hash: u64, topic: &TopicRef<'_>) -> u64 {
+    fn property_mask(&self, hash: u64, topic: &TopicView<'_>) -> u64 {
         let inner = &*self.inner;
         let slot = &inner.prefilter[(hash as usize) & (PREFILTER_SLOTS - 1)];
         let tag = hash & !PREFILTER_MASK_BITS;
@@ -335,9 +335,9 @@ impl MonitorSet {
         if packed != 0 && (packed & !PREFILTER_MASK_BITS) == tag {
             return packed & PREFILTER_MASK_BITS;
         }
-        // Miss: recompute from the patterns (allocation-free — both
-        // TopicRef variants match filters in place) and publish the
-        // result. Races just repeat the same idempotent computation.
+        // Miss: recompute from the patterns (allocation-free — the
+        // view matches filters in place) and publish the result. Races
+        // just repeat the same idempotent computation.
         let mut mask = 0u64;
         for (i, spec) in inner.specs.iter().enumerate() {
             if spec.kind != PropertyKind::CausalVerdicts && topic.matches_filter(&spec.pattern) {
@@ -358,7 +358,7 @@ impl MonitorSet {
                 // here would double-count one breach under two names.
                 if ev.session.is_none() {
                     if let Some(detail) = self.token_verdict(&ev.token, ev.now_ms) {
-                        self.flag(spec, ev.node, ev.topic.render(), detail, ev.now_ms);
+                        self.flag(spec, ev.node, ev.topic_path(), detail, ev.now_ms);
                     }
                 }
             }
@@ -368,7 +368,7 @@ impl MonitorSet {
                         self.flag(
                             spec,
                             ev.node,
-                            ev.topic.render(),
+                            ev.topic_path(),
                             format!(
                                 "delivery attempt under revoked session key {:#018x} (seq {})",
                                 tag.key_id, tag.seq
@@ -385,14 +385,14 @@ impl MonitorSet {
                 None if require_trace => self.flag(
                     spec,
                     ev.node,
-                    ev.topic.render(),
+                    ev.topic_path(),
                     "trace/TTL section missing from a channel that requires one".to_string(),
                     ev.now_ms,
                 ),
                 Some(h) if h > bound => self.flag(
                     spec,
                     ev.node,
-                    ev.topic.render(),
+                    ev.topic_path(),
                     format!("hop count {h} exceeds the bound of {bound}"),
                     ev.now_ms,
                 ),
@@ -408,7 +408,7 @@ impl MonitorSet {
                     self.flag(
                         spec,
                         ev.node,
-                        ev.topic.render(),
+                        ev.topic_path(),
                         format!(
                             "duplicate delivery of message {} from sender {:?}",
                             ev.msg_id, ev.sender
