@@ -29,8 +29,8 @@
 //! A final segment guards the unrelated traffic: the cached data-plane
 //! fast path is saturated with plain frames against an empty keyring
 //! and against a keyring holding every entity's key, and the delta must
-//! stay under 5% — the session gate is one flag resolved at route-entry
-//! fill time, not a per-frame tax.
+//! stay under 5% — the routing pipeline consults the keyring only on
+//! token-enforced trace topics, so plain frames pay no per-frame tax.
 //!
 //! Run with `--quick` (CI) for a shorter drive with the same
 //! assertions and JSON shape.
@@ -530,7 +530,7 @@ fn main() {
     );
 
     // Fast-path guard: installing session keys must not tax unrelated
-    // traffic — the gate is resolved at route-entry fill time.
+    // traffic — plain topics never consult the keyring.
     let keys: Vec<SessionKey> = entities.iter().map(|e| e.key.clone()).collect();
     let fast_none = run_fastpath(None, threads, fast_n, fast_t);
     let fast_keys = run_fastpath(Some(&keys), threads, fast_n, fast_t);

@@ -559,12 +559,9 @@ impl Broker {
     /// verify with one HMAC over the signable region, in place on the
     /// frame, instead of the per-frame RSA token chain.
     pub fn install_session_key(&self, key: SessionKey) {
-        // Bump under the state lock like every control-plane mutation,
-        // so no cached route outlives a keyring change.
-        let state = self.inner.state.lock();
+        // No route-cache bump: route entries cache nothing about the
+        // keyring, which the pipeline consults per frame.
         self.inner.session_keys.install(key);
-        self.inner.routes.bump();
-        drop(state);
     }
 
     /// Revokes a session key: frames still tagged under it are dropped
@@ -572,12 +569,7 @@ impl Broker {
     /// so its `require-session` property can flag the replay. Returns
     /// whether the key was known to this broker.
     pub fn revoke_session_key(&self, key_id: u64) -> bool {
-        let known = {
-            let _state = self.inner.state.lock();
-            let known = self.inner.session_keys.revoke(key_id);
-            self.inner.routes.bump();
-            known
-        };
+        let known = self.inner.session_keys.revoke(key_id);
         if self.inner.monitor_on.load(Ordering::Acquire) {
             if let Some(monitor) = self.inner.monitor.read().as_ref() {
                 monitor.revoke_session_key(key_id);

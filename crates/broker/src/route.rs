@@ -165,10 +165,6 @@ pub(crate) struct ClientDest {
     pub terminated: Arc<AtomicBool>,
 }
 
-/// An in-process consumer's queue (the tracing engine, a hosted TDN):
-/// it takes owned [`Message`]s, decoded from the frame once per route.
-pub(crate) type InternalDest = Sender<Message>;
-
 /// A cached neighbour-broker destination.
 pub(crate) struct NeighborDest {
     /// Neighbour broker id (for ingress echo suppression).
@@ -190,8 +186,10 @@ pub(crate) struct RouteEntry {
     pub policy: Option<TopicPolicy>,
     /// Matching directly attached clients.
     pub clients: Vec<ClientDest>,
-    /// Matching in-process consumers.
-    pub internal: Vec<InternalDest>,
+    /// Queues of the matching in-process consumers (the tracing
+    /// engine, a hosted TDN): they take owned [`Message`]s, decoded
+    /// from the frame once per route.
+    pub internal: Vec<Sender<Message>>,
     /// Matching neighbour brokers.
     pub neighbors: Vec<NeighborDest>,
     /// Whether an attached runtime monitor has at least one delivery

@@ -120,9 +120,9 @@ fn warm_route_path_never_allocates() {
         )
         .unwrap();
 
-    // One pre-encoded data frame, reused for every publish. The
-    // client-origin fast path never mutates the buffer (hop patching
-    // only applies on neighbour ingress), so reuse is sound.
+    // One pre-encoded data frame, reused for every publish. Client
+    // ingress never mutates the buffer (hop patching only applies on
+    // neighbour ingress), so reuse is sound.
     let message = Message::new(
         7,
         topic,

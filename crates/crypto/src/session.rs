@@ -222,15 +222,6 @@ impl SessionKeyring {
         self.keys.read().expect("session keyring poisoned").is_empty()
     }
 
-    /// Whether a live (non-revoked, unexpired) key exists for `topic`.
-    pub fn has_live_key_for(&self, topic: &Uuid, now_ms: u64) -> bool {
-        self.keys
-            .read()
-            .expect("session keyring poisoned")
-            .values()
-            .any(|s| !s.revoked && !s.key.is_expired(now_ms) && &s.key.topic == topic)
-    }
-
     /// A clone of the key record for `key_id`, if present.
     pub fn get(&self, key_id: u64) -> Option<SessionKey> {
         self.keys

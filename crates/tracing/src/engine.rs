@@ -1071,8 +1071,8 @@ fn publish_trace(
         msg = msg.with_trace(ctx);
     }
     // Amortized RSA: tag the publication under the trace session key
-    // so every broker holding it authenticates with one HMAC on the
-    // cached fast path. The token stays attached — receivers without
+    // so every broker holding it authenticates with one HMAC, in place
+    // on the frame. The token stays attached — receivers without
     // the key (or after the budget runs dry) fall back to it.
     if let Some(key_id) = session.session_key_id {
         let signable = msg.signable_bytes();
