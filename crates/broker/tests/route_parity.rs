@@ -239,7 +239,10 @@ fn arb_case() -> impl Strategy<Value = Case> {
             let (trace, hop, old) = c;
             let (strict, telemetry, monitor, frames) = d;
             // Two draws in five land on a token-bearing trace
-            // publication, where the auth mixes matter.
+            // publication, where the auth mixes matter; token
+            // enforcement, the keyring and the monitor are on in three
+            // draws of four, so their joint cases (a revoked key on a
+            // relayed, traced frame) come up.
             let topic = if pick < 2 {
                 fx.trace_publications[idx % fx.trace_publications.len()].clone()
             } else {
