@@ -373,7 +373,7 @@ struct Model {
 type ExpectedEvent = (Message, Option<u8>);
 
 impl Model {
-    fn route(&mut self, case: &Case, msg: &Message) -> (Outcome, Vec<ExpectedEvent>) {
+    fn predict(&mut self, case: &Case, msg: &Message) -> (Outcome, Vec<ExpectedEvent>) {
         let mut out = Outcome::default();
         let mut events = Vec::new();
         let mut delivered = msg.clone();
@@ -780,7 +780,7 @@ impl Rig {
     }
 
     /// Routes `msg` from the case's origin and captures the outcome.
-    fn route(&self, origin: Origin, msg: &Message) -> Outcome {
+    fn ingest(&self, origin: Origin, msg: &Message) -> Outcome {
         let before = self.broker.metrics_snapshot();
         let mut frame = msg.to_bytes();
         match origin {
@@ -901,8 +901,8 @@ fn run_case(case: &Case) {
     let twin = twin_monitor(case);
     for i in 0..case.frames {
         let msg = build_frame(case, i);
-        let observed = rig.route(case.origin, &msg);
-        let (expected, events) = model.route(case, &msg);
+        let observed = rig.ingest(case.origin, &msg);
+        let (expected, events) = model.predict(case, &msg);
         assert_eq!(observed, expected, "frame {i} diverged for {case:#?}");
         if let Some(monitor) = &rig.monitor {
             for event in &events {
