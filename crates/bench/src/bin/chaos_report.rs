@@ -15,6 +15,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
+use nb_bench::loopback::wait_until;
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};
 use nb_tracing::view::EntityStatus;
@@ -28,17 +29,6 @@ use std::time::{Duration, Instant};
 /// Per-cycle ceiling on reconvergence; generous against scheduler
 /// noise — typical times are tens of milliseconds.
 const RECONVERGE_BUDGET: Duration = Duration::from_secs(10);
-
-fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");

@@ -14,6 +14,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
+use nb_bench::loopback::wait_until;
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};
 use nb_tracing::view::EntityStatus;
@@ -21,18 +22,7 @@ use nb_transport::clock::system_clock;
 use nb_transport::sim::LinkConfig;
 use nb_wire::payload::DiscoveryRestrictions;
 use nb_wire::trace::{EntityState, LoadInformation, TraceCategory};
-use std::time::{Duration, Instant};
-
-fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
+use std::time::Duration;
 
 fn main() {
     println!("== metrics report: 3-broker chain, 1 secured entity, 2 trackers ==");

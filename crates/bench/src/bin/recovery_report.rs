@@ -11,28 +11,29 @@
 //!   cost a crashed node pays at restart, plus the same store after a
 //!   checkpoint to show compaction collapsing the curve;
 //! * **steady-state fast-path overhead** — the loopback broker from
-//!   the throughput report driven volatile and durable back to back.
-//!   Publishes never touch the WAL (only control-plane mutations are
-//!   journalled), so durability must cost < 5% of data-plane
-//!   throughput — asserted here and re-checked by CI against the JSON.
+//!   the throughput report driven volatile and durable in the shared
+//!   harness's interleaved trials (`nb_bench::loopback`). Publishes
+//!   never touch the WAL (only control-plane mutations are
+//!   journalled): every durable trial must append exactly zero WAL
+//!   records, and the durable median must pass the 5% overhead gate —
+//!   asserted here and re-checked by CI against the JSON.
 //!
 //! Run with `--quick` (CI) for a shorter drive with the same
 //! assertions and JSON shape.
 
+use nb_bench::loopback::{
+    publisher_threads, run_trials, write_report, Gate, Loopback, IDLE_FILTERS, IDLE_SUBSCRIBERS,
+    TRIALS,
+};
 use nb_broker::persist::BrokerDurableState;
 use nb_broker::{Broker, BrokerConfig};
 use nb_crypto::Uuid;
 use nb_store::{Durable, StoreConfig, TempDir};
 use nb_tracing::persist::TrackerDurableState;
-use nb_transport::clock::system_clock;
-use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_wire::codec::Encode;
 use nb_wire::trace::{TraceEvent, TraceKind};
 use nb_wire::{Message, Payload, Topic};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Store tuning for the append/recovery phases: auto-checkpointing off
 /// so the measured log length is exactly what the phase wrote.
@@ -146,184 +147,21 @@ fn recovery_checkpointed(len: u64) -> CheckpointPoint {
     }
 }
 
-// ---------------------------------------------------------------------
-// Steady-state fast-path overhead: the throughput report's loopback
-// broker, volatile vs durable.
-// ---------------------------------------------------------------------
-
-/// Broker-side sender for a subscriber endpoint: swallows frames after
-/// counting them, so the bench measures routing, not a consumer.
-#[derive(Default)]
-struct SinkSender {
-    delivered: AtomicU64,
-}
-
-impl FrameSender for SinkSender {
-    fn send_frame(&self, _frame: &[u8]) -> nb_transport::Result<()> {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
 fn topic() -> Topic {
     Topic::parse("/Bench/Recovery/Loopback").unwrap()
 }
 
 fn data_frame(sender: &str, seq: u64) -> Vec<u8> {
-    Message::new(
-        seq,
-        topic(),
-        sender,
-        0,
-        Payload::Ping { seq, sent_at_ms: 0 },
-    )
-    .to_bytes()
-}
-
-/// Idle subscribers populating the broker, as in the throughput
-/// report: a realistic data plane is never matching one filter. Every
-/// idle subscription is also a journalled op in the durable run.
-const IDLE_SUBSCRIBERS: usize = 64;
-const IDLE_FILTERS: usize = 4;
-
-/// Attaches one sink-backed client and registers its filters, waiting
-/// for every control ack. The uplink must be held — dropping it reads
-/// as a link failure and detaches the client.
-fn attach_sink_client(
-    broker: &Broker,
-    id: &str,
-    filters: &[Topic],
-) -> (Arc<SinkSender>, crossbeam::channel::Sender<Vec<u8>>) {
-    let sink = Arc::new(SinkSender::default());
-    let (frames_tx, frames_rx) = crossbeam::channel::unbounded::<Vec<u8>>();
-    broker.attach_client(Endpoint::from_parts(
-        Arc::clone(&sink) as Arc<dyn FrameSender>,
-        frames_rx,
-    ));
-    let control = Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap();
-    frames_tx
-        .send(
-            Message::new(
-                1,
-                control.clone(),
-                id,
-                0,
-                Payload::Attach { client_id: id.to_string() },
-            )
-            .to_bytes(),
-        )
-        .expect("attach frame");
-    for (i, filter) in filters.iter().enumerate() {
-        frames_tx
-            .send(
-                Message::new(
-                    2 + i as u64,
-                    control.clone(),
-                    id,
-                    0,
-                    Payload::Subscribe { filter: filter.clone() },
-                )
-                .to_bytes(),
-            )
-            .expect("subscribe frame");
-    }
-    let expected = 1 + filters.len() as u64;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while sink.delivered.load(Ordering::Relaxed) < expected {
-        assert!(Instant::now() < deadline, "client {id} never finished its handshake");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    (sink, frames_tx)
-}
-
-struct SteadyRun {
-    msgs_per_sec: f64,
-    delivered: u64,
-}
-
-/// Saturates one broker configuration's fast path. `data_dir = Some`
-/// journals every control-plane mutation; publishes are identical in
-/// both modes.
-fn run_fast_path(data_dir: Option<PathBuf>, threads: usize, per_thread: u64) -> SteadyRun {
-    let cfg = BrokerConfig {
-        advert_refresh: None,
-        data_dir: data_dir.clone(),
-        ..BrokerConfig::default()
-    };
-    let broker = Broker::new(
-        if data_dir.is_some() { "durable" } else { "volatile" },
-        system_clock(),
-        cfg,
-    );
-
-    let mut uplinks = Vec::new();
-    for i in 0..IDLE_SUBSCRIBERS {
-        let filters: Vec<Topic> = (0..IDLE_FILTERS)
-            .map(|j| Topic::parse(&format!("/Bench/Idle/{i}/{j}")).unwrap())
-            .collect();
-        let (_, uplink) = attach_sink_client(&broker, &format!("idle-{i}"), &filters);
-        uplinks.push(uplink);
-    }
-    let (sink, uplink) = attach_sink_client(&broker, "sub", &[topic()]);
-    uplinks.push(uplink);
-
-    // Probe-publish until the hot subscription is routable.
-    let acks = sink.delivered.load(Ordering::Relaxed);
-    let mut probe = data_frame("probe", 1);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while sink.delivered.load(Ordering::Relaxed) <= acks {
-        assert!(Instant::now() < deadline, "subscription never became routable");
-        broker.ingest_client_frame("probe", &mut probe);
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let delivered_start = sink.delivered.load(Ordering::Relaxed);
-
-    let broker = Arc::new(broker);
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let broker = Arc::clone(&broker);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let id = format!("pub-{t}");
-                let mut frame = data_frame(&id, t as u64 + 10);
-                barrier.wait();
-                for _ in 0..per_thread {
-                    broker.ingest_client_frame(&id, &mut frame);
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    for w in workers {
-        w.join().expect("publisher thread");
-    }
-    let elapsed = t0.elapsed();
-
-    let msgs = threads as u64 * per_thread;
-    let delivered = sink.delivered.load(Ordering::Relaxed) - delivered_start;
-    assert_eq!(delivered, msgs, "lost or duplicated deliveries");
-    // End the run as a crash, not an orderly teardown: otherwise the
-    // dying client workers journal ConsumerGone for every subscriber
-    // and the log reopened below shows an empty table. No-op when
-    // volatile.
-    broker.simulate_crash();
-    SteadyRun {
-        msgs_per_sec: msgs as f64 / elapsed.as_secs_f64(),
-        delivered,
-    }
+    Message::new(seq, topic(), sender, 0, Payload::Ping { seq, sent_at_ms: 0 }).to_bytes()
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4);
-    let (append_n, curve, ckpt_n, per_thread) = if quick {
-        (100_000u64, vec![1_000u64, 10_000, 50_000], 50_000u64, 50_000u64)
+    let threads = publisher_threads();
+    let (append_n, curve, ckpt_n, per_thread, timed) = if quick {
+        (100_000u64, vec![1_000u64, 10_000, 50_000], 50_000u64, 50_000u64, 20_000u64)
     } else {
-        (1_000_000, vec![1_000, 10_000, 100_000, 500_000], 500_000, 500_000)
+        (1_000_000, vec![1_000, 10_000, 100_000, 500_000], 500_000, 500_000, 200_000)
     };
     println!(
         "== recovery report: WAL + restart + fast-path overhead ({}) ==",
@@ -353,34 +191,46 @@ fn main() {
         ckpt.log_records, ckpt.recovery_ms, ckpt.snapshot_seq, ckpt.replayed
     );
 
-    // Phase 3: steady-state overhead on the throughput fast path.
-    // Best of two rounds per mode damps scheduler noise; the claim
-    // under test is architectural (publishes never touch the WAL), not
-    // a micro-optimisation.
+    // Phase 3: steady-state overhead on the throughput fast path. Every
+    // idle subscription is a journalled op on the durable broker;
+    // publishes must append nothing.
     println!("\n-- steady-state fast-path overhead --");
-    let volatile = (0..2)
-        .map(|_| run_fast_path(None, threads, per_thread))
-        .max_by(|a, b| a.msgs_per_sec.total_cmp(&b.msgs_per_sec))
-        .unwrap();
     let dir = TempDir::new("bench-durable-broker").unwrap();
-    let durable = (0..2)
-        .map(|i| {
-            // A fresh subdirectory per round: each round is a fresh
-            // first boot, not a recovery.
-            run_fast_path(Some(dir.path().join(format!("round-{i}"))), threads, per_thread)
-        })
-        .max_by(|a, b| a.msgs_per_sec.total_cmp(&b.msgs_per_sec))
-        .unwrap();
-    let overhead_pct = (1.0 - durable.msgs_per_sec / volatile.msgs_per_sec) * 100.0;
-    println!(
-        "volatile: {:>12.0} msgs/sec\ndurable : {:>12.0} msgs/sec   overhead {overhead_pct:.2}%",
-        volatile.msgs_per_sec, durable.msgs_per_sec
-    );
+    let wal_appends = nb_metrics::global().counter("store.wal.appends");
+    let (mut durable_trials, mut data_plane_appends) = (0, 0);
+    let [volatile, durable] = run_trials(|c| {
+        // A fresh subdirectory per durable trial: each is a first boot,
+        // not a recovery.
+        let data_dir = (c == 1).then(|| {
+            durable_trials += 1;
+            dir.path().join(format!("trial-{durable_trials}"))
+        });
+        let mut probe = data_frame("probe", 1);
+        let config = BrokerConfig { data_dir, ..BrokerConfig::default() };
+        let lb = Loopback::new(config, true, &[topic()], |_| {}, |b| {
+            b.ingest_client_frame("probe", &mut probe)
+        });
+        let before = wal_appends.get();
+        let trial = lb.trial(threads, per_thread, timed, |t| {
+            let id = format!("pub-{t}");
+            let mut frame = data_frame(&id, t as u64 + 10);
+            move |b: &Broker, _seq: u64| b.ingest_client_frame(&id, &mut frame)
+        });
+        data_plane_appends += wal_appends.get() - before;
+        // End the trial as a crash, not an orderly teardown: otherwise
+        // the dying client workers journal ConsumerGone for every
+        // subscriber and the log reopened below shows an empty table.
+        // No-op when volatile.
+        lb.broker.simulate_crash();
+        trial
+    });
+    volatile.print("volatile");
+    durable.print("durable");
 
     // The durable broker's log must actually hold the control plane:
-    // reopen the last round's store and count what a restart replays.
+    // reopen the last trial's store and count what a restart replays.
     let (_, state, rec) = Durable::<BrokerDurableState>::open(
-        &dir.path().join("round-1"),
+        &dir.path().join(format!("trial-{TRIALS}")),
         "broker",
         StoreConfig::default(),
     )
@@ -388,15 +238,12 @@ fn main() {
     let wal_records = rec.snapshot_seq + rec.records_replayed;
     let expected_subs = (IDLE_SUBSCRIBERS * IDLE_FILTERS + 1) as u64;
     println!(
-        "durable broker log: {wal_records} journalled ops, {} recovered subscriptions",
+        "durable broker log: {wal_records} journalled ops, {} recovered subscriptions, {data_plane_appends} appended while publishing",
         state.subs.len()
     );
 
     // Assertions backing the CI smoke run.
-    assert!(
-        overhead_pct < 5.0,
-        "durability costs {overhead_pct:.2}% of fast-path throughput (budget 5%)"
-    );
+    assert_eq!(data_plane_appends, 0, "publishes touched the WAL");
     assert!(
         wal_records >= expected_subs,
         "durable broker journalled {wal_records} ops, expected >= {expected_subs}"
@@ -406,6 +253,7 @@ fn main() {
         expected_subs,
         "recovered subscription table incomplete"
     );
+    let gate = Gate::check(5.0, ("volatile", &volatile), ("durable", &durable));
 
     let curve_json: Vec<String> = points
         .iter()
@@ -416,25 +264,34 @@ fn main() {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"recovery_report\",\n  \"mode\": \"{}\",\n  \"threads\": {},\n  \"wal_append\": {{\n    \"records\": {},\n    \"bytes\": {},\n    \"appends_per_sec\": {:.0},\n    \"mb_per_sec\": {:.2}\n  }},\n  \"recovery_curve\": [\n    {}\n  ],\n  \"checkpointed\": {{ \"log_records\": {}, \"replayed\": {}, \"snapshot_seq\": {}, \"recovery_ms\": {:.3} }},\n  \"steady_state\": {{\n    \"volatile_msgs_per_sec\": {:.0},\n    \"durable_msgs_per_sec\": {:.0},\n    \"overhead_pct\": {:.2},\n    \"delivered_per_mode\": {},\n    \"wal_records\": {}\n  }}\n}}\n",
-        if quick { "quick" } else { "full" },
+    write_report(
+        "BENCH_recovery.json",
+        "recovery_report",
+        quick,
         threads,
-        append.records,
-        append.bytes,
-        append.appends_per_sec,
-        append.mb_per_sec,
-        curve_json.join(",\n    "),
-        ckpt.log_records,
-        ckpt.replayed,
-        ckpt.snapshot_seq,
-        ckpt.recovery_ms,
-        volatile.msgs_per_sec,
-        durable.msgs_per_sec,
-        overhead_pct,
-        durable.delivered,
-        wal_records
+        &[
+            (
+                "wal_append",
+                format!(
+                    "{{\n    \"records\": {},\n    \"bytes\": {},\n    \"appends_per_sec\": {:.0},\n    \"mb_per_sec\": {:.2}\n  }}",
+                    append.records, append.bytes, append.appends_per_sec, append.mb_per_sec
+                ),
+            ),
+            ("recovery_curve", format!("[\n    {}\n  ]", curve_json.join(",\n    "))),
+            (
+                "checkpointed",
+                format!(
+                    "{{ \"log_records\": {}, \"replayed\": {}, \"snapshot_seq\": {}, \"recovery_ms\": {:.3} }}",
+                    ckpt.log_records, ckpt.replayed, ckpt.snapshot_seq, ckpt.recovery_ms
+                ),
+            ),
+            ("saturation_msgs_per_config", (threads as u64 * per_thread).to_string()),
+            ("timed_msgs_per_config", timed.to_string()),
+            ("volatile", volatile.json()),
+            ("durable", durable.json()),
+            ("gate", gate.json()),
+            ("wal_appends_while_publishing", data_plane_appends.to_string()),
+            ("wal_records", wal_records.to_string()),
+        ],
     );
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    println!("\nwrote BENCH_recovery.json ({} bytes)", json.len());
 }

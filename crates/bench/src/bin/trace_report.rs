@@ -21,6 +21,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
+use nb_bench::loopback::wait_until;
 use nb_telemetry::{chrome_trace, json_lines, HeadSampler, NodeSpans, SpanEvent, Stage, TraceContext};
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};
@@ -31,17 +32,6 @@ use nb_wire::payload::DiscoveryRestrictions;
 use nb_wire::trace::{LoadInformation, TraceCategory};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if pred() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
 
 /// Per-hop duration buckets, in nanoseconds, accumulated over every
 /// sampled trace that reached the hop.

@@ -17,9 +17,31 @@
 //! over the crypto primitives and the failure detector, plus a
 //! reduced-sample pass over all the tables.
 //!
-//! This module holds the shared measurement machinery: summary
-//! statistics matching the paper's mean/σ/stderr columns and the
-//! load-marker latency probe used for "trace routing overhead".
+//! The repo's own cost claims each have a report binary that writes a
+//! `BENCH_*.json` at the repo root, checked by `ci/check_bench_json.py`:
+//!
+//! | Claim | Binary | Bar |
+//! |---|---|---|
+//! | data-plane throughput, exact delivery, decode-free routing | `throughput_report` | — |
+//! | runtime monitors on unmonitored traffic | `monitor_report` | 10% budget |
+//! | the cluster telemetry plane | `obs_report` | 2% budget |
+//! | session keys vs per-trace RSA / token verify; keyring on plain traffic | `session_report` | ≥ 10×, > 1×; 5% budget |
+//! | durability on the data plane; replay and compaction | `recovery_report` | 5% budget |
+//!
+//! These five share the [`loopback`] harness and its trial policy:
+//! [`loopback::TRIALS`] interleaved trials per configuration, each
+//! section recording the median, min, max and interquartile distance
+//! of msgs/sec, and overhead gates on medians that fail only beyond
+//! both the budget and the baseline's own spread. `metrics_report`,
+//! `trace_report` and `chaos_report` exercise the metrics, causal
+//! tracing and link supervision end to end.
+//!
+//! This module holds the shared measurement machinery for the paper's
+//! tables: summary statistics matching the paper's mean/σ/stderr
+//! columns and the load-marker latency probe used for "trace routing
+//! overhead".
+
+pub mod loopback;
 
 use nb_tracing::entity::TracedEntity;
 use nb_tracing::harness::Deployment;
@@ -104,14 +126,9 @@ pub fn sample_count(default: usize) -> usize {
 /// Waits until the hosting engine has registered `min` interested
 /// trackers for `entity_id`.
 pub fn wait_interest(dep: &Deployment, broker_idx: usize, entity_id: &str, min: usize) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < deadline {
-        if dep.engine(broker_idx).interest_count(entity_id) >= min {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    false
+    loopback::wait_until(Duration::from_secs(30), || {
+        dep.engine(broker_idx).interest_count(entity_id) >= min
+    })
 }
 
 /// The paper's "trace routing overhead": time from the traced entity
