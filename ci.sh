@@ -20,6 +20,12 @@ cargo build --release --workspace
 echo "== test =="
 cargo test --workspace --quiet
 
+# The end-to-end benchmark (BENCHMARK.json) is its own workspace and
+# builds ../crates/* from source, so the workspace build above does
+# not compile it; build it here and run its unit tests.
+echo "== benchmark crate test =="
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 # The five data-plane reports below share one loopback harness and one
 # trial policy (crates/bench/src/loopback.rs): 5 interleaved trials per
 # configuration, medians compared, and an overhead gate that fails only

@@ -35,6 +35,16 @@ impl BigUint {
         (BigUint::from_limbs(q), rem)
     }
 
+    /// `self mod d` for a single non-zero limb. Unlike
+    /// [`BigUint::div_rem_u64`] it builds no quotient, so it does not
+    /// allocate.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        self.limbs.iter().rev().fold(0, |rem, &limb| {
+            ((((rem as u128) << 64) | limb as u128) % d as u128) as u64
+        })
+    }
+
     /// Knuth Algorithm D for divisors of at least two limbs.
     ///
     /// Precondition: `self >= divisor` and `divisor.limbs.len() >= 2`.
@@ -173,6 +183,15 @@ mod tests {
         assert_eq!(q1, q2);
         assert_eq!(BigUint::from_u64(r1), r2);
         assert_eq!(q1.mul_u64(d).add(&BigUint::from_u64(r1)), a);
+    }
+
+    #[test]
+    fn rem_u64_matches_div_rem_u64() {
+        let a = h("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+        for d in [1u64, 3, 997, 0x1234567890abcdef, u64::MAX] {
+            assert_eq!(a.rem_u64(d), a.div_rem_u64(d).1, "d={d}");
+        }
+        assert_eq!(BigUint::zero().rem_u64(7), 0);
     }
 
     #[test]

@@ -13,12 +13,18 @@ use crate::error::CryptoError;
 /// benchmark workloads.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
-    n: Vec<u64>,
+    n: BigUint,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
     /// `R^2 mod n`, used to enter the Montgomery domain.
     rr: Vec<u64>,
 }
+
+/// Exponents longer than this many bits (private and CRT exponents,
+/// Miller–Rabin's `d`) take 4-bit windows; shorter ones, such as the
+/// public exponent 65537, keep plain square-and-multiply, where a
+/// window's 14-product table would cost more than it saves.
+const WINDOW_MIN_BITS: usize = 64;
 
 impl MontgomeryCtx {
     /// Builds a context for an odd modulus `n > 1`.
@@ -46,7 +52,7 @@ impl MontgomeryCtx {
         rr.resize(k, 0);
 
         Ok(MontgomeryCtx {
-            n: n.limbs.clone(),
+            n: n.clone(),
             n0_inv,
             rr,
         })
@@ -54,22 +60,23 @@ impl MontgomeryCtx {
 
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> BigUint {
-        BigUint::from_limbs(self.n.clone())
+        self.n.clone()
     }
 
     fn k(&self) -> usize {
-        self.n.len()
+        self.n.limbs.len()
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^{-1} mod n`.
-    /// Inputs are fixed-width `k`-limb slices; output is `k` limbs.
+    /// CIOS Montgomery multiplication: writes `a * b * R^{-1} mod n`
+    /// to `out`. `a`, `b` and `out` are `k` limbs and `t` is `k + 2`
+    /// limbs of scratch; nothing is allocated, so an exponentiation
+    /// that reuses its buffers never touches the heap per product.
     #[allow(clippy::needless_range_loop)] // index math mirrors the CIOS paper
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
         let k = self.k();
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        let n = &self.n;
-        let mut t = vec![0u64; k + 2];
+        let n = &self.n.limbs[..k];
+        let (a, b, out, t) = (&a[..k], &b[..k], &mut out[..k], &mut t[..k + 2]);
+        t.fill(0);
         for i in 0..k {
             // t += a[i] * b
             let ai = a[i] as u128;
@@ -99,64 +106,104 @@ impl MontgomeryCtx {
             t[k + 1] = 0;
         }
         // Conditional subtraction to bring the result below n.
-        let needs_sub = t[k] != 0 || ge_slice(&t[..k], n);
-        let mut out = t[..k].to_vec();
-        if needs_sub {
+        if t[k] != 0 || ge_slice(&t[..k], n) {
             let mut borrow = 0u64;
             for j in 0..k {
-                let (d1, b1) = out[j].overflowing_sub(n[j]);
+                let (d1, b1) = t[j].overflowing_sub(n[j]);
                 let (d2, b2) = d1.overflowing_sub(borrow);
                 out[j] = d2;
                 borrow = (b1 as u64) + (b2 as u64);
             }
+        } else {
+            out.copy_from_slice(&t[..k]);
         }
-        out
     }
 
-    /// Converts a reduced value (`a < n`) into the Montgomery domain.
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
+    /// Writes a reduced value (`a < n`) into `out` in the Montgomery
+    /// domain.
+    fn to_mont(&self, a: &BigUint, t: &mut [u64], out: &mut [u64]) {
         let mut limbs = a.limbs.clone();
         limbs.resize(self.k(), 0);
-        self.mont_mul(&limbs, &self.rr)
+        self.mont_mul(&limbs, &self.rr, t, out);
     }
 
     /// Leaves the Montgomery domain.
     #[allow(clippy::wrong_self_convention)] // "from the Montgomery domain", not a constructor
-    fn from_mont(&self, a: &[u64]) -> BigUint {
+    fn from_mont(&self, a: &[u64], t: &mut [u64]) -> BigUint {
         let mut one = vec![0u64; self.k()];
         one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(a, &one))
+        let mut out = vec![0u64; self.k()];
+        self.mont_mul(a, &one, t, &mut out);
+        BigUint::from_limbs(out)
     }
 
     /// Modular multiplication `a * b mod n` for already-reduced inputs.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let k = self.k();
+        let mut t = vec![0u64; k + 2];
+        let mut am = vec![0u64; k];
+        let mut bm = vec![0u64; k];
+        self.to_mont(a, &mut t, &mut am);
+        self.to_mont(b, &mut t, &mut bm);
+        let mut product = vec![0u64; k];
+        self.mont_mul(&am, &bm, &mut t, &mut product);
+        self.from_mont(&product, &mut t)
     }
 
-    /// Modular exponentiation `base^exp mod n` via left-to-right
-    /// square-and-multiply in the Montgomery domain.
+    /// Modular exponentiation `base^exp mod n`: a left-to-right
+    /// fixed-window loop in the Montgomery domain over buffers
+    /// allocated once per call. The window is 4 bits for exponents
+    /// longer than 64 bits and 1 bit (square-and-multiply) otherwise.
     pub fn pow_mod(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
-            return BigUint::one().rem(&self.modulus()).unwrap();
+            return BigUint::one(); // n > 1, so 1 is already reduced
         }
-        let base = if &self.modulus() <= base {
-            base.rem(&self.modulus()).unwrap()
+        let reduced;
+        let base = if base >= &self.n {
+            reduced = base.rem(&self.n).unwrap();
+            &reduced
         } else {
-            base.clone()
+            base
         };
-        let base_m = self.to_mont(&base);
-        let mut acc = base_m.clone();
+        let k = self.k();
         let bits = exp.bit_length();
-        for i in (0..bits - 1).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
+        let w = if bits > WINDOW_MIN_BITS { 4 } else { 1 };
+        let mut t = vec![0u64; k + 2];
+        // Entry `d - 1` (limbs `(d - 1) * k..d * k`) holds base^d in the
+        // Montgomery domain, for d = 1..2^w.
+        let mut table = vec![0u64; ((1 << w) - 1) * k];
+        self.to_mont(base, &mut t, &mut table[..k]);
+        for d in 2..1 << w {
+            let (lower, entry) = table.split_at_mut((d - 1) * k);
+            self.mont_mul(&lower[(d - 2) * k..], &lower[..k], &mut t, entry);
+        }
+        let entry = |d: usize| &table[(d - 1) * k..d * k];
+
+        // The top window holds the exponent's top bit, so it is never
+        // zero and seeds the accumulator.
+        let windows = bits.div_ceil(w);
+        let mut acc = entry(window(exp, (windows - 1) * w, w)).to_vec();
+        let mut next = vec![0u64; k];
+        for i in (0..windows - 1).rev() {
+            for _ in 0..w {
+                self.mont_mul(&acc, &acc, &mut t, &mut next);
+                std::mem::swap(&mut acc, &mut next);
+            }
+            let d = window(exp, i * w, w);
+            if d != 0 {
+                self.mont_mul(&acc, entry(d), &mut t, &mut next);
+                std::mem::swap(&mut acc, &mut next);
             }
         }
-        self.from_mont(&acc)
+        self.from_mont(&acc, &mut t)
     }
+}
+
+/// The `w` bits of `exp` starting at bit `lo`, as a number.
+fn window(exp: &BigUint, lo: usize, w: usize) -> usize {
+    (lo..lo + w)
+        .rev()
+        .fold(0, |d, i| (d << 1) | exp.bit(i) as usize)
 }
 
 fn ge_slice(a: &[u64], b: &[u64]) -> bool {

@@ -29,7 +29,7 @@ op_histogram!(RSA_SIGN_US, "crypto.rsa.sign_us");
 op_histogram!(RSA_VERIFY_US, "crypto.rsa.verify_us");
 op_histogram!(RSA_ENCRYPT_US, "crypto.rsa.encrypt_us");
 op_histogram!(RSA_DECRYPT_US, "crypto.rsa.decrypt_us");
-op_histogram!(RSA_KEYGEN_MS, "crypto.rsa.keygen_ms");
+op_histogram!(RSA_KEYGEN_US, "crypto.rsa.keygen_us");
 op_histogram!(AES_ENCRYPT_US, "crypto.aes.encrypt_us");
 op_histogram!(AES_DECRYPT_US, "crypto.aes.decrypt_us");
 op_histogram!(AES_CTR_US, "crypto.aes.ctr_us");

@@ -1,7 +1,7 @@
 //! Probabilistic prime generation (Miller–Rabin) for RSA key
 //! generation.
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, MontgomeryCtx};
 use crate::error::CryptoError;
 use rand::Rng;
 
@@ -68,15 +68,15 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(p);
-        if n == &pb {
-            return true;
-        }
-        if n.rem(&pb).map(|r| r.is_zero()).unwrap_or(false) {
-            return false;
+        if n.rem_u64(p) == 0 {
+            return n.to_u64() == Some(p);
         }
     }
 
+    // One Montgomery context serves every round and every squaring.
+    let Ok(ctx) = MontgomeryCtx::new(n) else {
+        return false;
+    };
     // Write n-1 = d * 2^s with d odd.
     let one = BigUint::one();
     let two = BigUint::from_u64(2);
@@ -88,22 +88,16 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
         s += 1;
     }
 
+    // Bases a are drawn from [2, n-2].
+    let range = n.sub(&BigUint::from_u64(3));
     'witness: for _ in 0..MR_ROUNDS {
-        // Base a in [2, n-2].
-        let range = n.sub(&BigUint::from_u64(3));
         let a = random_below(&range, rng).add(&two);
-        let mut x = match a.modpow(&d, n) {
-            Ok(x) => x,
-            Err(_) => return false,
-        };
+        let mut x = ctx.pow_mod(&a, &d);
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = match x.modpow(&two, n) {
-                Ok(x) => x,
-                Err(_) => return false,
-            };
+            x = ctx.mul_mod(&x, &x);
             if x == n_minus_1 {
                 continue 'witness;
             }
@@ -113,16 +107,21 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
     true
 }
 
-/// Generates a random probable prime with exactly `bits` bits.
+/// Generates a random probable prime with exactly `bits` bits, the
+/// top two of them set.
+///
+/// The second bit puts the prime at or above `1.5 * 2^(bits-1)`, inside
+/// FIPS 186-4 Appendix B.3.1's `sqrt(2) * 2^(bits-1)` bound (Go's
+/// `crypto/rand.Prime` does the same), so the product of an `a`-bit
+/// and a `b`-bit prime always has exactly `a + b` bits.
 pub fn generate_prime(bits: usize, rng: &mut dyn Rng) -> Result<BigUint, CryptoError> {
     // Expected attempts ~ bits * ln2 / 2; give generous headroom.
     let max_attempts = bits.max(64) * 64;
     for _ in 0..max_attempts {
         let mut candidate = random_with_bits(bits, rng);
-        // Force odd.
-        if candidate.is_even() {
-            candidate = candidate.add(&BigUint::one());
-        }
+        // Set the second-highest bit, and force odd.
+        candidate.limbs[(bits - 2) / 64] |= 1 << ((bits - 2) % 64);
+        candidate.limbs[0] |= 1;
         if candidate.bit_length() != bits {
             continue;
         }
@@ -200,9 +199,10 @@ mod tests {
     #[test]
     fn generated_primes_have_requested_size() {
         let mut r = rng();
-        for bits in [64usize, 128] {
+        for bits in [64usize, 65, 128, 129] {
             let p = generate_prime(bits, &mut r).unwrap();
             assert_eq!(p.bit_length(), bits);
+            assert!(p.bit(bits - 2), "second-highest bit clear, bits={bits}");
             assert!(is_probably_prime(&p, &mut r));
         }
     }
@@ -212,6 +212,7 @@ mod tests {
         let mut r = rng();
         let p = generate_prime(256, &mut r).unwrap();
         assert_eq!(p.bit_length(), 256);
+        assert!(p.bit(254));
         assert!(p.is_odd());
     }
 }

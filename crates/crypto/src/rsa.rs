@@ -88,7 +88,7 @@ impl RsaKeyPair {
             let d_p = d.rem(&p1)?;
             let d_q = d.rem(&q1)?;
             let q_inv = q.mod_inverse(&p)?;
-            crate::instrument::RSA_KEYGEN_MS.record(started.elapsed().as_millis() as u64);
+            crate::instrument::RSA_KEYGEN_US.record(started.elapsed().as_micros() as u64);
             return Ok(RsaKeyPair {
                 public: RsaPublicKey { n: n.clone(), e },
                 private: RsaPrivateKey {
@@ -379,11 +379,31 @@ mod tests {
         KP.get_or_init(|| RsaKeyPair::generate(1024, &mut rng()).unwrap())
     }
 
+    /// Both primes carry their top two bits, so `n` has exactly
+    /// `bits` bits on the first pair drawn.
+    fn assert_prime_bound(kp: &RsaKeyPair, bits: usize) {
+        let (p, q) = (&kp.private.p, &kp.private.q);
+        assert_eq!(p.bit_length(), bits / 2);
+        assert_eq!(q.bit_length(), bits - bits / 2);
+        for prime in [p, q] {
+            let top = prime.bit_length() - 1;
+            assert!(prime.bit(top) && prime.bit(top - 1), "bits={bits}");
+        }
+        assert_eq!(kp.public.modulus().bit_length(), bits);
+        assert_eq!(p.mul(q), *kp.public.modulus());
+    }
+
     #[test]
     fn generated_modulus_has_requested_bits() {
         let kp = keypair();
-        assert_eq!(kp.public.modulus().bit_length(), 1024);
+        assert_prime_bound(kp, 1024);
         assert_eq!(kp.public.modulus_len(), 128);
+        for seed in 1..=5 {
+            let kp = RsaKeyPair::generate(129, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert_prime_bound(&kp, 129);
+            assert_eq!(kp.public.modulus_len(), 17);
+            assert!(kp.private.self_test(&mut rng()));
+        }
     }
 
     #[test]

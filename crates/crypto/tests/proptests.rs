@@ -24,6 +24,41 @@ fn arb_nonzero() -> impl Strategy<Value = BigUint> {
     arb_biguint().prop_filter("nonzero", |v| !v.is_zero())
 }
 
+/// A big-endian byte string read as a BigUint.
+fn arb_bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = BigUint> {
+    proptest::collection::vec(any::<u8>(), len).prop_map(|b| BigUint::from_bytes_be(&b))
+}
+
+/// An odd modulus above 1 of up to 1024 bits (16 limbs). The widest
+/// tier is drawn least often: the division-based reference is slow in
+/// debug builds.
+fn arb_odd_modulus() -> impl Strategy<Value = BigUint> {
+    prop_oneof![
+        6 => arb_bytes(1..33),
+        3 => arb_bytes(33..65),
+        2 => arb_bytes(65..129),
+    ]
+    .prop_map(|m| {
+        if m.is_odd() {
+            m
+        } else {
+            m.add(&BigUint::one())
+        }
+    })
+    .prop_filter("modulus > 1", |m| !m.is_one())
+}
+
+/// Exponents of up to 1024 bits on both sides of the 64-bit threshold
+/// between square-and-multiply and 4-bit windows, plus powers of two,
+/// whose windows below the top one are all zero.
+fn arb_exponent() -> impl Strategy<Value = BigUint> {
+    prop_oneof![
+        2 => any::<u64>().prop_map(BigUint::from_u64),
+        3 => arb_bytes(9..129),
+        1 => (0usize..1024).prop_map(|bit| BigUint::one().shl(bit)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -93,12 +128,17 @@ proptest! {
     }
 
     #[test]
-    fn montgomery_agrees_with_generic(a in arb_biguint(), e in 0u64..1000, m in arb_nonzero()) {
-        prop_assume!(m.is_odd() && !m.is_one());
-        let exp = BigUint::from_u64(e);
+    fn montgomery_agrees_with_generic(
+        m in arb_odd_modulus(),
+        exp in arb_exponent(),
+        r in arb_bytes(0..129),
+        c in 0u64..4,
+    ) {
+        // c >= 1 puts the base at or above the modulus.
+        let base = r.add(&m.mul_u64(c));
         prop_assert_eq!(
-            a.modpow(&exp, &m).unwrap(),
-            a.modpow_generic(&exp, &m).unwrap()
+            base.modpow(&exp, &m).unwrap(),
+            base.modpow_generic(&exp, &m).unwrap()
         );
     }
 

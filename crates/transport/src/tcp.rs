@@ -273,6 +273,9 @@ mod tests {
         // parks FrameTooLarge and the endpoint reports it.
         let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        // Read the baseline before `accept()`: the endpoint's reader
+        // thread starts inside it and may count the frame at once.
+        let before = nb_metrics::global().counter("transport.frame.oversized").get();
         let raw = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             let bogus_len = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
@@ -281,7 +284,6 @@ mod tests {
         });
         let server = listener.accept().unwrap();
         let _raw = raw.join().unwrap();
-        let before = nb_metrics::global().counter("transport.frame.oversized").get();
         let err = server.recv_timeout(Duration::from_secs(2)).unwrap_err();
         assert_eq!(
             err,
