@@ -26,6 +26,16 @@ cargo test --workspace --quiet
 echo "== benchmark crate test =="
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
+# Benchmark smoke: each BENCHMARK.json workload for 3 s. No workspace
+# test drives the real TCP path at rate; e2ebench exits non-zero on a
+# lost, duplicated or reordered message, and the timeout catches a
+# hang.
+echo "== benchmark smoke =="
+for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    timeout 300 env CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
+        --manifest-path e2ebench/Cargo.toml -- --workload "$workload" --seed 1 --seconds 3 --trace 0
+done
+
 # The five data-plane reports below share one loopback harness and one
 # trial policy (crates/bench/src/loopback.rs): 5 interleaved trials per
 # configuration, medians compared, and an overhead gate that fails only

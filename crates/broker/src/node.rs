@@ -1379,6 +1379,19 @@ fn punish(inner: &Inner, client_id: &str) {
     }
 }
 
+/// What became of one frame a client worker received.
+enum ClientFrame {
+    /// The pipeline routed it as data.
+    Routed,
+    /// Session control the pipeline handed back, decoded (boxed: a
+    /// `Message` dwarfs the other variants).
+    Control(Box<Message>),
+    /// Handed back, but not a message: the client is punished.
+    Bogus,
+    /// It arrived after punish() terminated the client.
+    Terminated,
+}
+
 fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
     let inner = &inner;
     // Handshake: first frame must be Attach.
@@ -1419,38 +1432,47 @@ fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
     };
 
     loop {
-        let Ok(mut frame) = endpoint.recv() else {
-            // Link dropped: clean up. Journalled too — the mirror
-            // tracks the live table exactly; only a *broker* crash
-            // (which journals nothing) preserves client subscriptions
-            // for post-restart re-attachment.
-            let mut state = inner.state.lock();
-            state.clients.remove(&client_id);
-            state.subs.remove_consumer(&client_id);
-            inner.routes.bump();
-            drop(state);
-            journal(
-                inner,
-                BrokerOp::ConsumerGone {
-                    consumer: client_id.clone(),
-                },
-            );
-            return;
-        };
-        // Lock-free termination check: punish() flips the shared flag.
-        if terminated.load(Ordering::Acquire) {
-            return;
-        }
-        // Data frames are routed undecoded; only the session control
-        // the pipeline hands back is decoded here.
-        if route_frame(inner, &mut frame, Ingress::Client(&client_id), None) {
-            continue;
-        }
-        let msg = match Message::from_bytes(&frame) {
-            Ok(m) => m,
-            Err(_) => {
+        // Data frames are routed undecoded, in place in the endpoint's
+        // receive buffer; only the session control the pipeline hands
+        // back is decoded here. Lock-free termination check: punish()
+        // flips the shared flag.
+        let received = endpoint.recv_with(|frame| {
+            if terminated.load(Ordering::Acquire) {
+                ClientFrame::Terminated
+            } else if route_frame(inner, frame, Ingress::Client(&client_id), None) {
+                ClientFrame::Routed
+            } else {
+                match Message::from_bytes(frame) {
+                    Ok(msg) => ClientFrame::Control(Box::new(msg)),
+                    Err(_) => ClientFrame::Bogus,
+                }
+            }
+        });
+        let msg = match received {
+            Ok(ClientFrame::Control(msg)) => *msg,
+            Ok(ClientFrame::Routed) => continue,
+            Ok(ClientFrame::Bogus) => {
                 punish(inner, &client_id);
                 continue;
+            }
+            Ok(ClientFrame::Terminated) => return,
+            Err(_) => {
+                // Link dropped: clean up. Journalled too — the mirror
+                // tracks the live table exactly; only a *broker* crash
+                // (which journals nothing) preserves client
+                // subscriptions for post-restart re-attachment.
+                let mut state = inner.state.lock();
+                state.clients.remove(&client_id);
+                state.subs.remove_consumer(&client_id);
+                inner.routes.bump();
+                drop(state);
+                journal(
+                    inner,
+                    BrokerOp::ConsumerGone {
+                        consumer: client_id.clone(),
+                    },
+                );
+                return;
             }
         };
         match &msg.payload {
@@ -1650,18 +1672,17 @@ fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
         handle_neighbor_frame(inner, &peer_id, &mut frame);
     }
 
-    loop {
-        let Ok(mut frame) = endpoint.recv() else {
-            let mut state = inner.state.lock();
-            state.neighbors.remove(&peer_id);
-            state.subs.remove_neighbor(&peer_id);
-            inner.routes.bump();
-            drop(state);
-            inner.neighbor_cv.notify_all();
-            return;
-        };
-        handle_neighbor_frame(inner, &peer_id, &mut frame);
-    }
+    // Frames are handled in place in the endpoint's receive buffer.
+    while endpoint
+        .recv_with(|frame| handle_neighbor_frame(inner, &peer_id, frame))
+        .is_ok()
+    {}
+    let mut state = inner.state.lock();
+    state.neighbors.remove(&peer_id);
+    state.subs.remove_neighbor(&peer_id);
+    inner.routes.bump();
+    drop(state);
+    inner.neighbor_cv.notify_all();
 }
 
 /// Handles one frame from neighbour `peer_id`: data frames are routed

@@ -1,21 +1,23 @@
 //! Proves the data-plane claim in `docs/PERFORMANCE.md`: once the
 //! route cache is warm, routing a frame to its local subscribers
 //! allocates nothing — a plain client publish, a head-sampled one that
-//! records its AuthCheck/Route/Deliver spans, and neighbour ingress
-//! with its in-place hop patch. Uses a counting global allocator, so
-//! everything is measured inside one test function to keep the counter
-//! unpolluted by parallel tests.
+//! records its AuthCheck/Route/Deliver spans, neighbour ingress with
+//! its in-place hop patch, and a publish that reaches the broker's
+//! client worker over a real loopback TCP link. Uses a counting global
+//! allocator that sees every thread, so everything is measured inside
+//! one test function to keep the counter unpolluted by parallel tests.
 
 use nb_broker::{Broker, BrokerConfig};
 use nb_telemetry::{TelemetryConfig, TraceContext};
 use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
-use nb_wire::codec::Encode;
+use nb_transport::tcp::{self, TcpTransportListener};
+use nb_wire::codec::{Decode, Encode};
 use nb_wire::{Message, MessageView, Payload, Topic};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct CountingAllocator;
 
@@ -55,16 +57,27 @@ impl FrameSender for SinkSender {
 
 /// Warms `route` (route-cache entry, metric handles, the monotonic
 /// clock epoch), then asserts that 10,000 more routes allocate nothing
-/// and each reaches the subscriber.
+/// and each reaches the subscriber. A route that hands its frame to
+/// another thread (a TCP send) is waited for before counting.
 fn assert_route_never_allocates(label: &str, sink: &SinkSender, mut route: impl FnMut()) {
+    let delivered = || sink.delivered.load(Ordering::Relaxed);
+    let await_delivered = |target: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while delivered() < target && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    };
+    let warm = delivered() + 1_000;
     for _ in 0..1_000 {
         route();
     }
-    let delivered_before = sink.delivered.load(Ordering::Relaxed);
+    await_delivered(warm);
+    let delivered_before = delivered();
     let before = allocations();
     for _ in 0..10_000 {
         route();
     }
+    await_delivered(delivered_before + 10_000);
     assert_eq!(
         allocations() - before,
         0,
@@ -172,4 +185,37 @@ fn warm_route_path_never_allocates() {
     });
     let hop = MessageView::parse(&relayed).unwrap().trace.map(|ctx| ctx.hop_count);
     assert_eq!(hop, Some(1), "the relayed frame carries the incremented hop");
+
+    // TCP ingress: a publisher on a real loopback link. The client
+    // worker reads the socket itself and routes each frame in place in
+    // the endpoint's receive buffer (`Endpoint::recv_with`).
+    let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let dialer = std::thread::spawn(move || tcp::connect(addr).unwrap());
+    broker.attach_client(listener.accept().unwrap());
+    let publisher = dialer.join().unwrap();
+    let control = Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap();
+    let attach = Message::new(
+        1,
+        control,
+        "tcp-pub",
+        0,
+        Payload::Attach {
+            client_id: "tcp-pub".into(),
+        },
+    );
+    publisher.send(&attach.to_bytes()).unwrap();
+    let ack = publisher.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(matches!(Message::from_bytes(&ack).unwrap().payload, Payload::Ack));
+    let published = Message::new(
+        9,
+        Topic::parse("/Sensor/NoAlloc/Temp").unwrap(),
+        "tcp-pub",
+        0,
+        Payload::Ping { seq: 0, sent_at_ms: 0 },
+    )
+    .to_bytes();
+    assert_route_never_allocates("TCP client ingress", &sink, || {
+        publisher.send(&published).unwrap()
+    });
 }

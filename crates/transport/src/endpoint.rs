@@ -1,46 +1,22 @@
 //! The uniform link-half abstraction shared by all transports.
+//!
+//! Which thread reads depends on the transport. A TCP endpoint has no
+//! thread of its own: the thread that calls [`Endpoint::recv`],
+//! [`Endpoint::recv_timeout`] or [`Endpoint::recv_with`] reads the
+//! socket itself. Sim and UDP endpoints, and a supervised link's
+//! facade, receive from a queue that a transport thread fills.
 
 use crate::error::TransportError;
 use crate::instrument;
+use crate::tcp::TcpReader;
 use crate::Result;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
-use parking_lot::Mutex;
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum frame size accepted by any transport (4 MiB).
 pub const MAX_FRAME_LEN: usize = 4 * 1024 * 1024;
-
-/// Shared slot for the typed reason a link stopped delivering frames.
-///
-/// A transport's reader thread cannot hand an error through the frame
-/// channel (it carries `Vec<u8>`), so before dropping its sender it
-/// parks the reason here; the endpoint returns it from every
-/// subsequent receive instead of a bare [`TransportError::Closed`].
-/// Only the first reason sticks.
-#[derive(Clone, Default)]
-pub struct FaultCell(Arc<Mutex<Option<TransportError>>>);
-
-impl FaultCell {
-    /// Creates an empty cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the close reason if none is set yet.
-    pub fn set(&self, err: TransportError) {
-        let mut slot = self.0.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-    }
-
-    /// The recorded close reason, if any.
-    pub fn get(&self) -> Option<TransportError> {
-        self.0.lock().clone()
-    }
-}
 
 /// Transport-specific frame transmitter.
 pub trait FrameSender: Send + Sync {
@@ -126,6 +102,15 @@ impl FrameSender for CountingSender {
     }
 }
 
+/// Where an endpoint's inbound frames come from.
+enum Inbound {
+    /// Frames queued by a transport thread (sim links, UDP, the
+    /// supervisor's pump).
+    Queue(Receiver<Vec<u8>>),
+    /// A TCP stream, read by the receiving thread.
+    Stream(TcpReader),
+}
+
 /// One half of a bidirectional, framed link.
 ///
 /// `Endpoint` is identical across the simulated, TCP and UDP
@@ -134,10 +119,9 @@ impl FrameSender for CountingSender {
 /// and never see sockets.
 pub struct Endpoint {
     tx: Arc<dyn FrameSender>,
-    rx: Receiver<Vec<u8>>,
+    inbound: Inbound,
     stats: EndpointStats,
     max_frame_len: usize,
-    fault: FaultCell,
 }
 
 impl Endpoint {
@@ -146,28 +130,34 @@ impl Endpoint {
     /// [`MAX_FRAME_LEN`]; transports with a tighter wire limit use
     /// [`Endpoint::from_parts_limited`].
     pub fn from_parts(tx: Arc<dyn FrameSender>, rx: Receiver<Vec<u8>>) -> Self {
-        Self::from_parts_limited(tx, rx, MAX_FRAME_LEN, FaultCell::new())
+        Self::from_parts_limited(tx, rx, MAX_FRAME_LEN)
     }
 
     /// Assembles an endpoint advertising a transport-specific maximum
-    /// frame size and a shared [`FaultCell`] its reader thread can use
-    /// to surface a typed close reason.
+    /// frame size.
     pub fn from_parts_limited(
         tx: Arc<dyn FrameSender>,
         rx: Receiver<Vec<u8>>,
         max_frame_len: usize,
-        fault: FaultCell,
     ) -> Self {
+        Self::assemble(tx, Inbound::Queue(rx), max_frame_len)
+    }
+
+    /// Assembles a TCP endpoint, whose receivers read the stream.
+    pub(crate) fn from_stream(tx: Arc<dyn FrameSender>, reader: TcpReader) -> Self {
+        Self::assemble(tx, Inbound::Stream(reader), MAX_FRAME_LEN)
+    }
+
+    fn assemble(tx: Arc<dyn FrameSender>, inbound: Inbound, max_frame_len: usize) -> Self {
         let stats = EndpointStats::default();
         Endpoint {
             tx: Arc::new(CountingSender {
                 inner: tx,
                 stats: stats.clone(),
             }),
-            rx,
+            inbound,
             stats,
             max_frame_len: max_frame_len.min(MAX_FRAME_LEN),
-            fault,
         }
     }
 
@@ -190,39 +180,45 @@ impl Endpoint {
         self.tx.send_frame(frame)
     }
 
-    /// Maps a disconnected frame channel to the typed close reason if
-    /// the transport recorded one, else plain `Closed`.
-    fn closed_error(&self) -> TransportError {
-        self.fault.get().unwrap_or(TransportError::Closed)
-    }
-
     /// Blocks until a frame arrives or the link closes.
     pub fn recv(&self) -> Result<Vec<u8>> {
-        let frame = self.rx.recv().map_err(|_| self.closed_error())?;
-        self.stats.record_in(frame.len());
-        Ok(frame)
+        self.receive(None)
     }
 
     /// Blocks up to `timeout` for a frame.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>> {
-        let frame = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => self.closed_error(),
-        })?;
-        self.stats.record_in(frame.len());
-        Ok(frame)
+        self.receive(Some(timeout))
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<Option<Vec<u8>>> {
-        match self.rx.try_recv() {
-            Ok(frame) => {
+    /// Blocks until a frame arrives, then lends it to `f` and returns
+    /// what `f` returns. A TCP endpoint lends the frame in place in its
+    /// receive buffer, so the steady state allocates nothing; `f` may
+    /// modify the frame (the broker patches hop counts in place). `f`
+    /// runs under the endpoint's reader lock, so it must not receive
+    /// from this endpoint; sending through it is fine.
+    pub fn recv_with<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+        match &self.inbound {
+            Inbound::Queue(_) => self.recv().map(|mut frame| f(&mut frame)),
+            Inbound::Stream(reader) => reader.read_frame(None, |frame| {
                 self.stats.record_in(frame.len());
-                Ok(Some(frame))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(self.closed_error()),
+                f(frame)
+            }),
         }
+    }
+
+    fn receive(&self, timeout: Option<Duration>) -> Result<Vec<u8>> {
+        let frame = match &self.inbound {
+            Inbound::Queue(rx) => match timeout {
+                None => rx.recv().map_err(|_| TransportError::Closed)?,
+                Some(t) => rx.recv_timeout(t).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => TransportError::Timeout,
+                    RecvTimeoutError::Disconnected => TransportError::Closed,
+                })?,
+            },
+            Inbound::Stream(reader) => reader.read_frame(timeout, |frame| frame.to_vec())?,
+        };
+        self.stats.record_in(frame.len());
+        Ok(frame)
     }
 
     /// A cloneable sender handle (for multi-writer use). Frames sent
@@ -240,7 +236,10 @@ impl Endpoint {
 
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Endpoint(queued={})", self.rx.len())
+        match &self.inbound {
+            Inbound::Queue(rx) => write!(f, "Endpoint(queued={})", rx.len()),
+            Inbound::Stream(_) => write!(f, "Endpoint(tcp)"),
+        }
     }
 }
 
@@ -264,33 +263,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_cell_surfaces_typed_close_reason() {
-        let (tx, rx) = crossbeam::channel::unbounded::<Vec<u8>>();
-        let fault = FaultCell::new();
+    fn endpoint_enforces_its_frame_limit() {
+        let (_tx, rx) = crossbeam::channel::unbounded::<Vec<u8>>();
         struct NullSender;
         impl FrameSender for NullSender {
             fn send_frame(&self, _frame: &[u8]) -> Result<()> {
                 Ok(())
             }
         }
-        let ep = Endpoint::from_parts_limited(Arc::new(NullSender), rx, 100, fault.clone());
+        let ep = Endpoint::from_parts_limited(Arc::new(NullSender), rx, 100);
         assert_eq!(ep.max_frame_len(), 100);
         // Oversized for this endpoint's transport: rejected at build time.
         assert_eq!(
             ep.send(&[0u8; 101]),
             Err(TransportError::FrameTooLarge { size: 101, max: 100 })
-        );
-        // Reader thread dies with a typed reason; recv reports it.
-        fault.set(TransportError::FrameTooLarge { size: 7, max: 5 });
-        fault.set(TransportError::Closed); // first reason sticks
-        drop(tx);
-        assert_eq!(
-            ep.recv(),
-            Err(TransportError::FrameTooLarge { size: 7, max: 5 })
-        );
-        assert_eq!(
-            ep.recv_timeout(Duration::from_millis(1)),
-            Err(TransportError::FrameTooLarge { size: 7, max: 5 })
         );
     }
 

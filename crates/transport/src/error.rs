@@ -51,9 +51,7 @@ impl From<io::Error> for TransportError {
 
 impl Clone for TransportError {
     /// `io::Error` is not `Clone`; the copy preserves the kind and
-    /// message, which is everything callers match on. Needed so a
-    /// reader thread can park a typed close reason in a shared cell
-    /// and every subsequent `recv` can return it.
+    /// message, which is everything callers match on.
     fn clone(&self) -> Self {
         match self {
             TransportError::Closed => TransportError::Closed,

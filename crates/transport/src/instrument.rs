@@ -24,6 +24,7 @@ transport_counter!(BYTES_RECEIVED, "transport.bytes.received");
 transport_counter!(SIM_FRAMES_DROPPED, "transport.sim.frames.dropped");
 transport_counter!(SIM_FRAMES_DUPLICATED, "transport.sim.frames.duplicated");
 transport_counter!(FRAME_OVERSIZED, "transport.frame.oversized");
+transport_counter!(WRITE_STALLED, "transport.write.stalled");
 transport_counter!(SIM_FAULT_REJECTED, "transport.sim.fault.rejected");
 transport_counter!(SIM_FAULT_FLAKY_DROPPED, "transport.sim.fault.flaky_dropped");
 transport_counter!(BATCH_WRITES, "transport.batch.writes");

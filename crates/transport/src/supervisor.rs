@@ -40,7 +40,7 @@
 //! `transport.link.frames.shed`). Frame-size violations still fail
 //! immediately with [`TransportError::FrameTooLarge`].
 
-use crate::endpoint::{Endpoint, FaultCell, FrameSender};
+use crate::endpoint::{Endpoint, FrameSender};
 use crate::error::TransportError;
 use crate::instrument;
 use crate::Result;
@@ -436,7 +436,6 @@ impl LinkSupervisor {
             }),
             facade_rx,
             max_frame_len,
-            FaultCell::new(),
         );
         (
             facade,
@@ -517,7 +516,8 @@ impl Drop for LinkSupervisor {
     }
 }
 
-/// Forwards frames from the live underlying endpoint into the facade.
+/// Forwards frames from the live underlying endpoint into the facade
+/// (a TCP endpoint is read here, on the pump's own thread).
 /// On a receive error it flags the failure and blocks until the
 /// supervisor delivers a replacement endpoint (connector mode) or the
 /// supervisor exits.

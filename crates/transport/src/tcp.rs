@@ -1,26 +1,46 @@
 //! TCP transport: length-prefixed frames over `std::net::TcpStream`.
 //!
 //! One of the two real transports benchmarked in §6.1. Each accepted
-//! or connected stream becomes an [`Endpoint`]: a reader thread
-//! deframes incoming bytes into the endpoint's channel, and sends go
-//! through a write-combining sender (`TcpFrameSender`'s internals):
-//! frames are staged into a shared buffer under a cheap lock, and
-//! whichever sender wins the writer lock flushes the whole staged
-//! batch in one `write_all`. Under concurrent load this coalesces many
-//! frames per syscall (`transport.batch.*` counters) while preserving
-//! exact FIFO order and frame boundaries; a lone sender degenerates to
-//! the old one-write-per-frame behaviour.
+//! or connected stream becomes an [`Endpoint`] with no thread of its
+//! own: whichever thread calls the endpoint's receive methods reads
+//! the socket itself. It reads into one reused per-endpoint buffer and
+//! deframes every whole frame a read returns, so a burst of frames
+//! costs one syscall and later receives are served from the buffer.
+//! Unread bytes wait in the kernel, where TCP flow control slows a
+//! peer that sends faster than the consumer reads.
+//!
+//! Sends go through a write-combining sender (`TcpFrameSender`'s
+//! internals): frames are staged into a shared buffer under a cheap
+//! lock, and whichever sender wins the writer lock flushes the whole
+//! staged batch in one `write_all`. Under concurrent load this
+//! coalesces many frames per syscall (`transport.batch.*` counters)
+//! while preserving exact FIFO order and frame boundaries; a lone
+//! sender degenerates to the old one-write-per-frame behaviour. A
+//! write that makes no progress for [`WRITE_STALL`] gives the link up.
 
-use crate::endpoint::{Endpoint, FaultCell, FrameSender, MAX_FRAME_LEN};
+use crate::endpoint::{Endpoint, FrameSender, MAX_FRAME_LEN};
 use crate::error::TransportError;
 use crate::instrument;
 use crate::Result;
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long a TCP send may make no progress before the link is given
+/// up. A peer that stops reading would otherwise block the sending
+/// thread forever; past this the send fails like any write error.
+pub const WRITE_STALL: Duration = Duration::from_secs(10);
+
+/// Initial size of an endpoint's receive buffer. Small on purpose: a
+/// deployment holds one per TCP endpoint, and the buffer grows only to
+/// the announced length of a frame that does not fit.
+const RECV_BUF_INITIAL: usize = 4 * 1024;
+
+/// Length of a frame's big-endian `u32` length prefix.
+const PREFIX_LEN: usize = 4;
 
 /// Frames staged for the next batched write: encoded back-to-back
 /// (length prefix + body each) in arrival order.
@@ -50,9 +70,8 @@ struct TcpFrameSender {
 
 impl Drop for TcpFrameSender {
     fn drop(&mut self) {
-        // Shut the socket down so the peer's reader thread observes
-        // EOF promptly; otherwise the reader's stream clone keeps the
-        // connection half-open until the process exits.
+        // Shut the socket down so the peer reads EOF promptly, even if
+        // this endpoint's receiving half still holds the stream open.
         let writer = self.writer.get_mut();
         let _ = writer.stream.shutdown(std::net::Shutdown::Both);
     }
@@ -103,6 +122,11 @@ impl FrameSender for TcpFrameSender {
         match result {
             Ok(()) => Ok(()),
             Err(e) => {
+                // The stream's write timeout expired with nothing
+                // written: the peer stopped reading.
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                    instrument::WRITE_STALLED.inc();
+                }
                 self.poisoned.store(true, Ordering::Release);
                 let _ = writer.stream.shutdown(std::net::Shutdown::Both);
                 Err(TransportError::Io(e))
@@ -111,48 +135,171 @@ impl FrameSender for TcpFrameSender {
     }
 }
 
-/// Wraps an established TCP stream into an [`Endpoint`], spawning its
-/// reader thread. `TCP_NODELAY` is set: the workload is small framed
-/// messages where Nagle batching only adds latency.
-pub fn endpoint_from_stream(stream: TcpStream) -> Result<Endpoint> {
-    stream.set_nodelay(true)?;
-    let reader_stream = stream.try_clone()?;
-    let (tx, rx) = unbounded();
-    let fault = FaultCell::new();
-    let reader_fault = fault.clone();
-    std::thread::Builder::new()
-        .name("tcp-reader".to_string())
-        .spawn(move || {
-            let mut stream = reader_stream;
-            let mut len_buf = [0u8; 4];
-            loop {
-                if stream.read_exact(&mut len_buf).is_err() {
-                    return; // peer closed; drop tx → endpoint sees Closed
-                }
-                let len = u32::from_be_bytes(len_buf) as usize;
-                if len > MAX_FRAME_LEN {
-                    // A length prefix beyond the protocol ceiling means
-                    // the stream is garbage (or hostile). Park the typed
-                    // reason so the endpoint owner can tell this apart
-                    // from a clean peer close.
-                    instrument::FRAME_OVERSIZED.inc();
-                    reader_fault.set(TransportError::FrameTooLarge {
-                        size: len,
-                        max: MAX_FRAME_LEN,
-                    });
-                    return;
-                }
-                let mut frame = vec![0u8; len];
-                if stream.read_exact(&mut frame).is_err() {
-                    return;
-                }
-                if tx.send(frame).is_err() {
-                    return; // endpoint dropped
-                }
+/// The receiving half of a TCP endpoint, read by the thread that
+/// receives. The lock serializes receivers; it is uncontended when one
+/// thread consumes the link, which is how every worker uses it.
+pub(crate) struct TcpReader(Mutex<ReadState>);
+
+struct ReadState {
+    stream: TcpStream,
+    /// Bytes read from the socket; `buf[start..end]` are not yet
+    /// handed out. Whole frames are lent straight out of it.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The read timeout last set on the socket.
+    timeout: Option<Duration>,
+    /// Why the stream stopped: `Closed` at EOF or a read error,
+    /// `FrameTooLarge` at a bogus length prefix. Returned by every
+    /// receive once the whole frames read before it are handed out.
+    fault: Option<TransportError>,
+}
+
+impl TcpReader {
+    fn new(stream: TcpStream) -> Self {
+        TcpReader(Mutex::new(ReadState {
+            stream,
+            buf: vec![0; RECV_BUF_INITIAL],
+            start: 0,
+            end: 0,
+            timeout: None,
+            fault: None,
+        }))
+    }
+
+    /// Reads until a whole frame is buffered, then lends it to `f`.
+    /// With a `timeout`, waits at most that long, for the reader lock
+    /// included; a partial frame stays buffered across a timeout.
+    pub(crate) fn read_frame<R>(
+        &self,
+        timeout: Option<Duration>,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R> {
+        let (mut state, deadline) = match timeout {
+            None => (self.0.lock(), None),
+            Some(t) => {
+                let deadline = Instant::now() + t;
+                (self.0.try_lock_for(t).ok_or(TransportError::Timeout)?, Some(deadline))
             }
-        })
-        .map_err(TransportError::Io)?;
-    Ok(Endpoint::from_parts_limited(
+        };
+        let mut read_once = false;
+        loop {
+            let need = match state.announced_len()? {
+                Some(len) if state.end - state.start >= PREFIX_LEN + len => {
+                    return Ok(f(state.take(len)));
+                }
+                Some(len) => PREFIX_LEN + len,
+                None => PREFIX_LEN,
+            };
+            // Every call reads at least once, so a zero timeout still
+            // picks up bytes the kernel already holds.
+            if read_once && deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(TransportError::Timeout);
+            }
+            state.fill(need, deadline)?;
+            read_once = true;
+        }
+    }
+}
+
+impl ReadState {
+    /// The buffered frame's length prefix, once all of it has arrived,
+    /// checked against [`MAX_FRAME_LEN`]. A longer one means the stream
+    /// is garbage (or hostile): it is counted, the buffer is dropped
+    /// and the stream fails with `FrameTooLarge` from then on.
+    fn announced_len(&mut self) -> Result<Option<usize>> {
+        let Some(prefix) = self.buf[self.start..self.end].first_chunk::<PREFIX_LEN>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
+        if len > MAX_FRAME_LEN {
+            instrument::FRAME_OVERSIZED.inc();
+            let err = TransportError::FrameTooLarge {
+                size: len,
+                max: MAX_FRAME_LEN,
+            };
+            self.fault = Some(err.clone());
+            (self.start, self.end) = (0, 0);
+            return Err(err);
+        }
+        Ok(Some(len))
+    }
+
+    /// Hands out the buffered whole frame whose body is `len` bytes.
+    fn take(&mut self, len: usize) -> &mut [u8] {
+        let body = self.start + PREFIX_LEN;
+        self.start = body + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        &mut self.buf[body..body + len]
+    }
+
+    /// Reads once from the socket, after making room for the `need`
+    /// bytes of the frame being assembled. A read that times out
+    /// returns `Ok` with nothing read; the caller checks its deadline.
+    fn fill(&mut self, need: usize, deadline: Option<Instant>) -> Result<()> {
+        if let Some(fault) = &self.fault {
+            return Err(fault.clone());
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        }
+        // The time left, rounded up to whole milliseconds: a caller
+        // that passes the same timeout on every call sets the socket
+        // option once, not once per frame. std rejects a zero timeout.
+        let timeout = deadline.map(|d| {
+            let left = d.saturating_duration_since(Instant::now());
+            let ms = u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX);
+            Duration::from_millis(ms.max(1))
+        });
+        if timeout != self.timeout {
+            self.stream.set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        match self.stream.read(&mut self.buf[self.end..]) {
+            Ok(0) => Err(self.close()),
+            Ok(n) => {
+                self.end += n;
+                Ok(())
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(())
+            }
+            // A reset or any other read error: the peer is gone.
+            Err(_) => Err(self.close()),
+        }
+    }
+
+    fn close(&mut self) -> TransportError {
+        self.fault = Some(TransportError::Closed);
+        TransportError::Closed
+    }
+}
+
+/// Wraps an established TCP stream into an [`Endpoint`]. `TCP_NODELAY`
+/// is set: the workload is small framed messages where Nagle batching
+/// only adds latency. Sends give up after [`WRITE_STALL`] without
+/// progress.
+pub fn endpoint_from_stream(stream: TcpStream) -> Result<Endpoint> {
+    endpoint_with_stall(stream, WRITE_STALL)
+}
+
+/// [`endpoint_from_stream`] with a chosen write-stall limit.
+pub(crate) fn endpoint_with_stall(stream: TcpStream, stall: Duration) -> Result<Endpoint> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(stall))?;
+    let reader = TcpReader::new(stream.try_clone()?);
+    Ok(Endpoint::from_stream(
         Arc::new(TcpFrameSender {
             pending: Mutex::new(Pending {
                 buf: Vec::new(),
@@ -164,9 +311,7 @@ pub fn endpoint_from_stream(stream: TcpStream) -> Result<Endpoint> {
             }),
             poisoned: AtomicBool::new(false),
         }),
-        rx,
-        MAX_FRAME_LEN,
-        fault,
+        reader,
     ))
 }
 
@@ -212,6 +357,137 @@ mod tests {
         let server = listener.accept().unwrap();
         let client = client_thread.join().unwrap();
         (server, client)
+    }
+
+    /// An endpoint and the raw socket of its peer, for tests that
+    /// control the bytes on the wire.
+    fn raw_pair() -> (Endpoint, TcpStream) {
+        let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        (listener.accept().unwrap(), raw)
+    }
+
+    /// `body` with its length prefix, as it travels on the wire.
+    fn wire(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn frame_written_one_byte_at_a_time_arrives_intact() {
+        let (server, mut raw) = raw_pair();
+        let bytes = wire(b"trickled frame");
+        let writer = std::thread::spawn(move || {
+            for b in bytes {
+                raw.write_all(&[b]).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            raw
+        });
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(5)).unwrap(),
+            b"trickled frame"
+        );
+        let _raw = writer.join().unwrap();
+    }
+
+    #[test]
+    fn frames_from_one_write_arrive_in_order() {
+        let (server, mut raw) = raw_pair();
+        let burst: Vec<u8> = (0..100u32)
+            .flat_map(|i| wire(&i.to_le_bytes().repeat(1 + i as usize % 5)))
+            .collect();
+        raw.write_all(&burst).unwrap();
+        for i in 0..100u32 {
+            assert_eq!(
+                server.recv_timeout(Duration::from_secs(2)).unwrap(),
+                i.to_le_bytes().repeat(1 + i as usize % 5)
+            );
+        }
+    }
+
+    #[test]
+    fn partial_frame_survives_a_timeout() {
+        let (server, mut raw) = raw_pair();
+        let bytes = wire(&[0x3cu8; 64]);
+        raw.write_all(&bytes[..30]).unwrap();
+        assert_eq!(
+            server.recv_timeout(Duration::from_millis(50)),
+            Err(TransportError::Timeout)
+        );
+        raw.write_all(&bytes[30..]).unwrap();
+        assert_eq!(server.recv().unwrap(), vec![0x3cu8; 64]);
+    }
+
+    #[test]
+    fn zero_timeout_takes_a_waiting_frame_or_times_out() {
+        let (server, mut raw) = raw_pair();
+        assert_eq!(
+            server.recv_timeout(Duration::ZERO),
+            Err(TransportError::Timeout)
+        );
+        raw.write_all(&wire(b"waiting")).unwrap();
+        // Loopback delivery is immediate; the pause only makes sure.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(server.recv_timeout(Duration::ZERO).unwrap(), b"waiting");
+        // A frame already in the receive buffer is served without a read.
+        raw.write_all(&[wire(b"first"), wire(b"second")].concat()).unwrap();
+        assert_eq!(server.recv().unwrap(), b"first");
+        assert_eq!(server.recv_timeout(Duration::ZERO).unwrap(), b"second");
+        assert_eq!(
+            server.recv_timeout(Duration::ZERO),
+            Err(TransportError::Timeout)
+        );
+    }
+
+    #[test]
+    fn large_frame_then_small_frames() {
+        let (server, mut raw) = raw_pair();
+        let big: Vec<u8> = (0..1u32 << 20).map(|i| i as u8).collect();
+        let mut bytes = wire(&big);
+        for i in 0..10u8 {
+            bytes.extend(wire(&[i; 3]));
+        }
+        let writer = std::thread::spawn(move || raw.write_all(&bytes).map(|()| raw));
+        assert_eq!(server.recv_timeout(Duration::from_secs(5)).unwrap(), big);
+        for i in 0..10u8 {
+            assert_eq!(server.recv_timeout(Duration::from_secs(2)).unwrap(), [i; 3]);
+        }
+        let _raw = writer.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_a_close() {
+        let (server, mut raw) = raw_pair();
+        raw.write_all(&wire(b"whole")).unwrap();
+        raw.write_all(&wire(b"cut short")[..7]).unwrap();
+        drop(raw);
+        assert_eq!(server.recv().unwrap(), b"whole");
+        assert_eq!(server.recv(), Err(TransportError::Closed));
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+    }
+
+    #[test]
+    fn recv_with_lends_the_frame_in_place() {
+        let (server, client) = pair();
+        client.send(b"lent").unwrap();
+        client.send(b"next").unwrap();
+        let len = server
+            .recv_with(|frame| {
+                assert_eq!(frame, b"lent");
+                frame[0] = b'L';
+                frame.len()
+            })
+            .unwrap();
+        assert_eq!(len, 4);
+        assert_eq!(server.recv().unwrap(), b"next");
+        assert_eq!(server.stats().frames_in(), 2);
+        assert_eq!(server.stats().bytes_in(), 8);
     }
 
     #[test]
@@ -269,12 +545,10 @@ mod tests {
     #[test]
     fn oversized_wire_frame_surfaces_typed_error() {
         // A peer that announces a frame bigger than the protocol
-        // ceiling must not look like a clean close: the reader thread
-        // parks FrameTooLarge and the endpoint reports it.
+        // ceiling must not look like a clean close: `recv` reads the
+        // length prefix, counts the frame and reports FrameTooLarge.
         let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // Read the baseline before `accept()`: the endpoint's reader
-        // thread starts inside it and may count the frame at once.
         let before = nb_metrics::global().counter("transport.frame.oversized").get();
         let raw = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
@@ -294,6 +568,19 @@ mod tests {
         );
         // The counter observed the event too.
         assert!(nb_metrics::global().counter("transport.frame.oversized").get() > before);
+        // The reason sticks: later receives report it again, and the
+        // frame is counted once.
+        assert_eq!(
+            server.recv(),
+            Err(TransportError::FrameTooLarge {
+                size: MAX_FRAME_LEN + 1,
+                max: MAX_FRAME_LEN
+            })
+        );
+        assert_eq!(
+            nb_metrics::global().counter("transport.frame.oversized").get() - before,
+            1
+        );
     }
 
     #[test]
@@ -322,6 +609,45 @@ mod tests {
         // partially written frame can never be followed by another.
         assert_eq!(client.send(b"after"), Err(TransportError::Closed));
         assert_eq!(client.send(b"again"), Err(TransportError::Closed));
+    }
+
+    #[test]
+    fn stalled_write_gives_the_link_up() {
+        // The peer never reads: once both socket buffers are full a
+        // send makes no progress, and after the stall limit it fails
+        // like any write error.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let client = endpoint_with_stall(stream, Duration::from_millis(200)).unwrap();
+        let stalled = || nb_metrics::global().counter("transport.write.stalled").get();
+        let before = stalled();
+        let frame = vec![0x77u8; 64 * 1024];
+        let mut sent = 0;
+        let err = loop {
+            match client.send(&frame) {
+                Ok(()) => sent += 1,
+                Err(e) => break e,
+            }
+            assert!(sent < 100_000, "sends into a peer that never reads never stalled");
+        };
+        assert!(
+            matches!(&err, TransportError::Io(e) if e.kind() == ErrorKind::WouldBlock
+                || e.kind() == ErrorKind::TimedOut),
+            "unexpected error {err:?}"
+        );
+        assert_eq!(stalled() - before, 1);
+        // Poisoned and shut down: later sends fail fast, and both ends
+        // read a close.
+        assert_eq!(client.send(b"after"), Err(TransportError::Closed));
+        assert_eq!(
+            client.recv_timeout(Duration::from_secs(2)),
+            Err(TransportError::Closed)
+        );
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut drained = Vec::new();
+        raw.read_to_end(&mut drained).unwrap();
+        assert!(drained.len() >= sent * frame.len());
     }
 
     #[test]

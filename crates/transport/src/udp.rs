@@ -6,7 +6,7 @@
 //! reordered by the OS — exactly the behaviour the paper's
 //! ping/loss-tracking machinery is built to observe.
 
-use crate::endpoint::{Endpoint, FaultCell, FrameSender};
+use crate::endpoint::{Endpoint, FrameSender};
 use crate::error::TransportError;
 use crate::Result;
 use crossbeam::channel::unbounded;
@@ -83,7 +83,6 @@ impl UdpHalf {
             }),
             rx,
             MAX_DATAGRAM,
-            FaultCell::new(),
         ))
     }
 }
