@@ -45,6 +45,19 @@ done
 # (trials >= 5, min <= median <= max, exact delivery per trial) and
 # re-derives each gate; see "Trials and gates" in docs/PERFORMANCE.md.
 #
+# Each report writes BENCH_<section>.json into its working directory,
+# so it runs, with the check that reads the file back, in a scratch
+# directory removed on exit: CI never overwrites the committed
+# full-mode files.
+root=$(pwd)
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+quick_report() {
+    (cd "$scratch" &&
+        cargo run --release --manifest-path "$root/Cargo.toml" -p nb-bench --bin "$1_report" -- --quick &&
+        python3 "$root/ci/check_bench_json.py" "$1")
+}
+#
 # Session-layer smoke (runs in --quick too: it gates the security hot
 # path): drives the hosting-broker trace path under the per-trace RSA,
 # token-only and session-tagged HMAC regimes on the co-resident
@@ -54,8 +67,7 @@ done
 # plain frames with every key installed, and the 5% gate on the plain
 # fast path; then writes BENCH_session.json and validates it.
 echo "== session report (quick) =="
-cargo run --release -p nb-bench --bin session_report -- --quick
-python3 ci/check_bench_json.py session
+quick_report session
 
 if ! $quick; then
     if cargo clippy --version >/dev/null 2>&1; then
@@ -86,8 +98,7 @@ if ! $quick; then
     # delivery and that every data frame routed without an owned
     # decode, and writes BENCH_throughput.json; then validate it.
     echo "== throughput report (quick) =="
-    cargo run --release -p nb-bench --bin throughput_report -- --quick
-    python3 ci/check_bench_json.py throughput
+    quick_report throughput
 
     # Runtime-verification smoke: drives the same loopback broker with
     # the standard monitors off, on (unmonitored topic), and on a fully
@@ -96,8 +107,7 @@ if ! $quick; then
     # events from unmonitored frames, and the 10% gate on the
     # monitors-on median, then writes BENCH_monitor.json; validate it.
     echo "== monitor report (quick) =="
-    cargo run --release -p nb-bench --bin monitor_report -- --quick
-    python3 ci/check_bench_json.py monitor
+    quick_report monitor
 
     # Telemetry-plane smoke: drives the loopback broker bare and with
     # the node's own telemetry publisher on (a fresh aggregator per
@@ -106,8 +116,7 @@ if ! $quick; then
     # duplicates, and the 2% gate on the telemetry-on median, then
     # writes BENCH_obs.json; validate it.
     echo "== obs report (quick) =="
-    cargo run --release -p nb-bench --bin obs_report -- --quick
-    python3 ci/check_bench_json.py obs
+    quick_report obs
 
     # Durability smoke: measures raw WAL append rate, times restart
     # recovery against growing log lengths (and after a checkpoint),
@@ -118,8 +127,7 @@ if ! $quick; then
     # on the durable median, then writes BENCH_recovery.json; validate
     # it.
     echo "== recovery report (quick) =="
-    cargo run --release -p nb-bench --bin recovery_report -- --quick
-    python3 ci/check_bench_json.py recovery
+    quick_report recovery
 fi
 
 echo "CI OK"

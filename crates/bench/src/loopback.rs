@@ -95,7 +95,7 @@ fn attach_sink_client(broker: &Broker, id: &str, filters: &[Topic]) -> (Arc<Sink
         Arc::clone(&sink) as Arc<dyn FrameSender>,
         frames_rx,
     ));
-    let control = Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap();
+    let control = nb_broker::control_topic();
     let attach = Payload::Attach { client_id: id.to_string() };
     let subscribes = filters.iter().map(|f| Payload::Subscribe { filter: f.clone() });
     for (seq, payload) in (1..).zip(std::iter::once(attach).chain(subscribes)) {

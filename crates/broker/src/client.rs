@@ -48,36 +48,11 @@ impl BrokerClient {
             next_id: AtomicU64::new(1),
             stash: Mutex::new(VecDeque::new()),
         };
-        // Control messages may be lost on unreliable links; retry a
-        // few times within the overall timeout.
-        let attempts = 16u32;
-        let per_attempt = timeout / attempts;
-        let mut last_err = BrokerError::Timeout;
-        for _ in 0..attempts {
-            let msg = client.make_message(
-                Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-                Payload::Attach {
-                    client_id: client.id.clone(),
-                },
-            );
-            let id = msg.id;
-            client.endpoint.send(&msg.to_bytes())?;
-            match client.wait_correlated(id, per_attempt) {
-                Ok(reply) => {
-                    return match reply.payload {
-                        Payload::Ack => Ok(client),
-                        Payload::Nack { reason } => Err(BrokerError::Refused(reason)),
-                        _ => Err(BrokerError::Refused("unexpected attach reply".into())),
-                    }
-                }
-                Err(BrokerError::Timeout) => {
-                    last_err = BrokerError::Timeout;
-                    continue;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last_err)
+        let client_id = client.id.clone();
+        client.control_with_retry(timeout, || Payload::Attach {
+            client_id: client_id.clone(),
+        })?;
+        Ok(client)
     }
 
     /// This client's identifier.
@@ -113,6 +88,9 @@ impl BrokerClient {
         })
     }
 
+    /// Sends a control request until the broker answers it: control
+    /// messages may be lost on unreliable links, so it retries a few
+    /// times within the overall timeout.
     fn control_with_retry(
         &self,
         timeout: Duration,
@@ -122,10 +100,7 @@ impl BrokerClient {
         let per_attempt = timeout / attempts;
         let mut last_err = BrokerError::Timeout;
         for _ in 0..attempts {
-            let msg = self.make_message(
-                Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-                make_payload(),
-            );
+            let msg = self.make_message(crate::control_topic(), make_payload());
             let id = msg.id;
             self.endpoint.send(&msg.to_bytes())?;
             match self.wait_correlated(id, per_attempt) {

@@ -45,5 +45,15 @@ pub use error::BrokerError;
 pub use node::{Broker, BrokerConfig};
 pub use subscription::SubscriptionTable;
 
+/// The constrained topic session control travels on: client attach,
+/// subscribe and unsubscribe with their replies, and the neighbour
+/// handshake and adverts.
+pub const CONTROL_TOPIC: &str = "/Constrained/RealTime/Broker/PublishSubscribe/Control";
+
+/// [`CONTROL_TOPIC`], parsed.
+pub fn control_topic() -> nb_wire::Topic {
+    nb_wire::Topic::parse(CONTROL_TOPIC).expect("the control topic is well formed")
+}
+
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, BrokerError>;

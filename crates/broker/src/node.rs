@@ -41,9 +41,9 @@ pub struct BrokerConfig {
     /// Enforce authorization tokens on broker-published trace topics.
     pub require_tokens: bool,
     /// Interval for subscription anti-entropy: each broker
-    /// periodically re-advertises its full filter set to every
-    /// neighbour, repairing adverts lost on unreliable links. `None`
-    /// disables the refresher.
+    /// periodically re-advertises to every neighbour the full set of
+    /// filters it should hold, repairing adverts lost on unreliable
+    /// links. `None` disables the refresher.
     pub advert_refresh: Option<std::time::Duration>,
     /// Routing TTL: a message whose `TraceContext.hop_count` exceeds
     /// this after a neighbour-ingress increment is dropped (and
@@ -239,7 +239,7 @@ struct Inner {
     /// Notified whenever the neighbour table changes (see
     /// [`Broker::wait_for_neighbors`]).
     neighbor_cv: Condvar,
-    /// Notified whenever the subscription table gains an entry (see
+    /// Notified on every subscription-table change (see
     /// [`Broker::wait_for_remote_subscription`]).
     subs_cv: Condvar,
     metrics: BrokerMetrics,
@@ -638,11 +638,11 @@ impl Broker {
     ///
     /// With `neighbor_resync` set (neighbour links only), every
     /// completed repair cycle also replays the neighbour handshake —
-    /// hello plus all advertisable filters — through the repaired
-    /// link. Transport repair cannot tell a healed wire from a
-    /// restarted peer; if the peer process restarted, its subscription
-    /// table is gone (or freshly recovered) and only a re-run of the
-    /// session sync restores routing toward us.
+    /// hello plus every filter the peer should hold from us — through
+    /// the repaired link. Transport repair cannot tell a healed wire
+    /// from a restarted peer; if the peer process restarted, its
+    /// subscription table is gone (or freshly recovered) and only a
+    /// re-run of the session sync restores routing toward us.
     fn supervise_link(
         &self,
         endpoint: Endpoint,
@@ -687,7 +687,7 @@ impl Broker {
             cfg = cfg.with_reconnect_hook(Arc::new(move |_reconnects| {
                 let Some(inner) = weak.upgrade() else { return };
                 let Some(sender) = slot.lock().clone() else { return };
-                resync_neighbor_session(&inner, sender.as_ref());
+                resync_neighbor_session(&inner, &sender);
             }));
         }
         let (facade, supervisor) = match connector {
@@ -774,76 +774,24 @@ impl Broker {
                 });
             }
         }
-        let suppress = constrained
+        let suppressed = constrained
             .as_ref()
             .is_some_and(|c| c.suppressed() && c.is_constrainer(&Actor::Broker));
-        self.add_subscription(consumer, filter, suppress);
+        change_interest(
+            &self.inner,
+            Interest::Subscribe {
+                consumer,
+                filter: &filter,
+                suppressed,
+            },
+        );
         Ok(())
     }
 
     /// Removes an internal subscription (propagating withdrawal when
     /// no local interest remains).
     pub fn unsubscribe_internal(&self, consumer: &str, filter: &Topic) {
-        journal(
-            &self.inner,
-            BrokerOp::SubRemove {
-                consumer: consumer.to_string(),
-                filter: filter.clone(),
-            },
-        );
-        let (orphaned, neighbors) = {
-            let mut state = self.inner.state.lock();
-            let orphaned = state.subs.remove_local(consumer, filter);
-            self.inner.routes.bump();
-            let gone = orphaned && !state.subs.all_filters().contains(filter);
-            let neighbors: Vec<_> = if gone {
-                state.neighbors.values().cloned().collect()
-            } else {
-                Vec::new()
-            };
-            (gone, neighbors)
-        };
-        if orphaned {
-            let msg = self.control_message(Payload::NeighborUnsubscribe {
-                filter: filter.clone(),
-            });
-            let frame = msg.to_bytes();
-            for n in neighbors {
-                let _ = n.send_frame(&frame);
-            }
-        }
-    }
-
-    fn add_subscription(&self, consumer: &str, filter: Topic, suppress_advert: bool) {
-        let (fresh, neighbors) = {
-            let mut state = self.inner.state.lock();
-            let fresh = state.subs.add_local(consumer, filter.clone(), suppress_advert);
-            self.inner.routes.bump();
-            let neighbors: Vec<_> = if fresh {
-                state.neighbors.values().cloned().collect()
-            } else {
-                Vec::new()
-            };
-            (fresh, neighbors)
-        };
-        if fresh {
-            journal(
-                &self.inner,
-                BrokerOp::SubAdd {
-                    consumer: consumer.to_string(),
-                    filter: filter.clone(),
-                    suppressed: suppress_advert,
-                },
-            );
-        }
-        self.inner.subs_cv.notify_all();
-        if fresh {
-            let msg = self.control_message(Payload::NeighborSubscribe { filter });
-            let frame = msg.to_bytes();
-            for n in neighbors {
-                let _ = n.send_frame(&frame);
-            }
-        }
+        change_interest(&self.inner, Interest::Unsubscribe { consumer, filter });
     }
 
     /// Publishes a message as this broker (the tracing engine path).
@@ -879,16 +827,6 @@ impl Broker {
     /// left alone, as in [`Broker::ingest_client_frame`].
     pub fn ingest_neighbor_frame(&self, peer_id: &str, frame: &mut [u8]) {
         route_frame(&self.inner, frame, Ingress::Neighbor(peer_id), None);
-    }
-
-    fn control_message(&self, payload: Payload) -> Message {
-        Message::new(
-            self.next_message_id(),
-            Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-            self.inner.id.clone(),
-            self.inner.clock.now_ms(),
-            payload,
-        )
     }
 
     /// What crash recovery found when this broker (re)opened its
@@ -1341,42 +1279,30 @@ fn fill_route_entry(
 
 /// Records a bogus attempt; terminates the client at the limit (§5.2).
 fn punish(inner: &Inner, client_id: &str) {
-    let mut state = inner.state.lock();
-    if let Some(handle) = state.clients.get_mut(client_id) {
+    let sender = {
+        let mut state = inner.state.lock();
+        let Some(handle) = state.clients.get_mut(client_id) else {
+            return;
+        };
         handle.bogus += 1;
-        if handle.bogus >= inner.config.bogus_attempt_limit
-            && !handle.terminated.load(Ordering::Acquire)
+        if handle.bogus < inner.config.bogus_attempt_limit
+            || handle.terminated.swap(true, Ordering::AcqRel)
         {
-            handle.terminated.store(true, Ordering::Release);
-            inner.metrics.terminated_clients.inc();
-            let sender = Arc::clone(&handle.sender);
-            drop(state);
-            let msg = Message::new(
-                0,
-                Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-                inner.id.clone(),
-                inner.clock.now_ms(),
-                Payload::Nack {
-                    reason: "communications terminated: repeated bogus attempts".to_string(),
-                },
-            );
-            let _ = sender.send_frame(&msg.to_bytes());
-            // Remove all state for the client.
-            let mut state = inner.state.lock();
-            state.clients.remove(client_id);
-            state.subs.remove_consumer(client_id);
-            inner.routes.bump();
-            drop(state);
-            // Termination is deliberate, so it must survive a restart:
-            // a punished client that re-attaches starts with nothing.
-            journal(
-                inner,
-                BrokerOp::ConsumerGone {
-                    consumer: client_id.to_string(),
-                },
-            );
+            return;
         }
-    }
+        Arc::clone(&handle.sender)
+    };
+    inner.metrics.terminated_clients.inc();
+    let notice = control_message(
+        inner,
+        Payload::Nack {
+            reason: "communications terminated: repeated bogus attempts".to_string(),
+        },
+    );
+    let _ = sender.send_frame(&notice.to_bytes());
+    // Termination is deliberate, so it is journalled and survives a
+    // restart: a punished client that re-attaches starts with nothing.
+    change_interest(inner, Interest::ClientGone(client_id));
 }
 
 /// What became of one frame a client worker received.
@@ -1394,40 +1320,29 @@ enum ClientFrame {
 
 fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
     let inner = &inner;
-    // Handshake: first frame must be Attach.
+    // Handshake: first frame must be Attach; anything before it is
+    // ignored.
     let (client_id, terminated) = loop {
         let Ok(frame) = endpoint.recv() else { return };
-        match Message::from_bytes(&frame) {
-            Ok(msg) => {
-                if let Payload::Attach { client_id } = &msg.payload {
-                    let id = client_id.clone();
-                    let flag = Arc::new(AtomicBool::new(false));
-                    {
-                        let mut state = inner.state.lock();
-                        state.clients.insert(
-                            id.clone(),
-                            ClientHandle {
-                                sender: endpoint.sender(),
-                                bogus: 0,
-                                terminated: Arc::clone(&flag),
-                            },
-                        );
-                        inner.routes.bump();
-                    }
-                    let ack = Message::new(
-                        0,
-                        msg.topic.clone(),
-                        inner.id.clone(),
-                        inner.clock.now_ms(),
-                        Payload::Ack,
-                    )
-                    .correlated(msg.id);
-                    let _ = endpoint.send(&ack.to_bytes());
-                    break (id, flag);
-                }
-                // Ignore anything before Attach.
+        let Ok(msg) = Message::from_bytes(&frame) else {
+            continue;
+        };
+        if let Payload::Attach { client_id } = &msg.payload {
+            let flag = Arc::new(AtomicBool::new(false));
+            {
+                let mut state = inner.state.lock();
+                state.clients.insert(
+                    client_id.clone(),
+                    ClientHandle {
+                        sender: endpoint.sender(),
+                        bogus: 0,
+                        terminated: Arc::clone(&flag),
+                    },
+                );
+                inner.routes.bump();
             }
-            Err(_) => continue,
+            reply(inner, &endpoint, &msg, Payload::Ack);
+            break (client_id.clone(), flag);
         }
     };
 
@@ -1461,213 +1376,289 @@ fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
                 // tracks the live table exactly; only a *broker* crash
                 // (which journals nothing) preserves client
                 // subscriptions for post-restart re-attachment.
-                let mut state = inner.state.lock();
-                state.clients.remove(&client_id);
-                state.subs.remove_consumer(&client_id);
-                inner.routes.bump();
-                drop(state);
-                journal(
-                    inner,
-                    BrokerOp::ConsumerGone {
-                        consumer: client_id.clone(),
-                    },
-                );
+                change_interest(inner, Interest::ClientGone(&client_id));
                 return;
             }
         };
         match &msg.payload {
             Payload::Subscribe { filter } => {
-                handle_client_subscribe(inner, &endpoint, &client_id, &msg, filter.clone());
+                handle_client_subscribe(inner, &endpoint, &client_id, &msg, filter);
             }
             Payload::Unsubscribe { filter } => {
-                let mut state = inner.state.lock();
-                state.subs.remove_local(&client_id, filter);
-                inner.routes.bump();
-                drop(state);
-                journal(
+                change_interest(
                     inner,
-                    BrokerOp::SubRemove {
-                        consumer: client_id.clone(),
-                        filter: filter.clone(),
+                    Interest::Unsubscribe {
+                        consumer: &client_id,
+                        filter,
                     },
                 );
-                let ack = Message::new(
-                    0,
-                    msg.topic.clone(),
-                    inner.id.clone(),
-                    inner.clock.now_ms(),
-                    Payload::Ack,
-                )
-                .correlated(msg.id);
-                let _ = endpoint.send(&ack.to_bytes());
+                reply(inner, &endpoint, &msg, Payload::Ack);
             }
-            Payload::Attach { .. } => {
-                // Duplicate attach (client retried over a lossy link):
-                // acknowledge again, idempotently.
-                let ack = Message::new(
-                    0,
-                    msg.topic.clone(),
-                    inner.id.clone(),
-                    inner.clock.now_ms(),
-                    Payload::Ack,
-                )
-                .correlated(msg.id);
-                let _ = endpoint.send(&ack.to_bytes());
-            }
+            // Duplicate attach (client retried over a lossy link):
+            // acknowledge again, idempotently.
+            Payload::Attach { .. } => reply(inner, &endpoint, &msg, Payload::Ack),
             _ => {}
         }
     }
 }
 
 fn handle_client_subscribe(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     endpoint: &Endpoint,
     client_id: &str,
     msg: &Message,
-    filter: Topic,
+    filter: &Topic,
 ) {
-    let allowed = match ConstrainedTopic::parse(&filter) {
-        Ok(Some(c)) => c.permits(&Actor::Entity(client_id.to_string()), Action::Subscribe),
+    let actor = Actor::Entity(client_id.to_string());
+    let constrained = ConstrainedTopic::parse(filter);
+    let allowed = match &constrained {
+        Ok(Some(c)) => c.permits(&actor, Action::Subscribe),
         Ok(None) => true,
         Err(_) => false,
     };
     if !allowed {
         inner.metrics.rejected.inc();
-        let nack = Message::new(
-            0,
-            msg.topic.clone(),
-            inner.id.clone(),
-            inner.clock.now_ms(),
-            Payload::Nack {
-                reason: format!("subscribe not permitted on {filter}"),
-            },
-        )
-        .correlated(msg.id);
-        let _ = endpoint.send(&nack.to_bytes());
+        let reason = format!("subscribe not permitted on {filter}");
+        reply(inner, endpoint, msg, Payload::Nack { reason });
         punish(inner, client_id);
         return;
     }
-    let suppress = match ConstrainedTopic::parse(&filter) {
-        Ok(Some(c)) => c.suppressed() && c.is_constrainer(&Actor::Entity(client_id.to_string())),
-        _ => false,
+    let suppressed =
+        matches!(&constrained, Ok(Some(c)) if c.suppressed() && c.is_constrainer(&actor));
+    change_interest(
+        inner,
+        Interest::Subscribe {
+            consumer: client_id,
+            filter,
+            suppressed,
+        },
+    );
+    reply(inner, endpoint, msg, Payload::Ack);
+}
+
+/// One change to who wants what (§2): a local subscription or a
+/// neighbour's advert, coming or going.
+#[derive(Clone, Copy)]
+enum Interest<'a> {
+    /// A local consumer subscribes; `suppressed` keeps the filter from
+    /// being advertised (§3.1 {Distribution}).
+    Subscribe {
+        consumer: &'a str,
+        filter: &'a Topic,
+        suppressed: bool,
+    },
+    /// A local consumer drops one filter.
+    Unsubscribe {
+        consumer: &'a str,
+        filter: &'a Topic,
+    },
+    /// A client detached or was terminated: its handle and every
+    /// filter it held go.
+    ClientGone(&'a str),
+    /// A neighbour advertised a filter.
+    Advert {
+        neighbor: &'a str,
+        filter: &'a Topic,
+    },
+    /// A neighbour withdrew a filter.
+    Withdraw {
+        neighbor: &'a str,
+        filter: &'a Topic,
+    },
+    /// A neighbour's link closed: its sender and every advert go.
+    NeighborGone(&'a str),
+}
+
+/// Applies one interest change. Outside crash recovery this is the only
+/// writer of the subscription table.
+///
+/// Under the state lock it updates the table and bumps the route
+/// version. For each filter the change touches it asks, for every
+/// neighbour, whether the neighbour should hold that filter from us
+/// ([`SubscriptionTable::advertises`]) before and after. After the
+/// lock it journals a local op, wakes subscription waiters, and sends
+/// each neighbour whose answer flipped one `NeighborSubscribe` or
+/// `NeighborUnsubscribe`.
+fn change_interest(inner: &Inner, change: Interest<'_>) {
+    let mut notices = Vec::new();
+    {
+        let mut guard = inner.state.lock();
+        let state = &mut *guard;
+        let touched: Vec<Topic> = match change {
+            Interest::Subscribe { filter, .. }
+            | Interest::Unsubscribe { filter, .. }
+            | Interest::Advert { filter, .. }
+            | Interest::Withdraw { filter, .. } => vec![filter.clone()],
+            Interest::ClientGone(id) => {
+                state.clients.remove(id);
+                state.subs.consumer_filters(id).cloned().collect()
+            }
+            Interest::NeighborGone(id) => {
+                state.neighbors.remove(id);
+                state.subs.neighbor_filters(id).cloned().collect()
+            }
+        };
+        let mut before = Vec::with_capacity(touched.len() * state.neighbors.len());
+        for filter in &touched {
+            let neighbors = state.neighbors.keys();
+            before.extend(neighbors.map(|n| state.subs.advertises(filter, n)));
+        }
+        let subs = &mut state.subs;
+        match change {
+            Interest::Subscribe {
+                consumer,
+                filter,
+                suppressed,
+            } => subs.add_local(consumer, filter.clone(), suppressed),
+            Interest::Unsubscribe { consumer, filter } => subs.remove_local(consumer, filter),
+            Interest::ClientGone(id) => subs.remove_consumer(id),
+            Interest::Advert { neighbor, filter } => subs.add_remote(neighbor, filter.clone()),
+            Interest::Withdraw { neighbor, filter } => subs.remove_remote(neighbor, filter),
+            Interest::NeighborGone(id) => subs.remove_neighbor(id),
+        }
+        inner.routes.bump();
+        let mut was = before.into_iter();
+        for filter in touched {
+            for (n, sender) in &state.neighbors {
+                let held = state.subs.advertises(&filter, n);
+                if was.next() != Some(held) {
+                    notices.push((Arc::clone(sender), filter.clone(), held));
+                }
+            }
+        }
+    }
+    let op = match change {
+        Interest::Subscribe {
+            consumer,
+            filter,
+            suppressed,
+        } => Some(BrokerOp::SubAdd {
+            consumer: consumer.to_string(),
+            filter: filter.clone(),
+            suppressed,
+        }),
+        Interest::Unsubscribe { consumer, filter } => Some(BrokerOp::SubRemove {
+            consumer: consumer.to_string(),
+            filter: filter.clone(),
+        }),
+        Interest::ClientGone(id) => Some(BrokerOp::ConsumerGone {
+            consumer: id.to_string(),
+        }),
+        _ => None,
     };
-    // Reuse the broker's advertisement machinery.
-    let broker = Broker {
-        inner: Arc::clone(inner),
-    };
-    broker.add_subscription(client_id, filter, suppress);
-    let ack = Message::new(
-        0,
-        msg.topic.clone(),
+    if let Some(op) = op {
+        journal(inner, op);
+    }
+    inner.subs_cv.notify_all();
+    for (sender, filter, held) in notices {
+        let payload = if held {
+            Payload::NeighborSubscribe { filter }
+        } else {
+            Payload::NeighborUnsubscribe { filter }
+        };
+        let _ = sender.send_frame(&control_message(inner, payload).to_bytes());
+    }
+}
+
+/// A control message from this broker on the control topic.
+fn control_message(inner: &Inner, payload: Payload) -> Message {
+    Message::new(
+        inner.msg_seq.fetch_add(1, Ordering::Relaxed),
+        crate::control_topic(),
         inner.id.clone(),
         inner.clock.now_ms(),
-        Payload::Ack,
+        payload,
     )
-    .correlated(msg.id);
-    let _ = endpoint.send(&ack.to_bytes());
+}
+
+/// Answers a client's control `request` (`Ack` or `Nack`).
+fn reply(inner: &Inner, endpoint: &Endpoint, request: &Message, payload: Payload) {
+    let answer = control_message(inner, payload).correlated(request.id);
+    let _ = endpoint.send(&answer.to_bytes());
+}
+
+/// This broker's neighbour hello.
+fn hello(inner: &Inner) -> Vec<u8> {
+    let broker_id = inner.id.clone();
+    control_message(inner, Payload::NeighborHello { broker_id }).to_bytes()
+}
+
+/// Sends neighbour `peer` every filter it should hold from this broker
+/// ([`SubscriptionTable::filters_for_neighbor`]): the full-set advert
+/// of the handshake, link repair and anti-entropy. Re-received adverts
+/// are idempotent at the peer.
+fn advertise_all(inner: &Inner, peer: &str, sender: &dyn FrameSender) {
+    let filters = inner.state.lock().subs.filters_for_neighbor(peer);
+    for filter in filters {
+        let advert = control_message(inner, Payload::NeighborSubscribe { filter });
+        if sender.send_frame(&advert.to_bytes()).is_err() {
+            return;
+        }
+    }
 }
 
 /// Replays the neighbour session over a freshly repaired link: hello
-/// plus every advertisable filter. Run by the link supervisor's
-/// reconnect hook — a restarted peer has lost (or just recovered) its
-/// view of our interest, and the transport repair alone restores bytes,
-/// not sessions. The peer side is idempotent: re-received hellos are
+/// plus the full advert. Run by the link supervisor's reconnect hook —
+/// a restarted peer has lost (or just recovered) its view of our
+/// interest, and the transport repair alone restores bytes, not
+/// sessions. The peer side is idempotent: re-received hellos are
 /// rate-limit answered, re-received adverts are deduplicated by its
-/// subscription table.
-fn resync_neighbor_session(inner: &Inner, sender: &dyn FrameSender) {
-    let control = Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap();
-    let hello = Message::new(
-        0,
-        control.clone(),
-        inner.id.clone(),
-        inner.clock.now_ms(),
-        Payload::NeighborHello {
-            broker_id: inner.id.clone(),
-        },
-    );
-    if sender.send_frame(&hello.to_bytes()).is_err() {
+/// subscription table. A link whose handshake has not finished gets
+/// only the hello; the handshake advertises once it completes.
+fn resync_neighbor_session(inner: &Inner, sender: &Arc<dyn FrameSender>) {
+    if sender.send_frame(&hello(inner)).is_err() {
         return;
     }
-    let filters: Vec<Topic> = {
+    let peer = {
         let state = inner.state.lock();
-        state.subs.advertisable_filters().into_iter().collect()
+        state
+            .neighbors
+            .iter()
+            .find(|(_, s)| Arc::ptr_eq(s, sender))
+            .map(|(peer, _)| peer.clone())
     };
-    for filter in filters {
-        let adv = Message::new(
-            0,
-            control.clone(),
-            inner.id.clone(),
-            inner.clock.now_ms(),
-            Payload::NeighborSubscribe { filter },
-        );
-        if sender.send_frame(&adv.to_bytes()).is_err() {
-            return;
-        }
+    if let Some(peer) = peer {
+        advertise_all(inner, &peer, sender.as_ref());
     }
 }
 
 fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
     let inner = &inner;
-    // Identify ourselves and advertise all current interest.
-    let hello = Message::new(
-        0,
-        Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-        inner.id.clone(),
-        inner.clock.now_ms(),
-        Payload::NeighborHello {
-            broker_id: inner.id.clone(),
-        },
-    );
-    if endpoint.send(&hello.to_bytes()).is_err() {
+    // Identify ourselves, then wait for the peer's hello, buffering
+    // anything (e.g. adverts reordered by jitter) that arrives before
+    // it. The hello is retransmitted periodically so a lossy link
+    // cannot wedge the handshake.
+    let hello = hello(inner);
+    if endpoint.send(&hello).is_err() {
         return;
     }
-    let filters: Vec<Topic> = {
-        let state = inner.state.lock();
-        state.subs.advertisable_filters().into_iter().collect()
-    };
-    for filter in filters {
-        let adv = Message::new(
-            0,
-            Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-            inner.id.clone(),
-            inner.clock.now_ms(),
-            Payload::NeighborSubscribe { filter },
-        );
-        if endpoint.send(&adv.to_bytes()).is_err() {
-            return;
-        }
-    }
-
-    // Wait for the peer's hello, buffering anything (e.g. adverts
-    // reordered by jitter) that arrives before it. The hello is
-    // retransmitted periodically so a lossy link cannot wedge the
-    // handshake.
     let mut buffered: Vec<Vec<u8>> = Vec::new();
     let peer_id = loop {
-        match endpoint.recv_timeout(std::time::Duration::from_millis(200)) {
+        match endpoint.recv_timeout(Duration::from_millis(200)) {
             Ok(frame) => {
-                if let Ok(msg) = Message::from_bytes(&frame) {
-                    if let Payload::NeighborHello { broker_id } = &msg.payload {
-                        let id = broker_id.clone();
-                        {
-                            let mut state = inner.state.lock();
-                            state.neighbors.insert(id.clone(), endpoint.sender());
-                            inner.routes.bump();
-                        }
-                        inner.neighbor_cv.notify_all();
-                        break id;
-                    }
+                if let Ok(Message {
+                    payload: Payload::NeighborHello { broker_id },
+                    ..
+                }) = Message::from_bytes(&frame)
+                {
+                    let mut state = inner.state.lock();
+                    state.neighbors.insert(broker_id.clone(), endpoint.sender());
+                    inner.routes.bump();
+                    break broker_id;
                 }
                 buffered.push(frame);
             }
             Err(nb_transport::TransportError::Timeout) => {
-                if endpoint.send(&hello.to_bytes()).is_err() {
+                if endpoint.send(&hello).is_err() {
                     return;
                 }
             }
             Err(_) => return,
         }
     };
+    inner.neighbor_cv.notify_all();
+    // Now that the peer is known, advertise what it should hold.
+    advertise_all(inner, &peer_id, endpoint.sender().as_ref());
     for mut frame in buffered {
         handle_neighbor_frame(inner, &peer_id, &mut frame);
     }
@@ -1677,141 +1668,73 @@ fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
         .recv_with(|frame| handle_neighbor_frame(inner, &peer_id, frame))
         .is_ok()
     {}
-    let mut state = inner.state.lock();
-    state.neighbors.remove(&peer_id);
-    state.subs.remove_neighbor(&peer_id);
-    inner.routes.bump();
-    drop(state);
+    change_interest(inner, Interest::NeighborGone(&peer_id));
     inner.neighbor_cv.notify_all();
 }
 
 /// Handles one frame from neighbour `peer_id`: data frames are routed
 /// undecoded (the pipeline patches the hop byte in place); only the
 /// handshake the pipeline hands back is decoded here.
-fn handle_neighbor_frame(inner: &Arc<Inner>, peer_id: &str, frame: &mut [u8]) {
+fn handle_neighbor_frame(inner: &Inner, peer_id: &str, frame: &mut [u8]) {
     if route_frame(inner, frame, Ingress::Neighbor(peer_id), None) {
         return;
     }
     let Ok(msg) = Message::from_bytes(frame) else {
         return;
     };
-    {
-        match &msg.payload {
-            Payload::NeighborHello { .. } => {
-                // The peer is (re)announcing itself — our own hello may
-                // have been lost. Answer with a fresh hello; the
-                // exchange quiesces once both sides are registered
-                // (peers stop retransmitting after registration).
-                let now = inner.clock.now_ms();
-                let sender = {
-                    let mut state = inner.state.lock();
-                    let last = state.hello_replied_ms.get(peer_id).copied().unwrap_or(0);
-                    if now.saturating_sub(last) < 1000 {
-                        None // rate-limited: at most one reply per second
-                    } else {
-                        state.hello_replied_ms.insert(peer_id.to_string(), now);
-                        state.neighbors.get(peer_id).map(Arc::clone)
-                    }
-                };
-                if let Some(sender) = sender {
-                    let hello = Message::new(
-                        inner.msg_seq.fetch_add(1, Ordering::Relaxed),
-                        Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control")
-                            .unwrap(),
-                        inner.id.clone(),
-                        inner.clock.now_ms(),
-                        Payload::NeighborHello {
-                            broker_id: inner.id.clone(),
-                        },
-                    );
-                    let _ = sender.send_frame(&hello.to_bytes());
+    match &msg.payload {
+        Payload::NeighborHello { .. } => {
+            // The peer is (re)announcing itself — our own hello may
+            // have been lost. Answer with a fresh hello; the exchange
+            // quiesces once both sides are registered (peers stop
+            // retransmitting after registration).
+            let now = inner.clock.now_ms();
+            let sender = {
+                let mut state = inner.state.lock();
+                let last = state.hello_replied_ms.get(peer_id).copied().unwrap_or(0);
+                if now.saturating_sub(last) < 1000 {
+                    None // rate-limited: at most one reply per second
+                } else {
+                    state.hello_replied_ms.insert(peer_id.to_string(), now);
+                    state.neighbors.get(peer_id).map(Arc::clone)
                 }
+            };
+            if let Some(sender) = sender {
+                let _ = sender.send_frame(&hello(inner));
             }
-            Payload::NeighborSubscribe { filter } => {
-                let (fresh, others) = {
-                    let mut state = inner.state.lock();
-                    let fresh = !state.subs.all_filters().contains(filter);
-                    state.subs.add_remote(peer_id, filter.clone());
-                    inner.routes.bump();
-                    let others: Vec<_> = if fresh {
-                        state
-                            .neighbors
-                            .iter()
-                            .filter(|(n, _)| n.as_str() != peer_id)
-                            .map(|(_, s)| Arc::clone(s))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    (fresh, others)
-                };
-                inner.subs_cv.notify_all();
-                if fresh {
-                    let frame = msg.to_bytes();
-                    for s in others {
-                        let _ = s.send_frame(&frame);
-                    }
-                }
-            }
-            Payload::NeighborUnsubscribe { filter } => {
-                let (gone, others) = {
-                    let mut state = inner.state.lock();
-                    state.subs.remove_remote(peer_id, filter);
-                    inner.routes.bump();
-                    let gone = !state.subs.all_filters().contains(filter);
-                    let others: Vec<_> = if gone {
-                        state
-                            .neighbors
-                            .iter()
-                            .filter(|(n, _)| n.as_str() != peer_id)
-                            .map(|(_, s)| Arc::clone(s))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    (gone, others)
-                };
-                if gone {
-                    let frame = msg.to_bytes();
-                    for s in others {
-                        let _ = s.send_frame(&frame);
-                    }
-                }
-            }
-            _ => {}
         }
+        Payload::NeighborSubscribe { filter } => change_interest(
+            inner,
+            Interest::Advert {
+                neighbor: peer_id,
+                filter,
+            },
+        ),
+        Payload::NeighborUnsubscribe { filter } => change_interest(
+            inner,
+            Interest::Withdraw {
+                neighbor: peer_id,
+                filter,
+            },
+        ),
+        _ => {}
     }
 }
 
-
-/// Anti-entropy pass: re-advertise the full interest set to each
-/// neighbour. Idempotent at the receiver (set insertion), so repeated
+/// Anti-entropy pass: re-advertise to each neighbour the full set it
+/// should hold. Idempotent at the receiver (set insertion), so repeated
 /// adverts are harmless; a single lost advert is repaired within one
-/// refresh interval.
-fn refresh_adverts(inner: &Arc<Inner>) {
-    let per_neighbor: Vec<(Arc<dyn FrameSender>, Vec<Topic>)> = {
+/// refresh interval. A lost withdrawal is not: that would need an
+/// advert carrying the whole set.
+fn refresh_adverts(inner: &Inner) {
+    let neighbors: Vec<(String, Arc<dyn FrameSender>)> = {
         let state = inner.state.lock();
-        state
-            .neighbors
-            .iter()
-            .map(|(peer, sender)| {
-                (
-                    Arc::clone(sender),
-                    state.subs.filters_for_neighbor(peer).into_iter().collect(),
-                )
-            })
+        let links = state.neighbors.iter();
+        links
+            .map(|(peer, s)| (peer.clone(), Arc::clone(s)))
             .collect()
     };
-    for (sender, filters) in per_neighbor {
-        for filter in filters {
-            let msg = Message::new(
-                inner.msg_seq.fetch_add(1, Ordering::Relaxed),
-                Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap(),
-                inner.id.clone(),
-                inner.clock.now_ms(),
-                Payload::NeighborSubscribe { filter },
-            );
-            let _ = sender.send_frame(&msg.to_bytes());
-        }
+    for (peer, sender) in neighbors {
+        advertise_all(inner, &peer, sender.as_ref());
     }
 }

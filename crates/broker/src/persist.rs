@@ -11,9 +11,10 @@
 //!
 //! On restart the recovered subscriptions are re-installed before any
 //! link comes up, which makes neighbour re-sync automatic: the
-//! neighbour handshake advertises `advertisable_filters()` — now
-//! including everything recovered — and a client re-attaching under
-//! its old id resumes deliveries without re-subscribing.
+//! neighbour handshake advertises each peer its
+//! `SubscriptionTable::filters_for_neighbor` set — now including
+//! everything recovered — and a client re-attaching under its old id
+//! resumes deliveries without re-subscribing.
 
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::Uuid;

@@ -8,14 +8,17 @@ use std::collections::{HashMap, HashSet};
 ///
 /// *Local* entries map consumer ids (attached clients or in-process
 /// engines) to their filters; *remote* entries record which filters
-/// each neighbouring broker has advertised interest in.
+/// each neighbouring broker has advertised interest in. What a
+/// neighbour should hold from this broker follows from both
+/// ([`SubscriptionTable::advertises`]).
 #[derive(Debug, Default)]
 pub struct SubscriptionTable {
-    local: HashMap<String, HashSet<Topic>>,
+    /// Consumer → its filters, each with its suppression flag: a filter
+    /// registered with Suppress/Limited distribution is never
+    /// advertised to neighbours while that registration lasts (§3.1
+    /// {Distribution}).
+    local: HashMap<String, HashMap<Topic, bool>>,
     remote: HashMap<String, HashSet<Topic>>,
-    /// Local filters registered with Suppress/Limited distribution:
-    /// never advertised to neighbours (§3.1 {Distribution}).
-    suppressed: HashSet<Topic>,
 }
 
 impl SubscriptionTable {
@@ -24,46 +27,30 @@ impl SubscriptionTable {
         Self::default()
     }
 
-    /// Registers a local consumer's filter. Returns `true` if this is
-    /// a new filter for this broker overall (and thus worth
-    /// advertising to neighbours). `suppressed` filters are recorded
-    /// but never advertised.
-    pub fn add_local(&mut self, consumer: &str, filter: Topic, suppressed: bool) -> bool {
-        let fresh = !self.any_local_filter(&filter);
-        if suppressed {
-            self.suppressed.insert(filter.clone());
-        }
-        self.local
+    /// Registers a local consumer's filter; a `suppressed` one keeps
+    /// the filter from being advertised while it is registered.
+    pub fn add_local(&mut self, consumer: &str, filter: Topic, suppressed: bool) {
+        *self
+            .local
             .entry(consumer.to_string())
             .or_default()
-            .insert(filter);
-        fresh && !suppressed
+            .entry(filter)
+            .or_default() |= suppressed;
     }
 
-    /// Removes a local filter. Returns `true` if no local consumer
-    /// holds it any more (worth un-advertising).
-    pub fn remove_local(&mut self, consumer: &str, filter: &Topic) -> bool {
+    /// Removes a local filter.
+    pub fn remove_local(&mut self, consumer: &str, filter: &Topic) {
         if let Some(filters) = self.local.get_mut(consumer) {
             filters.remove(filter);
             if filters.is_empty() {
                 self.local.remove(consumer);
             }
         }
-        !self.any_local_filter(filter)
     }
 
-    /// Drops every filter belonging to `consumer`, returning the
-    /// filters that now have no local subscriber.
-    pub fn remove_consumer(&mut self, consumer: &str) -> Vec<Topic> {
-        let filters = self.local.remove(consumer).unwrap_or_default();
-        filters
-            .into_iter()
-            .filter(|f| !self.any_local_filter(f))
-            .collect()
-    }
-
-    fn any_local_filter(&self, filter: &Topic) -> bool {
-        self.local.values().any(|fs| fs.contains(filter))
+    /// Drops every filter belonging to `consumer`.
+    pub fn remove_consumer(&mut self, consumer: &str) {
+        self.local.remove(consumer);
     }
 
     /// Registers a neighbour's advertised interest.
@@ -89,6 +76,16 @@ impl SubscriptionTable {
         self.remote.remove(neighbor);
     }
 
+    /// The filters `consumer` holds.
+    pub fn consumer_filters(&self, consumer: &str) -> impl Iterator<Item = &Topic> {
+        self.local.get(consumer).into_iter().flat_map(HashMap::keys)
+    }
+
+    /// The filters `neighbor` has advertised.
+    pub fn neighbor_filters(&self, neighbor: &str) -> impl Iterator<Item = &Topic> {
+        self.remote.get(neighbor).into_iter().flatten()
+    }
+
     /// Whether any neighbour has advertised exactly `filter`. Used by
     /// `Broker::wait_for_remote_subscription` to make subscription
     /// propagation observable without polling.
@@ -96,11 +93,34 @@ impl SubscriptionTable {
         self.remote.values().any(|fs| fs.contains(filter))
     }
 
+    /// Whether `neighbor` should hold `filter` from this broker: a
+    /// local consumer holds it and no local registration suppresses
+    /// it, or another neighbour advertised it. Allocates nothing.
+    pub fn advertises(&self, filter: &Topic, neighbor: &str) -> bool {
+        self.local_advertises(filter)
+            || self
+                .remote
+                .iter()
+                .any(|(n, fs)| n != neighbor && fs.contains(filter))
+    }
+
+    fn local_advertises(&self, filter: &Topic) -> bool {
+        let mut held = false;
+        for filters in self.local.values() {
+            match filters.get(filter) {
+                Some(true) => return false,
+                Some(false) => held = true,
+                None => {}
+            }
+        }
+        held
+    }
+
     /// Local consumers whose filters match `topic`.
     pub fn local_matches(&self, topic: &Topic) -> Vec<String> {
         self.local
             .iter()
-            .filter(|(_, filters)| filters.iter().any(|f| topic.matches_filter(f)))
+            .filter(|(_, filters)| filters.keys().any(|f| topic.matches_filter(f)))
             .map(|(id, _)| id.clone())
             .collect()
     }
@@ -114,55 +134,34 @@ impl SubscriptionTable {
             .collect()
     }
 
-    /// Every distinct filter known (local and remote) — sent to a
-    /// newly connected neighbour so interest reaches it transitively.
-    pub fn all_filters(&self) -> HashSet<Topic> {
+    /// Every filter `neighbor` should hold from this broker (see
+    /// [`SubscriptionTable::advertises`]): the full set sent at the
+    /// neighbour handshake, after link repair and by anti-entropy.
+    pub fn filters_for_neighbor(&self, neighbor: &str) -> HashSet<Topic> {
         self.local
             .values()
-            .chain(self.remote.values())
-            .flatten()
+            .flat_map(HashMap::keys)
+            .chain(self.remote.values().flatten())
+            .filter(|f| self.advertises(f, neighbor))
             .cloned()
             .collect()
     }
 
-    /// Filters advertised by neighbours other than `except` plus all
-    /// non-suppressed local filters (what `except` should be told
-    /// about).
-    pub fn filters_for_neighbor(&self, except: &str) -> HashSet<Topic> {
-        self.local
-            .values()
-            .flatten()
-            .filter(|f| !self.suppressed.contains(*f))
-            .chain(
-                self.remote
-                    .iter()
-                    .filter(|(n, _)| n.as_str() != except)
-                    .flat_map(|(_, fs)| fs),
-            )
-            .cloned()
-            .collect()
-    }
-
-    /// Every advertisable filter (non-suppressed local + all remote) —
-    /// sent to a newly connected neighbour.
+    /// Every filter a neighbour that advertised nothing itself should
+    /// hold: the advertisable local filters plus all remote ones.
     pub fn advertisable_filters(&self) -> HashSet<Topic> {
         self.local
             .values()
-            .flatten()
-            .filter(|f| !self.suppressed.contains(*f))
+            .flat_map(HashMap::keys)
+            .filter(|f| self.local_advertises(f))
             .chain(self.remote.values().flatten())
             .cloned()
             .collect()
     }
 
-    /// Number of local consumers.
-    pub fn local_consumer_count(&self) -> usize {
-        self.local.len()
-    }
-
     /// Total local (consumer, filter) registrations.
     pub fn local_filter_count(&self) -> usize {
-        self.local.values().map(HashSet::len).sum()
+        self.local.values().map(HashMap::len).sum()
     }
 
     /// Total remote (neighbour, filter) registrations.
@@ -195,34 +194,6 @@ mod tests {
         table.add_local("c2", t("/Traces/#"), false);
         let hits = table.local_matches(&t("/Traces/e1/Load"));
         assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn add_local_reports_freshness() {
-        let mut table = SubscriptionTable::new();
-        assert!(table.add_local("c1", t("/A"), false));
-        assert!(!table.add_local("c2", t("/A"), false)); // already advertised
-        assert!(table.add_local("c1", t("/B"), false));
-    }
-
-    #[test]
-    fn remove_local_reports_last_holder() {
-        let mut table = SubscriptionTable::new();
-        table.add_local("c1", t("/A"), false);
-        table.add_local("c2", t("/A"), false);
-        assert!(!table.remove_local("c1", &t("/A"))); // c2 still holds it
-        assert!(table.remove_local("c2", &t("/A")));
-    }
-
-    #[test]
-    fn remove_consumer_returns_orphaned_filters() {
-        let mut table = SubscriptionTable::new();
-        table.add_local("c1", t("/A"), false);
-        table.add_local("c1", t("/B"), false);
-        table.add_local("c2", t("/B"), false);
-        let orphaned = table.remove_consumer("c1");
-        assert_eq!(orphaned, vec![t("/A")]);
-        assert_eq!(table.local_consumer_count(), 1);
     }
 
     #[test]
@@ -270,8 +241,8 @@ mod tests {
     #[test]
     fn suppressed_filters_are_never_advertised() {
         let mut table = SubscriptionTable::new();
-        assert!(!table.add_local("engine", t("/Reg"), true)); // not advertisable
-        assert!(table.add_local("c1", t("/Pub"), false));
+        table.add_local("engine", t("/Reg"), true);
+        table.add_local("c1", t("/Pub"), false);
         let adv = table.advertisable_filters();
         assert!(adv.contains(&t("/Pub")));
         assert!(!adv.contains(&t("/Reg")));
@@ -282,12 +253,29 @@ mod tests {
     }
 
     #[test]
-    fn all_filters_unions_local_and_remote() {
+    fn advertises_follows_the_per_neighbour_rule() {
         let mut table = SubscriptionTable::new();
-        table.add_local("c1", t("/L"), false);
+        // A filter only b2 advertised goes to every neighbour but b2.
         table.add_remote("b2", t("/R"));
-        let all = table.all_filters();
-        assert!(all.contains(&t("/L")) && all.contains(&t("/R")));
-        assert_eq!(all.len(), 2);
+        assert!(!table.advertises(&t("/R"), "b2"));
+        assert!(table.advertises(&t("/R"), "b3"));
+        // A second holder makes it b2's business too.
+        table.add_remote("b3", t("/R"));
+        assert!(table.advertises(&t("/R"), "b2"));
+        // A suppressed registration withholds a local filter until it
+        // goes; the last holder leaving withdraws it.
+        table.add_local("c1", t("/L"), false);
+        table.add_local("engine", t("/L"), true);
+        assert!(!table.advertises(&t("/L"), "b2"));
+        table.remove_local("engine", &t("/L"));
+        assert!(table.advertises(&t("/L"), "b2"));
+        table.remove_consumer("c1");
+        assert!(!table.advertises(&t("/L"), "b2"));
+        for n in ["b2", "b3", "b4"] {
+            let set = table.filters_for_neighbor(n);
+            for f in [t("/R"), t("/L")] {
+                assert_eq!(set.contains(&f), table.advertises(&f, n), "{f} for {n}");
+            }
+        }
     }
 }

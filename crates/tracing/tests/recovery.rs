@@ -254,6 +254,47 @@ fn broker_crash_restart_restores_subscriptions_and_resyncs() {
 }
 
 #[test]
+fn broker_crash_restart_restores_every_subscriber_of_a_filter() {
+    let clock: SharedClock = Arc::new(MockClock::new(START));
+    let net = SimNetwork::new(0x4ec1);
+    let dir = TempDir::new("broker-restart-shared").unwrap();
+    let cfg = BrokerConfig {
+        data_dir: Some(dir.path().to_path_buf()),
+        ..BrokerConfig::default()
+    };
+    let attach = |broker: &Broker, id: &str| {
+        let (s, c) = net.symmetric_link(LinkConfig::instant());
+        broker.attach_client(s);
+        BrokerClient::attach(c, id, clock.clone(), WAIT).unwrap()
+    };
+
+    // Two consumers share one filter: the second subscription is not
+    // news to the broker, but it is still the second consumer's.
+    let broker = Broker::new("b-shared", clock.clone(), cfg.clone());
+    let first = attach(&broker, "first-consumer");
+    first.subscribe(topic("chat/room"), WAIT).unwrap();
+    let second = attach(&broker, "second-consumer");
+    second.subscribe(topic("chat/room"), WAIT).unwrap();
+    broker.simulate_crash();
+    drop(first);
+    drop(second);
+    drop(broker);
+    settle();
+
+    // Only the second consumer comes back, without re-subscribing.
+    let broker = Broker::new("b-shared", clock.clone(), cfg);
+    let second = attach(&broker, "second-consumer");
+    let publisher = attach(&broker, "shared-publisher");
+    publisher
+        .publish(topic("chat/room"), Payload::Blob { data: vec![3] })
+        .unwrap();
+    let msg = second
+        .next_message(WAIT)
+        .expect("the second consumer's subscription was not recovered");
+    assert!(matches!(msg.payload, Payload::Blob { ref data } if data == &[3]));
+}
+
+#[test]
 fn tdn_restart_recovers_registry_provenance_and_epoch() {
     let mock = MockClock::new(START);
     let clock: SharedClock = Arc::new(mock.clone());

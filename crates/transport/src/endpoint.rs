@@ -7,11 +7,9 @@
 //! facade, receive from a queue that a transport thread fills.
 
 use crate::error::TransportError;
-use crate::instrument;
 use crate::tcp::TcpReader;
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,84 +20,6 @@ pub const MAX_FRAME_LEN: usize = 4 * 1024 * 1024;
 pub trait FrameSender: Send + Sync {
     /// Sends one frame; must be atomic with respect to other senders.
     fn send_frame(&self, frame: &[u8]) -> Result<()>;
-}
-
-#[derive(Default)]
-struct IoCounters {
-    frames_out: AtomicU64,
-    bytes_out: AtomicU64,
-    frames_in: AtomicU64,
-    bytes_in: AtomicU64,
-}
-
-/// Cumulative traffic counters for one [`Endpoint`].
-///
-/// Cheap to clone; every clone observes the same live counters.
-/// "Out" counts frames handed to the transport (before any simulated
-/// loss), "in" counts frames actually received by the endpoint owner.
-#[derive(Clone, Default)]
-pub struct EndpointStats(Arc<IoCounters>);
-
-impl EndpointStats {
-    /// Frames sent through this endpoint.
-    pub fn frames_out(&self) -> u64 {
-        self.0.frames_out.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes sent through this endpoint.
-    pub fn bytes_out(&self) -> u64 {
-        self.0.bytes_out.load(Ordering::Relaxed)
-    }
-
-    /// Frames received from this endpoint.
-    pub fn frames_in(&self) -> u64 {
-        self.0.frames_in.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes received from this endpoint.
-    pub fn bytes_in(&self) -> u64 {
-        self.0.bytes_in.load(Ordering::Relaxed)
-    }
-
-    fn record_out(&self, bytes: usize) {
-        self.0.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.0.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
-        instrument::FRAMES_SENT.inc();
-        instrument::BYTES_SENT.add(bytes as u64);
-    }
-
-    fn record_in(&self, bytes: usize) {
-        self.0.frames_in.fetch_add(1, Ordering::Relaxed);
-        self.0.bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
-        instrument::FRAMES_RECEIVED.inc();
-        instrument::BYTES_RECEIVED.add(bytes as u64);
-    }
-}
-
-impl std::fmt::Debug for EndpointStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EndpointStats")
-            .field("frames_out", &self.frames_out())
-            .field("bytes_out", &self.bytes_out())
-            .field("frames_in", &self.frames_in())
-            .field("bytes_in", &self.bytes_in())
-            .finish()
-    }
-}
-
-/// Wraps the transport's sender so traffic through cloned sender
-/// handles is attributed to the owning endpoint as well.
-struct CountingSender {
-    inner: Arc<dyn FrameSender>,
-    stats: EndpointStats,
-}
-
-impl FrameSender for CountingSender {
-    fn send_frame(&self, frame: &[u8]) -> Result<()> {
-        self.inner.send_frame(frame)?;
-        self.stats.record_out(frame.len());
-        Ok(())
-    }
 }
 
 /// Where an endpoint's inbound frames come from.
@@ -120,7 +40,6 @@ enum Inbound {
 pub struct Endpoint {
     tx: Arc<dyn FrameSender>,
     inbound: Inbound,
-    stats: EndpointStats,
     max_frame_len: usize,
 }
 
@@ -149,14 +68,9 @@ impl Endpoint {
     }
 
     fn assemble(tx: Arc<dyn FrameSender>, inbound: Inbound, max_frame_len: usize) -> Self {
-        let stats = EndpointStats::default();
         Endpoint {
-            tx: Arc::new(CountingSender {
-                inner: tx,
-                stats: stats.clone(),
-            }),
+            tx,
             inbound,
-            stats,
             max_frame_len: max_frame_len.min(MAX_FRAME_LEN),
         }
     }
@@ -199,38 +113,26 @@ impl Endpoint {
     pub fn recv_with<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         match &self.inbound {
             Inbound::Queue(_) => self.recv().map(|mut frame| f(&mut frame)),
-            Inbound::Stream(reader) => reader.read_frame(None, |frame| {
-                self.stats.record_in(frame.len());
-                f(frame)
-            }),
+            Inbound::Stream(reader) => reader.read_frame(None, f),
         }
     }
 
     fn receive(&self, timeout: Option<Duration>) -> Result<Vec<u8>> {
-        let frame = match &self.inbound {
+        match &self.inbound {
             Inbound::Queue(rx) => match timeout {
-                None => rx.recv().map_err(|_| TransportError::Closed)?,
+                None => rx.recv().map_err(|_| TransportError::Closed),
                 Some(t) => rx.recv_timeout(t).map_err(|e| match e {
                     RecvTimeoutError::Timeout => TransportError::Timeout,
                     RecvTimeoutError::Disconnected => TransportError::Closed,
-                })?,
+                }),
             },
-            Inbound::Stream(reader) => reader.read_frame(timeout, |frame| frame.to_vec())?,
-        };
-        self.stats.record_in(frame.len());
-        Ok(frame)
+            Inbound::Stream(reader) => reader.read_frame(timeout, |frame| frame.to_vec()),
+        }
     }
 
-    /// A cloneable sender handle (for multi-writer use). Frames sent
-    /// through the handle are counted against this endpoint's
-    /// [`stats`][Endpoint::stats].
+    /// A cloneable sender handle (for multi-writer use).
     pub fn sender(&self) -> Arc<dyn FrameSender> {
         Arc::clone(&self.tx)
-    }
-
-    /// Live traffic counters for this endpoint.
-    pub fn stats(&self) -> EndpointStats {
-        self.stats.clone()
     }
 }
 
@@ -246,21 +148,6 @@ impl std::fmt::Debug for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{LinkConfig, SimNetwork};
-
-    #[test]
-    fn endpoint_stats_count_both_directions() {
-        let net = SimNetwork::new(11);
-        let (a, b) = net.symmetric_link(LinkConfig::instant());
-        a.send(b"12345").unwrap();
-        let got = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(got, b"12345");
-        assert_eq!(a.stats().frames_out(), 1);
-        assert_eq!(a.stats().bytes_out(), 5);
-        assert_eq!(b.stats().frames_in(), 1);
-        assert_eq!(b.stats().bytes_in(), 5);
-        assert_eq!(a.stats().frames_in(), 0);
-    }
 
     #[test]
     fn endpoint_enforces_its_frame_limit() {
@@ -278,16 +165,5 @@ mod tests {
             ep.send(&[0u8; 101]),
             Err(TransportError::FrameTooLarge { size: 101, max: 100 })
         );
-    }
-
-    #[test]
-    fn cloned_sender_traffic_is_attributed_to_the_endpoint() {
-        let net = SimNetwork::new(12);
-        let (a, b) = net.symmetric_link(LinkConfig::instant());
-        let tx = a.sender();
-        tx.send_frame(b"via-handle").unwrap();
-        b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(a.stats().frames_out(), 1);
-        assert_eq!(a.stats().bytes_out(), 10);
     }
 }

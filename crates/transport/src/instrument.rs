@@ -1,10 +1,13 @@
 //! Process-wide transport aggregates on the global metrics registry.
 //!
-//! Per-endpoint traffic is tracked by
-//! [`EndpointStats`][crate::endpoint::EndpointStats]; the counters
-//! here aggregate across every endpoint and transport in the process
-//! so a single dump shows total wire activity. Names are catalogued in
-//! `docs/OBSERVABILITY.md` under the `transport.*` family.
+//! The counters aggregate across every endpoint and transport in the
+//! process so a single dump shows total wire activity. Frames and
+//! bytes are counted once, where a frame crosses a transport: when a
+//! transport's sender accepts it, and when the transport hands it to
+//! the receiving endpoint (a sim or UDP queue, a TCP read). A
+//! supervised link's facade relays frames and counts nothing. Names
+//! are catalogued in `docs/OBSERVABILITY.md` under the `transport.*`
+//! family.
 
 use std::sync::LazyLock;
 

@@ -29,7 +29,7 @@ pub mod tcp;
 pub mod udp;
 
 pub use clock::{Clock, MockClock, SystemClock};
-pub use endpoint::{Endpoint, EndpointStats};
+pub use endpoint::Endpoint;
 pub use error::TransportError;
 pub use sim::{LinkConfig, LinkId, SimNetwork};
 pub use supervisor::{

@@ -364,8 +364,7 @@ fn scheduler_loop(shared: &Shared) {
         while let Some(head) = queue.peek() {
             if head.deliver_at <= now {
                 let d = queue.pop().unwrap();
-                // Receiver may be gone; that's a closed endpoint.
-                let _ = d.dest.send(d.frame);
+                deliver(&d.dest, d.frame);
             } else {
                 break;
             }
@@ -382,6 +381,16 @@ fn scheduler_loop(shared: &Shared) {
                 shared.cv.wait_for(&mut queue, Duration::from_millis(50));
             }
         }
+    }
+}
+
+/// Hands a frame to the receiving endpoint's queue, counting it as
+/// received. The receiver may be gone; that's a closed endpoint.
+fn deliver(dest: &Sender<Vec<u8>>, frame: Vec<u8>) {
+    let len = frame.len() as u64;
+    if dest.send(frame).is_ok() {
+        crate::instrument::FRAMES_RECEIVED.inc();
+        crate::instrument::BYTES_RECEIVED.add(len);
     }
 }
 
@@ -428,6 +437,9 @@ impl FrameSender for SimSender {
             // A flaky link eats the frame silently, like wire loss.
             return Ok(());
         }
+        // Accepted: sent counts precede any simulated loss.
+        crate::instrument::FRAMES_SENT.inc();
+        crate::instrument::BYTES_SENT.add(frame.len() as u64);
         // Man-in-the-middle: rewrite the frame and/or schedule replay
         // copies. The adversary map is empty in honest runs, so this
         // is one uncontended lock on the hot path.
@@ -458,9 +470,8 @@ impl FrameSender for SimSender {
             && self.cfg.duplicate_rate == 0.0
         {
             crate::instrument::SIM_FRAMES_DIRECT.inc();
-            // Receiver may be gone; same as a scheduler-side discard.
             for _ in 0..=replays {
-                let _ = self.dest.send(frame.to_vec());
+                deliver(&self.dest, frame.to_vec());
             }
             return Ok(());
         }

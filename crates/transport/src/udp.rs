@@ -8,14 +8,21 @@
 
 use crate::endpoint::{Endpoint, FrameSender};
 use crate::error::TransportError;
+use crate::instrument;
 use crate::Result;
 use crossbeam::channel::unbounded;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Maximum UDP payload we send (stays under the 65,507-byte datagram
 /// limit with headroom).
 pub const MAX_DATAGRAM: usize = 60_000;
+
+/// How long the reader thread waits for a datagram before it checks
+/// whether its endpoint is gone.
+const READ_POLL: Duration = Duration::from_millis(200);
 
 struct UdpFrameSender {
     socket: UdpSocket,
@@ -30,6 +37,8 @@ impl FrameSender for UdpFrameSender {
             });
         }
         self.socket.send(frame)?;
+        instrument::FRAMES_SENT.inc();
+        instrument::BYTES_SENT.add(frame.len() as u64);
         Ok(())
     }
 }
@@ -52,10 +61,18 @@ impl UdpHalf {
         Ok(self.socket.local_addr()?)
     }
 
-    /// Connects to the peer and starts the reader thread.
+    /// Connects to the peer and starts the reader thread. The thread
+    /// exits once the endpoint and every sender cloned from it are
+    /// dropped (within 200 ms), or when a datagram arrives for
+    /// an endpoint that is gone.
     pub fn connect(self, peer: SocketAddr) -> Result<Endpoint> {
         self.socket.connect(peer)?;
         let reader = self.socket.try_clone()?;
+        reader.set_read_timeout(Some(READ_POLL))?;
+        let sender: Arc<dyn FrameSender> = Arc::new(UdpFrameSender {
+            socket: self.socket,
+        });
+        let alive = Arc::downgrade(&sender);
         let (tx, rx) = unbounded();
         std::thread::Builder::new()
             .name("udp-reader".to_string())
@@ -65,6 +82,17 @@ impl UdpHalf {
                     match reader.recv(&mut buf) {
                         Ok(n) => {
                             if tx.send(buf[..n].to_vec()).is_err() {
+                                return;
+                            }
+                            instrument::FRAMES_RECEIVED.inc();
+                            instrument::BYTES_RECEIVED.add(n as u64);
+                        }
+                        // No datagram in this wait: stop once the
+                        // endpoint and every cloned sender are gone.
+                        Err(e)
+                            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                        {
+                            if alive.strong_count() == 0 {
                                 return;
                             }
                         }
@@ -77,13 +105,7 @@ impl UdpHalf {
         // limit, so an envelope that passes the generic 4 MiB check but
         // could never fit one datagram is rejected at frame-build time
         // ([`Endpoint::send`]) instead of only at UDP send time.
-        Ok(Endpoint::from_parts_limited(
-            Arc::new(UdpFrameSender {
-                socket: self.socket,
-            }),
-            rx,
-            MAX_DATAGRAM,
-        ))
+        Ok(Endpoint::from_parts_limited(sender, rx, MAX_DATAGRAM))
     }
 }
 
