@@ -242,6 +242,10 @@ struct Inner {
     /// Notified on every subscription-table change (see
     /// [`Broker::wait_for_remote_subscription`]).
     subs_cv: Condvar,
+    /// Held from reading the subscription table for adverts until they
+    /// are sent, so each neighbour receives adverts and withdrawals in
+    /// table order. Never taken with the state lock held.
+    adverts: Mutex<()>,
     metrics: BrokerMetrics,
     /// Sharded per-topic route cache backing the routing pipeline
     /// (see `crate::route`).
@@ -356,6 +360,7 @@ impl Broker {
                 }),
                 neighbor_cv: Condvar::new(),
                 subs_cv: Condvar::new(),
+                adverts: Mutex::new(()),
                 metrics,
                 routes,
                 recorder,
@@ -765,27 +770,7 @@ impl Broker {
     /// Subscribes an in-process consumer (treated as the broker
     /// principal for constraint checks).
     pub fn subscribe_internal(&self, consumer: &str, filter: Topic) -> Result<()> {
-        let constrained = ConstrainedTopic::parse(&filter)?;
-        if let Some(c) = &constrained {
-            if !c.permits(&Actor::Broker, Action::Subscribe) {
-                return Err(BrokerError::NotPermitted {
-                    topic: filter.to_string(),
-                    action: "subscribe",
-                });
-            }
-        }
-        let suppressed = constrained
-            .as_ref()
-            .is_some_and(|c| c.suppressed() && c.is_constrainer(&Actor::Broker));
-        change_interest(
-            &self.inner,
-            Interest::Subscribe {
-                consumer,
-                filter: &filter,
-                suppressed,
-            },
-        );
-        Ok(())
+        subscribe(&self.inner, consumer, &Actor::Broker, &filter)
     }
 
     /// Removes an internal subscription (propagating withdrawal when
@@ -1382,7 +1367,15 @@ fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
         };
         match &msg.payload {
             Payload::Subscribe { filter } => {
-                handle_client_subscribe(inner, &endpoint, &client_id, &msg, filter);
+                let actor = Actor::Entity(client_id.clone());
+                if subscribe(inner, &client_id, &actor, filter).is_ok() {
+                    reply(inner, &endpoint, &msg, Payload::Ack);
+                } else {
+                    inner.metrics.rejected.inc();
+                    let reason = format!("subscribe not permitted on {filter}");
+                    reply(inner, &endpoint, &msg, Payload::Nack { reason });
+                    punish(inner, &client_id);
+                }
             }
             Payload::Unsubscribe { filter } => {
                 change_interest(
@@ -1402,38 +1395,30 @@ fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
     }
 }
 
-fn handle_client_subscribe(
-    inner: &Inner,
-    endpoint: &Endpoint,
-    client_id: &str,
-    msg: &Message,
-    filter: &Topic,
-) {
-    let actor = Actor::Entity(client_id.to_string());
-    let constrained = ConstrainedTopic::parse(filter);
-    let allowed = match &constrained {
-        Ok(Some(c)) => c.permits(&actor, Action::Subscribe),
-        Ok(None) => true,
-        Err(_) => false,
-    };
-    if !allowed {
-        inner.metrics.rejected.inc();
-        let reason = format!("subscribe not permitted on {filter}");
-        reply(inner, endpoint, msg, Payload::Nack { reason });
-        punish(inner, client_id);
-        return;
+/// Subscribes local `consumer`, acting as `actor`, to `filter` if the
+/// topic's constraints permit it (§3.1); the constrainer's own
+/// registration on a suppressed topic is never advertised.
+fn subscribe(inner: &Inner, consumer: &str, actor: &Actor, filter: &Topic) -> Result<()> {
+    let constrained = ConstrainedTopic::parse(filter)?;
+    if constrained
+        .as_ref()
+        .is_some_and(|c| !c.permits(actor, Action::Subscribe))
+    {
+        return Err(BrokerError::NotPermitted {
+            topic: filter.to_string(),
+            action: "subscribe",
+        });
     }
-    let suppressed =
-        matches!(&constrained, Ok(Some(c)) if c.suppressed() && c.is_constrainer(&actor));
+    let suppressed = constrained.is_some_and(|c| c.suppressed() && c.is_constrainer(actor));
     change_interest(
         inner,
         Interest::Subscribe {
-            consumer: client_id,
+            consumer,
             filter,
             suppressed,
         },
     );
-    reply(inner, endpoint, msg, Payload::Ack);
+    Ok(())
 }
 
 /// One change to who wants what (§2): a local subscription or a
@@ -1478,8 +1463,10 @@ enum Interest<'a> {
 /// ([`SubscriptionTable::advertises`]) before and after. After the
 /// lock it journals a local op, wakes subscription waiters, and sends
 /// each neighbour whose answer flipped one `NeighborSubscribe` or
-/// `NeighborUnsubscribe`.
+/// `NeighborUnsubscribe`. The advert lock spans the whole change, so
+/// a concurrent full-set advert cannot overtake a withdrawal.
 fn change_interest(inner: &Inner, change: Interest<'_>) {
+    let _in_order = inner.adverts.lock();
     let mut notices = Vec::new();
     {
         let mut guard = inner.state.lock();
@@ -1586,8 +1573,10 @@ fn hello(inner: &Inner) -> Vec<u8> {
 /// Sends neighbour `peer` every filter it should hold from this broker
 /// ([`SubscriptionTable::filters_for_neighbor`]): the full-set advert
 /// of the handshake, link repair and anti-entropy. Re-received adverts
-/// are idempotent at the peer.
+/// are idempotent at the peer. Holds the advert lock until the last
+/// send, so no withdrawal lands between the snapshot and its adverts.
 fn advertise_all(inner: &Inner, peer: &str, sender: &dyn FrameSender) {
+    let _in_order = inner.adverts.lock();
     let filters = inner.state.lock().subs.filters_for_neighbor(peer);
     for filter in filters {
         let advert = control_message(inner, Payload::NeighborSubscribe { filter });

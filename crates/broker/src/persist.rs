@@ -142,7 +142,9 @@ impl DurableState for BrokerDurableState {
                 filter,
                 suppressed,
             } => {
-                self.subs.insert((consumer, filter), suppressed);
+                // Sticky per registration, as in the live table
+                // (`SubscriptionTable::add_local`).
+                *self.subs.entry((consumer, filter)).or_default() |= suppressed;
             }
             BrokerOp::SubRemove { consumer, filter } => {
                 self.subs.remove(&(consumer, filter));
@@ -219,6 +221,19 @@ mod tests {
             let bytes = op.to_bytes();
             assert_eq!(&BrokerOp::from_bytes(&bytes).unwrap(), op);
         }
+    }
+
+    #[test]
+    fn suppression_stays_on_a_registration_re_added_unsuppressed() {
+        let mut state = BrokerDurableState::default();
+        for suppressed in [true, false] {
+            state.apply(BrokerOp::SubAdd {
+                consumer: "a".into(),
+                filter: topic("x/y"),
+                suppressed,
+            });
+        }
+        assert!(state.subs[&("a".to_string(), topic("x/y"))]);
     }
 
     #[test]

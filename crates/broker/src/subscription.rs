@@ -28,7 +28,10 @@ impl SubscriptionTable {
     }
 
     /// Registers a local consumer's filter; a `suppressed` one keeps
-    /// the filter from being advertised while it is registered.
+    /// the filter from being advertised while it is registered. The
+    /// flag is sticky: re-adding the registration unsuppressed does not
+    /// lift it, and the journal mirror (`BrokerDurableState`) follows
+    /// the same rule.
     pub fn add_local(&mut self, consumer: &str, filter: Topic, suppressed: bool) {
         *self
             .local
@@ -136,25 +139,18 @@ impl SubscriptionTable {
 
     /// Every filter `neighbor` should hold from this broker (see
     /// [`SubscriptionTable::advertises`]): the full set sent at the
-    /// neighbour handshake, after link repair and by anti-entropy.
+    /// neighbour handshake, after link repair and by anti-entropy. One
+    /// pass over the table.
     pub fn filters_for_neighbor(&self, neighbor: &str) -> HashSet<Topic> {
-        self.local
-            .values()
-            .flat_map(HashMap::keys)
-            .chain(self.remote.values().flatten())
-            .filter(|f| self.advertises(f, neighbor))
-            .cloned()
-            .collect()
-    }
-
-    /// Every filter a neighbour that advertised nothing itself should
-    /// hold: the advertisable local filters plus all remote ones.
-    pub fn advertisable_filters(&self) -> HashSet<Topic> {
-        self.local
-            .values()
-            .flat_map(HashMap::keys)
-            .filter(|f| self.local_advertises(f))
-            .chain(self.remote.values().flatten())
+        let mut local: HashMap<&Topic, bool> = HashMap::new();
+        for (filter, &suppressed) in self.local.values().flatten() {
+            *local.entry(filter).or_default() |= suppressed;
+        }
+        let others = self.remote.iter().filter(|(n, _)| n.as_str() != neighbor);
+        local
+            .into_iter()
+            .filter_map(|(filter, suppressed)| (!suppressed).then_some(filter))
+            .chain(others.flat_map(|(_, filters)| filters))
             .cloned()
             .collect()
     }
@@ -243,10 +239,8 @@ mod tests {
         let mut table = SubscriptionTable::new();
         table.add_local("engine", t("/Reg"), true);
         table.add_local("c1", t("/Pub"), false);
-        let adv = table.advertisable_filters();
-        assert!(adv.contains(&t("/Pub")));
-        assert!(!adv.contains(&t("/Reg")));
         let for_b2 = table.filters_for_neighbor("b2");
+        assert!(for_b2.contains(&t("/Pub")));
         assert!(!for_b2.contains(&t("/Reg")));
         // Still matched locally.
         assert_eq!(table.local_matches(&t("/Reg")), vec!["engine".to_string()]);

@@ -2,9 +2,10 @@
 //! subscriber, and leaves them when the subscriber goes: a second
 //! subscriber's advert is relayed past a broker that already held the
 //! filter, every way a subscriber can leave withdraws its interest
-//! upstream, and a repaired link does not echo a neighbour's own
-//! interest back to it. Anti-entropy is off throughout, so only the
-//! incremental adverts are under test.
+//! upstream, a repaired link does not echo a neighbour's own interest
+//! back to it, and a full-set advert never lands behind a withdrawal.
+//! Anti-entropy is off throughout, so only the incremental adverts are
+//! under test.
 
 use nb_broker::network::BrokerNetwork;
 use nb_broker::{Broker, BrokerClient, BrokerConfig};
@@ -12,9 +13,9 @@ use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::sim::LinkConfig;
 use nb_transport::supervisor::{LinkState, SupervisorConfig};
-use nb_wire::codec::Encode;
+use nb_wire::codec::{Decode, Encode};
 use nb_wire::{Message, Payload, Topic};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -203,4 +204,89 @@ fn link_repair_does_not_echo_a_neighbours_own_interest() {
     subscriber.unsubscribe(x.clone(), TIMEOUT).unwrap();
     assert!(wait_until(TIMEOUT, || remote(net.broker(1)) == 0));
     assert_eq!(remote(net.broker(0)), 0);
+}
+
+/// A stand-in neighbour's sender: reports every advert and withdrawal
+/// it is handed, in order, and holds the thread that sends the first
+/// one until released. The hold is claimed before the report, so the
+/// thread the test hears from first is the one held.
+struct Gate {
+    seen: crossbeam::channel::Sender<Payload>,
+    hold: Mutex<Option<crossbeam::channel::Receiver<()>>>,
+}
+
+impl FrameSender for Gate {
+    fn send_frame(&self, frame: &[u8]) -> nb_transport::Result<()> {
+        let Ok(msg) = Message::from_bytes(frame) else {
+            return Ok(());
+        };
+        if let Payload::NeighborSubscribe { .. } | Payload::NeighborUnsubscribe { .. } = msg.payload
+        {
+            let hold = self.hold.lock().unwrap().take();
+            self.seen.send(msg.payload).unwrap();
+            if let Some(release) = hold {
+                let _ = release.recv();
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn a_full_set_advert_never_lands_behind_a_withdrawal() {
+    let net = chain(1, config());
+    let filters: Vec<Topic> = (0..3).map(|i| t(&format!("/Order/{i}"))).collect();
+    let subscriber = net.attach_client(0, "sub").unwrap();
+    for filter in &filters {
+        subscriber.subscribe(filter.clone(), TIMEOUT).unwrap();
+    }
+
+    // A neighbour joins; broker-0's handshake sends it the full set,
+    // and the gate holds that send after its first advert.
+    let (seen_tx, seen) = crossbeam::channel::unbounded();
+    let (release, hold) = crossbeam::channel::unbounded();
+    let gate = Gate {
+        seen: seen_tx,
+        hold: Mutex::new(Some(hold)),
+    };
+    let (uplink, rx) = crossbeam::channel::unbounded();
+    net.broker(0)
+        .connect_neighbor(Endpoint::from_parts(Arc::new(gate), rx));
+    let hello = Payload::NeighborHello {
+        broker_id: "stand-in".into(),
+    };
+    uplink
+        .send(Message::new(1, nb_broker::control_topic(), "stand-in", 0, hello).to_bytes())
+        .unwrap();
+    let mut sent = vec![seen.recv_timeout(TIMEOUT).unwrap()];
+
+    // The subscriber leaves while the set is part-way out, and its
+    // withdrawals get every chance to overtake the held send.
+    drop(subscriber);
+    let deadline = Instant::now() + Duration::from_millis(500);
+    while sent.len() < 1 + filters.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let Ok(payload) = seen.recv_timeout(left) else {
+            break;
+        };
+        sent.push(payload);
+    }
+    release.send(()).unwrap();
+    // One advert and one withdrawal per filter, in whatever order.
+    while sent.len() < 2 * filters.len() {
+        sent.push(seen.recv_timeout(TIMEOUT).unwrap());
+    }
+
+    let mut held: Vec<Topic> = Vec::new();
+    for payload in &sent {
+        match payload {
+            Payload::NeighborSubscribe { filter } => held.push(filter.clone()),
+            Payload::NeighborUnsubscribe { filter } => held.retain(|f| f != filter),
+            _ => unreachable!(),
+        }
+    }
+    assert!(
+        held.is_empty(),
+        "the neighbour was left holding {held:?}: {sent:?}"
+    );
 }

@@ -1,5 +1,6 @@
 //! Property-based tests on the subscription table: matching stays
-//! consistent with membership under arbitrary add/remove interleavings.
+//! consistent with membership under arbitrary add/remove interleavings,
+//! and the full advert set agrees with the per-change advert query.
 
 use nb_broker::SubscriptionTable;
 use nb_wire::Topic;
@@ -45,6 +46,19 @@ fn consumer(i: u8) -> String {
 
 fn neighbor(i: u8) -> String {
     format!("b{i}")
+}
+
+fn apply(table: &mut SubscriptionTable, op: Op) {
+    match op {
+        Op::AddLocal { consumer: c, topic: t, suppressed } => {
+            table.add_local(&consumer(c), topic(t), suppressed)
+        }
+        Op::RemoveLocal { consumer: c, topic: t } => table.remove_local(&consumer(c), &topic(t)),
+        Op::RemoveConsumer { consumer: c } => table.remove_consumer(&consumer(c)),
+        Op::AddRemote { neighbor: n, topic: t } => table.add_remote(&neighbor(n), topic(t)),
+        Op::RemoveRemote { neighbor: n, topic: t } => table.remove_remote(&neighbor(n), &topic(t)),
+        Op::RemoveNeighbor { neighbor: n } => table.remove_neighbor(&neighbor(n)),
+    }
 }
 
 proptest! {
@@ -134,12 +148,31 @@ proptest! {
                 }
             }
         }
-        let advertisable = table.advertisable_filters();
+        let advertisable = table.filters_for_neighbor("b0");
         for t in &suppressed_topics {
             prop_assert!(
                 !advertisable.contains(&topic(*t)),
                 "suppressed topic {t} leaked into advertisements"
             );
+        }
+    }
+
+    /// The full set a neighbour is sent holds exactly the filters the
+    /// per-change query says it should hold, for every neighbour,
+    /// including one that advertised nothing.
+    #[test]
+    fn filters_for_neighbor_agrees_with_advertises(ops in arb_ops()) {
+        let mut table = SubscriptionTable::new();
+        for op in ops {
+            apply(&mut table, op);
+        }
+        for n in 0..4 {
+            let set = table.filters_for_neighbor(&neighbor(n));
+            let wanted: HashSet<Topic> = (0..6)
+                .map(topic)
+                .filter(|f| table.advertises(f, &neighbor(n)))
+                .collect();
+            prop_assert_eq!(set, wanted);
         }
     }
 }

@@ -433,13 +433,14 @@ impl FrameSender for SimSender {
         if self.shared.stop.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
-        if self.check_fault()? {
-            // A flaky link eats the frame silently, like wire loss.
-            return Ok(());
-        }
+        let eaten = self.check_fault()?;
         // Accepted: sent counts precede any simulated loss.
         crate::instrument::FRAMES_SENT.inc();
         crate::instrument::BYTES_SENT.add(frame.len() as u64);
+        if eaten {
+            // A flaky link eats the frame silently, like wire loss.
+            return Ok(());
+        }
         // Man-in-the-middle: rewrite the frame and/or schedule replay
         // copies. The adversary map is empty in honest runs, so this
         // is one uncontended lock on the hot path.
