@@ -73,6 +73,9 @@ if ! $quick; then
     if cargo clippy --version >/dev/null 2>&1; then
         echo "== clippy =="
         cargo clippy --workspace --all-targets -- -D warnings
+        # The benchmark crate is built on the workspace's public APIs.
+        echo "== benchmark crate clippy =="
+        CARGO_TARGET_DIR=.bench_build cargo clippy --offline --manifest-path e2ebench/Cargo.toml --all-targets -- -D warnings
     else
         echo "== clippy not installed; skipping =="
     fi

@@ -13,7 +13,7 @@ use nb_metrics::{Counter, Gauge, Registry, Snapshot};
 use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TelemetryConfig, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
-use nb_transport::supervisor::{Connector, LinkState, LinkStats, LinkSupervisor, SupervisorConfig};
+use nb_transport::supervisor::{LinkState, LinkStats, LinkSupervisor, SupervisorConfig};
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
 use nb_wire::token::Rights;
@@ -24,10 +24,10 @@ use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_store::{Durable, DurableState, Recovery, StoreConfig};
 use nb_wire::{Message, MessageView, Payload, Topic};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Broker tuning knobs.
@@ -55,11 +55,13 @@ pub struct BrokerConfig {
     /// `docs/OBSERVABILITY.md`, "Causal tracing").
     pub telemetry: TelemetryConfig,
     /// Link-failure fault tolerance: when set, every client and
-    /// neighbour endpoint is wrapped in a
-    /// [`LinkSupervisor`] that detects send/recv failure, buffers
-    /// outbound frames (bounded, drop-oldest) during the outage, and
-    /// reconnects with capped, jittered backoff. `None` keeps the
-    /// historical behaviour (a failed link tears its worker down).
+    /// neighbour endpoint is wrapped in a [`LinkSupervisor`] that
+    /// detects failed sends, buffers outbound frames (bounded,
+    /// drop-oldest) during the outage, and repairs the link with
+    /// capped, jittered backoff. Receives bypass the supervisor, so a
+    /// link whose peer closes it still ends its worker, and the
+    /// worker's supervisor with it. `None` leaves sends unsupervised:
+    /// a frame whose send fails is lost.
     pub link_supervision: Option<SupervisorConfig>,
     /// Durability: when set, the broker journals its control plane
     /// (local subscriptions, trace-topic owner keys) to a write-ahead
@@ -253,9 +255,11 @@ struct Inner {
     /// Per-broker causal-tracing span ring.
     recorder: FlightRecorder,
     msg_seq: AtomicU64,
-    /// Live supervisors for every wrapped link (kept so the repair
-    /// threads stay alive and their stats stay inspectable).
-    supervisors: Mutex<Vec<LinkSupervisor>>,
+    /// The supervisor of every open supervised link, by link number.
+    /// A link's worker removes its own when the link closes.
+    supervisors: Mutex<BTreeMap<u64, LinkSupervisor>>,
+    /// Numbers supervised links and seeds their backoff jitter.
+    next_link: AtomicU64,
     /// Notified on every supervised-link state transition (see
     /// [`Broker::wait_for_link_stats`]).
     link_cv: Condvar,
@@ -365,7 +369,8 @@ impl Broker {
                 routes,
                 recorder,
                 msg_seq: AtomicU64::new(1),
-                supervisors: Mutex::new(Vec::new()),
+                supervisors: Mutex::new(BTreeMap::new()),
+                next_link: AtomicU64::new(0),
                 link_cv: Condvar::new(),
                 monitor_on: AtomicBool::new(false),
                 monitor: RwLock::new(None),
@@ -622,7 +627,7 @@ impl Broker {
         let deadline = Instant::now() + timeout;
         let mut supervisors = self.inner.supervisors.lock();
         loop {
-            let stats: Vec<LinkStats> = supervisors.iter().map(LinkSupervisor::stats).collect();
+            let stats: Vec<LinkStats> = supervisors.values().map(LinkSupervisor::stats).collect();
             if pred(&stats) {
                 return true;
             }
@@ -636,8 +641,9 @@ impl Broker {
     }
 
     /// Wraps `endpoint` in a [`LinkSupervisor`] when
-    /// [`BrokerConfig::link_supervision`] is set: the returned facade
-    /// buffers through outages and the supervisor's state transitions
+    /// [`BrokerConfig::link_supervision`] is set, returning the facade
+    /// and the link's number in the supervisor map. The facade buffers
+    /// sends through outages, and the supervisor's state transitions
     /// feed the `broker.link.*` metrics and (when telemetry is on) the
     /// flight recorder as `link_down`/`link_up` spans.
     ///
@@ -648,18 +654,13 @@ impl Broker {
     /// from a restarted peer; if the peer process restarted, its
     /// subscription table is gone (or freshly recovered) and only a
     /// re-run of the session sync restores routing toward us.
-    fn supervise_link(
-        &self,
-        endpoint: Endpoint,
-        connector: Option<Box<dyn Connector>>,
-        neighbor_resync: bool,
-    ) -> Endpoint {
+    fn supervise_link(&self, endpoint: Endpoint, neighbor_resync: bool) -> (Endpoint, Option<u64>) {
         let Some(base) = &self.inner.config.link_supervision else {
-            return endpoint;
+            return (endpoint, None);
         };
         // Give each link its own jitter seed so simultaneous outages
         // don't retry in lockstep.
-        let index = self.inner.supervisors.lock().len() as u64;
+        let link = self.inner.next_link.fetch_add(1, Ordering::Relaxed);
         let weak = Arc::downgrade(&self.inner);
         let telemetry_on = self.inner.config.telemetry.enabled;
         let observer: nb_transport::supervisor::StateObserver = Arc::new(move |old, new| {
@@ -681,36 +682,37 @@ impl Broker {
         });
         let mut cfg = base
             .clone()
-            .with_seed(base.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .with_seed(base.seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .with_observer(observer);
         // The hook needs the facade's sender, which doesn't exist yet
         // when the config is built — hand it a slot filled in below.
-        let sender_slot: Arc<Mutex<Option<Arc<dyn FrameSender>>>> = Arc::new(Mutex::new(None));
+        // The slot holds it weakly: the hook lives in the supervisor,
+        // and the sender holds the supervisor.
+        let sender_slot: Arc<Mutex<Option<Weak<dyn FrameSender>>>> = Arc::new(Mutex::new(None));
         if neighbor_resync {
             let slot = Arc::clone(&sender_slot);
             let weak = Arc::downgrade(&self.inner);
             cfg = cfg.with_reconnect_hook(Arc::new(move |_reconnects| {
                 let Some(inner) = weak.upgrade() else { return };
-                let Some(sender) = slot.lock().clone() else { return };
+                let Some(sender) = slot.lock().as_ref().and_then(Weak::upgrade) else {
+                    return;
+                };
                 resync_neighbor_session(&inner, &sender);
             }));
         }
-        let (facade, supervisor) = match connector {
-            Some(c) => LinkSupervisor::supervise_with_connector(endpoint, c, cfg),
-            None => LinkSupervisor::supervise(endpoint, cfg),
-        };
-        *sender_slot.lock() = Some(facade.sender());
-        self.inner.supervisors.lock().push(supervisor);
-        facade
+        let (facade, supervisor) = LinkSupervisor::supervise(endpoint, cfg);
+        *sender_slot.lock() = Some(Arc::downgrade(&facade.sender()));
+        self.inner.supervisors.lock().insert(link, supervisor);
+        (facade, Some(link))
     }
 
-    /// Point-in-time stats for every supervised link of this broker
-    /// (empty when supervision is disabled).
+    /// Point-in-time stats for every open supervised link of this
+    /// broker (empty when supervision is disabled).
     pub fn link_stats(&self) -> Vec<LinkStats> {
         self.inner
             .supervisors
             .lock()
-            .iter()
+            .values()
             .map(LinkSupervisor::stats)
             .collect()
     }
@@ -719,42 +721,40 @@ impl Broker {
     /// `Attach` payload carrying the client id. Spawns the worker
     /// thread and returns immediately.
     pub fn attach_client(&self, endpoint: Endpoint) {
-        let endpoint = self.supervise_link(endpoint, None, false);
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name(format!("{}-client-worker", inner.id))
-            .spawn(move || client_worker(inner, endpoint))
-            .expect("spawn client worker");
+        self.spawn_worker("client", endpoint, false, client_worker);
     }
 
     /// Connects a neighbouring broker over `endpoint`. Both sides call
     /// this on their half of the link. Spawns the worker thread.
     pub fn connect_neighbor(&self, endpoint: Endpoint) {
-        let endpoint = self.supervise_link(endpoint, None, true);
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name(format!("{}-neighbor-worker", inner.id))
-            .spawn(move || neighbor_worker(inner, endpoint))
-            .expect("spawn neighbor worker");
+        self.spawn_worker("neighbor", endpoint, true, neighbor_worker);
     }
 
-    /// Like [`Broker::connect_neighbor`], but repair redials a fresh
-    /// endpoint through `connector` instead of probing the broken one —
-    /// the mode real transports (TCP) need, since their streams cannot
-    /// be reused after a failure. Requires
-    /// [`BrokerConfig::link_supervision`]; panics otherwise, because a
-    /// connector without a supervisor could never be used.
-    pub fn connect_neighbor_with_reconnect(&self, endpoint: Endpoint, connector: Box<dyn Connector>) {
-        assert!(
-            self.inner.config.link_supervision.is_some(),
-            "connect_neighbor_with_reconnect requires BrokerConfig::link_supervision"
-        );
-        let endpoint = self.supervise_link(endpoint, Some(connector), true);
+    /// Runs `worker` over `endpoint`, supervised if so configured, on a
+    /// thread of its own. Once the worker returns (its link closed),
+    /// the thread takes the link's supervisor out of the map and drops
+    /// it after the map's lock is released: shutting a supervisor down
+    /// joins its thread, which may be inside the reconnect hook, and
+    /// the hook takes the advert and state locks.
+    fn spawn_worker(
+        &self,
+        role: &str,
+        endpoint: Endpoint,
+        neighbor_resync: bool,
+        worker: fn(&Inner, Endpoint),
+    ) {
+        let (endpoint, link) = self.supervise_link(endpoint, neighbor_resync);
         let inner = Arc::clone(&self.inner);
         std::thread::Builder::new()
-            .name(format!("{}-neighbor-worker", inner.id))
-            .spawn(move || neighbor_worker(inner, endpoint))
-            .expect("spawn neighbor worker");
+            .name(format!("{}-{role}-worker", inner.id))
+            .spawn(move || {
+                worker(&inner, endpoint);
+                if let Some(link) = link {
+                    let supervisor = inner.supervisors.lock().remove(&link);
+                    drop(supervisor);
+                }
+            })
+            .expect("spawn link worker");
     }
 
     /// Registers an in-process consumer (the tracing engine, a hosted
@@ -1303,8 +1303,7 @@ enum ClientFrame {
     Terminated,
 }
 
-fn client_worker(inner: Arc<Inner>, endpoint: Endpoint) {
-    let inner = &inner;
+fn client_worker(inner: &Inner, endpoint: Endpoint) {
     // Handshake: first frame must be Attach; anything before it is
     // ignored.
     let (client_id, terminated) = loop {
@@ -1611,8 +1610,7 @@ fn resync_neighbor_session(inner: &Inner, sender: &Arc<dyn FrameSender>) {
     }
 }
 
-fn neighbor_worker(inner: Arc<Inner>, endpoint: Endpoint) {
-    let inner = &inner;
+fn neighbor_worker(inner: &Inner, endpoint: Endpoint) {
     // Identify ourselves, then wait for the peer's hello, buffering
     // anything (e.g. adverts reordered by jitter) that arrives before
     // it. The hello is retransmitted periodically so a lossy link

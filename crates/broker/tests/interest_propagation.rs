@@ -2,7 +2,7 @@
 //! subscriber, and leaves them when the subscriber goes: a second
 //! subscriber's advert is relayed past a broker that already held the
 //! filter, every way a subscriber can leave withdraws its interest
-//! upstream, a repaired link does not echo a neighbour's own interest
+//! upstream (over plain and supervised links), a repaired link does not echo a neighbour's own interest
 //! back to it, and a full-set advert never lands behind a withdrawal.
 //! Anti-entropy is off throughout, so only the incremental adverts are
 //! under test.
@@ -132,34 +132,43 @@ fn every_way_a_subscriber_leaves_withdraws_its_interest() {
             Some(client)
         }),
     ];
-    for (why, leave) in leaves {
-        let net = chain(2, config());
-        let subscriber = net.attach_client(0, "sub").unwrap();
-        subscriber.subscribe(x.clone(), TIMEOUT).unwrap();
-        assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
-        let _still_attached = leave(subscriber, &x);
-        assert_not_forwarded(&net, 1, &x, why);
-    }
-
-    // A neighbour departing withdraws what it advertised from the
-    // brokers beyond: broker-0's stand-in advertises, then its link
-    // closes.
-    let net = chain(2, config());
-    let (uplink, rx) = crossbeam::channel::unbounded();
-    net.broker(0)
-        .connect_neighbor(Endpoint::from_parts(Arc::new(Discard), rx));
-    let control =
-        |payload| Message::new(1, nb_broker::control_topic(), "stand-in", 0, payload).to_bytes();
-    let hello = Payload::NeighborHello {
-        broker_id: "stand-in".into(),
+    // Supervised links leave the same ways: a closed link still ends
+    // its worker.
+    let supervised = BrokerConfig {
+        link_supervision: Some(SupervisorConfig::fast()),
+        ..config()
     };
-    uplink.send(control(hello)).unwrap();
-    uplink
-        .send(control(Payload::NeighborSubscribe { filter: x.clone() }))
-        .unwrap();
-    assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
-    drop(uplink);
-    assert_not_forwarded(&net, 1, &x, "departure");
+    for (links, config) in [("plain", config()), ("supervised", supervised)] {
+        for (why, leave) in leaves {
+            let net = chain(2, config.clone());
+            let subscriber = net.attach_client(0, "sub").unwrap();
+            subscriber.subscribe(x.clone(), TIMEOUT).unwrap();
+            assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
+            let _still_attached = leave(subscriber, &x);
+            assert_not_forwarded(&net, 1, &x, &format!("{links} {why}"));
+        }
+
+        // A neighbour departing withdraws what it advertised from the
+        // brokers beyond: broker-0's stand-in advertises, then its link
+        // closes.
+        let net = chain(2, config);
+        let (uplink, rx) = crossbeam::channel::unbounded();
+        net.broker(0)
+            .connect_neighbor(Endpoint::from_parts(Arc::new(Discard), rx));
+        let control = |payload| {
+            Message::new(1, nb_broker::control_topic(), "stand-in", 0, payload).to_bytes()
+        };
+        let hello = Payload::NeighborHello {
+            broker_id: "stand-in".into(),
+        };
+        uplink.send(control(hello)).unwrap();
+        uplink
+            .send(control(Payload::NeighborSubscribe { filter: x.clone() }))
+            .unwrap();
+        assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
+        drop(uplink);
+        assert_not_forwarded(&net, 1, &x, &format!("{links} departure"));
+    }
 }
 
 #[test]

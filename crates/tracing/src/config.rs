@@ -73,9 +73,9 @@ pub struct TracingConfig {
     pub telemetry: nb_telemetry::TelemetryConfig,
     /// Link-failure fault tolerance for the deployment's brokers: when
     /// set, every broker link runs under a supervisor that buffers
-    /// through outages and reconnects with backoff (see
-    /// `docs/ARCHITECTURE.md`, "Fault tolerance"). `None` keeps the
-    /// historical tear-down-on-failure behaviour.
+    /// sends through outages and repairs the link with backoff; a link
+    /// whose peer closes it still ends (see `docs/ARCHITECTURE.md`,
+    /// "Fault tolerance"). `None` leaves sends unsupervised.
     pub link_supervision: Option<nb_transport::supervisor::SupervisorConfig>,
 }
 

@@ -141,7 +141,7 @@ impl TracedEntity {
                 Payload::TraceRegistration {
                     entity_id: opts.entity_id.clone(),
                     credentials: opts.credential.certificate.clone(),
-                    advertisement: advertisement.clone(),
+                    advertisement: Box::new(advertisement.clone()),
                 },
             );
             reg.sign(&opts.credential)?;

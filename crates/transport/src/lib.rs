@@ -11,7 +11,7 @@
 //!   the paper's 1–2 ms per-hop cluster links),
 //! * [`tcp`] / [`udp`] — real socket transports over the loopback or a
 //!   LAN (the two transports benchmarked in §6.1),
-//! * [`supervisor`] — supervised links: failure detection, reconnect
+//! * [`supervisor`] — supervised links: failure detection, repair
 //!   with capped backoff, and bounded buffering with in-order replay,
 //! * [`metrics`] — RTT/loss/bandwidth estimators feeding the
 //!   NETWORK_METRICS traces,
@@ -32,9 +32,7 @@ pub use clock::{Clock, MockClock, SystemClock};
 pub use endpoint::Endpoint;
 pub use error::TransportError;
 pub use sim::{LinkConfig, LinkId, SimNetwork};
-pub use supervisor::{
-    BackoffPolicy, Connector, LinkState, LinkStats, LinkSupervisor, SupervisorConfig,
-};
+pub use supervisor::{BackoffPolicy, LinkState, LinkStats, LinkSupervisor, SupervisorConfig};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, TransportError>;

@@ -1,6 +1,8 @@
-//! Protocol payloads: topic creation/discovery (§3.1), registration
-//! (§3.2), broker operations (§3.3), interest gauging (§3.5), key
-//! distribution (§5.1), and the §6.3 symmetric-key optimization.
+//! Protocol payloads: registration (§3.2), broker operations (§3.3),
+//! interest gauging (§3.5), key distribution (§5.1), and the §6.3
+//! symmetric-key optimization; plus the signed topic advertisement
+//! (§3.1) that registration carries. Topic creation and discovery are
+//! in-process calls to a TDN, so they have no payloads.
 
 use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::error::WireError;
@@ -323,42 +325,6 @@ pub enum Payload {
         reason: String,
     },
 
-    // ----- topic creation & discovery (§3.1, §3.4) -----
-    /// Entity → TDN: create a trace topic.
-    TopicCreationRequest {
-        /// The requesting entity's credentials.
-        credentials: Certificate,
-        /// Descriptor to associate with the topic.
-        descriptor: String,
-        /// Who may discover the topic.
-        restrictions: DiscoveryRestrictions,
-        /// Topic lifetime in ms (0 = unbounded).
-        lifetime_ms: u64,
-    },
-    /// TDN → entity: the signed advertisement.
-    TopicCreationResponse {
-        /// The newly minted advertisement.
-        advertisement: TopicAdvertisement,
-    },
-    /// Tracker → TDN: discover a trace topic.
-    DiscoveryRequest {
-        /// Descriptor query (e.g. `/Liveness/entity-1`).
-        query: String,
-        /// The requesting tracker's credentials.
-        credentials: Certificate,
-    },
-    /// TDN → tracker: matching advertisements (empty response is never
-    /// sent for unauthorized queries — they are silently ignored).
-    DiscoveryResponse {
-        /// Matching, authorized advertisements.
-        advertisements: Vec<TopicAdvertisement>,
-    },
-    /// TDN ↔ TDN: replicate an advertisement.
-    AdvertisementReplica {
-        /// The advertisement being replicated.
-        advertisement: TopicAdvertisement,
-    },
-
     // ----- trace registration (§3.2) -----
     /// Entity → broker: request tracing (published on the registration
     /// constrained topic; the envelope must be signed).
@@ -367,8 +333,9 @@ pub enum Payload {
         entity_id: String,
         /// The entity's credentials.
         credentials: Certificate,
-        /// The trace-topic advertisement (provenance).
-        advertisement: TopicAdvertisement,
+        /// The trace-topic advertisement (provenance), boxed: it is
+        /// more than twice the size of any other variant.
+        advertisement: Box<TopicAdvertisement>,
     },
     /// Broker → entity: success, sealed to the entity's public key.
     RegistrationAccepted {
@@ -552,35 +519,6 @@ impl Encode for Payload {
                 w.put_u8(5);
                 w.put_str(reason);
             }
-            Payload::TopicCreationRequest {
-                credentials,
-                descriptor,
-                restrictions,
-                lifetime_ms,
-            } => {
-                w.put_u8(10);
-                w.put_bytes(&credentials.to_bytes());
-                w.put_str(descriptor);
-                restrictions.encode(w);
-                w.put_u64(*lifetime_ms);
-            }
-            Payload::TopicCreationResponse { advertisement } => {
-                w.put_u8(11);
-                advertisement.encode(w);
-            }
-            Payload::DiscoveryRequest { query, credentials } => {
-                w.put_u8(12);
-                w.put_str(query);
-                w.put_bytes(&credentials.to_bytes());
-            }
-            Payload::DiscoveryResponse { advertisements } => {
-                w.put_u8(13);
-                w.put_seq(advertisements, |w, a| a.encode(w));
-            }
-            Payload::AdvertisementReplica { advertisement } => {
-                w.put_u8(14);
-                advertisement.encode(w);
-            }
             Payload::TraceRegistration {
                 entity_id,
                 credentials,
@@ -708,29 +646,10 @@ impl Decode for Payload {
             5 => Ok(Payload::Nack {
                 reason: r.get_str()?,
             }),
-            10 => Ok(Payload::TopicCreationRequest {
-                credentials: Certificate::from_bytes(&r.get_bytes()?)?,
-                descriptor: r.get_str()?,
-                restrictions: DiscoveryRestrictions::decode(r)?,
-                lifetime_ms: r.get_u64()?,
-            }),
-            11 => Ok(Payload::TopicCreationResponse {
-                advertisement: TopicAdvertisement::decode(r)?,
-            }),
-            12 => Ok(Payload::DiscoveryRequest {
-                query: r.get_str()?,
-                credentials: Certificate::from_bytes(&r.get_bytes()?)?,
-            }),
-            13 => Ok(Payload::DiscoveryResponse {
-                advertisements: r.get_seq(TopicAdvertisement::decode)?,
-            }),
-            14 => Ok(Payload::AdvertisementReplica {
-                advertisement: TopicAdvertisement::decode(r)?,
-            }),
             20 => Ok(Payload::TraceRegistration {
                 entity_id: r.get_str()?,
                 credentials: Certificate::from_bytes(&r.get_bytes()?)?,
-                advertisement: TopicAdvertisement::decode(r)?,
+                advertisement: Box::new(TopicAdvertisement::decode(r)?),
             }),
             21 => Ok(Payload::RegistrationAccepted {
                 sealed: get_sealed(r)?,
@@ -878,34 +797,11 @@ mod tests {
     }
 
     #[test]
-    fn tdn_payloads_round_trip() {
-        round_trip(Payload::TopicCreationRequest {
-            credentials: cert().clone(),
-            descriptor: "Availability/Traces/e".to_string(),
-            restrictions: DiscoveryRestrictions::Open,
-            lifetime_ms: 1000,
-        });
-        round_trip(Payload::TopicCreationResponse {
-            advertisement: advertisement(),
-        });
-        round_trip(Payload::DiscoveryRequest {
-            query: "/Liveness/e".to_string(),
-            credentials: cert().clone(),
-        });
-        round_trip(Payload::DiscoveryResponse {
-            advertisements: vec![advertisement(), advertisement()],
-        });
-        round_trip(Payload::AdvertisementReplica {
-            advertisement: advertisement(),
-        });
-    }
-
-    #[test]
     fn registration_payloads_round_trip() {
         round_trip(Payload::TraceRegistration {
             entity_id: "entity-1".to_string(),
             credentials: cert().clone(),
-            advertisement: advertisement(),
+            advertisement: Box::new(advertisement()),
         });
         round_trip(Payload::RegistrationRejected {
             reason: "bad signature".to_string(),

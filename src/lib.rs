@@ -78,10 +78,12 @@
 //!
 //! Setting [`prelude::TracingConfig`]'s `link_supervision` (or
 //! `BrokerConfig::link_supervision` directly) runs every broker link
-//! under a [`prelude::LinkSupervisor`]: send/receive failures are
-//! detected, outbound frames are buffered through the outage (bounded,
-//! shedding oldest first), and the link reconnects with capped,
-//! jittered exponential backoff before replaying the buffer in order.
+//! under a [`prelude::LinkSupervisor`]: failed sends are detected,
+//! outbound frames are buffered through the outage (bounded, shedding
+//! oldest first), and the link is repaired with capped, jittered
+//! exponential backoff, replaying the buffer in order. Receives bypass
+//! the supervisor, so a link whose peer closes it ends, supervised or
+//! not.
 //! The simulated network can inject the faults to test against —
 //! `drop_link`, `flaky`, `partition`, `restore` (see the "Fault
 //! tolerance" section of `docs/ARCHITECTURE.md`).
