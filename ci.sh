@@ -36,6 +36,14 @@ for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in jso
         --manifest-path e2ebench/Cargo.toml -- --workload "$workload" --seed 1 --seconds 3 --trace 0
 done
 
+# The committed parent/change e2ebench pairs (BENCH_e2e.json, written
+# by ci/e2e_pairs.py): every run correct, each summary re-derived from
+# the runs, no end-to-end metric past its BENCHMARK.json bound, and
+# every claimed gain holding (see "End-to-end pairs" in
+# docs/PERFORMANCE.md).
+echo "== e2e pairs check =="
+python3 ci/check_bench_json.py e2e
+
 # The five data-plane reports below share one loopback harness and one
 # trial policy (crates/bench/src/loopback.rs): 5 interleaved trials per
 # configuration, medians compared, and an overhead gate that fails only

@@ -4,11 +4,13 @@
 Usage: check_bench_json.py <schema>
 
 where <schema> is one of ``throughput``, ``monitor``, ``obs``,
-``recovery`` or ``session``. Each schema names the file the matching
-bench binary writes, its per-configuration sections, its overhead
-budget and the report-level invariants CI holds it to (see
-docs/PERFORMANCE.md and docs/OBSERVABILITY.md). Exits non-zero with a
-message on the first violation.
+``recovery``, ``session`` or ``e2e``. Each loopback schema names the
+file the matching bench binary writes, its per-configuration sections,
+its overhead budget and the report-level invariants CI holds it to (see
+docs/PERFORMANCE.md and docs/OBSERVABILITY.md). ``e2e`` checks
+BENCH_e2e.json, the parent/change e2ebench pairs ci/e2e_pairs.py
+writes (see ``check_e2e``). Exits non-zero with a message on the first
+violation.
 
 Every section comes from the shared loopback harness
 (crates/bench/src/loopback.rs): at least 5 interleaved trials, the
@@ -74,6 +76,9 @@ SCHEMAS = {
             "fastpath_keys",
         ),
         "budget_pct": 5,
+    },
+    "e2e": {
+        "file": "BENCH_e2e.json",
     },
 }
 
@@ -141,10 +146,109 @@ def check_gate(report: dict, sections: tuple, budget: float) -> str:
     return f"overhead {gate['overhead_pct']}% ({expected}, noise {gate['noise_pct']}%)"
 
 
+# A claimed gain needs at least CLAIM_PAIRS pairs and must win nine
+# tenths of them (ties count for neither side).
+CLAIM_PAIRS = 10
+
+
+def better_by(metric: dict, parent: float, change: float) -> float:
+    """How much better `change` is than `parent` (negative: worse)."""
+    return parent - change if metric["better"] == "lower" else change - parent
+
+
+def summarize(pairs: list, metric: dict) -> dict:
+    """One metric over a workload's pairs: each side's median and
+    quartiles, the pairs the change won, and the verdicts.
+
+    ``claim`` holds when there are at least CLAIM_PAIRS pairs, the
+    change wins nine tenths of them, and the medians differ, in the
+    better direction, by more than the parent's IQR. ``regression`` is
+    the loopback gate rule with the metric's BENCHMARK.json bound as the
+    budget: "fail" when the change's median is worse by more than the
+    bound and by more than the parent's IQR (both relative to the
+    parent's median), "unresolved" when that IQR is wider than the
+    bound, except "pass" when every change run reads better than every
+    parent run."""
+    name = metric["name"]
+    sides = {}
+    for side in ("parent", "change"):
+        values = sorted(p[side]["metrics"][name] for p in pairs)
+        q1, med, q3 = (quantile(values, q) for q in (0.25, 0.5, 0.75))
+        sides[side] = {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+    parent, change = sides["parent"], sides["change"]
+    runs = {side: [p[side]["metrics"][name] for p in pairs] for side in sides}
+    wins = sum(better_by(metric, p, c) > 0 for p, c in zip(runs["parent"], runs["change"]))
+    gain = better_by(metric, parent["median"], change["median"])
+    claim = len(pairs) >= CLAIM_PAIRS and wins * 10 >= len(pairs) * 9 and gain > parent["iqr"]
+    scale = abs(parent["median"]) or 1.0
+    worse_pct = -gain / scale * 100
+    noise_pct = parent["iqr"] / scale * 100
+    separated = all(better_by(metric, p, c) > 0 for p in runs["parent"] for c in runs["change"])
+    return {
+        "parent": parent,
+        "change": change,
+        "change_wins": wins,
+        "pairs": len(pairs),
+        "claim": claim,
+        "worse_pct": worse_pct,
+        "noise_pct": noise_pct,
+        "regression": "pass" if separated else verdict(worse_pct, noise_pct, metric["bound"] * 100),
+    }
+
+
+def check_e2e(report: dict, benchmark: dict) -> str:
+    """BENCH_e2e.json: every run correct, the summaries re-derived from
+    the runs, every claim holding and no metric regressing."""
+    metrics = benchmark["end_to_end"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    assert report["bench"] == "e2ebench", f"wrong bench: {report['bench']}"
+    assert set(report["workloads"]) == set(workloads), f"workloads {sorted(report['workloads'])}"
+    done = []
+    for workload, body in report["workloads"].items():
+        pairs = body["pairs"]
+        assert pairs, f"{workload}: no pairs"
+        for i, pair in enumerate(pairs):
+            want_first = "parent" if i % 2 == 0 else "change"
+            assert pair["first"] == want_first, f"{workload} pair {i}: {pair['first']} ran first"
+            for side in ("parent", "change"):
+                run = pair[side]
+                assert run["correct"] is True, f"{workload} pair {i}: incorrect {side} run"
+                for m in metrics:
+                    assert m["name"] in run["metrics"], f"{workload} pair {i} {side}: no {m['name']}"
+        for m in metrics:
+            want = summarize(pairs, m)
+            got = body["summary"][m["name"]]
+            for key in ("change_wins", "pairs", "claim", "regression"):
+                assert got[key] == want[key], f"{workload} {m['name']}.{key}: {got[key]}, runs give {want[key]}"
+            for side in ("parent", "change"):
+                for key in ("median", "q1", "q3", "iqr"):
+                    assert abs(got[side][key] - want[side][key]) <= 1e-9 * max(1.0, abs(want[side][key])), (
+                        f"{workload} {m['name']}.{side}.{key}: {got[side][key]}, runs give {want[side][key]}"
+                    )
+            assert want["regression"] != "fail", (
+                f"{workload} {m['name']} is {want['worse_pct']:.2f}% worse "
+                f"(bound {m['bound'] * 100}%, parent noise {want['noise_pct']:.2f}%)"
+            )
+        done.append(f"{workload} {len(pairs)} pairs")
+    for claim in report["claims"]:
+        summary = report["workloads"][claim["workload"]]["summary"][claim["metric"]]
+        assert summary["claim"], (
+            f"claimed {claim['workload']} {claim['metric']}: change won "
+            f"{summary['change_wins']} of {summary['pairs']} pairs, medians "
+            f"{summary['parent']['median']} -> {summary['change']['median']}, "
+            f"parent IQR {summary['parent']['iqr']}"
+        )
+        done.append(f"claim {claim['workload']} {claim['metric']} holds")
+    return ", ".join(done)
+
+
 def check(schema_name: str) -> str:
     schema = SCHEMAS[schema_name]
     with open(schema["file"]) as f:
         report = json.load(f)
+    if schema_name == "e2e":
+        with open("BENCHMARK.json") as f:
+            return check_e2e(report, json.load(f))
 
     assert report["bench"] == schema["bench"], f"wrong bench: {report['bench']}"
     check_runs(report, schema["sections"])

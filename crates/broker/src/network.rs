@@ -56,7 +56,8 @@ impl Medium {
     }
 }
 
-/// A set of brokers wired over one medium.
+/// A set of brokers wired over one medium. Dropping it shuts every
+/// broker down ([`Broker::shutdown`]).
 pub struct BrokerNetwork {
     /// The broker nodes, in construction order.
     pub brokers: Vec<Broker>,
@@ -309,5 +310,21 @@ impl BrokerNetwork {
                 let remaining = deadline.saturating_duration_since(std::time::Instant::now());
                 broker.wait_for_neighbors(want, remaining)
             })
+    }
+}
+
+impl Drop for BrokerNetwork {
+    /// Closes every broker's links before it waits for any broker's
+    /// threads, so no broker reads a peer's shutdown as a departure and
+    /// the closes overlap (a UDP reader exits on its next poll). When
+    /// this returns, every link worker and supervisor of the network
+    /// has exited.
+    fn drop(&mut self) {
+        for broker in &self.brokers {
+            broker.close_links();
+        }
+        for broker in &self.brokers {
+            broker.shutdown();
+        }
     }
 }

@@ -28,6 +28,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Broker tuning knobs.
@@ -255,10 +256,11 @@ struct Inner {
     /// Per-broker causal-tracing span ring.
     recorder: FlightRecorder,
     msg_seq: AtomicU64,
-    /// The supervisor of every open supervised link, by link number.
-    /// A link's worker removes its own when the link closes.
-    supervisors: Mutex<BTreeMap<u64, LinkSupervisor>>,
-    /// Numbers supervised links and seeds their backoff jitter.
+    /// Every link a worker serves, by link number. A link's worker
+    /// removes its own when the link closes; [`Broker::shutdown`]
+    /// closes and joins the rest.
+    links: Mutex<BTreeMap<u64, Link>>,
+    /// Numbers links and seeds supervised links' backoff jitter.
     next_link: AtomicU64,
     /// Notified on every supervised-link state transition (see
     /// [`Broker::wait_for_link_stats`]).
@@ -281,6 +283,55 @@ struct Inner {
     /// What recovery found on construction (`None` without a data
     /// dir).
     recovery: Option<Recovery>,
+    /// Set when [`Broker::shutdown`] begins; shared with the advert
+    /// refresher, which sleeps on it.
+    closing: Arc<Closing>,
+    /// The advert refresher's thread, joined by [`Broker::shutdown`].
+    refresher: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// One link a worker serves.
+struct Link {
+    /// The worker's sender (a supervised link's facade): closing it
+    /// ends the worker's receives.
+    sender: Arc<dyn FrameSender>,
+    worker: JoinHandle<()>,
+    /// Present when [`BrokerConfig::link_supervision`] is set.
+    supervisor: Option<LinkSupervisor>,
+}
+
+/// Whether [`Broker::shutdown`] has begun, with the condition variable
+/// the advert refresher sleeps on so that shutdown wakes it at once.
+#[derive(Default)]
+struct Closing {
+    closed: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Closing {
+    fn is_closed(&self) -> bool {
+        *self.closed.lock()
+    }
+
+    fn close(&self) {
+        *self.closed.lock() = true;
+        self.cv.notify_all();
+    }
+
+    /// Sleeps for `interval` unless the broker closes first; returns
+    /// whether it is still open.
+    fn sleep_while_open(&self, interval: Duration) -> bool {
+        let deadline = Instant::now() + interval;
+        let mut closed = self.closed.lock();
+        while !*closed {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return true;
+            }
+            self.cv.wait_for(&mut closed, left);
+        }
+        false
+    }
 }
 
 /// The durable store plus the mirror state it checkpoints from.
@@ -369,7 +420,7 @@ impl Broker {
                 routes,
                 recorder,
                 msg_seq: AtomicU64::new(1),
-                supervisors: Mutex::new(BTreeMap::new()),
+                links: Mutex::new(BTreeMap::new()),
                 next_link: AtomicU64::new(0),
                 link_cv: Condvar::new(),
                 monitor_on: AtomicBool::new(false),
@@ -377,18 +428,23 @@ impl Broker {
                 session_keys: Arc::new(SessionKeyring::new()),
                 persist: Mutex::new(persist),
                 recovery,
+                closing: Arc::new(Closing::default()),
+                refresher: Mutex::new(None),
             }),
         };
         if let Some(interval) = broker.inner.config.advert_refresh {
             let weak = Arc::downgrade(&broker.inner);
-            std::thread::Builder::new()
+            let closing = Arc::clone(&broker.inner.closing);
+            let refresher = std::thread::Builder::new()
                 .name(format!("{}-advert-refresh", broker.inner.id))
-                .spawn(move || loop {
-                    std::thread::sleep(interval);
-                    let Some(inner) = weak.upgrade() else { return };
-                    refresh_adverts(&inner);
+                .spawn(move || {
+                    while closing.sleep_while_open(interval) {
+                        let Some(inner) = weak.upgrade() else { return };
+                        refresh_adverts(&inner);
+                    }
                 })
                 .expect("spawn advert refresher");
+            *broker.inner.refresher.lock() = Some(refresher);
         }
         broker
     }
@@ -410,6 +466,55 @@ impl Broker {
     /// No-op for brokers without a data dir.
     pub fn simulate_crash(&self) {
         *self.inner.persist.lock() = None;
+    }
+
+    /// Shuts this broker down: closes every link it serves, waits for
+    /// the links' workers and supervisors and the advert refresher to
+    /// exit, and drops the broker's in-process consumers, route cache
+    /// and monitor.
+    ///
+    /// Shutdown is not a departure. From its start nothing is
+    /// journalled and no withdrawal is sent, so a durable broker
+    /// reopened over its data dir recovers what it held, as after
+    /// [`Broker::simulate_crash`]. A handle that outlives shutdown is
+    /// inert: a link attached later is closed at once, and publishes
+    /// reach no one. Idempotent.
+    pub fn shutdown(&self) {
+        self.close_links();
+        let links = std::mem::take(&mut *self.inner.links.lock());
+        let refresher = self.inner.refresher.lock().take();
+        let workers = links.into_values().map(|link| link.worker);
+        for thread in workers.chain(refresher) {
+            // A shutdown run on a thread of this broker's own cannot
+            // wait for itself.
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
+        }
+        {
+            let mut state = self.inner.state.lock();
+            state.clients.clear();
+            state.neighbors.clear();
+            state.internal.clear();
+            state.hello_replied_ms.clear();
+            self.inner.routes.bump();
+        }
+        self.inner.routes.clear();
+        self.inner.monitor_on.store(false, Ordering::Release);
+        *self.inner.monitor.write() = None;
+    }
+
+    /// The first half of [`Broker::shutdown`], which waits for nothing:
+    /// marks the broker closed, detaches its durable store and closes
+    /// every link it serves. A network of brokers runs it on each
+    /// broker before it waits for any, so no broker reads a peer's
+    /// shutdown as a departure.
+    pub(crate) fn close_links(&self) {
+        self.inner.closing.close();
+        self.simulate_crash();
+        for link in self.inner.links.lock().values() {
+            link.sender.close();
+        }
     }
 
     /// Counters snapshot.
@@ -447,8 +552,8 @@ impl Broker {
             m.queue_depth
                 .set(state.internal.values().map(|tx| tx.len() as i64).sum());
         }
-        m.links_supervised
-            .set(self.inner.supervisors.lock().len() as i64);
+        let supervised = self.link_stats().len();
+        m.links_supervised.set(supervised as i64);
         m.registry.snapshot()
     }
 
@@ -625,10 +730,9 @@ impl Broker {
         mut pred: impl FnMut(&[LinkStats]) -> bool,
     ) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut supervisors = self.inner.supervisors.lock();
+        let mut links = self.inner.links.lock();
         loop {
-            let stats: Vec<LinkStats> = supervisors.values().map(LinkSupervisor::stats).collect();
-            if pred(&stats) {
+            if pred(&supervised_stats(&links)) {
                 return true;
             }
             let now = Instant::now();
@@ -636,16 +740,16 @@ impl Broker {
                 return false;
             }
             let slice = (deadline - now).min(Duration::from_millis(50));
-            self.inner.link_cv.wait_for(&mut supervisors, slice);
+            self.inner.link_cv.wait_for(&mut links, slice);
         }
     }
 
     /// Wraps `endpoint` in a [`LinkSupervisor`] when
     /// [`BrokerConfig::link_supervision`] is set, returning the facade
-    /// and the link's number in the supervisor map. The facade buffers
-    /// sends through outages, and the supervisor's state transitions
-    /// feed the `broker.link.*` metrics and (when telemetry is on) the
-    /// flight recorder as `link_down`/`link_up` spans.
+    /// and the supervisor; `link` is the link's number. The facade
+    /// buffers sends through outages, and the supervisor's state
+    /// transitions feed the `broker.link.*` metrics and (when telemetry
+    /// is on) the flight recorder as `link_down`/`link_up` spans.
     ///
     /// With `neighbor_resync` set (neighbour links only), every
     /// completed repair cycle also replays the neighbour handshake —
@@ -654,13 +758,15 @@ impl Broker {
     /// from a restarted peer; if the peer process restarted, its
     /// subscription table is gone (or freshly recovered) and only a
     /// re-run of the session sync restores routing toward us.
-    fn supervise_link(&self, endpoint: Endpoint, neighbor_resync: bool) -> (Endpoint, Option<u64>) {
+    fn supervise_link(
+        &self,
+        endpoint: Endpoint,
+        link: u64,
+        neighbor_resync: bool,
+    ) -> (Endpoint, Option<LinkSupervisor>) {
         let Some(base) = &self.inner.config.link_supervision else {
             return (endpoint, None);
         };
-        // Give each link its own jitter seed so simultaneous outages
-        // don't retry in lockstep.
-        let link = self.inner.next_link.fetch_add(1, Ordering::Relaxed);
         let weak = Arc::downgrade(&self.inner);
         let telemetry_on = self.inner.config.telemetry.enabled;
         let observer: nb_transport::supervisor::StateObserver = Arc::new(move |old, new| {
@@ -680,6 +786,8 @@ impl Broker {
                 inner.recorder.record(SpanEvent::new(&ctx, stage, t, t));
             }
         });
+        // Give each link its own jitter seed so simultaneous outages
+        // don't retry in lockstep.
         let mut cfg = base
             .clone()
             .with_seed(base.seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -702,40 +810,38 @@ impl Broker {
         }
         let (facade, supervisor) = LinkSupervisor::supervise(endpoint, cfg);
         *sender_slot.lock() = Some(Arc::downgrade(&facade.sender()));
-        self.inner.supervisors.lock().insert(link, supervisor);
-        (facade, Some(link))
+        (facade, Some(supervisor))
     }
 
     /// Point-in-time stats for every open supervised link of this
     /// broker (empty when supervision is disabled).
     pub fn link_stats(&self) -> Vec<LinkStats> {
-        self.inner
-            .supervisors
-            .lock()
-            .values()
-            .map(LinkSupervisor::stats)
-            .collect()
+        supervised_stats(&self.inner.links.lock())
     }
 
     /// Attaches a client over `endpoint`; the first frame must be an
     /// `Attach` payload carrying the client id. Spawns the worker
-    /// thread and returns immediately.
+    /// thread and returns immediately. After [`Broker::shutdown`] the
+    /// endpoint is closed at once.
     pub fn attach_client(&self, endpoint: Endpoint) {
         self.spawn_worker("client", endpoint, false, client_worker);
     }
 
     /// Connects a neighbouring broker over `endpoint`. Both sides call
-    /// this on their half of the link. Spawns the worker thread.
+    /// this on their half of the link. Spawns the worker thread. After
+    /// [`Broker::shutdown`] the endpoint is closed at once.
     pub fn connect_neighbor(&self, endpoint: Endpoint) {
         self.spawn_worker("neighbor", endpoint, true, neighbor_worker);
     }
 
     /// Runs `worker` over `endpoint`, supervised if so configured, on a
-    /// thread of its own. Once the worker returns (its link closed),
-    /// the thread takes the link's supervisor out of the map and drops
-    /// it after the map's lock is released: shutting a supervisor down
-    /// joins its thread, which may be inside the reconnect hook, and
-    /// the hook takes the advert and state locks.
+    /// thread of its own, and enters the link in the link table; the
+    /// table's lock spans the closed check and the entry, so shutdown
+    /// closes every link it does not refuse. Once the worker returns
+    /// (its link closed), the thread takes the link out of the table
+    /// and drops it after the table's lock is released: shutting a
+    /// supervisor down joins its thread, which may be inside the
+    /// reconnect hook, and the hook takes the advert and state locks.
     fn spawn_worker(
         &self,
         role: &str,
@@ -743,27 +849,43 @@ impl Broker {
         neighbor_resync: bool,
         worker: fn(&Inner, Endpoint),
     ) {
-        let (endpoint, link) = self.supervise_link(endpoint, neighbor_resync);
+        let mut links = self.inner.links.lock();
+        if self.inner.closing.is_closed() {
+            endpoint.sender().close();
+            return;
+        }
+        let id = self.inner.next_link.fetch_add(1, Ordering::Relaxed);
+        let (endpoint, supervisor) = self.supervise_link(endpoint, id, neighbor_resync);
+        let sender = endpoint.sender();
         let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
+        let worker = std::thread::Builder::new()
             .name(format!("{}-{role}-worker", inner.id))
             .spawn(move || {
                 worker(&inner, endpoint);
-                if let Some(link) = link {
-                    let supervisor = inner.supervisors.lock().remove(&link);
-                    drop(supervisor);
-                }
+                let link = inner.links.lock().remove(&id);
+                drop(link);
             })
             .expect("spawn link worker");
+        links.insert(
+            id,
+            Link {
+                sender,
+                worker,
+                supervisor,
+            },
+        );
     }
 
     /// Registers an in-process consumer (the tracing engine, a hosted
-    /// TDN) and returns its message channel.
+    /// TDN) and returns its message channel. After
+    /// [`Broker::shutdown`] the channel is disconnected at once.
     pub fn register_internal(&self, consumer: &str) -> Receiver<Message> {
         let (tx, rx) = unbounded();
         let mut state = self.inner.state.lock();
-        state.internal.insert(consumer.to_string(), tx);
-        self.inner.routes.bump();
+        if !self.inner.closing.is_closed() {
+            state.internal.insert(consumer.to_string(), tx);
+            self.inner.routes.bump();
+        }
         rx
     }
 
@@ -842,6 +964,12 @@ impl Broker {
     pub fn neighbor_count(&self) -> usize {
         self.inner.state.lock().neighbors.len()
     }
+}
+
+/// Stats of the supervised links in `links`.
+fn supervised_stats(links: &BTreeMap<u64, Link>) -> Vec<LinkStats> {
+    let supervisors = links.values().filter_map(|link| link.supervisor.as_ref());
+    supervisors.map(LinkSupervisor::stats).collect()
 }
 
 /// Where a frame entered this broker.
@@ -1358,9 +1486,11 @@ fn client_worker(inner: &Inner, endpoint: Endpoint) {
             Err(_) => {
                 // Link dropped: clean up. Journalled too — the mirror
                 // tracks the live table exactly; only a *broker* crash
-                // (which journals nothing) preserves client
+                // or shutdown (which journal nothing) preserves client
                 // subscriptions for post-restart re-attachment.
-                change_interest(inner, Interest::ClientGone(&client_id));
+                if !inner.closing.is_closed() {
+                    change_interest(inner, Interest::ClientGone(&client_id));
+                }
                 return;
             }
         };
@@ -1655,7 +1785,10 @@ fn neighbor_worker(inner: &Inner, endpoint: Endpoint) {
         .recv_with(|frame| handle_neighbor_frame(inner, &peer_id, frame))
         .is_ok()
     {}
-    change_interest(inner, Interest::NeighborGone(&peer_id));
+    // A link closed by shutdown is not a departure.
+    if !inner.closing.is_closed() {
+        change_interest(inner, Interest::NeighborGone(&peer_id));
+    }
     inner.neighbor_cv.notify_all();
 }
 

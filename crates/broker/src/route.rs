@@ -255,6 +255,15 @@ impl RouteCache {
         self.version.load(Ordering::Acquire)
     }
 
+    /// Invalidates and drops every cached entry, and with them the
+    /// destinations they hold; a fill already under way is not cached.
+    pub(crate) fn clear(&self) {
+        self.bump();
+        for shard in &self.shards {
+            shard.write().clear();
+        }
+    }
+
     #[inline]
     fn shard(&self, hash: u64) -> &Shard {
         &self.shards[(hash as usize) & (SHARDS - 1)]
@@ -282,9 +291,15 @@ impl RouteCache {
     }
 
     /// Installs `entry` under `hash` at `version`, replacing any older
-    /// entry for the same topic.
+    /// entry for the same topic. An entry a control-plane change has
+    /// already overtaken would never be served, so it is not kept: the
+    /// version is checked under the shard lock, which makes
+    /// [`RouteCache::clear`] final.
     pub(crate) fn insert(&self, hash: u64, version: u64, entry: Arc<RouteEntry>) {
         let mut shard = self.shard(hash).write();
+        if version != self.current_version() {
+            return;
+        }
         let slots = shard.entry(hash).or_default();
         slots.retain(|(_, e)| e.topic != entry.topic);
         slots.push((version, entry));
@@ -348,6 +363,24 @@ mod tests {
 
         cache.insert(hash, cache.current_version(), entry("/A/B", &registry));
         assert!(cache.lookup(hash, &view.topic).is_some());
+    }
+
+    #[test]
+    fn clear_drops_every_entry_and_refuses_overtaken_fills() {
+        let registry = Registry::new();
+        let cache = RouteCache::new(&registry);
+        let (frame, hash) = view_of(&t("/A"));
+        let view = nb_wire::MessageView::parse(&frame).unwrap();
+        let filled_at = cache.current_version();
+        let cached = entry("/A", &registry);
+        cache.insert(hash, filled_at, Arc::clone(&cached));
+        assert_eq!(Arc::strong_count(&cached), 2);
+        cache.clear();
+        assert_eq!(Arc::strong_count(&cached), 1, "the cache let go of the entry");
+        // A fill that read its version before the clear lands after it.
+        cache.insert(hash, filled_at, Arc::clone(&cached));
+        assert_eq!(Arc::strong_count(&cached), 1);
+        assert!(cache.lookup(hash, &view.topic).is_none());
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub struct PropertySpec {
 ///
 /// Returns a human-readable message naming the offending line for
 /// syntax errors, unknown kinds, bad bounds, invalid patterns,
-/// duplicate names, or more than [`MAX_PROPERTIES`] properties.
+/// duplicate names, the reserved name `dropped`, or more than
+/// [`MAX_PROPERTIES`] properties.
 pub fn parse_properties(text: &str) -> Result<Vec<PropertySpec>, String> {
     let mut specs: Vec<PropertySpec> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -86,6 +87,10 @@ pub fn parse_properties(text: &str) -> Result<Vec<PropertySpec>, String> {
         }
         if specs.iter().any(|s| s.name == name) {
             return Err(err("duplicate property name"));
+        }
+        if name == "dropped" {
+            // Its per-property counter would be `monitor.violations.dropped`.
+            return Err(err("property name `dropped` is reserved"));
         }
         let (check, pattern) = rest
             .split_once(" on ")
@@ -208,6 +213,11 @@ mod tests {
         }
         let dup = "a: exactly-once on /x\na: require-token on /y\n";
         assert!(parse_properties(dup).is_err(), "accepted duplicate name");
+    }
+
+    #[test]
+    fn dropped_is_reserved() {
+        assert!(parse_properties("dropped: exactly-once on /x").is_err());
     }
 
     #[test]

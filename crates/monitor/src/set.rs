@@ -145,6 +145,10 @@ struct PingLedger {
 }
 
 const LEDGER_OUTSTANDING_CAP: usize = 1024;
+/// Violations kept in the log; older ones are dropped, and counted in
+/// `monitor.violations.dropped`, so a tamper or replay flood cannot
+/// grow the log without bound.
+const VIOLATION_LOG_CAP: usize = 1024;
 const DEDUP_WINDOW_CAP: usize = 8192;
 const PREFILTER_SLOTS: usize = 256;
 const PREFILTER_MASK_BITS: u64 = 0xFFFF;
@@ -153,6 +157,8 @@ struct MonitorMetrics {
     registry: Registry,
     events: Counter,
     violations: Counter,
+    /// Violations evicted from the capped log.
+    violations_dropped: Counter,
     audit_published: Counter,
     check_ns: Histogram,
 }
@@ -175,7 +181,8 @@ struct SetInner {
     revoked_sessions: RwLock<HashSet<u64>>,
     dedup: Mutex<DedupWindow>,
     ledgers: Mutex<HashMap<(String, String), PingLedger>>,
-    violations: Mutex<Vec<Violation>>,
+    /// The newest [`VIOLATION_LOG_CAP`] violations, oldest first.
+    violations: Mutex<VecDeque<Violation>>,
     audit: RwLock<Option<AuditSink>>,
     metrics: MonitorMetrics,
     seq: AtomicU64,
@@ -208,6 +215,7 @@ impl MonitorSet {
         let metrics = MonitorMetrics {
             events: registry.counter("monitor.events"),
             violations: registry.counter("monitor.violations"),
+            violations_dropped: registry.counter("monitor.violations.dropped"),
             audit_published: registry.counter("monitor.audit.published"),
             check_ns: registry.histogram("monitor.check_ns"),
             registry,
@@ -229,7 +237,7 @@ impl MonitorSet {
                 revoked_sessions: RwLock::new(HashSet::new()),
                 dedup: Mutex::new(DedupWindow::new(DEDUP_WINDOW_CAP)),
                 ledgers: Mutex::new(HashMap::new()),
-                violations: Mutex::new(Vec::new()),
+                violations: Mutex::new(VecDeque::new()),
                 audit: RwLock::new(None),
                 metrics,
                 seq: AtomicU64::new(0),
@@ -272,12 +280,13 @@ impl MonitorSet {
         &self.inner.credential.certificate
     }
 
-    /// Violations observed so far (clone of the log).
+    /// The newest violations observed, oldest first (a copy of the
+    /// log, which keeps the latest 1,024).
     pub fn violations(&self) -> Vec<Violation> {
-        self.inner.violations.lock().clone()
+        self.inner.violations.lock().iter().cloned().collect()
     }
 
-    /// Number of violations observed so far.
+    /// Number of violations observed so far, the dropped ones included.
     pub fn violation_count(&self) -> u64 {
         self.inner.metrics.violations.get()
     }
@@ -615,7 +624,14 @@ impl MonitorSet {
             timestamp_ms: now_ms,
             seq,
         };
-        inner.violations.lock().push(violation.clone());
+        {
+            let mut log = inner.violations.lock();
+            if log.len() == VIOLATION_LOG_CAP {
+                log.pop_front();
+                inner.metrics.violations_dropped.inc();
+            }
+            log.push_back(violation.clone());
+        }
         self.publish_audit(&violation);
     }
 
@@ -636,5 +652,34 @@ impl MonitorSet {
             sink(msg);
             inner.metrics.audit_published.inc();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nb_crypto::cert::{CertificateAuthority, Validity};
+    use rand::SeedableRng;
+
+    #[test]
+    fn violation_log_keeps_the_newest_and_counts_the_rest() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x10c);
+        let validity = Validity::starting_now(0, u64::MAX / 4);
+        let mut ca = CertificateAuthority::new("ca", 512, validity, &mut rng).unwrap();
+        let credential = ca.issue("Monitor", validity, &mut rng).unwrap();
+        let specs = crate::dsl::parse_properties("causal: causal-verdicts on /Entities/#").unwrap();
+        let monitor = MonitorSet::new(specs, credential, 100);
+        // A FAILED verdict with no ping outstanding breaches the
+        // property every time.
+        for now_ms in 0..2_000 {
+            monitor.on_verdict("engine", "flooded", VerdictKind::Failed, now_ms);
+        }
+        let log = monitor.violations();
+        assert_eq!(log.len(), VIOLATION_LOG_CAP);
+        assert_eq!(log[0].timestamp_ms, 976, "the oldest kept is the 977th");
+        assert_eq!(log[VIOLATION_LOG_CAP - 1].timestamp_ms, 1_999);
+        let snapshot = monitor.metrics_snapshot();
+        assert_eq!(snapshot.counter("monitor.violations.dropped"), Some(976));
+        assert_eq!(monitor.violation_count(), 2_000);
     }
 }

@@ -44,7 +44,8 @@ pub enum Topology {
     Star(usize),
 }
 
-/// A complete running deployment.
+/// A complete running deployment. Dropping it stops its engines, then
+/// shuts its brokers down (see [`BrokerNetwork`]).
 pub struct Deployment {
     /// Time source shared by every component.
     pub clock: SharedClock,
@@ -190,6 +191,14 @@ impl ClusterObs {
                 }
             })
             .expect("spawn obs aggregate thread");
+    }
+}
+
+impl Drop for Deployment {
+    fn drop(&mut self) {
+        for engine in &self.engines {
+            engine.stop();
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
+use nb_broker::network::BrokerNetwork;
 use nb_broker::{Broker, BrokerClient, BrokerConfig};
 use nb_crypto::cert::{CertificateAuthority, Validity};
 use nb_store::{StoreConfig, TempDir};
@@ -292,6 +293,54 @@ fn broker_crash_restart_restores_every_subscriber_of_a_filter() {
         .next_message(WAIT)
         .expect("the second consumer's subscription was not recovered");
     assert!(matches!(msg.payload, Payload::Blob { ref data } if data == &[3]));
+}
+
+#[test]
+fn broker_network_drop_keeps_every_subscription() {
+    let clock: SharedClock = Arc::new(MockClock::new(START));
+    let dir = TempDir::new("broker-network-drop").unwrap();
+    let cfg = BrokerConfig {
+        data_dir: Some(dir.path().to_path_buf()),
+        ..BrokerConfig::default()
+    };
+    let subscribers = [
+        ("first-consumer", "chat/room"),
+        ("second-consumer", "chat/room"),
+        ("third-consumer", "chat/lobby"),
+    ];
+
+    // Dropping the network shuts its broker down while the clients are
+    // still attached, with no simulated crash: shutdown is not a
+    // departure, so the clients' links closing journals nothing.
+    let net = BrokerNetwork::chain(1, LinkConfig::instant(), clock.clone(), cfg.clone());
+    let clients: Vec<BrokerClient> = subscribers
+        .iter()
+        .map(|(id, filter)| {
+            let client = net.attach_client(0, id).unwrap();
+            client.subscribe(topic(filter), WAIT).unwrap();
+            client
+        })
+        .collect();
+    drop(net);
+    drop(clients);
+    settle();
+
+    // Reopened over the same directory, each subscriber re-attaches and
+    // is delivered to without re-subscribing.
+    let net = BrokerNetwork::chain(1, LinkConfig::instant(), clock.clone(), cfg);
+    assert!(!net.broker(0).recovery().unwrap().started_fresh);
+    let publisher = net.attach_client(0, "drop-publisher").unwrap();
+    for (id, filter) in subscribers {
+        let consumer = net.attach_client(0, id).unwrap();
+        let data = id.as_bytes().to_vec();
+        publisher
+            .publish(topic(filter), Payload::Blob { data: data.clone() })
+            .unwrap();
+        let msg = consumer
+            .next_message(WAIT)
+            .unwrap_or_else(|e| panic!("{id}'s subscription to {filter} was not recovered: {e:?}"));
+        assert_eq!(msg.payload, Payload::Blob { data });
+    }
 }
 
 #[test]

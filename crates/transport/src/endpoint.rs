@@ -21,6 +21,16 @@ pub const MAX_FRAME_LEN: usize = 4 * 1024 * 1024;
 pub trait FrameSender: Send + Sync {
     /// Sends one frame; must be atomic with respect to other senders.
     fn send_frame(&self, frame: &[u8]) -> Result<()>;
+
+    /// Closes the link this sender belongs to: later sends fail, and
+    /// receives end with [`TransportError::Closed`] once the frames
+    /// already delivered are read. A TCP link shuts its socket down, so
+    /// both ends read a close; a simulated link disconnects both
+    /// endpoints' queues; a UDP link, which has no connection to
+    /// shut, stops this end's reader thread after its next datagram or
+    /// poll. Never waits for a send in progress. Idempotent; the
+    /// default, for senders with no link behind them, does nothing.
+    fn close(&self) {}
 }
 
 /// Where an endpoint's inbound frames come from.

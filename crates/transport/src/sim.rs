@@ -131,6 +131,12 @@ impl LinkConfig {
     }
 }
 
+/// The receive queues of one link's two endpoints, by side, shared by
+/// the link's two senders. A sender that drops empties the slot it
+/// sends into; a close empties both and discards the frames in flight,
+/// which disconnects both endpoints' queues.
+type LinkQueues = [Mutex<Option<Sender<Vec<u8>>>>; 2];
+
 struct Delivery {
     deliver_at: Instant,
     seq: u64,
@@ -169,6 +175,15 @@ struct Shared {
     next_link: AtomicU64,
     faults: Mutex<HashMap<LinkId, Fault>>,
     adversaries: Mutex<HashMap<LinkId, Adversary>>,
+}
+
+impl Shared {
+    /// Discards every frame in flight on `link`.
+    fn purge(&self, link: LinkId) {
+        let mut queue = self.queue.lock();
+        let survivors: BinaryHeap<Delivery> = queue.drain().filter(|d| d.link != link).collect();
+        *queue = survivors;
+    }
 }
 
 /// A simulated network: one scheduler thread, any number of links.
@@ -219,24 +234,18 @@ impl SimNetwork {
         let link = LinkId(self.shared.next_link.fetch_add(1, Ordering::Relaxed));
         let (tx_to_a, rx_a) = unbounded();
         let (tx_to_b, rx_b) = unbounded();
-        let a = Endpoint::from_parts(
+        let queues: Arc<LinkQueues> = Arc::new([Mutex::new(Some(tx_to_a)), Mutex::new(Some(tx_to_b))]);
+        let sender = |cfg, to| {
             Arc::new(SimSender {
-                cfg: a_to_b,
-                dest: tx_to_b,
+                cfg,
+                queues: Arc::clone(&queues),
+                to,
                 shared: Arc::clone(&self.shared),
                 link,
-            }),
-            rx_a,
-        );
-        let b = Endpoint::from_parts(
-            Arc::new(SimSender {
-                cfg: b_to_a,
-                dest: tx_to_a,
-                shared: Arc::clone(&self.shared),
-                link,
-            }),
-            rx_b,
-        );
+            })
+        };
+        let a = Endpoint::from_parts(sender(a_to_b, 1), rx_a);
+        let b = Endpoint::from_parts(sender(b_to_a, 0), rx_b);
         (a, b, link)
     }
 
@@ -256,12 +265,8 @@ impl SimNetwork {
     /// alive; [`SimNetwork::restore`] heals the link in place.
     pub fn drop_link(&self, link: LinkId) {
         self.shared.faults.lock().insert(link, Fault::Down);
-        // Purge in-flight frames: a severed cable loses what was on it.
-        let mut queue = self.shared.queue.lock();
-        let survivors: BinaryHeap<Delivery> =
-            queue.drain().filter(|d| d.link != link).collect();
-        *queue = survivors;
-        drop(queue);
+        // A severed cable loses what was on it.
+        self.shared.purge(link);
         self.shared.cv.notify_all();
     }
 
@@ -396,9 +401,17 @@ fn deliver(dest: &Sender<Vec<u8>>, frame: Vec<u8>) {
 
 struct SimSender {
     cfg: LinkConfig,
-    dest: Sender<Vec<u8>>,
+    queues: Arc<LinkQueues>,
+    /// The side whose queue this sender delivers to.
+    to: usize,
     shared: Arc<Shared>,
     link: LinkId,
+}
+
+impl Drop for SimSender {
+    fn drop(&mut self) {
+        self.queues[self.to].lock().take();
+    }
 }
 
 impl SimSender {
@@ -429,10 +442,24 @@ impl SimSender {
 }
 
 impl FrameSender for SimSender {
-    fn send_frame(&self, frame: &[u8]) -> Result<()> {
-        if self.shared.stop.load(Ordering::SeqCst) {
-            return Err(TransportError::Closed);
+    /// Disconnects both endpoints' queues: each endpoint still receives
+    /// what was delivered to it, then reads a close. Frames in flight
+    /// are discarded.
+    fn close(&self) {
+        for slot in self.queues.iter() {
+            slot.lock().take();
         }
+        // A send schedules under its slot's lock, so nothing is
+        // scheduled on the link after this purge.
+        self.shared.purge(self.link);
+    }
+
+    fn send_frame(&self, frame: &[u8]) -> Result<()> {
+        // Held for the whole send: a close waits for it.
+        let dest = self.queues[self.to].lock();
+        let (Some(dest), false) = (dest.as_ref(), self.shared.stop.load(Ordering::SeqCst)) else {
+            return Err(TransportError::Closed);
+        };
         let eaten = self.check_fault()?;
         // Accepted: sent counts precede any simulated loss.
         crate::instrument::FRAMES_SENT.inc();
@@ -472,7 +499,7 @@ impl FrameSender for SimSender {
         {
             crate::instrument::SIM_FRAMES_DIRECT.inc();
             for _ in 0..=replays {
-                deliver(&self.dest, frame.to_vec());
+                deliver(dest, frame.to_vec());
             }
             return Ok(());
         }
@@ -508,7 +535,7 @@ impl FrameSender for SimSender {
                 deliver_at,
                 seq,
                 frame,
-                dest: self.dest.clone(),
+                dest: dest.clone(),
                 link: self.link,
             });
         };
@@ -647,6 +674,29 @@ mod tests {
         let (a, _b) = net.symmetric_link(LinkConfig::instant());
         net.shutdown();
         assert_eq!(a.send(b"x"), Err(TransportError::Closed));
+    }
+
+    #[test]
+    fn close_disconnects_both_endpoints() {
+        let net = SimNetwork::new(22);
+        let slow = LinkConfig::instant().with_latency(Duration::from_millis(20));
+        let (a, b) = net.symmetric_link(slow);
+        let (c, d) = net.symmetric_link(LinkConfig::instant());
+        c.send(b"delivered").unwrap();
+        a.send(b"in flight").unwrap();
+        let reading = std::thread::spawn(move || b.recv());
+        std::thread::sleep(Duration::from_millis(5));
+        c.sender().close();
+        a.sender().close();
+        assert_eq!(reading.join().unwrap(), Err(TransportError::Closed));
+        assert_eq!(a.recv(), Err(TransportError::Closed));
+        assert_eq!(a.send(b"after"), Err(TransportError::Closed));
+        // A frame delivered before the close is still read, then the
+        // close.
+        assert_eq!(d.recv().unwrap(), b"delivered");
+        assert_eq!(d.recv(), Err(TransportError::Closed));
+        assert_eq!(c.recv(), Err(TransportError::Closed));
+        assert_eq!(d.send(b"after"), Err(TransportError::Closed));
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! `transport.link.frames.shed`). Frame-size violations still fail
 //! immediately with [`TransportError::FrameTooLarge`], and every send
 //! fails with [`TransportError::Closed`] after
-//! [`LinkSupervisor::shutdown`].
+//! [`LinkSupervisor::shutdown`] or after the facade's sender is closed
+//! ([`FrameSender::close`], which also closes the wrapped link).
 
 use crate::endpoint::{Endpoint, FrameSender};
 use crate::error::TransportError;
@@ -288,6 +289,14 @@ impl SupShared {
         self.stop.load(Ordering::SeqCst)
     }
 
+    /// Tells the repair thread to exit. The lock closes the window
+    /// between the thread's check of the flag and its wait.
+    fn request_stop(&self) {
+        let _inner = self.inner.lock();
+        self.stop.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
     /// Transitions the state and fires the observer. Call with the
     /// lock held; no-op when the state is unchanged.
     fn set_state(&self, inner: &mut SupInner, new: LinkState) {
@@ -328,6 +337,13 @@ struct SupervisedSender {
 }
 
 impl FrameSender for SupervisedSender {
+    /// Stops the supervisor, as [`LinkSupervisor::shutdown`] does but
+    /// without waiting for its thread, and closes the wrapped link.
+    fn close(&self) {
+        self.shared.request_stop();
+        self.shared.sender.close();
+    }
+
     fn send_frame(&self, frame: &[u8]) -> Result<()> {
         let shared = &self.shared;
         if shared.stopped() {
@@ -439,8 +455,7 @@ impl LinkSupervisor {
     /// Stops the repair thread. The facade endpoint's sends fail with
     /// [`TransportError::Closed`] afterwards.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.request_stop();
         if let Some(handle) = self.worker.take() {
             let _ = handle.join();
         }

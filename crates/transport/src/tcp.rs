@@ -17,6 +17,8 @@
 //! while preserving exact FIFO order and frame boundaries; a lone
 //! sender degenerates to the old one-write-per-frame behaviour. A
 //! write that makes no progress for [`WRITE_STALL`] gives the link up.
+//! [`FrameSender::close`] shuts the socket down without waiting for a
+//! write in progress, so both ends read a close at once.
 
 use crate::endpoint::{Endpoint, FrameSender, MAX_FRAME_LEN};
 use crate::error::TransportError;
@@ -35,8 +37,10 @@ use std::time::{Duration, Instant};
 pub const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// Initial size of an endpoint's receive buffer. Small on purpose: a
-/// deployment holds one per TCP endpoint, and the buffer grows only to
-/// the announced length of a frame that does not fit.
+/// deployment holds one per TCP endpoint. A frame that does not fit
+/// grows the buffer as its bytes arrive, at most doubling it per read,
+/// and once handed out the buffer drops back to this size: a length
+/// prefix alone commits no memory.
 const RECV_BUF_INITIAL: usize = 4 * 1024;
 
 /// Length of a frame's big-endian `u32` length prefix.
@@ -49,35 +53,40 @@ struct Pending {
     frames: u64,
 }
 
-/// The socket plus a recycled batch buffer, guarded together so only
-/// one thread writes at a time.
-struct TcpWriter {
-    stream: TcpStream,
-    /// Capacity recycled between batches (swapped with `Pending::buf`
-    /// at each flush so steady-state sends allocate nothing).
-    spare: Vec<u8>,
-}
-
 struct TcpFrameSender {
     pending: Mutex<Pending>,
-    writer: Mutex<TcpWriter>,
+    /// Held while writing, so only one thread writes at a time. Holds
+    /// the capacity recycled between batches (swapped with
+    /// `Pending::buf` at each flush so steady-state sends allocate
+    /// nothing).
+    writer: Mutex<Vec<u8>>,
+    /// The socket. Written only under `writer`, but shut down without
+    /// it: closing never waits for a stalled write.
+    stream: TcpStream,
     /// Set after the first write error: a failed `write_all` may have
     /// left a partial frame on the wire, so any further write would
-    /// interleave into a corrupt stream. Once poisoned every send
-    /// fails fast with [`TransportError::Closed`].
+    /// interleave into a corrupt stream. Once poisoned (or closed)
+    /// every send fails fast with [`TransportError::Closed`].
     poisoned: AtomicBool,
 }
 
 impl Drop for TcpFrameSender {
     fn drop(&mut self) {
-        // Shut the socket down so the peer reads EOF promptly, even if
-        // this endpoint's receiving half still holds the stream open.
-        let writer = self.writer.get_mut();
-        let _ = writer.stream.shutdown(std::net::Shutdown::Both);
+        // The peer reads EOF promptly, even if this endpoint's
+        // receiving half still holds the stream open.
+        self.close();
     }
 }
 
 impl FrameSender for TcpFrameSender {
+    /// Shuts the socket down both ways: this endpoint's receives and
+    /// the peer's read a close, and a write blocked on a peer that
+    /// stopped reading fails at once.
+    fn close(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+
     fn send_frame(&self, frame: &[u8]) -> Result<()> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
@@ -97,7 +106,7 @@ impl FrameSender for TcpFrameSender {
         // holder drains everything staged so far in one write. A
         // sender whose frame was carried out by an earlier flush finds
         // pending empty and returns without a syscall of its own.
-        let mut writer = self.writer.lock();
+        let mut spare = self.writer.lock();
         if self.poisoned.load(Ordering::Acquire) {
             // A flush that may have carried our frame failed.
             return Err(TransportError::Closed);
@@ -107,20 +116,19 @@ impl FrameSender for TcpFrameSender {
             if pending.buf.is_empty() {
                 return Ok(());
             }
-            let spare = std::mem::take(&mut writer.spare);
             (
-                std::mem::replace(&mut pending.buf, spare),
+                std::mem::replace(&mut pending.buf, std::mem::take(&mut *spare)),
                 std::mem::replace(&mut pending.frames, 0),
             )
         };
-        let result = writer.stream.write_all(&batch);
+        let result = (&self.stream).write_all(&batch);
         instrument::BATCH_WRITES.inc();
         instrument::BATCH_FRAMES.add(frames);
         instrument::BATCH_COALESCED.add(frames.saturating_sub(1));
         // Recycle the batch's capacity for the next staging cycle.
         let mut batch = batch;
         batch.clear();
-        writer.spare = batch;
+        *spare = batch;
         match result {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -129,8 +137,7 @@ impl FrameSender for TcpFrameSender {
                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
                     instrument::WRITE_STALLED.inc();
                 }
-                self.poisoned.store(true, Ordering::Release);
-                let _ = writer.stream.shutdown(std::net::Shutdown::Both);
+                self.close();
                 Err(TransportError::Io(e))
             }
         }
@@ -190,7 +197,9 @@ impl TcpReader {
                 Some(len) if state.end - state.start >= PREFIX_LEN + len => {
                     instrument::FRAMES_RECEIVED.inc();
                     instrument::BYTES_RECEIVED.add(len as u64);
-                    return Ok(f(state.take(len)));
+                    let out = f(state.take(len));
+                    state.shrink();
+                    return Ok(out);
                 }
                 Some(len) => PREFIX_LEN + len,
                 None => PREFIX_LEN,
@@ -239,9 +248,24 @@ impl ReadState {
         &mut self.buf[body..body + len]
     }
 
-    /// Reads once from the socket, after making room for the `need`
-    /// bytes of the frame being assembled. A read that times out
-    /// returns `Ok` with nothing read; the caller checks its deadline.
+    /// Drops a buffer grown for a large frame back to
+    /// [`RECV_BUF_INITIAL`] once the bytes still buffered fit in that.
+    fn shrink(&mut self) {
+        let left = self.end - self.start;
+        if self.buf.len() > RECV_BUF_INITIAL && left <= RECV_BUF_INITIAL {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, left);
+            self.buf.truncate(RECV_BUF_INITIAL);
+            self.buf.shrink_to_fit();
+        }
+    }
+
+    /// Reads once from the socket into the frame being assembled, whose
+    /// `need` bytes are not all buffered yet. A full buffer grows first,
+    /// at most doubling and never past `need`: the buffer grows with
+    /// the bytes that arrive, not with the length a peer announces. A
+    /// read that times out returns `Ok` with nothing read; the caller
+    /// checks its deadline.
     fn fill(&mut self, need: usize, deadline: Option<Instant>) -> Result<()> {
         if let Some(fault) = &self.fault {
             return Err(fault.clone());
@@ -250,8 +274,9 @@ impl ReadState {
             self.buf.copy_within(self.start..self.end, 0);
             (self.start, self.end) = (0, self.end - self.start);
         }
-        if self.buf.len() < need {
-            self.buf.resize(need, 0);
+        if self.end == self.buf.len() {
+            let len = (self.buf.len() * 2).min(need);
+            self.buf.resize(len, 0);
         }
         // The time left, rounded up to whole milliseconds: a caller
         // that passes the same timeout on every call sets the socket
@@ -309,10 +334,8 @@ pub(crate) fn endpoint_with_stall(stream: TcpStream, stall: Duration) -> Result<
                 buf: Vec::new(),
                 frames: 0,
             }),
-            writer: Mutex::new(TcpWriter {
-                stream,
-                spare: Vec::new(),
-            }),
+            writer: Mutex::new(Vec::new()),
+            stream,
             poisoned: AtomicBool::new(false),
         }),
         reader,
@@ -460,6 +483,53 @@ mod tests {
             assert_eq!(server.recv_timeout(Duration::from_secs(2)).unwrap(), [i; 3]);
         }
         let _raw = writer.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn read_buffer_grows_with_the_bytes_that_arrive() {
+        let buf_len = |reader: &TcpReader| {
+            let state = reader.0.lock();
+            (state.buf.len(), state.buf.capacity())
+        };
+        // A prefix announcing the largest legal frame, and nothing
+        // else: the buffer keeps its initial size however often the
+        // receive times out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let reader = TcpReader::new(listener.accept().unwrap().0);
+        raw.write_all(&(MAX_FRAME_LEN as u32).to_be_bytes()).unwrap();
+        for _ in 0..5 {
+            assert_eq!(
+                reader.read_frame(Some(Duration::from_millis(20)), |_| ()),
+                Err(TransportError::Timeout)
+            );
+            let (len, capacity) = buf_len(&reader);
+            assert!(len <= 8 * 1024 && capacity <= 8 * 1024, "{len} / {capacity} bytes");
+        }
+        // A 1 MiB frame grows it; handing the frame out shrinks it back.
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let reader = TcpReader::new(listener.accept().unwrap().0);
+        let big: Vec<u8> = (0..1u32 << 20).map(|i| i as u8).collect();
+        let bytes = [wire(&big), wire(b"small")].concat();
+        let writer = std::thread::spawn(move || raw.write_all(&bytes).map(|()| raw));
+        let timeout = Some(Duration::from_secs(5));
+        assert_eq!(reader.read_frame(timeout, |frame| frame.to_vec()).unwrap(), big);
+        assert_eq!(buf_len(&reader), (RECV_BUF_INITIAL, RECV_BUF_INITIAL));
+        assert_eq!(reader.read_frame(timeout, |frame| frame.to_vec()).unwrap(), b"small");
+        let _raw = writer.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn close_ends_receives_at_both_ends() {
+        let (server, client) = pair();
+        let reading = std::thread::spawn(move || (server.recv(), server));
+        std::thread::sleep(Duration::from_millis(50));
+        client.sender().close();
+        let (received, _server) = reading.join().unwrap();
+        assert_eq!(received, Err(TransportError::Closed));
+        assert_eq!(client.recv(), Err(TransportError::Closed));
+        assert_eq!(client.send(b"after"), Err(TransportError::Closed));
+        client.sender().close();
     }
 
     #[test]

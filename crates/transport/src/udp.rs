@@ -13,6 +13,7 @@ use crate::Result;
 use crossbeam::channel::unbounded;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,10 +27,24 @@ const READ_POLL: Duration = Duration::from_millis(200);
 
 struct UdpFrameSender {
     socket: UdpSocket,
+    /// Set by [`FrameSender::close`]; the reader thread exits once it
+    /// sees it, after its next datagram or poll.
+    closed: Arc<AtomicBool>,
 }
 
 impl FrameSender for UdpFrameSender {
+    /// Fails later sends and stops this end's reader thread after its
+    /// next datagram or poll, which ends this endpoint's receives. A
+    /// datagram link has no connection to shut, so the peer is not
+    /// told.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+    }
+
     fn send_frame(&self, frame: &[u8]) -> Result<()> {
+        if self.closed.load(Ordering::Acquire) {
+            return Err(TransportError::Closed);
+        }
         if frame.len() > MAX_DATAGRAM {
             return Err(TransportError::FrameTooLarge {
                 size: frame.len(),
@@ -63,14 +78,16 @@ impl UdpHalf {
 
     /// Connects to the peer and starts the reader thread. The thread
     /// exits once the endpoint and every sender cloned from it are
-    /// dropped (within 200 ms), or when a datagram arrives for
-    /// an endpoint that is gone.
+    /// dropped or the link is closed (within 200 ms), or when a
+    /// datagram arrives for an endpoint that is gone.
     pub fn connect(self, peer: SocketAddr) -> Result<Endpoint> {
         self.socket.connect(peer)?;
         let reader = self.socket.try_clone()?;
         reader.set_read_timeout(Some(READ_POLL))?;
+        let closed = Arc::new(AtomicBool::new(false));
         let sender: Arc<dyn FrameSender> = Arc::new(UdpFrameSender {
             socket: self.socket,
+            closed: Arc::clone(&closed),
         });
         let alive = Arc::downgrade(&sender);
         let (tx, rx) = unbounded();
@@ -78,7 +95,9 @@ impl UdpHalf {
             .name("udp-reader".to_string())
             .spawn(move || {
                 let mut buf = vec![0u8; MAX_DATAGRAM];
-                loop {
+                // Checked per datagram too, so a peer that keeps
+                // sending cannot keep a closed link's reader alive.
+                while !closed.load(Ordering::Acquire) {
                     match reader.recv(&mut buf) {
                         Ok(n) => {
                             if tx.send(buf[..n].to_vec()).is_err() {
@@ -150,6 +169,42 @@ mod tests {
             got += 1;
         }
         assert!(got >= 90, "received {got}/100 datagrams on loopback");
+    }
+
+    #[test]
+    fn close_ends_receives_at_this_end() {
+        let (a, b) = loopback_pair().unwrap();
+        let closer = b.sender();
+        // The peer keeps sending: the reader must see the close anyway.
+        let stop = Arc::new(AtomicBool::new(false));
+        let flood = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    a.send(b"flood").unwrap();
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                a
+            })
+        };
+        let reading = std::thread::spawn(move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while std::time::Instant::now() < deadline {
+                if b.recv_timeout(Duration::from_millis(100)) == Err(TransportError::Closed) {
+                    return (true, b);
+                }
+            }
+            (false, b)
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        closer.close();
+        let (closed, b) = reading.join().unwrap();
+        stop.store(true, Ordering::Relaxed);
+        let a = flood.join().unwrap();
+        assert!(closed, "receives went on after the close");
+        assert_eq!(b.send(b"after"), Err(TransportError::Closed));
+        // The peer is not told: its sends still leave.
+        a.send(b"unheard").unwrap();
     }
 
     #[test]
