@@ -97,10 +97,10 @@ if ! $quick; then
     echo "== trace report (smoke) =="
     cargo run --release -p nb-bench --bin trace_report -- --smoke
 
-    # Fault-tolerance smoke: repeatedly severs and heals the middle
-    # link of a supervised broker chain and asserts (inside the
-    # binary) that every cycle reconverges within budget and the
-    # repair cycles appear in the link metrics.
+    # Fault-tolerance smoke: repeatedly downs and heals the middle
+    # link of a broker chain and asserts (inside the binary) that every
+    # cycle holds frames and reconverges within budget, and that the
+    # tracker applies every trace once.
     echo "== chaos report (smoke) =="
     cargo run --release -p nb-bench --bin chaos_report -- --smoke
 

@@ -133,12 +133,6 @@ impl NaiveHeartbeatSystem {
         let silence = self.now_ms.saturating_sub(last);
         silence > self.config.miss_threshold as u64 * self.config.period_ms
     }
-
-    /// Rounds until `observer` notices `target`'s failure, given the
-    /// miss threshold (used for time-to-detection comparisons).
-    pub fn rounds_to_detection(&self) -> u32 {
-        self.config.miss_threshold + 1
-    }
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@
 //! of msgs/sec, and overhead gates on medians that fail only beyond
 //! both the budget and the baseline's own spread. `metrics_report`,
 //! `trace_report` and `chaos_report` exercise the metrics, causal
-//! tracing and link supervision end to end.
+//! tracing and link outages end to end.
 //!
 //! This module holds the shared measurement machinery for the paper's
 //! tables: summary statistics matching the paper's mean/σ/stderr

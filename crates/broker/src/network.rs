@@ -228,16 +228,17 @@ impl BrokerNetwork {
         self.links.len()
     }
 
-    /// Severs inter-broker link `idx` (simulated media only): sends
-    /// fail and in-flight frames are lost until
-    /// [`BrokerNetwork::restore_link`]. Returns whether the link was
+    /// Downs inter-broker link `idx` (simulated media only): its frames
+    /// wait until [`BrokerNetwork::restore_link`] delivers them, as a
+    /// TCP connection's do through a transient outage (see
+    /// [`SimNetwork::drop_link`]). Returns whether the link was
     /// scriptable.
     pub fn drop_link(&self, idx: usize) -> bool {
         self.link_id(idx).map(|id| self.net.drop_link(id)).is_some()
     }
 
-    /// Heals inter-broker link `idx`. Returns whether the link was
-    /// scriptable.
+    /// Heals inter-broker link `idx`, delivering what waited. Returns
+    /// whether the link was scriptable.
     pub fn restore_link(&self, idx: usize) -> bool {
         self.link_id(idx).map(|id| self.net.restore(id)).is_some()
     }
@@ -279,14 +280,6 @@ impl BrokerNetwork {
             .is_some()
     }
 
-    /// Stands down any adversary on inter-broker link `idx`. Returns
-    /// whether the link was scriptable.
-    pub fn clear_link_adversary(&self, idx: usize) -> bool {
-        self.link_id(idx)
-            .map(|id| self.net.clear_adversary(id))
-            .is_some()
-    }
-
     /// The underlying simulated network (fault scripting against
     /// client links created with
     /// [`BrokerNetwork::attach_client_with`]).
@@ -317,8 +310,7 @@ impl Drop for BrokerNetwork {
     /// Closes every broker's links before it waits for any broker's
     /// threads, so no broker reads a peer's shutdown as a departure and
     /// the closes overlap (a UDP reader exits on its next poll). When
-    /// this returns, every link worker and supervisor of the network
-    /// has exited.
+    /// this returns, every link worker of the network has exited.
     fn drop(&mut self) {
         for broker in &self.brokers {
             broker.close_links();

@@ -13,7 +13,6 @@ use nb_metrics::{Counter, Gauge, Registry, Snapshot};
 use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TelemetryConfig, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
-use nb_transport::supervisor::{LinkState, LinkStats, LinkSupervisor, SupervisorConfig};
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
 use nb_wire::token::Rights;
@@ -27,7 +26,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,15 +54,6 @@ pub struct BrokerConfig {
     /// Causal-tracing knobs for this broker's flight recorder (see
     /// `docs/OBSERVABILITY.md`, "Causal tracing").
     pub telemetry: TelemetryConfig,
-    /// Link-failure fault tolerance: when set, every client and
-    /// neighbour endpoint is wrapped in a [`LinkSupervisor`] that
-    /// detects failed sends, buffers outbound frames (bounded,
-    /// drop-oldest) during the outage, and repairs the link with
-    /// capped, jittered backoff. Receives bypass the supervisor, so a
-    /// link whose peer closes it still ends its worker, and the
-    /// worker's supervisor with it. `None` leaves sends unsupervised:
-    /// a frame whose send fails is lost.
-    pub link_supervision: Option<SupervisorConfig>,
     /// Durability: when set, the broker journals its control plane
     /// (local subscriptions, trace-topic owner keys) to a write-ahead
     /// log + snapshot under this directory and recovers it on
@@ -86,7 +76,6 @@ impl Default for BrokerConfig {
             advert_refresh: Some(std::time::Duration::from_millis(500)),
             max_hops: 16,
             telemetry: TelemetryConfig::default(),
-            link_supervision: None,
             data_dir: None,
             store: StoreConfig::default(),
         }
@@ -133,19 +122,11 @@ struct BrokerMetrics {
     neighbor_wait_wakeups: Counter,
     /// Condvar wake-ups inside [`Broker::wait_for_remote_subscription`].
     subscription_wait_wakeups: Counter,
-    /// Supervised links that completed a repair cycle and returned to
-    /// Up (one increment per Down → Up recovery).
-    link_reconnects: Counter,
-    /// Every supervised link-state transition (Up → Degraded, …).
-    link_state_changes: Counter,
-    /// Supervised links observed leaving the Up state.
-    link_down_events: Counter,
     clients: Gauge,
     neighbors: Gauge,
     subs_local: Gauge,
     subs_remote: Gauge,
     queue_depth: Gauge,
-    links_supervised: Gauge,
 }
 
 impl BrokerMetrics {
@@ -165,15 +146,11 @@ impl BrokerMetrics {
             session_revoked_dropped: registry.counter("broker.session.revoked_drop"),
             neighbor_wait_wakeups: registry.counter("broker.neighbor_wait.wakeups"),
             subscription_wait_wakeups: registry.counter("broker.subscription_wait.wakeups"),
-            link_reconnects: registry.counter("broker.link.reconnects"),
-            link_state_changes: registry.counter("broker.link.state_changes"),
-            link_down_events: registry.counter("broker.link.down_events"),
             clients: registry.gauge("broker.clients"),
             neighbors: registry.gauge("broker.neighbors"),
             subs_local: registry.gauge("broker.subscriptions.local"),
             subs_remote: registry.gauge("broker.subscriptions.remote"),
             queue_depth: registry.gauge("broker.queue.internal_depth"),
-            links_supervised: registry.gauge("broker.links.supervised"),
             registry,
         }
     }
@@ -260,11 +237,8 @@ struct Inner {
     /// removes its own when the link closes; [`Broker::shutdown`]
     /// closes and joins the rest.
     links: Mutex<BTreeMap<u64, Link>>,
-    /// Numbers links and seeds supervised links' backoff jitter.
+    /// Numbers links.
     next_link: AtomicU64,
-    /// Notified on every supervised-link state transition (see
-    /// [`Broker::wait_for_link_stats`]).
-    link_cv: Condvar,
     /// Fast gate for the monitor tap: one relaxed load on the data
     /// plane when no monitor is attached.
     monitor_on: AtomicBool,
@@ -292,12 +266,9 @@ struct Inner {
 
 /// One link a worker serves.
 struct Link {
-    /// The worker's sender (a supervised link's facade): closing it
-    /// ends the worker's receives.
+    /// The worker's sender: closing it ends the worker's receives.
     sender: Arc<dyn FrameSender>,
     worker: JoinHandle<()>,
-    /// Present when [`BrokerConfig::link_supervision`] is set.
-    supervisor: Option<LinkSupervisor>,
 }
 
 /// Whether [`Broker::shutdown`] has begun, with the condition variable
@@ -422,7 +393,6 @@ impl Broker {
                 msg_seq: AtomicU64::new(1),
                 links: Mutex::new(BTreeMap::new()),
                 next_link: AtomicU64::new(0),
-                link_cv: Condvar::new(),
                 monitor_on: AtomicBool::new(false),
                 monitor: RwLock::new(None),
                 session_keys: Arc::new(SessionKeyring::new()),
@@ -469,8 +439,7 @@ impl Broker {
     }
 
     /// Shuts this broker down: closes every link it serves, waits for
-    /// the links' workers and supervisors and the advert refresher to
-    /// exit, and drops the broker's in-process consumers, route cache
+    /// the links' workers and the advert refresher to exit, and drops the broker's in-process consumers, route cache
     /// and monitor.
     ///
     /// Shutdown is not a departure. From its start nothing is
@@ -552,8 +521,6 @@ impl Broker {
             m.queue_depth
                 .set(state.internal.values().map(|tx| tx.len() as i64).sum());
         }
-        let supervised = self.link_stats().len();
-        m.links_supervised.set(supervised as i64);
         m.registry.snapshot()
     }
 
@@ -716,164 +683,43 @@ impl Broker {
         self.inner.routes.bump();
     }
 
-    /// Blocks until `pred` holds over [`Broker::link_stats`] or the
-    /// timeout elapses; returns whether the predicate was satisfied.
-    ///
-    /// Event-driven: woken by supervised-link state transitions (the
-    /// same observer that feeds `broker.link.*` metrics), with a
-    /// bounded re-check interval as a safety net for stat changes that
-    /// don't transition the link state — so callers get condvar
-    /// latency without sleep-polling.
-    pub fn wait_for_link_stats(
-        &self,
-        timeout: Duration,
-        mut pred: impl FnMut(&[LinkStats]) -> bool,
-    ) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut links = self.inner.links.lock();
-        loop {
-            if pred(&supervised_stats(&links)) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let slice = (deadline - now).min(Duration::from_millis(50));
-            self.inner.link_cv.wait_for(&mut links, slice);
-        }
-    }
-
-    /// Wraps `endpoint` in a [`LinkSupervisor`] when
-    /// [`BrokerConfig::link_supervision`] is set, returning the facade
-    /// and the supervisor; `link` is the link's number. The facade
-    /// buffers sends through outages, and the supervisor's state
-    /// transitions feed the `broker.link.*` metrics and (when telemetry
-    /// is on) the flight recorder as `link_down`/`link_up` spans.
-    ///
-    /// With `neighbor_resync` set (neighbour links only), every
-    /// completed repair cycle also replays the neighbour handshake —
-    /// hello plus every filter the peer should hold from us — through
-    /// the repaired link. Transport repair cannot tell a healed wire
-    /// from a restarted peer; if the peer process restarted, its
-    /// subscription table is gone (or freshly recovered) and only a
-    /// re-run of the session sync restores routing toward us.
-    fn supervise_link(
-        &self,
-        endpoint: Endpoint,
-        link: u64,
-        neighbor_resync: bool,
-    ) -> (Endpoint, Option<LinkSupervisor>) {
-        let Some(base) = &self.inner.config.link_supervision else {
-            return (endpoint, None);
-        };
-        let weak = Arc::downgrade(&self.inner);
-        let telemetry_on = self.inner.config.telemetry.enabled;
-        let observer: nb_transport::supervisor::StateObserver = Arc::new(move |old, new| {
-            let Some(inner) = weak.upgrade() else { return };
-            inner.metrics.link_state_changes.inc();
-            // Wake any wait_for_link_stats() waiter to re-check.
-            inner.link_cv.notify_all();
-            let (counter, stage) = match (old, new) {
-                (_, LinkState::Up) => (&inner.metrics.link_reconnects, Stage::LinkUp),
-                (LinkState::Up, _) => (&inner.metrics.link_down_events, Stage::LinkDown),
-                _ => return,
-            };
-            counter.inc();
-            if telemetry_on {
-                let t = now_ns();
-                let ctx = TraceContext::root(0, true);
-                inner.recorder.record(SpanEvent::new(&ctx, stage, t, t));
-            }
-        });
-        // Give each link its own jitter seed so simultaneous outages
-        // don't retry in lockstep.
-        let mut cfg = base
-            .clone()
-            .with_seed(base.seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .with_observer(observer);
-        // The hook needs the facade's sender, which doesn't exist yet
-        // when the config is built — hand it a slot filled in below.
-        // The slot holds it weakly: the hook lives in the supervisor,
-        // and the sender holds the supervisor.
-        let sender_slot: Arc<Mutex<Option<Weak<dyn FrameSender>>>> = Arc::new(Mutex::new(None));
-        if neighbor_resync {
-            let slot = Arc::clone(&sender_slot);
-            let weak = Arc::downgrade(&self.inner);
-            cfg = cfg.with_reconnect_hook(Arc::new(move |_reconnects| {
-                let Some(inner) = weak.upgrade() else { return };
-                let Some(sender) = slot.lock().as_ref().and_then(Weak::upgrade) else {
-                    return;
-                };
-                resync_neighbor_session(&inner, &sender);
-            }));
-        }
-        let (facade, supervisor) = LinkSupervisor::supervise(endpoint, cfg);
-        *sender_slot.lock() = Some(Arc::downgrade(&facade.sender()));
-        (facade, Some(supervisor))
-    }
-
-    /// Point-in-time stats for every open supervised link of this
-    /// broker (empty when supervision is disabled).
-    pub fn link_stats(&self) -> Vec<LinkStats> {
-        supervised_stats(&self.inner.links.lock())
-    }
-
     /// Attaches a client over `endpoint`; the first frame must be an
     /// `Attach` payload carrying the client id. Spawns the worker
     /// thread and returns immediately. After [`Broker::shutdown`] the
     /// endpoint is closed at once.
     pub fn attach_client(&self, endpoint: Endpoint) {
-        self.spawn_worker("client", endpoint, false, client_worker);
+        self.spawn_worker("client", endpoint, client_worker);
     }
 
     /// Connects a neighbouring broker over `endpoint`. Both sides call
     /// this on their half of the link. Spawns the worker thread. After
     /// [`Broker::shutdown`] the endpoint is closed at once.
     pub fn connect_neighbor(&self, endpoint: Endpoint) {
-        self.spawn_worker("neighbor", endpoint, true, neighbor_worker);
+        self.spawn_worker("neighbor", endpoint, neighbor_worker);
     }
 
-    /// Runs `worker` over `endpoint`, supervised if so configured, on a
-    /// thread of its own, and enters the link in the link table; the
-    /// table's lock spans the closed check and the entry, so shutdown
-    /// closes every link it does not refuse. Once the worker returns
-    /// (its link closed), the thread takes the link out of the table
-    /// and drops it after the table's lock is released: shutting a
-    /// supervisor down joins its thread, which may be inside the
-    /// reconnect hook, and the hook takes the advert and state locks.
-    fn spawn_worker(
-        &self,
-        role: &str,
-        endpoint: Endpoint,
-        neighbor_resync: bool,
-        worker: fn(&Inner, Endpoint),
-    ) {
+    /// Runs `worker` over `endpoint` on a thread of its own, and enters
+    /// the link in the link table; the table's lock spans the closed
+    /// check and the entry, so shutdown closes every link it does not
+    /// refuse. Once the worker returns (its link closed), the thread
+    /// takes the link out of the table.
+    fn spawn_worker(&self, role: &str, endpoint: Endpoint, worker: fn(&Inner, Endpoint)) {
         let mut links = self.inner.links.lock();
         if self.inner.closing.is_closed() {
             endpoint.sender().close();
             return;
         }
         let id = self.inner.next_link.fetch_add(1, Ordering::Relaxed);
-        let (endpoint, supervisor) = self.supervise_link(endpoint, id, neighbor_resync);
         let sender = endpoint.sender();
         let inner = Arc::clone(&self.inner);
         let worker = std::thread::Builder::new()
             .name(format!("{}-{role}-worker", inner.id))
             .spawn(move || {
                 worker(&inner, endpoint);
-                let link = inner.links.lock().remove(&id);
-                drop(link);
+                inner.links.lock().remove(&id);
             })
             .expect("spawn link worker");
-        links.insert(
-            id,
-            Link {
-                sender,
-                worker,
-                supervisor,
-            },
-        );
+        links.insert(id, Link { sender, worker });
     }
 
     /// Registers an in-process consumer (the tracing engine, a hosted
@@ -944,32 +790,10 @@ impl Broker {
         self.inner.recovery.clone()
     }
 
-    /// Forces a durable-store checkpoint (snapshot + log compaction)
-    /// now, regardless of the configured interval. Returns whether a
-    /// store is attached and the checkpoint succeeded.
-    pub fn checkpoint_now(&self) -> bool {
-        let mut guard = self.inner.persist.lock();
-        match guard.as_mut() {
-            Some(p) => p.durable.checkpoint(&p.mirror).is_ok(),
-            None => false,
-        }
-    }
-
     /// Number of directly attached clients.
     pub fn client_count(&self) -> usize {
         self.inner.state.lock().clients.len()
     }
-
-    /// Number of neighbouring brokers.
-    pub fn neighbor_count(&self) -> usize {
-        self.inner.state.lock().neighbors.len()
-    }
-}
-
-/// Stats of the supervised links in `links`.
-fn supervised_stats(links: &BTreeMap<u64, Link>) -> Vec<LinkStats> {
-    let supervisors = links.values().filter_map(|link| link.supervisor.as_ref());
-    supervisors.map(LinkSupervisor::stats).collect()
 }
 
 /// Where a frame entered this broker.
@@ -1334,7 +1158,7 @@ fn fill_route_entry(
 ) -> Option<Arc<RouteEntry>> {
     let topic = topic_view.to_topic().ok()?;
     let policy = TopicPolicy::compile(&topic).ok();
-    let family = policy.as_ref().map_or("plain", |p| p.family.as_str());
+    let family = policy.as_ref().map_or("plain", |p| p.family);
     let published_family = inner.metrics.published_for(family);
     let delivered_family = inner.metrics.delivered_for(family);
     let (version, clients, internal, neighbors) = {
@@ -1586,33 +1410,36 @@ enum Interest<'a> {
 /// Applies one interest change. Outside crash recovery this is the only
 /// writer of the subscription table.
 ///
-/// Under the state lock it updates the table and bumps the route
-/// version. For each filter the change touches it asks, for every
-/// neighbour, whether the neighbour should hold that filter from us
-/// ([`SubscriptionTable::advertises`]) before and after. After the
-/// lock it journals a local op, wakes subscription waiters, and sends
-/// each neighbour whose answer flipped one `NeighborSubscribe` or
-/// `NeighborUnsubscribe`. The advert lock spans the whole change, so
-/// a concurrent full-set advert cannot overtake a withdrawal.
+/// Under the state lock it updates the table and, when the table or
+/// the client and neighbour handles changed, bumps the route version: a
+/// re-received advert leaves warm routes warm. For each filter the
+/// change touches it asks, for every neighbour, whether the neighbour
+/// should hold that filter from us ([`SubscriptionTable::advertises`])
+/// before and after. After the lock it journals a local op, wakes
+/// subscription waiters if anything changed, and sends each neighbour
+/// whose answer flipped one `NeighborSubscribe` or
+/// `NeighborUnsubscribe`. The advert lock spans the whole change, so a
+/// concurrent full-set advert cannot overtake a withdrawal.
 fn change_interest(inner: &Inner, change: Interest<'_>) {
     let _in_order = inner.adverts.lock();
     let mut notices = Vec::new();
+    let changed;
     {
         let mut guard = inner.state.lock();
         let state = &mut *guard;
-        let touched: Vec<Topic> = match change {
+        let (touched, handle_gone): (Vec<Topic>, bool) = match change {
             Interest::Subscribe { filter, .. }
             | Interest::Unsubscribe { filter, .. }
             | Interest::Advert { filter, .. }
-            | Interest::Withdraw { filter, .. } => vec![filter.clone()],
-            Interest::ClientGone(id) => {
-                state.clients.remove(id);
-                state.subs.consumer_filters(id).cloned().collect()
-            }
-            Interest::NeighborGone(id) => {
-                state.neighbors.remove(id);
-                state.subs.neighbor_filters(id).cloned().collect()
-            }
+            | Interest::Withdraw { filter, .. } => (vec![filter.clone()], false),
+            Interest::ClientGone(id) => (
+                state.subs.consumer_filters(id).cloned().collect(),
+                state.clients.remove(id).is_some(),
+            ),
+            Interest::NeighborGone(id) => (
+                state.subs.neighbor_filters(id).cloned().collect(),
+                state.neighbors.remove(id).is_some(),
+            ),
         };
         let mut before = Vec::with_capacity(touched.len() * state.neighbors.len());
         for filter in &touched {
@@ -1620,7 +1447,7 @@ fn change_interest(inner: &Inner, change: Interest<'_>) {
             before.extend(neighbors.map(|n| state.subs.advertises(filter, n)));
         }
         let subs = &mut state.subs;
-        match change {
+        let table_changed = match change {
             Interest::Subscribe {
                 consumer,
                 filter,
@@ -1631,8 +1458,11 @@ fn change_interest(inner: &Inner, change: Interest<'_>) {
             Interest::Advert { neighbor, filter } => subs.add_remote(neighbor, filter.clone()),
             Interest::Withdraw { neighbor, filter } => subs.remove_remote(neighbor, filter),
             Interest::NeighborGone(id) => subs.remove_neighbor(id),
+        };
+        changed = table_changed || handle_gone;
+        if changed {
+            inner.routes.bump();
         }
-        inner.routes.bump();
         let mut was = before.into_iter();
         for filter in touched {
             for (n, sender) in &state.neighbors {
@@ -1665,7 +1495,9 @@ fn change_interest(inner: &Inner, change: Interest<'_>) {
     if let Some(op) = op {
         journal(inner, op);
     }
-    inner.subs_cv.notify_all();
+    if changed {
+        inner.subs_cv.notify_all();
+    }
     for (sender, filter, held) in notices {
         let payload = if held {
             Payload::NeighborSubscribe { filter }
@@ -1701,9 +1533,9 @@ fn hello(inner: &Inner) -> Vec<u8> {
 
 /// Sends neighbour `peer` every filter it should hold from this broker
 /// ([`SubscriptionTable::filters_for_neighbor`]): the full-set advert
-/// of the handshake, link repair and anti-entropy. Re-received adverts
-/// are idempotent at the peer. Holds the advert lock until the last
-/// send, so no withdrawal lands between the snapshot and its adverts.
+/// of the handshake and of anti-entropy. Re-received adverts change
+/// nothing at the peer. Holds the advert lock until the last send, so
+/// no withdrawal lands between the snapshot and its adverts.
 fn advertise_all(inner: &Inner, peer: &str, sender: &dyn FrameSender) {
     let _in_order = inner.adverts.lock();
     let filters = inner.state.lock().subs.filters_for_neighbor(peer);
@@ -1712,31 +1544,6 @@ fn advertise_all(inner: &Inner, peer: &str, sender: &dyn FrameSender) {
         if sender.send_frame(&advert.to_bytes()).is_err() {
             return;
         }
-    }
-}
-
-/// Replays the neighbour session over a freshly repaired link: hello
-/// plus the full advert. Run by the link supervisor's reconnect hook —
-/// a restarted peer has lost (or just recovered) its view of our
-/// interest, and the transport repair alone restores bytes, not
-/// sessions. The peer side is idempotent: re-received hellos are
-/// rate-limit answered, re-received adverts are deduplicated by its
-/// subscription table. A link whose handshake has not finished gets
-/// only the hello; the handshake advertises once it completes.
-fn resync_neighbor_session(inner: &Inner, sender: &Arc<dyn FrameSender>) {
-    if sender.send_frame(&hello(inner)).is_err() {
-        return;
-    }
-    let peer = {
-        let state = inner.state.lock();
-        state
-            .neighbors
-            .iter()
-            .find(|(_, s)| Arc::ptr_eq(s, sender))
-            .map(|(peer, _)| peer.clone())
-    };
-    if let Some(peer) = peer {
-        advertise_all(inner, &peer, sender.as_ref());
     }
 }
 

@@ -5,9 +5,9 @@
 //! holds which local subscription (and whether its adverts are
 //! suppressed), and the trace-topic owner keys used for full token
 //! verification. Data frames are never journalled — the paper's
-//! delivery model is best-effort pub/sub, and the PR 5 link supervisor
-//! already replays in-flight frames across outages — so the WAL stays
-//! off the routing pipeline entirely.
+//! delivery model is best-effort pub/sub, and a link carries its own
+//! frames through a transient outage — so the WAL stays off the
+//! routing pipeline entirely.
 //!
 //! On restart the recovered subscriptions are re-installed before any
 //! link comes up, which makes neighbour re-sync automatic: the

@@ -80,9 +80,10 @@ pub(crate) struct TopicPolicy {
     /// session keys to the one topic they were minted for: a key for
     /// topic A can never authenticate a frame on topic B.
     pub session_topic: Option<Uuid>,
-    /// Bounded-cardinality per-topic metric label (event-type segment,
-    /// or `plain`).
-    pub family: String,
+    /// Per-topic metric label: `plain`, `RealTime`, `Traces`, or
+    /// `other` for any event type a peer names, so peers cannot add
+    /// metrics to the registry.
+    pub family: &'static str,
 }
 
 impl TopicPolicy {
@@ -97,7 +98,7 @@ impl TopicPolicy {
                 suppress_broker: false,
                 suppress_entity: None,
                 session_topic: None,
-                family: "plain".to_string(),
+                family: "plain",
             },
             Some(c) => {
                 let publish_rule = if c.permits(&Actor::Entity(String::new()), Action::Publish)
@@ -126,9 +127,9 @@ impl TopicPolicy {
                     (false, None)
                 };
                 let family = match &c.event_type {
-                    EventType::RealTime => "RealTime".to_string(),
-                    EventType::Traces => "Traces".to_string(),
-                    EventType::Other(s) => s.clone(),
+                    EventType::RealTime => "RealTime",
+                    EventType::Traces => "Traces",
+                    EventType::Other(_) => "other",
                 };
                 TopicPolicy {
                     publish_rule,

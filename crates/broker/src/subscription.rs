@@ -31,52 +31,56 @@ impl SubscriptionTable {
     /// the filter from being advertised while it is registered. The
     /// flag is sticky: re-adding the registration unsuppressed does not
     /// lift it, and the journal mirror (`BrokerDurableState`) follows
-    /// the same rule.
-    pub fn add_local(&mut self, consumer: &str, filter: Topic, suppressed: bool) {
-        *self
-            .local
-            .entry(consumer.to_string())
-            .or_default()
-            .entry(filter)
-            .or_default() |= suppressed;
+    /// the same rule. Like every mutator here, returns whether the
+    /// table changed.
+    pub fn add_local(&mut self, consumer: &str, filter: Topic, suppressed: bool) -> bool {
+        let filters = self.local.entry(consumer.to_string()).or_default();
+        let was = filters.get(&filter).copied();
+        let now = was.unwrap_or(false) | suppressed;
+        filters.insert(filter, now);
+        was != Some(now)
     }
 
     /// Removes a local filter.
-    pub fn remove_local(&mut self, consumer: &str, filter: &Topic) {
-        if let Some(filters) = self.local.get_mut(consumer) {
-            filters.remove(filter);
-            if filters.is_empty() {
-                self.local.remove(consumer);
-            }
+    pub fn remove_local(&mut self, consumer: &str, filter: &Topic) -> bool {
+        let Some(filters) = self.local.get_mut(consumer) else {
+            return false;
+        };
+        let removed = filters.remove(filter).is_some();
+        if filters.is_empty() {
+            self.local.remove(consumer);
         }
+        removed
     }
 
     /// Drops every filter belonging to `consumer`.
-    pub fn remove_consumer(&mut self, consumer: &str) {
-        self.local.remove(consumer);
+    pub fn remove_consumer(&mut self, consumer: &str) -> bool {
+        self.local.remove(consumer).is_some()
     }
 
     /// Registers a neighbour's advertised interest.
-    pub fn add_remote(&mut self, neighbor: &str, filter: Topic) {
+    pub fn add_remote(&mut self, neighbor: &str, filter: Topic) -> bool {
         self.remote
             .entry(neighbor.to_string())
             .or_default()
-            .insert(filter);
+            .insert(filter)
     }
 
     /// Withdraws a neighbour's interest.
-    pub fn remove_remote(&mut self, neighbor: &str, filter: &Topic) {
-        if let Some(filters) = self.remote.get_mut(neighbor) {
-            filters.remove(filter);
-            if filters.is_empty() {
-                self.remote.remove(neighbor);
-            }
+    pub fn remove_remote(&mut self, neighbor: &str, filter: &Topic) -> bool {
+        let Some(filters) = self.remote.get_mut(neighbor) else {
+            return false;
+        };
+        let removed = filters.remove(filter);
+        if filters.is_empty() {
+            self.remote.remove(neighbor);
         }
+        removed
     }
 
     /// Drops all state for a departed neighbour.
-    pub fn remove_neighbor(&mut self, neighbor: &str) {
-        self.remote.remove(neighbor);
+    pub fn remove_neighbor(&mut self, neighbor: &str) -> bool {
+        self.remote.remove(neighbor).is_some()
     }
 
     /// The filters `consumer` holds.

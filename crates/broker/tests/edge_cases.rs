@@ -1,11 +1,16 @@
 //! Broker edge cases: malformed input, disconnect cleanup, counter
-//! semantics.
+//! semantics, and what steady traffic costs the route cache and the
+//! metrics registry.
 
 use nb_broker::network::BrokerNetwork;
-use nb_broker::{BrokerClient, BrokerConfig};
+use nb_broker::{Broker, BrokerClient, BrokerConfig};
 use nb_transport::clock::system_clock;
+use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::sim::{LinkConfig, SimNetwork};
-use nb_wire::{Payload, Topic};
+use nb_wire::codec::{Decode, Encode};
+use nb_wire::{Message, Payload, Topic};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -188,4 +193,86 @@ fn distinct_clients_with_same_filter_each_get_a_copy() {
     for s in &subs {
         assert!(s.next_message(TIMEOUT).is_ok());
     }
+}
+
+/// A stand-in neighbour's sender: counts the adverts it is sent.
+#[derive(Default)]
+struct CountAdverts(AtomicU64);
+
+impl FrameSender for CountAdverts {
+    fn send_frame(&self, frame: &[u8]) -> nb_transport::Result<()> {
+        if let Ok(Payload::NeighborSubscribe { .. }) = Message::from_bytes(frame).map(|m| m.payload)
+        {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn re_adverts_leave_warm_routes_warm() {
+    let config = BrokerConfig {
+        advert_refresh: Some(Duration::from_millis(20)),
+        ..BrokerConfig::default()
+    };
+    let net = BrokerNetwork::chain(2, LinkConfig::instant(), system_clock(), config);
+    assert!(net.wait_for_mesh(TIMEOUT));
+    let x = t("/Warm/X");
+    let subscriber = net.attach_client(1, "sub").unwrap();
+    subscriber.subscribe(x.clone(), TIMEOUT).unwrap();
+    assert!(net.broker(0).wait_for_remote_subscription(&x, TIMEOUT));
+    // Each refresh round of broker-1 re-sends the filter to every
+    // neighbour: to broker-0, and to a stand-in that counts the rounds.
+    let rounds = Arc::new(CountAdverts::default());
+    let (uplink, rx) = crossbeam::channel::unbounded();
+    net.broker(1)
+        .connect_neighbor(Endpoint::from_parts(rounds.clone(), rx));
+    let hello = Payload::NeighborHello {
+        broker_id: "stand-in".into(),
+    };
+    uplink
+        .send(Message::new(1, nb_broker::control_topic(), "stand-in", 0, hello).to_bytes())
+        .unwrap();
+    assert!(net.broker(1).wait_for_neighbors(2, TIMEOUT));
+
+    let publisher = net.attach_client(0, "pub").unwrap();
+    let blob = || Payload::Blob { data: vec![7] };
+    publisher.publish(x.clone(), blob()).unwrap();
+    subscriber.next_message(TIMEOUT).unwrap();
+    let stale = || {
+        let snap = net.broker(0).metrics_snapshot();
+        snap.counter("broker.route.cache_stale").unwrap_or(0)
+    };
+    let (stale_before, rounds_before) = (stale(), rounds.0.load(Ordering::Relaxed));
+    while rounds.0.load(Ordering::Relaxed) < rounds_before + 10 {
+        publisher.publish(x.clone(), blob()).unwrap();
+        subscriber.next_message(TIMEOUT).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(
+        stale() - stale_before,
+        0,
+        "re-adverts of a filter broker-0 holds invalidated its warm route"
+    );
+}
+
+#[test]
+fn event_types_a_peer_names_add_no_metrics() {
+    let config = BrokerConfig {
+        advert_refresh: None,
+        ..BrokerConfig::default()
+    };
+    let broker = Broker::new("b0", system_clock(), config);
+    let publish = |i: usize| {
+        let topic = t(&format!("/Constrained/Ev{i}/Broker/Subscribe-Only/x"));
+        let id = broker.next_message_id();
+        broker.publish_internal(Message::new(id, topic, "b0", 0, Payload::Ack));
+    };
+    publish(0);
+    let before = broker.metrics_snapshot().len();
+    for i in 1..=1_000 {
+        publish(i);
+    }
+    assert_eq!(broker.stats().published, 1_001, "every frame was routed");
+    assert_eq!(broker.metrics_snapshot().len(), before);
 }

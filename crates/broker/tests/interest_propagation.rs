@@ -2,8 +2,9 @@
 //! subscriber, and leaves them when the subscriber goes: a second
 //! subscriber's advert is relayed past a broker that already held the
 //! filter, every way a subscriber can leave withdraws its interest
-//! upstream (over plain and supervised links), a repaired link does not echo a neighbour's own interest
-//! back to it, and a full-set advert never lands behind a withdrawal.
+//! upstream, a link that heals from an outage delivers what it held
+//! once and echoes no neighbour's own interest back to it, and a
+//! full-set advert never lands behind a withdrawal.
 //! Anti-entropy is off throughout, so only the incremental adverts are
 //! under test.
 
@@ -12,7 +13,6 @@ use nb_broker::{Broker, BrokerClient, BrokerConfig};
 use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::sim::LinkConfig;
-use nb_transport::supervisor::{LinkState, SupervisorConfig};
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::{Message, Payload, Topic};
 use std::sync::{Arc, Mutex};
@@ -132,81 +132,72 @@ fn every_way_a_subscriber_leaves_withdraws_its_interest() {
             Some(client)
         }),
     ];
-    // Supervised links leave the same ways: a closed link still ends
-    // its worker.
-    let supervised = BrokerConfig {
-        link_supervision: Some(SupervisorConfig::fast()),
-        ..config()
-    };
-    for (links, config) in [("plain", config()), ("supervised", supervised)] {
-        for (why, leave) in leaves {
-            let net = chain(2, config.clone());
-            let subscriber = net.attach_client(0, "sub").unwrap();
-            subscriber.subscribe(x.clone(), TIMEOUT).unwrap();
-            assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
-            let _still_attached = leave(subscriber, &x);
-            assert_not_forwarded(&net, 1, &x, &format!("{links} {why}"));
-        }
-
-        // A neighbour departing withdraws what it advertised from the
-        // brokers beyond: broker-0's stand-in advertises, then its link
-        // closes.
-        let net = chain(2, config);
-        let (uplink, rx) = crossbeam::channel::unbounded();
-        net.broker(0)
-            .connect_neighbor(Endpoint::from_parts(Arc::new(Discard), rx));
-        let control = |payload| {
-            Message::new(1, nb_broker::control_topic(), "stand-in", 0, payload).to_bytes()
-        };
-        let hello = Payload::NeighborHello {
-            broker_id: "stand-in".into(),
-        };
-        uplink.send(control(hello)).unwrap();
-        uplink
-            .send(control(Payload::NeighborSubscribe { filter: x.clone() }))
-            .unwrap();
+    for (why, leave) in leaves {
+        let net = chain(2, config());
+        let subscriber = net.attach_client(0, "sub").unwrap();
+        subscriber.subscribe(x.clone(), TIMEOUT).unwrap();
         assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
-        drop(uplink);
-        assert_not_forwarded(&net, 1, &x, &format!("{links} departure"));
+        let _still_attached = leave(subscriber, &x);
+        assert_not_forwarded(&net, 1, &x, why);
     }
+
+    // A neighbour departing withdraws what it advertised from the
+    // brokers beyond: broker-0's stand-in advertises, then its link
+    // closes.
+    let net = chain(2, config());
+    let (uplink, rx) = crossbeam::channel::unbounded();
+    net.broker(0)
+        .connect_neighbor(Endpoint::from_parts(Arc::new(Discard), rx));
+    let control =
+        |payload| Message::new(1, nb_broker::control_topic(), "stand-in", 0, payload).to_bytes();
+    let hello = Payload::NeighborHello {
+        broker_id: "stand-in".into(),
+    };
+    uplink.send(control(hello)).unwrap();
+    uplink
+        .send(control(Payload::NeighborSubscribe { filter: x.clone() }))
+        .unwrap();
+    assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
+    drop(uplink);
+    assert_not_forwarded(&net, 1, &x, "departure");
 }
 
 #[test]
 fn link_repair_does_not_echo_a_neighbours_own_interest() {
-    let net = chain(
-        2,
-        BrokerConfig {
-            link_supervision: Some(SupervisorConfig::fast()),
-            ..config()
-        },
-    );
+    let net = chain(2, config());
     let x = t("/Echo/X");
     let subscriber = net.attach_client(0, "sub").unwrap();
     subscriber.subscribe(x.clone(), TIMEOUT).unwrap();
     assert!(net.broker(1).wait_for_remote_subscription(&x, TIMEOUT));
     assert_eq!(remote(net.broker(0)), 0);
 
-    // Sever the link while broker-1 forwards to broker-0, so broker-1's
-    // supervisor sees the outage, then heal it: the repair replays the
-    // neighbour handshake from broker-1.
+    // Down the link while broker-1 forwards to broker-0, then heal it:
+    // the link holds each publish through the outage and delivers it
+    // once, in order.
     let publisher = net.attach_client(1, "pub").unwrap();
     assert!(net.drop_link(0));
-    let down = |stats: &[nb_transport::LinkStats]| stats.iter().any(|s| s.state != LinkState::Up);
-    let mut i = 0;
-    while !net
-        .broker(1)
-        .wait_for_link_stats(Duration::from_millis(10), down)
-    {
+    let forwarded = net.broker(1).stats().forwarded;
+    for i in 0..10 {
         publisher.publish(x.clone(), blob(i)).unwrap();
-        i = i.wrapping_add(1);
     }
+    assert!(wait_until(TIMEOUT, || {
+        net.broker(1).stats().forwarded == forwarded + 10
+    }));
+    assert!(
+        subscriber.next_message(Duration::from_millis(50)).is_err(),
+        "a publish crossed the downed link"
+    );
     assert!(net.restore_link(0));
-    assert!(net
-        .broker(1)
-        .wait_for_link_stats(TIMEOUT, |stats| { stats.iter().any(|s| s.reconnects > 0) }));
+    for i in 0..10 {
+        assert_eq!(subscriber.next_message(TIMEOUT).unwrap().payload, blob(i));
+    }
+    assert!(
+        subscriber.next_message(Duration::from_millis(200)).is_err(),
+        "a held publish arrived twice"
+    );
     assert!(
         !wait_until(Duration::from_millis(500), || remote(net.broker(0)) != 0),
-        "the repair told broker-0 that broker-1 wants broker-0's own filter"
+        "the outage told broker-0 that broker-1 wants broker-0's own filter"
     );
 
     // And the interest still leaves cleanly from both sides.

@@ -3,8 +3,7 @@
 //! allocates nothing — a plain client publish, a head-sampled one that
 //! records its AuthCheck/Route/Deliver spans, neighbour ingress with
 //! its in-place hop patch, and a publish that reaches the broker's
-//! client worker over a real loopback TCP link, plain and supervised.
-//! Uses a counting global
+//! client worker over a real loopback TCP link. Uses a counting global
 //! allocator that sees every thread, so everything is measured inside
 //! one test function to keep the counter unpolluted by parallel tests.
 
@@ -12,7 +11,6 @@ use nb_broker::{Broker, BrokerConfig};
 use nb_telemetry::{TelemetryConfig, TraceContext};
 use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
-use nb_transport::supervisor::SupervisorConfig;
 use nb_transport::tcp::{self, TcpTransportListener};
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::{Message, MessageView, Payload, Topic};
@@ -218,60 +216,6 @@ fn warm_route_path_never_allocates() {
     )
     .to_bytes();
     assert_route_never_allocates("TCP client ingress", &sink, || {
-        publisher.send(&published).unwrap()
-    });
-
-    // Supervised TCP ingress, on a second broker: the facade receives
-    // from the TCP endpoint it wraps, so the client worker still reads
-    // the socket and routes in place.
-    let broker = Broker::new(
-        "b1",
-        system_clock(),
-        BrokerConfig {
-            advert_refresh: None,
-            link_supervision: Some(SupervisorConfig::fast()),
-            ..BrokerConfig::default()
-        },
-    );
-    let sink = Arc::new(SinkSender::default());
-    let (frames_tx, frames_rx) = crossbeam::channel::unbounded::<Vec<u8>>();
-    broker.attach_client(Endpoint::from_parts(
-        Arc::clone(&sink) as Arc<dyn FrameSender>,
-        frames_rx,
-    ));
-    let control =
-        |id, payload| Message::new(id, attach.topic.clone(), "sub", 0, payload).to_bytes();
-    frames_tx
-        .send(control(
-            1,
-            Payload::Attach {
-                client_id: "sub".into(),
-            },
-        ))
-        .unwrap();
-    let filter = Topic::parse("/Sensor/NoAlloc/Temp").unwrap();
-    frames_tx
-        .send(control(2, Payload::Subscribe { filter }))
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while sink.delivered.load(Ordering::Relaxed) < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(
-        sink.delivered.load(Ordering::Relaxed),
-        2,
-        "attach and subscribe acks"
-    );
-    let dialer = std::thread::spawn(move || tcp::connect(addr).unwrap());
-    broker.attach_client(listener.accept().unwrap());
-    let publisher = dialer.join().unwrap();
-    publisher.send(&attach.to_bytes()).unwrap();
-    let ack = publisher.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert!(matches!(
-        Message::from_bytes(&ack).unwrap().payload,
-        Payload::Ack
-    ));
-    assert_route_never_allocates("supervised TCP client ingress", &sink, || {
         publisher.send(&published).unwrap()
     });
 }

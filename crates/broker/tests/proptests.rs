@@ -48,7 +48,7 @@ fn neighbor(i: u8) -> String {
     format!("b{i}")
 }
 
-fn apply(table: &mut SubscriptionTable, op: Op) {
+fn apply(table: &mut SubscriptionTable, op: Op) -> bool {
     match op {
         Op::AddLocal { consumer: c, topic: t, suppressed } => {
             table.add_local(&consumer(c), topic(t), suppressed)

@@ -395,7 +395,7 @@ impl Model {
             Some(c) => match &c.event_type {
                 EventType::RealTime => "RealTime".to_string(),
                 EventType::Traces => "Traces".to_string(),
-                EventType::Other(s) => s.clone(),
+                EventType::Other(_) => "other".to_string(),
             },
         };
         // §3.1 publish permission for clients (with §5.2 punishment);

@@ -333,11 +333,6 @@ impl BigUint {
         Ok(self.div_rem(m)?.1)
     }
 
-    /// Modular addition `(self + other) mod m`. Inputs need not be reduced.
-    pub fn add_mod(&self, other: &BigUint, m: &BigUint) -> Result<BigUint, CryptoError> {
-        self.add(other).rem(m)
-    }
-
     /// Modular subtraction `(self - other) mod m`. Inputs must be `< m`.
     pub fn sub_mod(&self, other: &BigUint, m: &BigUint) -> Result<BigUint, CryptoError> {
         debug_assert!(self < m && other < m);

@@ -334,12 +334,6 @@ impl std::fmt::Debug for SessionKeyring {
     }
 }
 
-/// HMAC-SHA256 digest helper used by receivers that want the raw
-/// digest type without naming the generic machinery.
-pub fn session_hmac(secret: &[u8], parts: &[&[u8]]) -> Vec<u8> {
-    hmac_parts::<Sha256>(secret, parts)
-}
-
 /// Digest length sanity: HMAC-SHA256 output is [`SESSION_MAC_LEN`].
 const _: () = assert!(Sha256::OUTPUT_LEN == SESSION_MAC_LEN);
 

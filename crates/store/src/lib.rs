@@ -26,8 +26,7 @@
 //! corrupt bytes quarantined. Replay is **exactly-once** from the
 //! store's point of view — every op in the log is applied once, in
 //! order; node layers pair this with their own idempotent op semantics
-//! (e.g. the tracker's sequence-numbered trace events) the same way the
-//! link supervisor's replay buffer does on the wire.
+//! (e.g. the tracker's sequence-numbered trace events).
 //!
 //! Everything is instrumented on the process-global metrics registry
 //! under the `store.*` family (catalogued in `docs/OBSERVABILITY.md`).

@@ -216,16 +216,6 @@ impl Tdn {
             .map_or(0, |p| p.mirror.epoch)
     }
 
-    /// Forces a snapshot checkpoint now (durable nodes only). Returns
-    /// whether a snapshot was written.
-    pub fn checkpoint_now(&self) -> bool {
-        let mut store = self.store.lock();
-        let Some(p) = store.persist.as_mut() else {
-            return false;
-        };
-        p.durable.checkpoint(&p.mirror).is_ok()
-    }
-
     /// Introduces a peer TDN (enables replica verification).
     pub fn add_peer(&self, peer_id: &str, key: RsaPublicKey) {
         self.store

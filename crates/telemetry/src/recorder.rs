@@ -49,10 +49,6 @@ pub enum Stage {
     TdnReplicate = 14,
     /// Synthetic stage for inter-node gaps, emitted by report tooling.
     Transit = 15,
-    /// A supervised link left the Up state (outage observed).
-    LinkDown = 16,
-    /// A supervised link finished repair and returned to Up.
-    LinkUp = 17,
 }
 
 impl Stage {
@@ -75,8 +71,6 @@ impl Stage {
             Stage::TdnDiscover => "tdn_discover",
             Stage::TdnReplicate => "tdn_replicate",
             Stage::Transit => "transit",
-            Stage::LinkDown => "link_down",
-            Stage::LinkUp => "link_up",
         }
     }
 
@@ -92,7 +86,7 @@ impl Stage {
             Stage::TracePublish | Stage::PingSend | Stage::Verdict | Stage::Consume => "engine",
             Stage::TrackerApply | Stage::TrackerReject => "tracker",
             Stage::TdnCreate | Stage::TdnDiscover | Stage::TdnReplicate => "tdn",
-            Stage::Transit | Stage::LinkDown | Stage::LinkUp => "transport",
+            Stage::Transit => "transport",
         }
     }
 
@@ -114,8 +108,6 @@ impl Stage {
             13 => Stage::TdnDiscover,
             14 => Stage::TdnReplicate,
             15 => Stage::Transit,
-            16 => Stage::LinkDown,
-            17 => Stage::LinkUp,
             _ => return None,
         })
     }

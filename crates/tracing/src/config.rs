@@ -71,12 +71,6 @@ pub struct TracingConfig {
     /// and trackers of a deployment (see `docs/OBSERVABILITY.md`,
     /// "Causal tracing").
     pub telemetry: nb_telemetry::TelemetryConfig,
-    /// Link-failure fault tolerance for the deployment's brokers: when
-    /// set, every broker link runs under a supervisor that buffers
-    /// sends through outages and repairs the link with backoff; a link
-    /// whose peer closes it still ends (see `docs/ARCHITECTURE.md`,
-    /// "Fault tolerance"). `None` leaves sends unsupervised.
-    pub link_supervision: Option<nb_transport::supervisor::SupervisorConfig>,
 }
 
 impl Default for TracingConfig {
@@ -100,7 +94,6 @@ impl Default for TracingConfig {
             session_lifetime_ms: 600_000,
             session_max_messages: 1 << 16,
             telemetry: nb_telemetry::TelemetryConfig::default(),
-            link_supervision: None,
         }
     }
 }
@@ -128,7 +121,6 @@ impl TracingConfig {
             session_lifetime_ms: 600_000,
             session_max_messages: 1 << 16,
             telemetry: nb_telemetry::TelemetryConfig::default(),
-            link_supervision: None,
         }
     }
 }

@@ -239,7 +239,6 @@ impl Deployment {
         let broker_cfg = BrokerConfig {
             token_skew_ms: config.token_skew_ms,
             telemetry: config.telemetry.clone(),
-            link_supervision: config.link_supervision.clone(),
             ..BrokerConfig::default()
         };
         let network = match topology {

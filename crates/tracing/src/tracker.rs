@@ -251,20 +251,6 @@ impl Tracker {
         self.inner.recovery.clone()
     }
 
-    /// Forces a snapshot checkpoint now (durable trackers only).
-    /// Returns whether a snapshot was written.
-    pub fn checkpoint_now(&self) -> bool {
-        let mut guard = self.inner.persist.lock();
-        let Some(durable) = guard.as_mut() else {
-            return false;
-        };
-        durable
-            .checkpoint(&TrackerDurableState {
-                view: self.inner.view.clone(),
-            })
-            .is_ok()
-    }
-
     /// Stops the pump.
     pub fn stop(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);

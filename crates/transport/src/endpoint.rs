@@ -4,8 +4,7 @@
 //! thread of its own: the thread that calls [`Endpoint::recv`],
 //! [`Endpoint::recv_timeout`] or [`Endpoint::recv_with`] reads the
 //! socket itself. Sim and UDP endpoints receive from a queue that a
-//! transport thread fills. A supervised link's facade receives from the
-//! endpoint it wraps, so it reads wherever that endpoint would.
+//! transport thread fills.
 
 use crate::error::TransportError;
 use crate::tcp::TcpReader;
@@ -75,12 +74,6 @@ impl Endpoint {
     /// Assembles a TCP endpoint, whose receivers read the stream.
     pub(crate) fn from_stream(tx: Arc<dyn FrameSender>, reader: TcpReader) -> Self {
         Self::assemble(tx, Inbound::Stream(reader), MAX_FRAME_LEN)
-    }
-
-    /// This endpoint with its sends routed through `tx` (a supervised
-    /// link's facade); receives are unchanged.
-    pub(crate) fn with_sender(self, tx: Arc<dyn FrameSender>) -> Self {
-        Endpoint { tx, ..self }
     }
 
     fn assemble(tx: Arc<dyn FrameSender>, inbound: Inbound, max_frame_len: usize) -> Self {

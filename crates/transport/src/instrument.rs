@@ -4,8 +4,7 @@
 //! process so a single dump shows total wire activity. Frames and
 //! bytes are counted once, where a frame crosses a transport: when a
 //! transport's sender accepts it, and when the transport hands it to
-//! the receiving endpoint (a sim or UDP queue, a TCP read). A
-//! supervised link's facade relays frames and counts nothing. Names
+//! the receiving endpoint (a sim or UDP queue, a TCP read). Names
 //! are catalogued in `docs/OBSERVABILITY.md` under the `transport.*`
 //! family.
 
@@ -28,15 +27,11 @@ transport_counter!(SIM_FRAMES_DROPPED, "transport.sim.frames.dropped");
 transport_counter!(SIM_FRAMES_DUPLICATED, "transport.sim.frames.duplicated");
 transport_counter!(FRAME_OVERSIZED, "transport.frame.oversized");
 transport_counter!(WRITE_STALLED, "transport.write.stalled");
-transport_counter!(SIM_FAULT_REJECTED, "transport.sim.fault.rejected");
+transport_counter!(SIM_FAULT_HELD, "transport.sim.fault.held");
 transport_counter!(SIM_FAULT_FLAKY_DROPPED, "transport.sim.fault.flaky_dropped");
 transport_counter!(BATCH_WRITES, "transport.batch.writes");
 transport_counter!(BATCH_FRAMES, "transport.batch.frames");
 transport_counter!(BATCH_COALESCED, "transport.batch.coalesced");
 transport_counter!(SIM_FRAMES_DIRECT, "transport.sim.frames.direct");
-transport_counter!(LINK_RECONNECTS, "transport.link.reconnects");
-transport_counter!(LINK_FRAMES_BUFFERED, "transport.link.frames.buffered");
-transport_counter!(LINK_FRAMES_REPLAYED, "transport.link.frames.replayed");
-transport_counter!(LINK_FRAMES_SHED, "transport.link.frames.shed");
 transport_counter!(SIM_FRAMES_TAMPERED, "transport.sim.frames.tampered");
 transport_counter!(SIM_FRAMES_REPLAYED, "transport.sim.frames.replayed");

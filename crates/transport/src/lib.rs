@@ -8,11 +8,10 @@
 //!   link half, identical across transports,
 //! * [`sim`] — a deterministic in-process network with configurable
 //!   per-link latency, jitter, loss and duplication (used to reproduce
-//!   the paper's 1–2 ms per-hop cluster links),
+//!   the paper's 1–2 ms per-hop cluster links), and scripted outages
+//!   that hold frames as a TCP connection does,
 //! * [`tcp`] / [`udp`] — real socket transports over the loopback or a
 //!   LAN (the two transports benchmarked in §6.1),
-//! * [`supervisor`] — supervised links: failure detection, repair
-//!   with capped backoff, and bounded buffering with in-order replay,
 //! * [`metrics`] — RTT/loss/bandwidth estimators feeding the
 //!   NETWORK_METRICS traces,
 //! * [`clock`] — an injectable clock so failure detection and token
@@ -24,7 +23,6 @@ pub mod error;
 mod instrument;
 pub mod metrics;
 pub mod sim;
-pub mod supervisor;
 pub mod tcp;
 pub mod udp;
 
@@ -32,7 +30,6 @@ pub use clock::{Clock, MockClock, SystemClock};
 pub use endpoint::Endpoint;
 pub use error::TransportError;
 pub use sim::{LinkConfig, LinkId, SimNetwork};
-pub use supervisor::{BackoffPolicy, LinkState, LinkStats, LinkSupervisor, SupervisorConfig};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, TransportError>;

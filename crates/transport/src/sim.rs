@@ -14,14 +14,18 @@
 //! ## Fault injection
 //!
 //! Every link has a [`LinkId`]; the network can script outages against
-//! it while the endpoints stay alive: [`SimNetwork::drop_link`] makes
-//! sends fail with [`TransportError::Closed`] and discards in-flight
-//! frames (a cable pull), [`SimNetwork::flaky`] drops frames with a
-//! given probability for a bounded window (a deteriorating path),
-//! [`SimNetwork::partition`] downs a whole set of links at once, and
-//! [`SimNetwork::restore`] heals. Combined with the seeded RNG this
-//! makes outage scenarios scriptable and reproducible — the substrate
-//! the supervised-link layer ([`crate::supervisor`]) is tested against.
+//! it while the endpoints stay alive. [`SimNetwork::drop_link`] is a
+//! transient outage as a TCP connection rides it out: sends still
+//! succeed, and each direction's frames (those already in flight first)
+//! wait in order until [`SimNetwork::restore`] delivers them, exactly
+//! once and ahead of anything sent later. When a 1,025th frame would
+//! wait in one direction, the link resets, as a TCP write that stalls
+//! past [`crate::tcp::WRITE_STALL`] gives its link up: both ends read
+//! [`TransportError::Closed`]. [`SimNetwork::flaky`] drops frames with
+//! a given probability for a bounded window (a deteriorating path), and
+//! [`SimNetwork::partition`] downs a whole set of links at once.
+//! Combined with the seeded RNG this makes outage scenarios scriptable
+//! and reproducible.
 //!
 //! ## Adversarial hooks
 //!
@@ -45,7 +49,7 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -57,14 +61,45 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(u64);
 
+/// Frames one direction of a downed link holds before the link resets.
+const HOLD_LIMIT: usize = 1024;
+
 /// Scripted fault state of one link (absent = healthy).
-#[derive(Debug, Clone, Copy)]
 enum Fault {
-    /// Sends fail with [`TransportError::Closed`]; nothing is delivered.
-    Down,
+    /// Each direction's frames wait, in order, for the link to come
+    /// back (see [`SimNetwork::drop_link`]).
+    Down([Option<Held>; 2]),
     /// Frames are dropped with probability `p` until `until`, then the
     /// link heals itself.
     Flaky { p: f64, until: Instant },
+}
+
+impl Fault {
+    /// Ends the fault: a downed link delivers what it holds, in order.
+    fn release(self) {
+        if let Fault::Down(held) = self {
+            for Held { dest, frames } in held.into_iter().flatten() {
+                frames.into_iter().for_each(|frame| deliver(&dest, frame));
+            }
+        }
+    }
+}
+
+/// The frames one direction of a downed link holds, and the queue they
+/// wait to reach.
+struct Held {
+    dest: Sender<Vec<u8>>,
+    frames: VecDeque<Vec<u8>>,
+}
+
+/// Appends `frame` to the frames a direction holds for `dest`.
+fn hold(held: &mut Option<Held>, dest: &Sender<Vec<u8>>, frame: Vec<u8>) {
+    crate::instrument::SIM_FAULT_HELD.inc();
+    let held = held.get_or_insert_with(|| Held {
+        dest: dest.clone(),
+        frames: VecDeque::new(),
+    });
+    held.frames.push_back(frame);
 }
 
 /// A frame-rewriting adversary function: receives each frame crossing
@@ -133,8 +168,9 @@ impl LinkConfig {
 
 /// The receive queues of one link's two endpoints, by side, shared by
 /// the link's two senders. A sender that drops empties the slot it
-/// sends into; a close empties both and discards the frames in flight,
-/// which disconnects both endpoints' queues.
+/// sends into and discards the frames it left waiting; a close empties
+/// both and discards every frame in flight or waiting, which
+/// disconnects both endpoints' queues.
 type LinkQueues = [Mutex<Option<Sender<Vec<u8>>>>; 2];
 
 struct Delivery {
@@ -143,6 +179,8 @@ struct Delivery {
     frame: Vec<u8>,
     dest: Sender<Vec<u8>>,
     link: LinkId,
+    /// The side `dest` belongs to.
+    to: usize,
 }
 
 impl PartialEq for Delivery {
@@ -178,11 +216,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Discards every frame in flight on `link`.
-    fn purge(&self, link: LinkId) {
+    /// Takes every frame in flight on `link` off the schedule, earliest
+    /// delivery first.
+    fn take_in_flight(&self, link: LinkId) -> Vec<Delivery> {
         let mut queue = self.queue.lock();
-        let survivors: BinaryHeap<Delivery> = queue.drain().filter(|d| d.link != link).collect();
-        *queue = survivors;
+        let (mut taken, kept): (Vec<_>, Vec<_>) = queue.drain().partition(|d| d.link == link);
+        *queue = kept.into();
+        taken.sort_by_key(|d| (d.deliver_at, d.seq));
+        taken
     }
 }
 
@@ -259,29 +300,41 @@ impl SimNetwork {
         self.link_with_id(cfg, cfg)
     }
 
-    /// Kills a link: both directions fail sends with
-    /// [`TransportError::Closed`] and every queued in-flight frame on
-    /// the link is discarded, like a pulled cable. The endpoints stay
-    /// alive; [`SimNetwork::restore`] heals the link in place.
+    /// Downs a link for a transient outage, as TCP rides one out. Sends
+    /// in both directions still succeed: each direction's frames wait,
+    /// in order, behind the frames that were in flight when the link
+    /// went down, and [`SimNetwork::restore`] delivers them all. A
+    /// waiting frame counts as sent when accepted, as received when
+    /// delivered, and in `transport.sim.fault.held`. When a 1,025th
+    /// frame would wait in one direction, the link resets like a TCP
+    /// write stalled past [`crate::tcp::WRITE_STALL`]: that send fails,
+    /// what waited is discarded and both ends read
+    /// [`TransportError::Closed`].
     pub fn drop_link(&self, link: LinkId) {
-        self.shared.faults.lock().insert(link, Fault::Down);
-        // A severed cable loses what was on it.
-        self.shared.purge(link);
-        self.shared.cv.notify_all();
+        let mut faults = self.shared.faults.lock();
+        let mut held = match faults.remove(&link) {
+            Some(Fault::Down(held)) => held,
+            _ => Default::default(),
+        };
+        for d in self.shared.take_in_flight(link) {
+            hold(&mut held[d.to], &d.dest, d.frame);
+        }
+        faults.insert(link, Fault::Down(held));
     }
 
     /// Makes a link drop frames with probability `p` for `duration`,
     /// after which it heals itself ([`SimNetwork::restore`] heals it
     /// early). Dropped frames are counted in
-    /// `transport.sim.fault.flaky_dropped`.
+    /// `transport.sim.fault.flaky_dropped`. A downed link first
+    /// delivers what it held.
     pub fn flaky(&self, link: LinkId, p: f64, duration: Duration) {
-        self.shared.faults.lock().insert(
-            link,
-            Fault::Flaky {
-                p,
-                until: Instant::now() + duration,
-            },
-        );
+        let flaky = Fault::Flaky {
+            p,
+            until: Instant::now() + duration,
+        };
+        if let Some(fault) = self.shared.faults.lock().insert(link, flaky) {
+            fault.release();
+        }
     }
 
     /// Downs every link in `links` at once — a network partition
@@ -293,9 +346,16 @@ impl SimNetwork {
         }
     }
 
-    /// Heals a link: clears any scripted fault so traffic flows again.
+    /// Heals a link: clears any scripted fault, and a downed link
+    /// delivers every frame it held, each exactly once and before
+    /// anything sent after this call.
     pub fn restore(&self, link: LinkId) {
-        self.shared.faults.lock().remove(&link);
+        let mut faults = self.shared.faults.lock();
+        // Released under the lock a send holds while it dispatches, so
+        // no later send overtakes what waited.
+        if let Some(fault) = faults.remove(&link) {
+            fault.release();
+        }
     }
 
     /// Installs a frame-rewriting adversary on a link: every frame in
@@ -337,18 +397,24 @@ impl SimNetwork {
     pub fn is_faulted(&self, link: LinkId) -> bool {
         match self.shared.faults.lock().get(&link) {
             None => false,
-            Some(Fault::Down) => true,
+            Some(Fault::Down(_)) => true,
             Some(Fault::Flaky { until, .. }) => Instant::now() < *until,
         }
     }
 
-    /// Stops the scheduler; queued frames are discarded.
+    /// Stops the scheduler. Frames in flight or waiting out an outage
+    /// are discarded, which lets go of the queues they were bound for.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
+        // Cleared under the fault lock, which a send holds from its stop
+        // check to its dispatch, so no frame lands after the clear.
+        let mut faults = self.shared.faults.lock();
+        faults.clear();
+        self.shared.queue.lock().clear();
     }
 }
 
@@ -411,63 +477,70 @@ struct SimSender {
 impl Drop for SimSender {
     fn drop(&mut self) {
         self.queues[self.to].lock().take();
+        // Frames left waiting would hold the queue open.
+        if let Some(Fault::Down(held)) = self.shared.faults.lock().get_mut(&self.link) {
+            held[self.to] = None;
+        }
     }
 }
 
-impl SimSender {
-    /// Applies any scripted fault: `Err(Closed)` for a downed link,
-    /// `Ok(true)` when a flaky link eats this frame, `Ok(false)` when
-    /// the frame may proceed. Expired flaky windows self-heal here.
-    fn check_fault(&self) -> Result<bool> {
-        let mut faults = self.shared.faults.lock();
-        match faults.get(&self.link) {
-            None => Ok(false),
-            Some(Fault::Down) => {
-                crate::instrument::SIM_FAULT_REJECTED.inc();
-                Err(TransportError::Closed)
-            }
-            Some(&Fault::Flaky { p, until }) => {
-                if Instant::now() >= until {
-                    faults.remove(&self.link);
-                    return Ok(false);
-                }
-                let eaten = self.shared.rng.lock().random::<f64>() < p;
-                if eaten {
-                    crate::instrument::SIM_FAULT_FLAKY_DROPPED.inc();
-                }
-                Ok(eaten)
-            }
-        }
-    }
+/// Counts a frame a link accepted; simulated loss comes after.
+fn count_sent(frame: &[u8]) {
+    crate::instrument::FRAMES_SENT.inc();
+    crate::instrument::BYTES_SENT.add(frame.len() as u64);
 }
 
 impl FrameSender for SimSender {
     /// Disconnects both endpoints' queues: each endpoint still receives
-    /// what was delivered to it, then reads a close. Frames in flight
-    /// are discarded.
+    /// what was delivered to it, then reads a close. Frames in flight or
+    /// waiting out an outage are discarded.
     fn close(&self) {
         for slot in self.queues.iter() {
             slot.lock().take();
         }
-        // A send schedules under its slot's lock, so nothing is
-        // scheduled on the link after this purge.
-        self.shared.purge(self.link);
+        // A send schedules or holds its frame under its slot's lock, so
+        // nothing reaches the link after this.
+        self.shared.take_in_flight(self.link);
+        if let Some(Fault::Down(held)) = self.shared.faults.lock().get_mut(&self.link) {
+            *held = Default::default();
+        }
     }
 
     fn send_frame(&self, frame: &[u8]) -> Result<()> {
         // Held for the whole send: a close waits for it.
-        let dest = self.queues[self.to].lock();
-        let (Some(dest), false) = (dest.as_ref(), self.shared.stop.load(Ordering::SeqCst)) else {
+        let slot = self.queues[self.to].lock();
+        // Held until the frame is dispatched, so no drop_link, restore
+        // or shutdown falls between this send's check and its dispatch.
+        let mut faults = self.shared.faults.lock();
+        let (Some(dest), false) = (slot.as_ref(), self.shared.stop.load(Ordering::SeqCst)) else {
             return Err(TransportError::Closed);
         };
-        let eaten = self.check_fault()?;
-        // Accepted: sent counts precede any simulated loss.
-        crate::instrument::FRAMES_SENT.inc();
-        crate::instrument::BYTES_SENT.add(frame.len() as u64);
-        if eaten {
-            // A flaky link eats the frame silently, like wire loss.
-            return Ok(());
+        match faults.get_mut(&self.link) {
+            None => {}
+            Some(Fault::Down(held)) => {
+                let held = &mut held[self.to];
+                if held.as_ref().is_some_and(|h| h.frames.len() >= HOLD_LIMIT) {
+                    // The outage outlasted the buffer: reset the link.
+                    drop((faults, slot));
+                    self.close();
+                    return Err(TransportError::Closed);
+                }
+                count_sent(frame);
+                hold(held, dest, frame.to_vec());
+                return Ok(());
+            }
+            Some(&mut Fault::Flaky { p, until }) => {
+                if Instant::now() >= until {
+                    faults.remove(&self.link);
+                } else if self.shared.rng.lock().random::<f64>() < p {
+                    // A flaky link eats the frame silently, like wire loss.
+                    crate::instrument::SIM_FAULT_FLAKY_DROPPED.inc();
+                    count_sent(frame);
+                    return Ok(());
+                }
+            }
         }
+        count_sent(frame);
         // Man-in-the-middle: rewrite the frame and/or schedule replay
         // copies. The adversary map is empty in honest runs, so this
         // is one uncontended lock on the hot path.
@@ -537,6 +610,7 @@ impl FrameSender for SimSender {
                 frame,
                 dest: dest.clone(),
                 link: self.link,
+                to: self.to,
             });
         };
         push(now + self.cfg.latency + jitter1, frame.to_vec());
@@ -724,50 +798,166 @@ mod tests {
     }
 
     #[test]
-    fn dropped_link_fails_sends_until_restored() {
+    fn dropped_link_holds_sends_until_restored() {
         let net = SimNetwork::new(11);
         let (a, b, link) = net.symmetric_link_with_id(LinkConfig::instant());
         a.send(b"before").unwrap();
         assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), b"before");
         net.drop_link(link);
         assert!(net.is_faulted(link));
-        assert_eq!(a.send(b"lost"), Err(TransportError::Closed));
-        assert_eq!(b.send(b"lost too"), Err(TransportError::Closed));
+        let held = crate::instrument::SIM_FAULT_HELD.get();
+        for i in 0..3u8 {
+            a.send(&[i]).unwrap();
+        }
+        b.send(b"back").unwrap();
+        assert!(crate::instrument::SIM_FAULT_HELD.get() >= held + 4);
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(50)),
+            Err(TransportError::Timeout)
+        );
+        assert_eq!(
+            a.recv_timeout(Duration::from_millis(50)),
+            Err(TransportError::Timeout)
+        );
         net.restore(link);
         assert!(!net.is_faulted(link));
         a.send(b"after").unwrap();
+        // Each waiting frame arrives once, in order, before later sends.
+        for i in 0..3u8 {
+            assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), [i]);
+        }
         assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), b"after");
-    }
-
-    #[test]
-    fn drop_link_purges_in_flight_frames() {
-        let net = SimNetwork::new(12);
-        let slow = LinkConfig {
-            latency: Duration::from_millis(200),
-            jitter: Duration::ZERO,
-            loss_rate: 0.0,
-            duplicate_rate: 0.0,
-        };
-        let (a, b, link) = net.symmetric_link_with_id(slow);
-        a.send(b"in flight").unwrap();
-        // Sever the cable while the frame is still queued.
-        net.drop_link(link);
-        net.restore(link);
+        assert_eq!(a.recv_timeout(Duration::from_secs(1)).unwrap(), b"back");
         assert_eq!(
-            b.recv_timeout(Duration::from_millis(400)),
+            b.recv_timeout(Duration::from_millis(50)),
             Err(TransportError::Timeout)
         );
     }
 
     #[test]
+    fn drop_link_holds_in_flight_frames_ahead_of_later_sends() {
+        let net = SimNetwork::new(12);
+        let slow = LinkConfig::instant().with_latency(Duration::from_millis(200));
+        let (a, b, link) = net.symmetric_link_with_id(slow);
+        a.send(b"in flight").unwrap();
+        // Down the link while the frame is still on the wire.
+        net.drop_link(link);
+        a.send(b"held").unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(400)),
+            Err(TransportError::Timeout)
+        );
+        net.restore(link);
+        a.send(b"after").unwrap();
+        for want in [&b"in flight"[..], b"held", b"after"] {
+            assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), want);
+        }
+    }
+
+    #[test]
     fn drop_link_leaves_other_links_untouched() {
         let net = SimNetwork::new(13);
-        let (a, _b, link) = net.symmetric_link_with_id(LinkConfig::instant());
+        let (a, b, link) = net.symmetric_link_with_id(LinkConfig::instant());
         let (c, d, _other) = net.symmetric_link_with_id(LinkConfig::instant());
         net.drop_link(link);
-        assert_eq!(a.send(b"down"), Err(TransportError::Closed));
+        a.send(b"down").unwrap();
         c.send(b"up").unwrap();
         assert_eq!(d.recv_timeout(Duration::from_secs(1)).unwrap(), b"up");
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(50)),
+            Err(TransportError::Timeout)
+        );
+    }
+
+    #[test]
+    fn a_1025th_waiting_frame_resets_the_link() {
+        let net = SimNetwork::new(23);
+        let (a, b, link) = net.symmetric_link_with_id(LinkConfig::instant());
+        net.drop_link(link);
+        for i in 0..HOLD_LIMIT as u32 {
+            a.send(&i.to_be_bytes()).unwrap();
+        }
+        b.send(b"the other way").unwrap();
+        assert_eq!(a.send(b"one too many"), Err(TransportError::Closed));
+        // A reset loses what waited, in both directions.
+        net.restore(link);
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+        assert_eq!(b.send(b"after"), Err(TransportError::Closed));
+    }
+
+    #[test]
+    fn close_a_dropped_sender_and_shutdown_discard_waiting_frames() {
+        // A close: a blocked reader wakes, and nothing that waited
+        // arrives at either end.
+        let net = SimNetwork::new(24);
+        let (a, b, link) = net.symmetric_link_with_id(LinkConfig::instant());
+        net.drop_link(link);
+        a.send(b"waits").unwrap();
+        b.send(b"waits too").unwrap();
+        let reading = std::thread::spawn(move || b.recv());
+        std::thread::sleep(Duration::from_millis(5));
+        a.sender().close();
+        net.restore(link);
+        assert_eq!(reading.join().unwrap(), Err(TransportError::Closed));
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+
+        // A dropped sender: its peer reads a close instead of waiting
+        // for the frames it left.
+        let (a, b, link) = net.symmetric_link_with_id(LinkConfig::instant());
+        net.drop_link(link);
+        a.send(b"waits").unwrap();
+        drop(a);
+        net.restore(link);
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+
+        // Shutdown: frames in flight or waiting are gone, so each queue
+        // closes once its sender goes.
+        let mut net = SimNetwork::new(25);
+        let slow = LinkConfig::instant().with_latency(Duration::from_millis(200));
+        let (a, b) = net.symmetric_link(slow);
+        let (c, d, link) = net.symmetric_link_with_id(LinkConfig::instant());
+        a.send(b"in flight").unwrap();
+        net.drop_link(link);
+        c.send(b"waits").unwrap();
+        net.shutdown();
+        net.restore(link);
+        drop((a, c));
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+        assert_eq!(
+            d.recv_timeout(Duration::from_secs(1)),
+            Err(TransportError::Closed)
+        );
+    }
+
+    #[test]
+    fn flaky_on_a_downed_link_releases_what_waited() {
+        let net = SimNetwork::new(26);
+        let (a, b, link) = net.symmetric_link_with_id(LinkConfig::instant());
+        net.drop_link(link);
+        a.send(b"waited").unwrap();
+        net.flaky(link, 1.0, Duration::from_secs(30));
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), b"waited");
+        a.send(b"eaten").unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(50)),
+            Err(TransportError::Timeout)
+        );
     }
 
     #[test]
@@ -804,14 +994,21 @@ mod tests {
     #[test]
     fn partition_downs_every_listed_link() {
         let net = SimNetwork::new(16);
-        let (a, _b, l1) = net.symmetric_link_with_id(LinkConfig::instant());
-        let (c, _d, l2) = net.symmetric_link_with_id(LinkConfig::instant());
+        let (a, b, l1) = net.symmetric_link_with_id(LinkConfig::instant());
+        let (c, d, l2) = net.symmetric_link_with_id(LinkConfig::instant());
         let (e, f, _l3) = net.symmetric_link_with_id(LinkConfig::instant());
         net.partition(&[l1, l2]);
-        assert_eq!(a.send(b"x"), Err(TransportError::Closed));
-        assert_eq!(c.send(b"x"), Err(TransportError::Closed));
+        assert!(net.is_faulted(l1) && net.is_faulted(l2));
+        a.send(b"x").unwrap();
+        c.send(b"y").unwrap();
         e.send(b"alive").unwrap();
         assert_eq!(f.recv_timeout(Duration::from_secs(1)).unwrap(), b"alive");
+        for held in [&b, &d] {
+            assert_eq!(
+                held.recv_timeout(Duration::from_millis(50)),
+                Err(TransportError::Timeout)
+            );
+        }
     }
 
     #[test]

@@ -76,17 +76,13 @@
 //!
 //! ## Fault tolerance
 //!
-//! Setting [`prelude::TracingConfig`]'s `link_supervision` (or
-//! `BrokerConfig::link_supervision` directly) runs every broker link
-//! under a [`prelude::LinkSupervisor`]: failed sends are detected,
-//! outbound frames are buffered through the outage (bounded, shedding
-//! oldest first), and the link is repaired with capped, jittered
-//! exponential backoff, replaying the buffer in order. Receives bypass
-//! the supervisor, so a link whose peer closes it ends, supervised or
-//! not.
-//! The simulated network can inject the faults to test against —
-//! `drop_link`, `flaky`, `partition`, `restore` (see the "Fault
-//! tolerance" section of `docs/ARCHITECTURE.md`).
+//! Broker links ride out a transient outage the way TCP does: frames
+//! wait in order and arrive once the path heals, and a link that
+//! resets ends, withdrawing the interest it carried. The simulated
+//! network scripts both — `drop_link` holds a link's frames until
+//! `restore`, and closing a sender resets its link — alongside `flaky`
+//! and `partition` (see the "Fault tolerance" section of
+//! `docs/ARCHITECTURE.md`).
 //!
 //! See the crate-level documentation of the member crates for each
 //! subsystem: [`nb_crypto`], [`nb_wire`], [`nb_transport`],
@@ -121,9 +117,6 @@ pub mod prelude {
     pub use nb_tracing::{TracedEntity, Tracker, TracingEngine};
     pub use nb_transport::clock::{system_clock, Clock, MockClock, SystemClock};
     pub use nb_transport::sim::{LinkConfig, LinkId, SimNetwork};
-    pub use nb_transport::supervisor::{
-        BackoffPolicy, LinkState, LinkStats, LinkSupervisor, SupervisorConfig,
-    };
     pub use nb_wire::payload::DiscoveryRestrictions;
     pub use nb_wire::trace::{EntityState, LoadInformation, TraceCategory};
     pub use nb_wire::{Message, Payload, Topic};
