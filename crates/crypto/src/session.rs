@@ -37,6 +37,7 @@ use crate::hmac::{ct_eq, hmac_parts};
 use crate::sha256::Sha256;
 use crate::uuid::Uuid;
 use rand::Rng;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::RwLock;
 
@@ -188,17 +189,19 @@ impl SessionKeyring {
         Self::default()
     }
 
-    /// Installs (or replaces) a key.
+    /// Installs a key. A key id already resident keeps its state, so
+    /// a late or replayed delivery of a revoked key cannot revive it
+    /// and a re-delivered key keeps its message count.
     pub fn install(&self, key: SessionKey) {
-        crate::instrument::SESSION_INSTALLED.inc();
-        self.keys.write().expect("session keyring poisoned").insert(
-            key.key_id,
-            KeyState {
+        let mut keys = self.keys.write().expect("session keyring poisoned");
+        if let Entry::Vacant(slot) = keys.entry(key.key_id) {
+            crate::instrument::SESSION_INSTALLED.inc();
+            slot.insert(KeyState {
                 key,
                 used: 0,
                 revoked: false,
-            },
-        );
+            });
+        }
     }
 
     /// Marks `key_id` revoked (it stays resident so verifiers can
@@ -348,6 +351,22 @@ mod tests {
     fn key(rng: &mut StdRng) -> SessionKey {
         let topic = Uuid::new_v4(rng);
         SessionKey::mint(topic, NOW, 60_000, 100, rng)
+    }
+
+    #[test]
+    fn reinstalling_a_revoked_key_keeps_it_revoked() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let k = key(&mut rng);
+        let ring = SessionKeyring::new();
+        ring.install(k.clone());
+        let (seq, mac) = ring.tag(k.key_id, NOW, &[b"m"]).unwrap();
+        assert!(ring.revoke(k.key_id));
+        ring.install(k.clone());
+        assert_eq!(
+            ring.verify(k.key_id, seq, None, NOW, &[b"m"], &mac),
+            SessionVerdict::Revoked
+        );
+        assert_eq!(ring.len(), 1);
     }
 
     #[test]

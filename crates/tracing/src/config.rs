@@ -39,8 +39,9 @@ pub struct TracingConfig {
     pub ping_window: usize,
     /// Scheduler tick for the engine's background thread.
     pub tick: Duration,
-    /// Whether the engine runs its own background ticker. Disable for
-    /// deterministic tests driven by [`crate::TracingEngine::tick_now`].
+    /// Whether the engine's thread runs a scheduling pass every `tick`
+    /// between messages. Disable for deterministic tests driven by
+    /// [`crate::TracingEngine::tick_now`].
     pub auto_tick: bool,
     /// Interval between GAUGE_INTEREST probes.
     pub gauge_interval: Duration,

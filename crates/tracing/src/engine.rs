@@ -9,6 +9,7 @@ use crate::channels;
 use crate::config::TracingConfig;
 use crate::failure::{DetectorEvent, FailureDetector, Liveness};
 use crate::interest::{InterestSet, TrackerInterest};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nb_broker::Broker;
 use nb_crypto::cert::{Certificate, Credential};
 use nb_crypto::hybrid::SealedEnvelope;
@@ -24,13 +25,14 @@ use nb_wire::token::AuthorizationToken;
 use nb_wire::trace::{topics, EntityState, TraceCategory, TraceEvent, TraceKind};
 use nb_monitor::{MonitorSet, VerdictKind};
 use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
-use nb_wire::{Message, Payload, SessionTag};
+use nb_wire::{Message, Payload, SessionTag, Topic};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything an engine needs at start-up.
 pub struct EngineSetup {
@@ -136,9 +138,6 @@ struct Session {
     /// the engine tags outgoing trace publications with. The key
     /// material itself lives in the broker's shared keyring.
     session_key_id: Option<u64>,
-    /// Trackers that already hold the current session key (cleared on
-    /// every adoption/rotation so the new key fans out again).
-    session_delivered: HashSet<String>,
     interest: InterestSet,
     trace_seq: u64,
     joined: bool,
@@ -192,8 +191,9 @@ pub struct TracingEngine {
 
 impl TracingEngine {
     /// Starts the engine at `setup.broker`: subscribes to the
-    /// registration channel and spawns the dispatcher (and, unless
-    /// `auto_tick` is off, the ticker).
+    /// registration channel and spawns the engine's one thread, which
+    /// handles messages and, unless `auto_tick` is off, runs a
+    /// scheduling pass every `tick`.
     pub fn start(setup: EngineSetup) -> Self {
         let consumer = format!("tracing-engine@{}", setup.broker.id());
         let rx = setup.broker.register_internal(&consumer);
@@ -224,33 +224,11 @@ impl TracingEngine {
             monitor: RwLock::new(None),
         });
 
-        let dispatch_inner = Arc::clone(&inner);
+        let loop_inner = Arc::clone(&inner);
         std::thread::Builder::new()
-            .name(format!("{}-dispatch", inner.consumer))
-            .spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    if dispatch_inner.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    handle_message(&dispatch_inner, msg);
-                }
-            })
-            .expect("spawn engine dispatcher");
-
-        if inner.config.auto_tick {
-            let tick_inner = Arc::clone(&inner);
-            let tick = inner.config.tick;
-            std::thread::Builder::new()
-                .name(format!("{}-ticker", inner.consumer))
-                .spawn(move || loop {
-                    if tick_inner.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    run_tick(&tick_inner);
-                    std::thread::sleep(tick);
-                })
-                .expect("spawn engine ticker");
-        }
+            .name(inner.consumer.clone())
+            .spawn(move || run(&loop_inner, &rx))
+            .expect("spawn tracing engine");
 
         TracingEngine { inner }
     }
@@ -270,7 +248,8 @@ impl TracingEngine {
         *self.inner.monitor.write() = Some(monitor);
     }
 
-    /// Stops background threads (best effort).
+    /// Stops the engine's thread (best effort: it exits at its next
+    /// message or tick, or when the broker shuts down).
     pub fn stop(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
     }
@@ -366,6 +345,43 @@ impl TracingEngine {
     }
 }
 
+/// The engine's thread: handles each message as it arrives and, with
+/// `auto_tick` on, runs a scheduling pass whenever one is due, waiting
+/// on the channel in between. Ends when the engine is stopped or the
+/// broker drops the channel.
+fn run(inner: &Arc<EngineInner>, rx: &Receiver<Message>) {
+    let mut next_tick = Instant::now();
+    while !inner.stop.load(Ordering::SeqCst) {
+        let received = if inner.config.auto_tick {
+            let now = Instant::now();
+            if now >= next_tick {
+                run_tick(inner);
+                next_tick = Instant::now() + inner.config.tick;
+                continue;
+            }
+            rx.recv_timeout(next_tick - now)
+        } else {
+            rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        };
+        match received {
+            Ok(msg) if !inner.stop.load(Ordering::SeqCst) => handle_message(inner, msg),
+            Err(RecvTimeoutError::Timeout) => {}
+            _ => return,
+        }
+    }
+}
+
+/// A message from this engine's broker.
+fn message(inner: &EngineInner, topic: Topic, payload: Payload, now: u64) -> Message {
+    Message::new(
+        inner.broker.next_message_id(),
+        topic,
+        inner.broker.id().to_string(),
+        now,
+        payload,
+    )
+}
+
 /// Mints a root trace context for an engine-originated message, with
 /// the head-sampling decision applied. `None` when telemetry is off.
 fn mint_trace(inner: &EngineInner) -> Option<TraceContext> {
@@ -409,16 +425,7 @@ fn handle_message(inner: &Arc<EngineInner>, msg: Message) {
         | Payload::DelegationToken { .. }
         | Payload::TraceKeyDelivery { .. }
         | Payload::SymmetricKeySetup { .. }
-        | Payload::SessionKeyAnnounce { .. } => {
-            let ctx = traced;
-            handle_session_message(inner, msg);
-            if let Some(ctx) = &ctx {
-                inner
-                    .recorder
-                    .record(SpanEvent::new(ctx, Stage::Consume, t0, now_ns()));
-            }
-            return;
-        }
+        | Payload::SessionKeyAnnounce { .. } => handle_session_message(inner, msg),
         _ => {}
     }
     if let Some(ctx) = &traced {
@@ -440,20 +447,14 @@ fn handle_registration(inner: &Arc<EngineInner>, msg: &Message) {
         return;
     };
     let now = inner.clock.now_ms();
-    let reply_topic = channels::registration_reply(entity_id);
-
+    let reply = |payload: Payload| {
+        let reply = message(inner, channels::registration_reply(entity_id), payload, now);
+        inner.broker.publish_internal(reply.correlated(msg.id));
+    };
     let reject = |reason: &str| {
-        let reply = Message::new(
-            inner.broker.next_message_id(),
-            reply_topic.clone(),
-            inner.broker.id().to_string(),
-            now,
-            Payload::RegistrationRejected {
-                reason: reason.to_string(),
-            },
-        )
-        .correlated(msg.id);
-        inner.broker.publish_internal(reply);
+        reply(Payload::RegistrationRejected {
+            reason: reason.to_string(),
+        })
     };
 
     // 1. Certificate must chain to the CA.
@@ -510,114 +511,73 @@ fn handle_registration(inner: &Arc<EngineInner>, msg: &Message) {
             );
         }
     }
-    if let Some(existing) = inner.sessions.lock().get(entity_id.as_str()) {
-        if existing.trace_topic == advertisement.topic_id {
-            let grant = SessionGrant {
-                request_id: msg.id,
-                session_id: existing.session_id,
-            };
-            let sealed = {
-                let mut rng = inner.rng.lock();
-                SealedEnvelope::seal(
-                    &credentials.public_key,
-                    &grant.to_bytes(),
-                    nb_crypto::aes::KeySize::Aes192,
-                    &mut *rng,
-                )
-            };
-            if let Ok(sealed) = sealed {
-                let reply = Message::new(
-                    inner.broker.next_message_id(),
-                    reply_topic,
-                    inner.broker.id().to_string(),
-                    now,
-                    Payload::RegistrationAccepted { sealed },
-                )
-                .correlated(msg.id);
-                inner.broker.publish_internal(reply);
-            }
-            return;
-        }
-    }
-
-    // Grant the session.
-    let session_id = Uuid::new_v4(&mut *inner.rng.lock());
     let trace_topic = advertisement.topic_id;
-
-    // The broker subscribes to the entity→broker session channel.
-    let channel = topics::entity_to_broker(&trace_topic, &session_id);
-    if inner
-        .broker
-        .subscribe_internal(&inner.consumer, channel)
-        .is_err()
-    {
-        reject("session channel subscription failed");
-        return;
-    }
-    // Also to the interest-response channel for this trace topic.
-    let _ = inner
-        .broker
-        .subscribe_internal(&inner.consumer, topics::interest_response(&trace_topic));
-    // Let the routing layer fully verify our future tokens.
-    inner
-        .broker
-        .register_topic_owner(trace_topic, credentials.public_key.clone());
+    let existing = inner
+        .sessions
+        .lock()
+        .get(entity_id.as_str())
+        .filter(|s| s.trace_topic == trace_topic)
+        .map(|s| s.session_id);
+    let session_id = match existing {
+        Some(session_id) => session_id,
+        None => {
+            let session_id = Uuid::new_v4(&mut *inner.rng.lock());
+            // The broker subscribes to the entity→broker session channel.
+            let channel = topics::entity_to_broker(&trace_topic, &session_id);
+            if inner
+                .broker
+                .subscribe_internal(&inner.consumer, channel)
+                .is_err()
+            {
+                reject("session channel subscription failed");
+                return;
+            }
+            // Also to the interest-response channel for this trace topic.
+            let _ = inner
+                .broker
+                .subscribe_internal(&inner.consumer, topics::interest_response(&trace_topic));
+            // Let the routing layer fully verify our future tokens.
+            inner
+                .broker
+                .register_topic_owner(trace_topic, credentials.public_key.clone());
+            session_id
+        }
+    };
 
     let grant = SessionGrant {
         request_id: msg.id,
         session_id,
     };
-    let sealed = {
-        let mut rng = inner.rng.lock();
-        SealedEnvelope::seal(
-            &credentials.public_key,
-            &grant.to_bytes(),
-            nb_crypto::aes::KeySize::Aes192,
-            &mut *rng,
-        )
-    };
-    let Ok(sealed) = sealed else {
+    let Some(sealed) = seal(inner, &credentials.public_key, &grant.to_bytes()) else {
         reject("response sealing failed");
         return;
     };
-
-    let session = Session {
-        entity_id: entity_id.clone(),
-        trace_topic,
-        session_id,
-        cert: credentials.clone(),
-        state: EntityState::Initializing,
-        detector: FailureDetector::new(&inner.config),
-        token: None,
-        mac_key: None,
-        trace_key: None,
-        session_key_id: None,
-        session_delivered: HashSet::new(),
-        interest: InterestSet::new(),
-        trace_seq: 1,
-        joined: false,
-        last_gauge_ms: 0,
-        last_metrics_ms: 0,
-        pending_mac: Vec::new(),
-    };
-    inner
-        .sessions
-        .lock()
-        .insert(entity_id.clone(), session);
-    inner
-        .topic_index
-        .lock()
-        .insert(trace_topic, entity_id.clone());
-
-    let reply = Message::new(
-        inner.broker.next_message_id(),
-        reply_topic,
-        inner.broker.id().to_string(),
-        now,
-        Payload::RegistrationAccepted { sealed },
-    )
-    .correlated(msg.id);
-    inner.broker.publish_internal(reply);
+    if existing.is_none() {
+        let session = Session {
+            entity_id: entity_id.clone(),
+            trace_topic,
+            session_id,
+            cert: credentials.clone(),
+            state: EntityState::Initializing,
+            detector: FailureDetector::new(&inner.config),
+            token: None,
+            mac_key: None,
+            trace_key: None,
+            session_key_id: None,
+            interest: InterestSet::new(),
+            trace_seq: 1,
+            joined: false,
+            last_gauge_ms: 0,
+            last_metrics_ms: 0,
+            pending_mac: Vec::new(),
+        };
+        inner.sessions.lock().insert(entity_id.clone(), session);
+        inner
+            .topic_index
+            .lock()
+            .insert(trace_topic, entity_id.clone());
+    }
+    reply(Payload::RegistrationAccepted { sealed });
 }
 
 /// §4.2: every trace message from the entity must demonstrate
@@ -735,11 +695,16 @@ fn handle_session_message(inner: &Arc<EngineInner>, msg: Message) {
         }
         Payload::TraceKeyDelivery { sealed } => {
             // §5.1: the entity's secret trace key arrives sealed to us,
-            // together with the negotiated algorithm and padding.
+            // together with the negotiated algorithm and padding. It
+            // goes at once to every registered tracker: an entity that
+            // re-sends its setup mints a fresh key each time.
             if let Ok(bytes) = sealed.open(&inner.credential.private_key) {
                 if let Ok(material) = TraceKeyMaterial::from_bytes(&bytes) {
                     if let Ok(mode) = material.mode() {
                         session.trace_key = Some((material.key, mode));
+                        for tracker in session.interest.trackers() {
+                            deliver_trace_key(inner, session, tracker, now);
+                        }
                     }
                 }
             }
@@ -812,31 +777,25 @@ fn handle_interest_response(inner: &Arc<EngineInner>, msg: &Message) {
         return;
     };
     let first_contact = !session.interest.knows(&msg.sender);
-    session.interest.register(
-        &msg.sender,
-        TrackerInterest {
-            certificate: credentials.clone(),
-            categories: interests.clone(),
-            reply_topic: reply_topic.clone(),
-            key_delivered: false,
-            refreshed_ms: now,
-        },
-    );
+    let tracker = TrackerInterest {
+        certificate: credentials.clone(),
+        categories: interests.clone(),
+        reply_topic: reply_topic.clone(),
+        refreshed_ms: now,
+    };
+    // The delivery rule (§5.1): every interest response is answered
+    // with every key the session holds, so a tracker that lost its
+    // keys (a restart under its id, a lost delivery) decrypts again
+    // after its next response.
+    deliver_trace_key(inner, session, &tracker, now);
+    deliver_session_key(inner, session, &tracker, now);
+    session.interest.register(&msg.sender, tracker);
     // A tracker that registers interest after the original JOIN was
     // published would otherwise never learn the entity is available;
     // re-announce on first contact.
     if first_contact && session.joined && session.detector.liveness() != Liveness::Failed {
         publish_trace(inner, session, TraceKind::Join, now);
     }
-
-    // Secured tracing: deliver the trace key to newly interested,
-    // authorized trackers (§5.1).
-    if session.trace_key.is_some() {
-        deliver_pending_keys(inner, session, now);
-    }
-    // Session layer: fan the current session key out to trackers that
-    // do not hold it yet.
-    deliver_session_keys(inner, session, now);
 }
 
 fn trace_topic_from_message(msg: &Message) -> Option<Uuid> {
@@ -844,90 +803,69 @@ fn trace_topic_from_message(msg: &Message) -> Option<Uuid> {
     constrained.suffixes.first()?.parse().ok()
 }
 
-fn deliver_pending_keys(inner: &EngineInner, session: &mut Session, now: u64) {
-    let Some((trace_key, mode)) = session.trace_key.clone() else {
+/// Seals `plain` to `key` (an RSA-wrapped AES-192 envelope).
+fn seal(inner: &EngineInner, key: &RsaPublicKey, plain: &[u8]) -> Option<SealedEnvelope> {
+    let mut rng = inner.rng.lock();
+    SealedEnvelope::seal(key, plain, nb_crypto::aes::KeySize::Aes192, &mut *rng).ok()
+}
+
+/// Publishes `payload` on a tracker's reply topic under the delegation
+/// token, which shows the tracker the engine speaks for the entity.
+fn send_to_tracker(
+    inner: &EngineInner,
+    tracker: &TrackerInterest,
+    token: &AuthorizationToken,
+    payload: Payload,
+    now: u64,
+) {
+    let msg = message(inner, tracker.reply_topic.clone(), payload, now).with_token(token.clone());
+    inner.broker.publish_internal(msg);
+}
+
+/// Seals the §5.1 trace key to one tracker (no-op without a key or a
+/// delegation token).
+fn deliver_trace_key(inner: &EngineInner, session: &Session, tracker: &TrackerInterest, now: u64) {
+    let (Some((key, mode)), Some(token)) = (&session.trace_key, &session.token) else {
         return;
     };
-    let Some(token) = session.token.clone() else {
-        return;
-    };
-    for (tracker_id, interest) in session.interest.pending_key_delivery() {
-        let material = TraceKeyMaterial::aes192(trace_key.clone(), mode);
-        let sealed = {
-            let mut rng = inner.rng.lock();
-            SealedEnvelope::seal(
-                &interest.certificate.public_key,
-                &material.to_bytes(),
-                nb_crypto::aes::KeySize::Aes192,
-                &mut *rng,
-            )
-        };
-        let Ok(sealed) = sealed else { continue };
-        let msg = Message::new(
-            inner.broker.next_message_id(),
-            interest.reply_topic.clone(),
-            inner.broker.id().to_string(),
-            now,
-            Payload::TraceKeyDelivery { sealed },
-        )
-        .with_token(token.clone());
-        inner.broker.publish_internal(msg);
-        session.interest.mark_key_delivered(&tracker_id);
+    let material = TraceKeyMaterial::aes192(key.clone(), *mode);
+    if let Some(sealed) = seal(inner, &tracker.certificate.public_key, &material.to_bytes()) {
+        let delivery = Payload::TraceKeyDelivery { sealed };
+        send_to_tracker(inner, tracker, token, delivery, now);
         inner.metrics.keys_delivered.inc();
     }
 }
 
-/// Adopts `key` as the session's current trace session key: installs
-/// it into the broker's shared keyring and fans it out to the
-/// interested tracker-set.
-fn adopt_session_key(inner: &EngineInner, session: &mut Session, key: SessionKey, now: u64) {
-    session.session_key_id = Some(key.key_id);
-    session.session_delivered.clear();
-    inner.broker.install_session_key(key);
-    inner.metrics.session_established.inc();
-    deliver_session_keys(inner, session, now);
+/// Seals the current session key to one tracker (no-op without a key
+/// or a delegation token).
+fn deliver_session_key(
+    inner: &EngineInner,
+    session: &Session,
+    tracker: &TrackerInterest,
+    now: u64,
+) {
+    let key = session
+        .session_key_id
+        .and_then(|id| inner.session_keys.get(id));
+    let (Some(key), Some(token)) = (key, &session.token) else {
+        return;
+    };
+    if let Some(sealed) = seal(inner, &tracker.certificate.public_key, &key.to_bytes()) {
+        let delivery = Payload::SessionKeyDelivery { sealed };
+        send_to_tracker(inner, tracker, token, delivery, now);
+        inner.metrics.session_keys_delivered.inc();
+    }
 }
 
-/// Delivers the current session key, sealed, to every interested
-/// tracker that does not hold it yet (mirrors
-/// [`deliver_pending_keys`]). No-ops until both the key and the
-/// delegation token exist; retried from every interest response, so a
-/// lost delivery heals on the next gauge round.
-fn deliver_session_keys(inner: &EngineInner, session: &mut Session, now: u64) {
-    let Some(key_id) = session.session_key_id else {
-        return;
-    };
-    let Some(key) = inner.session_keys.get(key_id) else {
-        return;
-    };
-    let Some(token) = session.token.clone() else {
-        return;
-    };
-    for (tracker_id, interest) in session.interest.trackers() {
-        if session.session_delivered.contains(&tracker_id) {
-            continue;
-        }
-        let sealed = {
-            let mut rng = inner.rng.lock();
-            SealedEnvelope::seal(
-                &interest.certificate.public_key,
-                &key.to_bytes(),
-                nb_crypto::aes::KeySize::Aes192,
-                &mut *rng,
-            )
-        };
-        let Ok(sealed) = sealed else { continue };
-        let msg = Message::new(
-            inner.broker.next_message_id(),
-            interest.reply_topic.clone(),
-            inner.broker.id().to_string(),
-            now,
-            Payload::SessionKeyDelivery { sealed },
-        )
-        .with_token(token.clone());
-        inner.broker.publish_internal(msg);
-        session.session_delivered.insert(tracker_id);
-        inner.metrics.session_keys_delivered.inc();
+/// Adopts `key` as the session's current trace session key: installs
+/// it into the broker's shared keyring and sends it at once to every
+/// registered tracker.
+fn adopt_session_key(inner: &EngineInner, session: &mut Session, key: SessionKey, now: u64) {
+    session.session_key_id = Some(key.key_id);
+    inner.broker.install_session_key(key);
+    inner.metrics.session_established.inc();
+    for tracker in session.interest.trackers() {
+        deliver_session_key(inner, session, tracker, now);
     }
 }
 
@@ -958,26 +896,12 @@ fn rotate_session_key(inner: &EngineInner, session: &mut Session, old_key_id: u6
         key_id: old_key_id,
         topic: session.trace_topic,
     };
-    if let Some(token) = session.token.clone() {
-        for (_, interest) in session.interest.trackers() {
-            let msg = Message::new(
-                inner.broker.next_message_id(),
-                interest.reply_topic.clone(),
-                inner.broker.id().to_string(),
-                now,
-                revoke.clone(),
-            )
-            .with_token(token.clone());
-            inner.broker.publish_internal(msg);
+    if let Some(token) = &session.token {
+        for tracker in session.interest.trackers() {
+            send_to_tracker(inner, tracker, token, revoke.clone(), now);
         }
     }
-    let mut audit = Message::new(
-        inner.broker.next_message_id(),
-        nb_monitor::audit_topic(),
-        inner.broker.id().to_string(),
-        now,
-        revoke,
-    );
+    let mut audit = message(inner, nb_monitor::audit_topic(), revoke, now);
     if audit.sign(&inner.credential).is_ok() {
         inner.broker.publish_internal(audit);
     }
@@ -988,17 +912,12 @@ fn gauge_interest(inner: &EngineInner, session: &mut Session, now: u64) {
     let Some(token) = session.token.clone() else {
         return;
     };
-    let msg = Message::new(
-        inner.broker.next_message_id(),
-        topics::gauge_interest(&session.trace_topic),
-        inner.broker.id().to_string(),
-        now,
-        Payload::GaugeInterestRequest {
-            secured: session.trace_key.is_some(),
-        },
-    )
-    .with_token(token);
-    inner.broker.publish_internal(msg);
+    let probe = Payload::GaugeInterestRequest {
+        secured: session.trace_key.is_some(),
+    };
+    let topic = topics::gauge_interest(&session.trace_topic);
+    let msg = message(inner, topic, probe, now);
+    inner.broker.publish_internal(msg.with_token(token));
     session.last_gauge_ms = now;
 }
 
@@ -1059,14 +978,8 @@ fn publish_trace(
         None => Payload::Trace { event },
     };
 
-    let mut msg = Message::new(
-        inner.broker.next_message_id(),
-        topics::publication(&session.trace_topic, category),
-        inner.broker.id().to_string(),
-        now,
-        payload,
-    )
-    .with_token(token);
+    let topic = topics::publication(&session.trace_topic, category);
+    let mut msg = message(inner, topic, payload, now).with_token(token);
     if let Some(ctx) = ctx {
         msg = msg.with_trace(ctx);
     }
@@ -1097,39 +1010,31 @@ fn run_tick(inner: &Arc<EngineInner>) {
     let mut sessions = inner.sessions.lock();
     for session in sessions.values_mut() {
         // Failure detection.
-        match session.detector.on_tick(now) {
+        let verdict = match session.detector.on_tick(now) {
             Some(DetectorEvent::Suspect) => {
                 inner.metrics.suspicions.inc();
-                notify_verdict(inner, &session.entity_id, VerdictKind::Suspect, now);
-                let t0 = now_ns();
-                if let Some(ctx) = publish_trace(inner, session, TraceKind::FailureSuspicion, now)
-                {
-                    if ctx.sampled {
-                        inner
-                            .recorder
-                            .record(SpanEvent::new(&ctx, Stage::Verdict, t0, now_ns()));
-                    }
-                }
+                Some((VerdictKind::Suspect, TraceKind::FailureSuspicion))
             }
             Some(DetectorEvent::Fail) => {
                 inner.metrics.failures.inc();
-                notify_verdict(inner, &session.entity_id, VerdictKind::Failed, now);
                 if let Some(evidence) = session.detector.last_evidence_ms() {
                     inner
                         .metrics
                         .time_to_detect_ms
                         .record(now.saturating_sub(evidence));
                 }
-                let t0 = now_ns();
-                if let Some(ctx) = publish_trace(inner, session, TraceKind::Failed, now) {
-                    if ctx.sampled {
-                        inner
-                            .recorder
-                            .record(SpanEvent::new(&ctx, Stage::Verdict, t0, now_ns()));
-                    }
-                }
+                Some((VerdictKind::Failed, TraceKind::Failed))
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some((verdict, kind)) = verdict {
+            notify_verdict(inner, &session.entity_id, verdict, now);
+            let t0 = now_ns();
+            if let Some(ctx) = publish_trace(inner, session, kind, now).filter(|c| c.sampled) {
+                inner
+                    .recorder
+                    .record(SpanEvent::new(&ctx, Stage::Verdict, t0, now_ns()));
+            }
         }
 
         // Ping issue (failed entities are no longer pinged; they
@@ -1148,20 +1053,16 @@ fn run_tick(inner: &Arc<EngineInner>) {
             } else {
                 0
             };
-            let mut ping = Message::new(
-                inner.broker.next_message_id(),
-                topics::broker_to_entity(
-                    &session.entity_id,
-                    &session.trace_topic,
-                    &session.session_id,
-                ),
-                inner.broker.id().to_string(),
-                now,
-                Payload::Ping {
-                    seq,
-                    sent_at_ms: now,
-                },
+            let topic = topics::broker_to_entity(
+                &session.entity_id,
+                &session.trace_topic,
+                &session.session_id,
             );
+            let payload = Payload::Ping {
+                seq,
+                sent_at_ms: now,
+            };
+            let mut ping = message(inner, topic, payload, now);
             if let Some(ctx) = ctx {
                 ping = ping.with_trace(ctx);
             }

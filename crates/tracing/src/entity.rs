@@ -328,16 +328,8 @@ impl TracedEntity {
     /// shared key (§6.3).
     pub fn enable_symmetric_mode(&self) -> Result<()> {
         let mut key = vec![0u8; 32];
-        let sealed = {
-            let mut rng = self.inner.rng.lock();
-            (*rng).fill_bytes(&mut key);
-            SealedEnvelope::seal(
-                &self.inner.broker_key,
-                &key,
-                nb_crypto::aes::KeySize::Aes192,
-                &mut *rng,
-            )?
-        };
+        self.inner.rng.lock().fill_bytes(&mut key);
+        let sealed = self.seal_to_broker(&key)?;
         // The transition message itself is RSA-signed.
         let mut msg = self
             .inner
@@ -363,22 +355,14 @@ impl TracedEntity {
     /// the credentialed entity, not a bystander.
     pub fn announce_session_key(&self) -> Result<()> {
         let now = self.inner.clock.now_ms();
-        let sealed = {
-            let mut rng = self.inner.rng.lock();
-            let key = SessionKey::mint(
-                self.inner.trace_topic,
-                now,
-                self.inner.config.session_lifetime_ms,
-                self.inner.config.session_max_messages,
-                &mut *rng,
-            );
-            SealedEnvelope::seal(
-                &self.inner.broker_key,
-                &key.to_bytes(),
-                nb_crypto::aes::KeySize::Aes192,
-                &mut *rng,
-            )?
-        };
+        let key = SessionKey::mint(
+            self.inner.trace_topic,
+            now,
+            self.inner.config.session_lifetime_ms,
+            self.inner.config.session_max_messages,
+            &mut *self.inner.rng.lock(),
+        );
+        let sealed = self.seal_to_broker(&key.to_bytes())?;
         let mut msg = self.inner.client.make_message(
             self.inner.session_channel.clone(),
             Payload::SessionKeyAnnounce { sealed },
@@ -392,19 +376,21 @@ impl TracedEntity {
     /// broker (§5.1). Traces are encrypted from then on.
     pub fn send_trace_key(&self) -> Result<()> {
         let mut key = vec![0u8; 24]; // 192-bit AES, the paper's choice
-        let sealed = {
-            let mut rng = self.inner.rng.lock();
-            (*rng).fill_bytes(&mut key);
-            let material =
-                TraceKeyMaterial::aes192(key.clone(), self.inner.config.trace_cipher);
-            SealedEnvelope::seal(
-                &self.inner.broker_key,
-                &material.to_bytes(),
-                nb_crypto::aes::KeySize::Aes192,
-                &mut *rng,
-            )?
-        };
+        self.inner.rng.lock().fill_bytes(&mut key);
+        let material = TraceKeyMaterial::aes192(key, self.inner.config.trace_cipher);
+        let sealed = self.seal_to_broker(&material.to_bytes())?;
         self.send_authed(Payload::TraceKeyDelivery { sealed })
+    }
+
+    /// Seals `plain` to the hosting broker's public key.
+    fn seal_to_broker(&self, plain: &[u8]) -> Result<SealedEnvelope> {
+        let mut rng = self.inner.rng.lock();
+        Ok(SealedEnvelope::seal(
+            &self.inner.broker_key,
+            plain,
+            nb_crypto::aes::KeySize::Aes192,
+            &mut *rng,
+        )?)
     }
 
     /// Reports a lifecycle state transition (§3.3).

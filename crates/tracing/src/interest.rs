@@ -17,8 +17,6 @@ pub struct TrackerInterest {
     pub categories: Vec<TraceCategory>,
     /// Where the tracker expects key deliveries.
     pub reply_topic: Topic,
-    /// Whether this tracker has already been sent the trace key.
-    pub key_delivered: bool,
     /// When the tracker last (re)registered, ms since epoch.
     pub refreshed_ms: u64,
 }
@@ -37,14 +35,6 @@ impl InterestSet {
 
     /// Records (or refreshes) a tracker's interest response.
     pub fn register(&mut self, tracker_id: &str, interest: TrackerInterest) {
-        // Preserve key-delivery state across refreshes.
-        let delivered = self
-            .trackers
-            .get(tracker_id)
-            .map(|t| t.key_delivered)
-            .unwrap_or(false);
-        let mut interest = interest;
-        interest.key_delivered = interest.key_delivered || delivered;
         self.trackers.insert(tracker_id.to_string(), interest);
     }
 
@@ -87,30 +77,10 @@ impl InterestSet {
         self.trackers.len()
     }
 
-    /// Every registered tracker (session-key distribution fans out to
-    /// the whole interested set, not just those missing the trace
-    /// key).
-    pub fn trackers(&self) -> Vec<(String, TrackerInterest)> {
-        self.trackers
-            .iter()
-            .map(|(id, t)| (id.clone(), t.clone()))
-            .collect()
-    }
-
-    /// Trackers that still need the secret trace key.
-    pub fn pending_key_delivery(&self) -> Vec<(String, TrackerInterest)> {
-        self.trackers
-            .iter()
-            .filter(|(_, t)| !t.key_delivered)
-            .map(|(id, t)| (id.clone(), t.clone()))
-            .collect()
-    }
-
-    /// Marks a tracker's key as delivered.
-    pub fn mark_key_delivered(&mut self, tracker_id: &str) {
-        if let Some(t) = self.trackers.get_mut(tracker_id) {
-            t.key_delivered = true;
-        }
+    /// Every registered tracker (session-key adoption and revocation
+    /// fan out to the whole interested set).
+    pub fn trackers(&self) -> impl Iterator<Item = &TrackerInterest> {
+        self.trackers.values()
     }
 }
 
@@ -140,7 +110,6 @@ mod tests {
             certificate: cert(name),
             categories,
             reply_topic: Topic::parse(&format!("/replies/{name}")).unwrap(),
-            key_delivered: false,
             refreshed_ms: 1_000,
         }
     }
@@ -166,18 +135,6 @@ mod tests {
         assert!(set.wants(TraceCategory::AllUpdates));
         set.remove("t2");
         assert!(!set.wants(TraceCategory::AllUpdates));
-    }
-
-    #[test]
-    fn refresh_preserves_key_delivery_state() {
-        let mut set = InterestSet::new();
-        set.register("t1", interest("t1", vec![TraceCategory::Load]));
-        assert_eq!(set.pending_key_delivery().len(), 1);
-        set.mark_key_delivered("t1");
-        assert!(set.pending_key_delivery().is_empty());
-        // A refreshed registration must not trigger re-delivery.
-        set.register("t1", interest("t1", vec![TraceCategory::Load]));
-        assert!(set.pending_key_delivery().is_empty());
     }
 
     #[test]

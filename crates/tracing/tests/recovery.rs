@@ -411,3 +411,130 @@ fn tdn_restart_recovers_registry_provenance_and_epoch() {
         "purged advert came back from the dead"
     );
 }
+
+#[test]
+fn restarted_tracker_regains_both_keys_and_decrypts() {
+    // A secured, session-keyed entity: its traces are encrypted under
+    // the §5.1 trace key and tagged under a session key. A tracker that
+    // restarts under its id holds neither; the interest response it
+    // sends at start-up must bring both back before any trace flows.
+    let clock = MockClock::new(START);
+    let shared: Arc<dyn Clock> = Arc::new(clock.clone());
+    let mut config = TracingConfig::for_tests();
+    config.auto_tick = false;
+    config.session_keys = true;
+    let dep = Deployment::new(Topology::Chain(1), LinkConfig::instant(), shared, config).unwrap();
+    let _entity = dep
+        .traced_entity(
+            0,
+            "keyed-entity",
+            DiscoveryRestrictions::Open,
+            SigningMode::RsaSign,
+            true,
+        )
+        .unwrap();
+    let interests = vec![
+        TraceCategory::AllUpdates,
+        TraceCategory::ChangeNotifications,
+    ];
+    let start = || {
+        dep.tracker(0, "keyed-tracker", "keyed-entity", interests.clone())
+            .unwrap()
+    };
+    let tracker = start();
+    settle();
+    assert!(
+        pump_until(&clock, &dep, 40, || tracker.traces_applied() >= 3),
+        "the first incarnation never applied a trace"
+    );
+    assert!(tracker.has_trace_key() && tracker.has_session_key());
+
+    // Kill and restart under the same id, with no time passing: the
+    // engine still holds the first incarnation's registration.
+    tracker.stop();
+    drop(tracker);
+    settle();
+    let tracker = start();
+    let deadline = std::time::Instant::now() + WAIT;
+    while !(tracker.has_trace_key() && tracker.has_session_key())
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        tracker.has_trace_key(),
+        "the restarted tracker never got the trace key"
+    );
+    assert!(
+        tracker.has_session_key(),
+        "the restarted tracker never got the session key"
+    );
+
+    assert!(
+        pump_until(&clock, &dep, 40, || tracker.traces_applied() >= 3),
+        "the restarted tracker applied no fresh trace"
+    );
+    let undecryptable = tracker
+        .metrics_snapshot()
+        .counter("tracker.traces.undecryptable")
+        .unwrap_or(0);
+    assert_eq!(
+        undecryptable, 0,
+        "traces reached the restarted tracker before its keys"
+    );
+    assert!(
+        tracker.session_verified() > 0,
+        "traces did not verify by session MAC"
+    );
+}
+
+#[test]
+fn a_replaced_trace_key_reaches_registered_trackers_at_once() {
+    // An entity that re-sends its setup mints a fresh trace key each
+    // time. Trackers registered under the old key must keep decrypting
+    // without waiting for a gauge round, so none falls in this test.
+    let clock = MockClock::new(START);
+    let shared: Arc<dyn Clock> = Arc::new(clock.clone());
+    let mut config = TracingConfig::for_tests();
+    config.auto_tick = false;
+    config.gauge_interval = Duration::from_secs(3600);
+    let dep = Deployment::new(Topology::Chain(2), LinkConfig::instant(), shared, config).unwrap();
+    let entity = dep
+        .traced_entity(
+            0,
+            "rekeyed-entity",
+            DiscoveryRestrictions::Open,
+            SigningMode::RsaSign,
+            true,
+        )
+        .unwrap();
+    let tracker = dep
+        .tracker(
+            1,
+            "rekeyed-tracker",
+            "rekeyed-entity",
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
+        )
+        .unwrap();
+    settle();
+    assert!(
+        pump_until(&clock, &dep, 40, || tracker.traces_applied() >= 3),
+        "no trace applied under the first key"
+    );
+
+    entity.send_trace_key().unwrap();
+    settle();
+    let applied = tracker.traces_applied();
+    assert!(
+        pump_until(&clock, &dep, 40, || tracker.traces_applied() >= applied + 3),
+        "no trace applied under the replaced key"
+    );
+    let undecryptable = tracker
+        .metrics_snapshot()
+        .counter("tracker.traces.undecryptable")
+        .unwrap_or(0);
+    assert_eq!(undecryptable, 0, "the tracker missed the replaced key");
+}

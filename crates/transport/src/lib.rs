@@ -12,7 +12,7 @@
 //!   that hold frames as a TCP connection does,
 //! * [`tcp`] / [`udp`] — real socket transports over the loopback or a
 //!   LAN (the two transports benchmarked in §6.1),
-//! * [`metrics`] — RTT/loss/bandwidth estimators feeding the
+//! * [`metrics`] — RTT and loss estimators feeding the
 //!   NETWORK_METRICS traces,
 //! * [`clock`] — an injectable clock so failure detection and token
 //!   expiry are deterministically testable.

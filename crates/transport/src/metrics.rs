@@ -177,35 +177,6 @@ impl PingWindow {
     }
 }
 
-/// Crude bandwidth estimator: bytes acknowledged per elapsed second.
-#[derive(Debug, Clone, Default)]
-pub struct BandwidthEstimator {
-    bytes: u64,
-    elapsed_ms: u64,
-}
-
-impl BandwidthEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` transferred over `elapsed_ms`.
-    pub fn record(&mut self, bytes: u64, elapsed_ms: u64) {
-        self.bytes = self.bytes.saturating_add(bytes);
-        self.elapsed_ms = self.elapsed_ms.saturating_add(elapsed_ms);
-    }
-
-    /// Estimated bytes per second (None until any time has elapsed).
-    pub fn bytes_per_sec(&self) -> Option<f64> {
-        if self.elapsed_ms == 0 {
-            None
-        } else {
-            Some(self.bytes as f64 * 1000.0 / self.elapsed_ms as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,15 +313,5 @@ mod tests {
             in_order: true,
         });
         assert_eq!(w.mean_rtt_ms(), Some(3.0));
-    }
-
-    #[test]
-    fn bandwidth_estimation() {
-        let mut b = BandwidthEstimator::new();
-        assert_eq!(b.bytes_per_sec(), None);
-        b.record(1000, 500);
-        assert_eq!(b.bytes_per_sec(), Some(2000.0));
-        b.record(1000, 500);
-        assert_eq!(b.bytes_per_sec(), Some(2000.0));
     }
 }

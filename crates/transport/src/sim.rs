@@ -1,10 +1,12 @@
 //! Deterministic simulated network.
 //!
-//! A [`SimNetwork`] owns a delivery-scheduler thread. Each simulated
-//! link direction has a [`LinkConfig`] with latency, jitter, loss and
-//! duplication; frames are delivered by the scheduler at
-//! `send_time + latency + U(0, jitter)`, dropped with probability
-//! `loss_rate`, and duplicated with probability `duplicate_rate`.
+//! A [`SimNetwork`] owns a delivery-scheduler thread, started by the
+//! first frame that needs it. Each simulated link direction has a
+//! [`LinkConfig`] with latency, jitter, loss and duplication; frames
+//! are delivered by the scheduler at `send_time + latency + U(0,
+//! jitter)`, dropped with probability `loss_rate`, and duplicated with
+//! probability `duplicate_rate`. Instant links deliver on the sending
+//! thread, so a network of them never starts the scheduler.
 //!
 //! NaradaBrokering's measured per-hop latency in cluster settings is
 //! "around 1–2 milliseconds" (§6.1); [`LinkConfig::default`] models
@@ -208,6 +210,8 @@ struct Shared {
     queue: Mutex<BinaryHeap<Delivery>>,
     cv: Condvar,
     stop: AtomicBool,
+    /// The scheduler thread, once a frame has needed it.
+    scheduler: Mutex<Option<JoinHandle<()>>>,
     seq: AtomicU64,
     rng: Mutex<StdRng>,
     next_link: AtomicU64,
@@ -225,36 +229,44 @@ impl Shared {
         taken.sort_by_key(|d| (d.deliver_at, d.seq));
         taken
     }
+
+    /// Starts the scheduler thread unless it runs already. Called
+    /// under the fault lock by a send that passed the stop check, so no
+    /// scheduler starts after [`SimNetwork::shutdown`] took the handle.
+    fn start_scheduler(self: &Arc<Self>) {
+        let mut scheduler = self.scheduler.lock();
+        if scheduler.is_none() {
+            let shared = Arc::clone(self);
+            let handle = std::thread::Builder::new()
+                .name("sim-net-scheduler".to_string())
+                .spawn(move || scheduler_loop(&shared))
+                .expect("spawn sim scheduler");
+            *scheduler = Some(handle);
+        }
+    }
 }
 
 /// A simulated network: one scheduler thread, any number of links.
 pub struct SimNetwork {
     shared: Arc<Shared>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl SimNetwork {
     /// Creates a network with a seeded RNG (loss/jitter decisions are
     /// reproducible for a given seed and send order).
     pub fn new(seed: u64) -> Self {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            seq: AtomicU64::new(0),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            next_link: AtomicU64::new(0),
-            faults: Mutex::new(HashMap::new()),
-            adversaries: Mutex::new(HashMap::new()),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let scheduler = std::thread::Builder::new()
-            .name("sim-net-scheduler".to_string())
-            .spawn(move || scheduler_loop(&thread_shared))
-            .expect("spawn sim scheduler");
         SimNetwork {
-            shared,
-            scheduler: Some(scheduler),
+            shared: Arc::new(Shared {
+                queue: Mutex::new(BinaryHeap::new()),
+                cv: Condvar::new(),
+                stop: AtomicBool::new(false),
+                scheduler: Mutex::new(None),
+                seq: AtomicU64::new(0),
+                rng: Mutex::new(StdRng::seed_from_u64(seed)),
+                next_link: AtomicU64::new(0),
+                faults: Mutex::new(HashMap::new()),
+                adversaries: Mutex::new(HashMap::new()),
+            }),
         }
     }
 
@@ -402,18 +414,23 @@ impl SimNetwork {
         }
     }
 
-    /// Stops the scheduler. Frames in flight or waiting out an outage
-    /// are discarded, which lets go of the queues they were bound for.
+    /// Stops the scheduler, if it ever started. Frames in flight or
+    /// waiting out an outage are discarded, which lets go of the queues
+    /// they were bound for.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        // Stopped under the fault lock, which a send holds from its stop
+        // check to its dispatch, so no frame lands and no scheduler
+        // starts after this.
+        let scheduler = {
+            let _faults = self.shared.faults.lock();
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.scheduler.lock().take()
+        };
         self.shared.cv.notify_all();
-        if let Some(handle) = self.scheduler.take() {
+        if let Some(handle) = scheduler {
             let _ = handle.join();
         }
-        // Cleared under the fault lock, which a send holds from its stop
-        // check to its dispatch, so no frame lands after the clear.
-        let mut faults = self.shared.faults.lock();
-        faults.clear();
+        self.shared.faults.lock().clear();
         self.shared.queue.lock().clear();
     }
 }
@@ -623,6 +640,7 @@ impl FrameSender for SimSender {
             push(now + self.cfg.latency + self.cfg.latency + jitter2, frame.to_vec());
         }
         drop(queue);
+        self.shared.start_scheduler();
         self.shared.cv.notify_all();
         Ok(())
     }

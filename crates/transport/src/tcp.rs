@@ -16,7 +16,8 @@
 //! coalesces many frames per syscall (`transport.batch.*` counters)
 //! while preserving exact FIFO order and frame boundaries; a lone
 //! sender degenerates to the old one-write-per-frame behaviour. A
-//! write that makes no progress for [`WRITE_STALL`] gives the link up.
+//! send that has not completed [`WRITE_STALL`] after its first write
+//! began gives the link up.
 //! [`FrameSender::close`] shuts the socket down without waiting for a
 //! write in progress, so both ends read a close at once.
 
@@ -31,9 +32,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a TCP send may make no progress before the link is given
-/// up. A peer that stops reading would otherwise block the sending
-/// thread forever; past this the send fails like any write error.
+/// How long one TCP send may take, from its first write to its last,
+/// before the link is given up. A peer that stops reading, or reads
+/// only a trickle, would otherwise hold the sending thread for as long
+/// as it likes; past this the send fails like any write error and the
+/// link is shut down.
 pub const WRITE_STALL: Duration = Duration::from_secs(10);
 
 /// Initial size of an endpoint's receive buffer. Small on purpose: a
@@ -61,9 +64,12 @@ struct TcpFrameSender {
     /// nothing).
     writer: Mutex<Vec<u8>>,
     /// The socket. Written only under `writer`, but shut down without
-    /// it: closing never waits for a stalled write.
+    /// it: closing never waits for a stalled write. Its write timeout
+    /// is `stall`.
     stream: TcpStream,
-    /// Set after the first write error: a failed `write_all` may have
+    /// How long one send may take ([`WRITE_STALL`] outside tests).
+    stall: Duration,
+    /// Set after the first write error: a failed send may have
     /// left a partial frame on the wire, so any further write would
     /// interleave into a corrupt stream. Once poisoned (or closed)
     /// every send fails fast with [`TransportError::Closed`].
@@ -121,7 +127,7 @@ impl FrameSender for TcpFrameSender {
                 std::mem::replace(&mut pending.frames, 0),
             )
         };
-        let result = (&self.stream).write_all(&batch);
+        let result = write_within(&self.stream, &batch, self.stall);
         instrument::BATCH_WRITES.inc();
         instrument::BATCH_FRAMES.add(frames);
         instrument::BATCH_COALESCED.add(frames.saturating_sub(1));
@@ -132,8 +138,8 @@ impl FrameSender for TcpFrameSender {
         match result {
             Ok(()) => Ok(()),
             Err(e) => {
-                // The stream's write timeout expired with nothing
-                // written: the peer stopped reading.
+                // The send outlived its stall limit: the peer stopped
+                // reading, or reads too slowly to take the batch.
                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
                     instrument::WRITE_STALLED.inc();
                 }
@@ -142,6 +148,37 @@ impl FrameSender for TcpFrameSender {
             }
         }
     }
+}
+
+/// Writes all of `buf` within `stall` of the first write. The socket's
+/// write timeout is `stall`, so a send whose first write completes
+/// makes that one syscall; after a partial write the timeout shrinks to
+/// what is left of the limit, and is put back once the send ends.
+fn write_within(stream: &TcpStream, buf: &[u8], stall: Duration) -> std::io::Result<()> {
+    let began = Instant::now();
+    let mut written = 0;
+    let mut shrunk = false;
+    let result = loop {
+        match (&*stream).write(&buf[written..]) {
+            Ok(0) => break Err(ErrorKind::WriteZero.into()),
+            Ok(n) if written + n == buf.len() => break Ok(()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+        let left = stall.saturating_sub(began.elapsed());
+        if left.is_zero() {
+            break Err(ErrorKind::TimedOut.into());
+        }
+        if let Err(e) = stream.set_write_timeout(Some(left)) {
+            break Err(e);
+        }
+        shrunk = true;
+    };
+    if shrunk {
+        let _ = stream.set_write_timeout(Some(stall));
+    }
+    result
 }
 
 /// The receiving half of a TCP endpoint, read by the thread that
@@ -317,8 +354,8 @@ impl ReadState {
 
 /// Wraps an established TCP stream into an [`Endpoint`]. `TCP_NODELAY`
 /// is set: the workload is small framed messages where Nagle batching
-/// only adds latency. Sends give up after [`WRITE_STALL`] without
-/// progress.
+/// only adds latency. A send that takes longer than [`WRITE_STALL`]
+/// gives the link up.
 pub fn endpoint_from_stream(stream: TcpStream) -> Result<Endpoint> {
     endpoint_with_stall(stream, WRITE_STALL)
 }
@@ -336,6 +373,7 @@ pub(crate) fn endpoint_with_stall(stream: TcpStream, stall: Duration) -> Result<
             }),
             writer: Mutex::new(Vec::new()),
             stream,
+            stall,
             poisoned: AtomicBool::new(false),
         }),
         reader,
@@ -683,8 +721,13 @@ mod tests {
         assert_eq!(client.send(b"again"), Err(TransportError::Closed));
     }
 
+    /// Serializes the tests that stall a send: each counts its own
+    /// increment of the process-wide `transport.write.stalled`.
+    static STALL_TESTS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn stalled_write_gives_the_link_up() {
+        let _serial = STALL_TESTS.lock();
         // The peer never reads: once both socket buffers are full a
         // send makes no progress, and after the stall limit it fails
         // like any write error.
@@ -720,6 +763,59 @@ mod tests {
         let mut drained = Vec::new();
         raw.read_to_end(&mut drained).unwrap();
         assert!(drained.len() >= sent * frame.len());
+    }
+
+    #[test]
+    fn a_send_the_peer_reads_too_slowly_gives_the_link_up() {
+        let _serial = STALL_TESTS.lock();
+        // The peer reads, but only a trickle: each write makes some
+        // progress, yet the whole frame would take seconds. The stall
+        // limit bounds the send, not each write.
+        let stall = Duration::from_millis(300);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let client = endpoint_with_stall(stream, stall).unwrap();
+        let stalled = || {
+            nb_metrics::global()
+                .counter("transport.write.stalled")
+                .get()
+        };
+        let before = stalled();
+        let done = Arc::new(AtomicBool::new(false));
+        let trickling = Arc::clone(&done);
+        let trickle = std::thread::spawn(move || {
+            let mut slice = [0u8; 4096];
+            while !trickling.load(Ordering::Relaxed) && raw.read(&mut slice).is_ok_and(|n| n > 0) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        // The first frame fits in the socket buffers; a later one has
+        // to wait for the trickle.
+        let frame = vec![0x33u8; 3 << 20];
+        let mut sent = 0;
+        let outcome = loop {
+            let began = Instant::now();
+            let outcome = client.send(&frame);
+            let took = began.elapsed();
+            assert!(
+                took < 2 * stall,
+                "send {sent} took {took:?} (stall limit {stall:?})"
+            );
+            if outcome.is_err() || sent == 3 {
+                break outcome;
+            }
+            sent += 1;
+        };
+        done.store(true, Ordering::Relaxed);
+        assert!(
+            outcome.is_err(),
+            "every send into a trickling peer succeeded"
+        );
+        assert_eq!(stalled() - before, 1);
+        // Given up through the usual path: poisoned and shut down.
+        assert_eq!(client.send(b"after"), Err(TransportError::Closed));
+        trickle.join().unwrap();
     }
 
     #[test]

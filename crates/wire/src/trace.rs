@@ -237,16 +237,6 @@ pub enum TraceCategory {
 }
 
 impl TraceCategory {
-    /// All tracker-subscribable categories (Interest excluded — it is
-    /// the gauge-interest control channel).
-    pub const SUBSCRIBABLE: [TraceCategory; 5] = [
-        TraceCategory::ChangeNotifications,
-        TraceCategory::AllUpdates,
-        TraceCategory::StateTransitions,
-        TraceCategory::Load,
-        TraceCategory::NetworkMetrics,
-    ];
-
     fn suffix(self) -> &'static str {
         match self {
             TraceCategory::ChangeNotifications => "ChangeNotifications",
