@@ -17,6 +17,11 @@ quick=false
 echo "== build (release) =="
 cargo build --release --workspace
 
+# nb-crypto, home of the RSA arithmetic, is kept rustfmt-clean (the
+# rest of the tree is not yet).
+echo "== fmt (nb-crypto) =="
+cargo fmt -p nb-crypto --check
+
 echo "== test =="
 cargo test --workspace --quiet
 
@@ -76,6 +81,16 @@ quick_report() {
 # fast path; then writes BENCH_session.json and validates it.
 echo "== session report (quick) =="
 quick_report session
+
+# Table 3's crypto rows: crypto_table runs 5 interleaved trials of 5
+# samples per row and writes the crypto section of BENCH_paper.json;
+# the check re-derives each row's median and quartiles from its trial
+# means and re-checks the table's cost ordering (token generation >
+# RSA sign > RSA verify > AES encrypt and decrypt).
+echo "== crypto table (quick) =="
+(cd "$scratch" &&
+    NB_BENCH_SAMPLES=5 cargo run --release --manifest-path "$root/Cargo.toml" -p nb-bench --bin crypto_table &&
+    python3 "$root/ci/check_bench_json.py" paper)
 
 if ! $quick; then
     if cargo clippy --version >/dev/null 2>&1; then

@@ -4,12 +4,14 @@
 Usage: check_bench_json.py <schema>
 
 where <schema> is one of ``throughput``, ``monitor``, ``obs``,
-``recovery``, ``session`` or ``e2e``. Each loopback schema names the
-file the matching bench binary writes, its per-configuration sections,
-its overhead budget and the report-level invariants CI holds it to (see
-docs/PERFORMANCE.md and docs/OBSERVABILITY.md). ``e2e`` checks
-BENCH_e2e.json, the parent/change e2ebench pairs ci/e2e_pairs.py
-writes (see ``check_e2e``). Exits non-zero with a message on the first
+``recovery``, ``session``, ``e2e`` or ``paper``. Each loopback schema
+names the file the matching bench binary writes, its per-configuration
+sections, its overhead budget and the report-level invariants CI holds
+it to (see docs/PERFORMANCE.md and docs/OBSERVABILITY.md). ``e2e``
+checks BENCH_e2e.json, the parent/change e2ebench pairs
+ci/e2e_pairs.py writes (see ``check_e2e``). ``paper`` checks
+BENCH_paper.json, the paper's tables as the §6 binaries write them
+(see ``check_paper``). Exits non-zero with a message on the first
 violation.
 
 Every section comes from the shared loopback harness
@@ -79,6 +81,9 @@ SCHEMAS = {
     },
     "e2e": {
         "file": "BENCH_e2e.json",
+    },
+    "paper": {
+        "file": "BENCH_paper.json",
     },
 }
 
@@ -242,6 +247,62 @@ def check_e2e(report: dict, benchmark: dict) -> str:
     return ", ".join(done)
 
 
+# Table 3's crypto rows, as crypto_table names them, and the paper's
+# cost ordering over them: token generation (a fresh RSA key pair and a
+# signature) > RSA signing > RSA verification > AES-192 encrypt and
+# decrypt. Each tier's smallest median must exceed the next tier's
+# largest.
+CRYPTO_ROWS = (
+    "token_generation",
+    "token_verify",
+    "aes_encrypt",
+    "aes_decrypt",
+    "sign",
+    "verify",
+    "sign_encrypted",
+    "verify_encrypted",
+    "hmac_sha256",
+)
+CRYPTO_ORDER = (
+    ("token_generation",),
+    ("sign", "sign_encrypted"),
+    ("verify", "verify_encrypted"),
+    ("aes_encrypt", "aes_decrypt"),
+)
+
+
+def check_paper(report: dict) -> str:
+    """BENCH_paper.json's crypto section: every row's trial count, its
+    median, quartiles and range re-derived from the trial means, and
+    Table 3's cost ordering on the medians."""
+    crypto = report["crypto"]
+    assert crypto["bench"] == "crypto_table", f"wrong bench: {crypto['bench']}"
+    assert crypto["unit"] == "ms", f"unit {crypto['unit']}"
+    trials = crypto["trials"]
+    assert trials >= MIN_TRIALS, f"only {trials} trials"
+    rows = crypto["rows"]
+    assert set(rows) == set(CRYPTO_ROWS), f"rows {sorted(rows)}"
+    for name, row in rows.items():
+        assert row["samples"] >= 1, f"{name}: {row['samples']} samples per trial"
+        means = sorted(row["trial_means"])
+        assert len(means) == trials, f"{name}: {len(means)} trial means of {trials}"
+        assert means[0] > 0, f"{name}: a trial mean is not positive"
+        q1, median, q3 = (quantile(means, q) for q in (0.25, 0.5, 0.75))
+        derived = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "min": means[0], "max": means[-1]}
+        for key, want in derived.items():
+            # Every figure is written to 1e-9 ms.
+            assert abs(row[key] - want) <= 1e-8, f"{name}.{key} is {row[key]}, trials give {want}"
+    for larger, smaller in zip(CRYPTO_ORDER, CRYPTO_ORDER[1:]):
+        low = min(larger, key=lambda k: rows[k]["median"])
+        high = max(smaller, key=lambda k: rows[k]["median"])
+        assert rows[low]["median"] > rows[high]["median"], (
+            f"Table 3 shape: {low} median {rows[low]['median']} ms is not above "
+            f"{high} median {rows[high]['median']} ms"
+        )
+    shape = " > ".join(f"{max(rows[k]['median'] for k in tier):.4g}" for tier in CRYPTO_ORDER)
+    return f"crypto: {len(rows)} rows x {trials} trials, Table 3 shape holds ({shape} ms)"
+
+
 def check(schema_name: str) -> str:
     schema = SCHEMAS[schema_name]
     with open(schema["file"]) as f:
@@ -249,6 +310,8 @@ def check(schema_name: str) -> str:
     if schema_name == "e2e":
         with open("BENCHMARK.json") as f:
             return check_e2e(report, json.load(f))
+    if schema_name == "paper":
+        return check_paper(report)
 
     assert report["bench"] == schema["bench"], f"wrong bench: {report['bench']}"
     check_runs(report, schema["sections"])

@@ -48,7 +48,10 @@ fn main() {
             println!("SKIPPED: target/release/{name} not found (run `cargo build --release -p nb-bench --bins`)");
             continue;
         };
+        // Binaries that write BENCH_*.json write it into their working
+        // directory; keep the reduced-sample files out of the tree.
         let status = Command::new(&path)
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
             .env("NB_BENCH_SAMPLES", "10")
             .env("NB_BENCH_GROUPS", "4")
             .status();

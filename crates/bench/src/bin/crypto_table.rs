@@ -9,9 +9,18 @@
 //! Expected shape (paper): RSA signing ≫ RSA verification ≫ AES
 //! encrypt/decrypt; token generation ≈ signing cost plus key
 //! generation.
+//!
+//! The rows run as [`TRIALS`] interleaved trials, rotating which row
+//! goes first, each timing `NB_BENCH_SAMPLES` operations per row (40
+//! at most for token generation). The binary writes the `crypto`
+//! section of `BENCH_paper.json` into its working directory: each
+//! row's trial means with their median, quartiles and range, in ms.
+//! `ci/check_bench_json.py paper` re-derives those figures and
+//! re-checks the table's shape.
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
+use nb_bench::loopback::{Spread, TRIALS};
 use nb_bench::{print_header, print_row, sample_count, Stats};
 use nb_crypto::cert::{CertificateAuthority, Validity};
 use nb_crypto::modes::{cbc_decrypt, cbc_encrypt};
@@ -24,6 +33,56 @@ use nb_wire::trace::{TraceEvent, TraceKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
+
+/// One row of the table: the timed operation and its samples.
+struct Row<'a> {
+    /// The row's key in `BENCH_paper.json`.
+    key: &'static str,
+    label: &'static str,
+    samples: usize,
+    op: Box<dyn FnMut() + 'a>,
+    /// Every sample over every trial, in ms.
+    all: Vec<f64>,
+    /// Each trial's mean, in ms.
+    trial_means: Vec<f64>,
+}
+
+impl<'a> Row<'a> {
+    fn new(key: &'static str, label: &'static str, samples: usize, op: impl FnMut() + 'a) -> Self {
+        Row { key, label, samples, op: Box::new(op), all: Vec::new(), trial_means: Vec::new() }
+    }
+
+    /// Times one trial of `samples` operations.
+    fn trial(&mut self) {
+        let start = self.all.len();
+        for _ in 0..self.samples {
+            let t0 = Instant::now();
+            (self.op)();
+            self.all.push(t0.elapsed().as_secs_f64() * 1000.0);
+        }
+        let trial = &self.all[start..];
+        self.trial_means.push(trial.iter().sum::<f64>() / trial.len() as f64);
+    }
+
+    /// The row as a JSON object.
+    fn json(&self) -> String {
+        let s = Spread::of(&self.trial_means);
+        let means: Vec<String> = self.trial_means.iter().map(|m| format!("{m:.9}")).collect();
+        format!(
+            "\"{}\": {{ \"label\": \"{}\", \"samples\": {}, \"trial_means\": [{}], \"median\": {:.9}, \"q1\": {:.9}, \"q3\": {:.9}, \"iqr\": {:.9}, \"min\": {:.9}, \"max\": {:.9} }}",
+            self.key,
+            self.label,
+            self.samples,
+            means.join(", "),
+            s.median,
+            s.q1,
+            s.q3,
+            s.iqr(),
+            s.min,
+            s.max
+        )
+    }
+}
 
 fn time_op(samples: usize, mut op: impl FnMut()) -> Stats {
     // Warm-up.
@@ -84,15 +143,15 @@ fn main() {
     .unwrap();
 
     println!("== Table 3 (lower half): security & authorization costs ==");
-    println!("(1024-bit RSA + SHA-1 + PKCS#1; 192-bit AES-CBC; {samples} samples)");
-    print_header("Security and Authorization related costs", "ms");
+    println!("(1024-bit RSA + SHA-1 + PKCS#1; 192-bit AES-CBC; {TRIALS} interleaved trials of {samples} samples)");
 
     // "Token Generation and Signing" — the paper's token generation
     // includes creating the random key pair and signing the token.
     let mut kg_rng = StdRng::seed_from_u64(1);
-    print_row(
-        "Token Generation and Signing",
-        &time_op(samples.min(40), || {
+    // §6.3 rationale in one line: symmetric auth vs RSA signing.
+    let mut mac_data = trace_bytes.clone();
+    let mut rows = vec![
+        Row::new("token_generation", "Token Generation and Signing", samples.min(40), || {
             let kp = RsaKeyPair::generate(1024, &mut kg_rng).unwrap();
             let _ = AuthorizationToken::issue(
                 &owner,
@@ -104,72 +163,59 @@ fn main() {
             )
             .unwrap();
         }),
-    );
-
-    print_row(
-        "Verifying Authorization Token",
-        &time_op(samples, || {
-            token
-                .verify(&owner_key, Rights::Publish, now, 100)
-                .unwrap();
+        Row::new("token_verify", "Verifying Authorization Token", samples, || {
+            token.verify(&owner_key, Rights::Publish, now, 100).unwrap();
         }),
-    );
-
-    print_row(
-        "Encrypting Trace Message",
-        &time_op(samples, || {
+        Row::new("aes_encrypt", "Encrypting Trace Message", samples, || {
             let _ = cbc_encrypt(&aes_key, &iv, &trace_bytes).unwrap();
         }),
-    );
-
-    print_row(
-        "Decrypting Trace Message",
-        &time_op(samples, || {
+        Row::new("aes_decrypt", "Decrypting Trace Message", samples, || {
             let _ = cbc_decrypt(&aes_key, &iv, &encrypted).unwrap();
         }),
-    );
-
-    print_row(
-        "Sign Trace Message",
-        &time_op(samples, || {
+        Row::new("sign", "Sign Trace Message", samples, || {
             let _ = owner.sign(&trace_bytes).unwrap();
         }),
-    );
-
-    print_row(
-        "Verify Signature in Trace Message",
-        &time_op(samples, || {
+        Row::new("verify", "Verify Signature in Trace Message", samples, || {
             owner_key
                 .verify(DigestAlgorithm::Sha1, &trace_bytes, &signature)
                 .unwrap();
         }),
-    );
-
-    print_row(
-        "Sign Encrypted Trace Message",
-        &time_op(samples, || {
+        Row::new("sign_encrypted", "Sign Encrypted Trace Message", samples, || {
             let _ = owner.sign(&encrypted).unwrap();
         }),
-    );
-
-    print_row(
-        "Verify Signature in Encrypted Trace Message",
-        &time_op(samples, || {
+        Row::new("verify_encrypted", "Verify Signature in Encrypted Trace Message", samples, || {
             owner_key
                 .verify(DigestAlgorithm::Sha1, &encrypted, &enc_signature)
                 .unwrap();
         }),
-    );
-
-    // §6.3 rationale in one line: symmetric auth vs RSA signing.
-    let mut mac_data = trace_bytes.clone();
-    print_row(
-        "HMAC-SHA256 authenticate (6.3 optimization)",
-        &time_op(samples, || {
+        Row::new("hmac_sha256", "HMAC-SHA256 authenticate (6.3 optimization)", samples, || {
             mac_data[0] ^= 1;
             let _ = nb_crypto::hmac::hmac::<nb_crypto::sha256::Sha256>(&aes_key, &mac_data);
         }),
+    ];
+    for row in &mut rows {
+        // Warm-up.
+        for _ in 0..3 {
+            (row.op)();
+        }
+    }
+    for trial in 0..TRIALS {
+        for k in 0..rows.len() {
+            let at = (trial + k) % rows.len();
+            rows[at].trial();
+        }
+    }
+    print_header("Security and Authorization related costs", "ms");
+    for row in &rows {
+        print_row(row.label, &Stats::from_samples(&row.all));
+    }
+    let json: Vec<String> = rows.iter().map(|r| format!("      {}", r.json())).collect();
+    let report = format!(
+        "{{\n  \"crypto\": {{\n    \"bench\": \"crypto_table\",\n    \"unit\": \"ms\",\n    \"trials\": {TRIALS},\n    \"rows\": {{\n{}\n    }}\n  }}\n}}\n",
+        json.join(",\n")
     );
+    std::fs::write("BENCH_paper.json", &report).expect("write BENCH_paper.json");
+    println!("wrote BENCH_paper.json ({} bytes)", report.len());
 
     // Ablation: Montgomery vs generic modular exponentiation, and
     // CRT vs plain private-key operation (DESIGN.md design choices).

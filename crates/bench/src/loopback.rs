@@ -269,17 +269,22 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// Min, quartiles and max of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Spread {
-    min: f64,
-    q1: f64,
-    median: f64,
-    q3: f64,
-    max: f64,
+pub struct Spread {
+    /// Smallest value.
+    pub min: f64,
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+    /// Largest value.
+    pub max: f64,
 }
 
 impl Spread {
     /// Summarises a non-empty sample.
-    fn of(samples: &[f64]) -> Spread {
+    pub fn of(samples: &[f64]) -> Spread {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         Spread {
@@ -291,7 +296,8 @@ impl Spread {
         }
     }
 
-    fn iqr(&self) -> f64 {
+    /// Interquartile distance.
+    pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
 }

@@ -13,7 +13,7 @@ use nb_telemetry::NodeSpans;
 use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::Endpoint;
 use nb_transport::sim::{LinkConfig, LinkId, SimNetwork};
-use nb_transport::{tcp, udp, TransportError};
+use nb_transport::{tcp, udp};
 use std::time::Duration;
 
 /// The link medium for a broker network.
@@ -38,14 +38,11 @@ impl Medium {
                 Ok((a, b, Some(id)))
             }
             Medium::Tcp => {
+                // The kernel completes a loopback handshake into the
+                // listen backlog, so one thread connects, then accepts.
                 let listener = tcp::TcpTransportListener::bind("127.0.0.1:0")?;
-                let addr = listener.local_addr()?;
-                let client = std::thread::spawn(move || tcp::connect(addr));
+                let client = tcp::connect(listener.local_addr()?)?;
                 let server = listener.accept()?;
-                let client = client
-                    .join()
-                    .map_err(|_| TransportError::Closed)?
-                    .map_err(crate::BrokerError::Transport)?;
                 Ok((server, client, None))
             }
             Medium::Udp => {

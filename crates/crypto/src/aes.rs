@@ -368,7 +368,9 @@ mod tests {
     #[test]
     fn every_key_size_round_trips_random_blocks() {
         for len in [16usize, 24, 32] {
-            let key: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37).wrapping_add(11)).collect();
+            let key: Vec<u8> = (0..len as u8)
+                .map(|i| i.wrapping_mul(37).wrapping_add(11))
+                .collect();
             let aes = Aes::new(&key).unwrap();
             let mut block = [0xa5u8; 16];
             let orig = block;

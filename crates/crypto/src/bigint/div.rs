@@ -133,7 +133,9 @@ mod tests {
 
     #[test]
     fn small_divisions() {
-        let (q, r) = BigUint::from_u64(17).div_rem(&BigUint::from_u64(5)).unwrap();
+        let (q, r) = BigUint::from_u64(17)
+            .div_rem(&BigUint::from_u64(5))
+            .unwrap();
         assert_eq!(q, BigUint::from_u64(3));
         assert_eq!(r, BigUint::from_u64(2));
     }

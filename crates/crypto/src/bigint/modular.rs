@@ -3,31 +3,63 @@
 
 use super::BigUint;
 use crate::error::CryptoError;
+use std::borrow::Cow;
 
 /// Precomputed context for Montgomery arithmetic modulo an odd `n`.
 ///
 /// Montgomery representation maps `a` to `a * R mod n` where
-/// `R = 2^(64k)` and `k` is the limb count of `n`. Multiplication in
-/// this domain (CIOS method) avoids per-step long division, which is
-/// what makes 1024-bit RSA exponentiation fast enough for the paper's
-/// benchmark workloads.
+/// `R = 2^(64N)` and `N` is the width of the fixed-width kernel that
+/// serves `n`: 8 limbs up to 512 bits (RSA-1024's primes and CRT
+/// halves), 16 up to 1024 bits (its modulus), then 32 and 64, so
+/// moduli of up to 4096 bits. Any `R` above an odd `n` works, so a
+/// narrower modulus runs zero-extended at the next width and every
+/// result is the same. Multiplication in this domain avoids per-step
+/// long division, and the fixed width lets the compiler unroll the limb
+/// loops: that is what makes RSA key generation and 1024-bit
+/// exponentiation fast enough for the paper's benchmark workloads.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
     n: BigUint,
-    /// `-n^{-1} mod 2^64`.
-    n0_inv: u64,
-    /// `R^2 mod n`, used to enter the Montgomery domain.
-    rr: Vec<u64>,
+    kernel: Kernel,
+}
+
+/// The widest modulus a kernel serves, in 64-bit limbs.
+const MAX_LIMBS: usize = 64;
+
+/// A [`Fixed`] context at the narrowest width that holds the modulus.
+#[derive(Clone, Debug)]
+enum Kernel {
+    L8(Fixed<8>),
+    L16(Fixed<16>),
+    L32(Box<Fixed<32>>),
+    L64(Box<Fixed<64>>),
+}
+
+/// Evaluates `$body` with `$k` bound to the width-specific [`Fixed`]
+/// context inside `$kernel`.
+macro_rules! with_kernel {
+    ($kernel:expr, |$k:ident| $body:expr) => {
+        match $kernel {
+            Kernel::L8($k) => $body,
+            Kernel::L16($k) => $body,
+            Kernel::L32($k) => $body,
+            Kernel::L64($k) => $body,
+        }
+    };
 }
 
 /// Exponents longer than this many bits (private and CRT exponents,
-/// Miller–Rabin's `d`) take 4-bit windows; shorter ones, such as the
-/// public exponent 65537, keep plain square-and-multiply, where a
-/// window's 14-product table would cost more than it saves.
+/// Miller–Rabin's `d`) take [`WINDOW`]-bit windows; shorter ones, such
+/// as the public exponent 65537, keep plain square-and-multiply, where
+/// a window's 14-product table would cost more than it saves.
 const WINDOW_MIN_BITS: usize = 64;
 
+/// Window width of long exponents.
+const WINDOW: usize = 4;
+
 impl MontgomeryCtx {
-    /// Builds a context for an odd modulus `n > 1`.
+    /// Builds a context for an odd modulus `n > 1` of at most 4096
+    /// bits; a wider one is refused with [`CryptoError::Malformed`].
     pub fn new(n: &BigUint) -> Result<Self, CryptoError> {
         if n.is_zero() || n.is_one() {
             return Err(CryptoError::DivisionByZero);
@@ -35,26 +67,20 @@ impl MontgomeryCtx {
         if n.is_even() {
             return Err(CryptoError::Malformed("Montgomery modulus must be odd"));
         }
-        let k = n.limbs.len();
-        // Newton iteration for the inverse of n[0] modulo 2^64; six
-        // doublings of precision from 1 bit covers all 64 bits.
-        let x = n.limbs[0];
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(x.wrapping_mul(inv), 1);
-        let n0_inv = inv.wrapping_neg();
-
-        // R^2 mod n via one long division of 2^(128k).
-        let r2 = BigUint::one().shl(128 * k).rem(n)?;
-        let mut rr = r2.limbs;
-        rr.resize(k, 0);
-
+        let kernel = match n.limbs.len() {
+            0..=8 => Kernel::L8(Fixed::new(n)),
+            9..=16 => Kernel::L16(Fixed::new(n)),
+            17..=32 => Kernel::L32(Box::new(Fixed::new(n))),
+            33..=MAX_LIMBS => Kernel::L64(Box::new(Fixed::new(n))),
+            _ => {
+                return Err(CryptoError::Malformed(
+                    "Montgomery modulus wider than 4096 bits",
+                ))
+            }
+        };
         Ok(MontgomeryCtx {
             n: n.clone(),
-            n0_inv,
-            rr,
+            kernel,
         })
     }
 
@@ -63,140 +89,255 @@ impl MontgomeryCtx {
         self.n.clone()
     }
 
-    fn k(&self) -> usize {
-        self.n.limbs.len()
-    }
-
-    /// CIOS Montgomery multiplication: writes `a * b * R^{-1} mod n`
-    /// to `out`. `a`, `b` and `out` are `k` limbs and `t` is `k + 2`
-    /// limbs of scratch; nothing is allocated, so an exponentiation
-    /// that reuses its buffers never touches the heap per product.
-    #[allow(clippy::needless_range_loop)] // index math mirrors the CIOS paper
-    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
-        let k = self.k();
-        let n = &self.n.limbs[..k];
-        let (a, b, out, t) = (&a[..k], &b[..k], &mut out[..k], &mut t[..k + 2]);
-        t.fill(0);
-        for i in 0..k {
-            // t += a[i] * b
-            let ai = a[i] as u128;
-            let mut carry = 0u64;
-            for j in 0..k {
-                let s = t[j] as u128 + ai * b[j] as u128 + carry as u128;
-                t[j] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let s = t[k] as u128 + carry as u128;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // m = t[0] * (-n^-1) mod 2^64; then t = (t + m*n) / 2^64
-            let m = t[0].wrapping_mul(self.n0_inv) as u128;
-            let s = t[0] as u128 + m * n[0] as u128;
-            debug_assert_eq!(s as u64, 0);
-            let mut carry = (s >> 64) as u64;
-            for j in 1..k {
-                let s = t[j] as u128 + m * n[j] as u128 + carry as u128;
-                t[j - 1] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let s = t[k] as u128 + carry as u128;
-            t[k - 1] = s as u64;
-            t[k] = t[k + 1] + ((s >> 64) as u64);
-            t[k + 1] = 0;
-        }
-        // Conditional subtraction to bring the result below n.
-        if t[k] != 0 || ge_slice(&t[..k], n) {
-            let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = t[j].overflowing_sub(n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
+    /// `a mod n`, borrowing `a` when it is already reduced.
+    fn reduced<'a>(&self, a: &'a BigUint) -> Cow<'a, BigUint> {
+        if a < &self.n {
+            Cow::Borrowed(a)
         } else {
-            out.copy_from_slice(&t[..k]);
+            Cow::Owned(a.rem(&self.n).expect("the modulus is above 1"))
         }
     }
 
-    /// Writes a reduced value (`a < n`) into `out` in the Montgomery
-    /// domain.
-    fn to_mont(&self, a: &BigUint, t: &mut [u64], out: &mut [u64]) {
-        let mut limbs = a.limbs.clone();
-        limbs.resize(self.k(), 0);
-        self.mont_mul(&limbs, &self.rr, t, out);
-    }
-
-    /// Leaves the Montgomery domain.
-    #[allow(clippy::wrong_self_convention)] // "from the Montgomery domain", not a constructor
-    fn from_mont(&self, a: &[u64], t: &mut [u64]) -> BigUint {
-        let mut one = vec![0u64; self.k()];
-        one[0] = 1;
-        let mut out = vec![0u64; self.k()];
-        self.mont_mul(a, &one, t, &mut out);
-        BigUint::from_limbs(out)
-    }
-
-    /// Modular multiplication `a * b mod n` for already-reduced inputs.
+    /// Modular multiplication `a * b mod n`.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.k();
-        let mut t = vec![0u64; k + 2];
-        let mut am = vec![0u64; k];
-        let mut bm = vec![0u64; k];
-        self.to_mont(a, &mut t, &mut am);
-        self.to_mont(b, &mut t, &mut bm);
-        let mut product = vec![0u64; k];
-        self.mont_mul(&am, &bm, &mut t, &mut product);
-        self.from_mont(&product, &mut t)
+        let (a, b) = (self.reduced(a), self.reduced(b));
+        // (a * b * R^-1) * R^2 * R^-1 = a * b: two products, and no
+        // trip into or out of the Montgomery domain.
+        with_kernel!(&self.kernel, |k| {
+            to_biguint(&k.mul(&k.mul(&limbs(&a), &limbs(&b)), &k.rr))
+        })
     }
 
     /// Modular exponentiation `base^exp mod n`: a left-to-right
-    /// fixed-window loop in the Montgomery domain over buffers
-    /// allocated once per call. The window is 4 bits for exponents
-    /// longer than 64 bits and 1 bit (square-and-multiply) otherwise.
+    /// fixed-window loop in the Montgomery domain over stack buffers.
+    /// The window is 4 bits for exponents longer than 64 bits and 1 bit
+    /// (square-and-multiply) otherwise.
     pub fn pow_mod(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one(); // n > 1, so 1 is already reduced
         }
-        let reduced;
-        let base = if base >= &self.n {
-            reduced = base.rem(&self.n).unwrap();
-            &reduced
-        } else {
-            base
-        };
-        let k = self.k();
-        let bits = exp.bit_length();
-        let w = if bits > WINDOW_MIN_BITS { 4 } else { 1 };
-        let mut t = vec![0u64; k + 2];
-        // Entry `d - 1` (limbs `(d - 1) * k..d * k`) holds base^d in the
-        // Montgomery domain, for d = 1..2^w.
-        let mut table = vec![0u64; ((1 << w) - 1) * k];
-        self.to_mont(base, &mut t, &mut table[..k]);
-        for d in 2..1 << w {
-            let (lower, entry) = table.split_at_mut((d - 1) * k);
-            self.mont_mul(&lower[(d - 2) * k..], &lower[..k], &mut t, entry);
+        let base = self.reduced(base);
+        with_kernel!(&self.kernel, |k| k.from_mont(&k.pow(&base, exp)))
+    }
+
+    /// One Miller–Rabin round: whether `n` is a strong probable prime to
+    /// base `a` (`1 < a < n - 1`), where `n - 1 = d * 2^s` with `d` odd.
+    /// That is `a^d ≡ 1`, or `a^(d * 2^r) ≡ -1` for some `r < s`; the
+    /// `s - 1` squarings stay in the Montgomery domain, where 1 and -1
+    /// have fixed images to compare against.
+    pub(crate) fn is_strong_probable_prime(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
+        with_kernel!(&self.kernel, |k| k.is_strong_probable_prime(a, d, s))
+    }
+}
+
+/// Montgomery arithmetic modulo an odd `n` of at most `N` limbs, with
+/// `R = 2^(64N)`. Values in the domain are `N`-limb arrays below `n`.
+#[derive(Clone, Debug)]
+struct Fixed<const N: usize> {
+    /// The modulus, zero-extended to `N` limbs.
+    n: [u64; N],
+    /// `-n^{-1} mod 2^64`.
+    n0_inv: u64,
+    /// `R^2 mod n`, used to enter the Montgomery domain.
+    rr: [u64; N],
+}
+
+impl<const N: usize> Fixed<N> {
+    /// The constants for an odd `n > 1` of at most `N` limbs.
+    fn new(n: &BigUint) -> Self {
+        // Newton iteration for the inverse of n[0] modulo 2^64; six
+        // doublings of precision from 1 bit covers all 64 bits.
+        let x = n.limbs[0];
+        let mut inv: u64 = 1;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(inv)));
         }
-        let entry = |d: usize| &table[(d - 1) * k..d * k];
+        debug_assert_eq!(x.wrapping_mul(inv), 1);
+        // R^2 mod n via one long division of 2^(128N).
+        let rr = BigUint::one()
+            .shl(128 * N)
+            .rem(n)
+            .expect("the modulus is above 1");
+        Fixed {
+            n: limbs(n),
+            n0_inv: inv.wrapping_neg(),
+            rr: limbs(&rr),
+        }
+    }
+
+    /// The Montgomery product `a * b * R^-1 mod n`.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        self.reduce(&mut mul_wide(a, b))
+    }
+
+    /// The Montgomery square `a * a * R^-1 mod n`.
+    fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        self.reduce(&mut square_wide(a))
+    }
+
+    /// Montgomery reduction: `t * R^-1 mod n` for a `2N`-limb `t < n * R`
+    /// (low half first). Row `i` adds the multiple of `n` that clears
+    /// limb `i`, so the high half ends at `(t + m * n) / R < 2n`, with
+    /// its carry in `top`; one conditional subtraction brings it below
+    /// `n`.
+    fn reduce(&self, wide: &mut [[u64; N]; 2]) -> [u64; N] {
+        let t = wide.as_flattened_mut();
+        let mut top = 0u64;
+        for i in 0..N {
+            let m = t[i].wrapping_mul(self.n0_inv) as u128;
+            let mut carry = 0u64;
+            for j in 0..N {
+                let s = t[i + j] as u128 + m * self.n[j] as u128 + carry as u128;
+                t[i + j] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[i + N] as u128 + carry as u128 + top as u128;
+            t[i + N] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        let high = wide[1];
+        if top == 0 && high.iter().rev().lt(self.n.iter().rev()) {
+            high
+        } else {
+            sub(&high, &self.n)
+        }
+    }
+
+    /// Enters the Montgomery domain: `a * R mod n` for `a < n`.
+    fn to_mont(&self, a: &BigUint) -> [u64; N] {
+        self.mul(&limbs(a), &self.rr)
+    }
+
+    /// Leaves the Montgomery domain: `a * R^-1 mod n`.
+    #[allow(clippy::wrong_self_convention)] // "from the Montgomery domain", not a constructor
+    fn from_mont(&self, a: &[u64; N]) -> BigUint {
+        to_biguint(&self.reduce(&mut [*a, [0; N]]))
+    }
+
+    /// `base^exp` in the Montgomery domain, for `base < n` and `exp > 0`.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> [u64; N] {
+        let bits = exp.bit_length();
+        let w = if bits > WINDOW_MIN_BITS { WINDOW } else { 1 };
+        // Entry `d - 1` holds base^d in the Montgomery domain, for
+        // d = 1..2^w.
+        let mut table = [[0u64; N]; (1 << WINDOW) - 1];
+        table[0] = self.to_mont(base);
+        for d in 1..(1 << w) - 1 {
+            table[d] = self.mul(&table[d - 1], &table[0]);
+        }
 
         // The top window holds the exponent's top bit, so it is never
         // zero and seeds the accumulator.
         let windows = bits.div_ceil(w);
-        let mut acc = entry(window(exp, (windows - 1) * w, w)).to_vec();
-        let mut next = vec![0u64; k];
+        let mut acc = table[window(exp, (windows - 1) * w, w) - 1];
         for i in (0..windows - 1).rev() {
             for _ in 0..w {
-                self.mont_mul(&acc, &acc, &mut t, &mut next);
-                std::mem::swap(&mut acc, &mut next);
+                acc = self.sqr(&acc);
             }
             let d = window(exp, i * w, w);
             if d != 0 {
-                self.mont_mul(&acc, entry(d), &mut t, &mut next);
-                std::mem::swap(&mut acc, &mut next);
+                acc = self.mul(&acc, &table[d - 1]);
             }
         }
-        self.from_mont(&acc, &mut t)
+        acc
     }
+
+    /// See [`MontgomeryCtx::is_strong_probable_prime`].
+    fn is_strong_probable_prime(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
+        // R mod n and n - (R mod n) are the images of 1 and n - 1.
+        let one = self.to_mont(&BigUint::one());
+        let minus_one = sub(&self.n, &one);
+        let mut x = self.pow(a, d);
+        if x == one || x == minus_one {
+            return true;
+        }
+        for _ in 1..s {
+            x = self.sqr(&x);
+            if x == minus_one {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The `2N`-limb product `a * b`, low half first.
+fn mul_wide<const N: usize>(a: &[u64; N], b: &[u64; N]) -> [[u64; N]; 2] {
+    let mut wide = [[0u64; N]; 2];
+    let t = wide.as_flattened_mut();
+    for i in 0..N {
+        let ai = a[i] as u128;
+        let mut carry = 0u64;
+        for j in 0..N {
+            let s = t[i + j] as u128 + ai * b[j] as u128 + carry as u128;
+            t[i + j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        t[i + N] = carry;
+    }
+    wide
+}
+
+/// The `2N`-limb square `a * a`, low half first: each cross product
+/// `a[i] * a[j]`, `i < j`, is computed once and the sum doubled, then
+/// the squares of the limbs are added on the diagonal.
+fn square_wide<const N: usize>(a: &[u64; N]) -> [[u64; N]; 2] {
+    let mut wide = [[0u64; N]; 2];
+    let t = wide.as_flattened_mut();
+    for i in 0..N {
+        let ai = a[i] as u128;
+        let mut carry = 0u64;
+        for j in i + 1..N {
+            let s = t[i + j] as u128 + ai * a[j] as u128 + carry as u128;
+            t[i + j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        t[i + N] = carry;
+    }
+    // The cross products sum to less than a^2 / 2, so doubling them
+    // shifts no bit out of the top limb.
+    let mut shifted_out = 0u64;
+    for limb in t.iter_mut() {
+        let next = *limb >> 63;
+        *limb = (*limb << 1) | shifted_out;
+        shifted_out = next;
+    }
+    let mut carry = 0u64;
+    for i in 0..N {
+        let square = a[i] as u128 * a[i] as u128;
+        let s = t[2 * i] as u128 + (square as u64) as u128 + carry as u128;
+        t[2 * i] = s as u64;
+        let s = t[2 * i + 1] as u128 + (square >> 64) + (s >> 64);
+        t[2 * i + 1] = s as u64;
+        carry = (s >> 64) as u64;
+    }
+    wide
+}
+
+/// `a - b` modulo `R = 2^(64N)`: the difference itself when `a >= b`,
+/// and `a + R - b` when [`Fixed::reduce`]'s value carried out into `R`.
+fn sub<const N: usize>(a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+    let mut out = [0u64; N];
+    let mut borrow = false;
+    for j in 0..N {
+        let (d1, b1) = a[j].overflowing_sub(b[j]);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        out[j] = d2;
+        borrow = b1 | b2;
+    }
+    out
+}
+
+/// `a` zero-extended to `N` limbs; `a` must be below the modulus.
+fn limbs<const N: usize>(a: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..a.limbs.len()].copy_from_slice(&a.limbs);
+    out
+}
+
+/// An `N`-limb value as a [`BigUint`].
+fn to_biguint<const N: usize>(a: &[u64; N]) -> BigUint {
+    BigUint::from_limbs(a.to_vec())
 }
 
 /// The `w` bits of `exp` starting at bit `lo`, as a number.
@@ -206,21 +347,13 @@ fn window(exp: &BigUint, lo: usize, w: usize) -> usize {
         .fold(0, |d, i| (d << 1) | exp.bit(i) as usize)
 }
 
-fn ge_slice(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
-        }
-    }
-    true
-}
-
 impl BigUint {
     /// Modular exponentiation `self^exp mod m`.
     ///
     /// Uses Montgomery arithmetic when `m` is odd (the RSA case) and a
-    /// division-based square-and-multiply fallback otherwise.
+    /// division-based square-and-multiply fallback otherwise. An odd
+    /// `m` wider than 4096 bits is refused, as [`MontgomeryCtx::new`]
+    /// refuses it.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> Result<BigUint, CryptoError> {
         if m.is_zero() {
             return Err(CryptoError::DivisionByZero);
@@ -439,7 +572,10 @@ mod tests {
     #[test]
     fn modpow_even_modulus_uses_fallback() {
         let m = h("10000000000000000"); // 2^64, even
-        assert_eq!(n(3).modpow(&n(64), &m).unwrap(), n(3).modpow_generic(&n(64), &m).unwrap());
+        assert_eq!(
+            n(3).modpow(&n(64), &m).unwrap(),
+            n(3).modpow_generic(&n(64), &m).unwrap()
+        );
     }
 
     #[test]

@@ -106,10 +106,7 @@ mod tests {
     #[test]
     fn rfc4231_hmac_sha256_case2() {
         assert_eq!(
-            hex(&hmac::<Sha256>(
-                b"Jefe",
-                b"what do ya want for nothing?"
-            )),
+            hex(&hmac::<Sha256>(b"Jefe", b"what do ya want for nothing?")),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }

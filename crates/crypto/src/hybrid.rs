@@ -102,8 +102,7 @@ mod tests {
         let kp = keypair();
         let mut rng = StdRng::seed_from_u64(2);
         let other = RsaKeyPair::generate(512, &mut rng).unwrap();
-        let env =
-            SealedEnvelope::seal(&kp.public, b"secret", KeySize::Aes192, &mut rng).unwrap();
+        let env = SealedEnvelope::seal(&kp.public, b"secret", KeySize::Aes192, &mut rng).unwrap();
         assert!(env.open(&other.private).is_err());
     }
 
@@ -115,7 +114,9 @@ mod tests {
             SealedEnvelope::seal(&kp.public, b"payload-bytes", KeySize::Aes192, &mut rng).unwrap();
         let mut tampered = env.clone();
         tampered.ciphertext[0] ^= 0xff;
-        if let Ok(pt) = tampered.open(&kp.private) { assert_ne!(pt, b"payload-bytes") }
+        if let Ok(pt) = tampered.open(&kp.private) {
+            assert_ne!(pt, b"payload-bytes")
+        }
     }
 
     #[test]

@@ -29,12 +29,12 @@
 
 pub mod aes;
 pub mod bigint;
-mod instrument;
 pub mod cert;
 pub mod digest;
 pub mod error;
 pub mod hmac;
 pub mod hybrid;
+mod instrument;
 pub mod modes;
 pub mod padding;
 pub mod prime;

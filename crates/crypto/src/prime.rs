@@ -55,6 +55,9 @@ pub fn random_below(bound: &BigUint, rng: &mut dyn Rng) -> BigUint {
 }
 
 /// Miller–Rabin primality test with `MR_ROUNDS` random bases.
+///
+/// An `n` wider than 4096 bits, which [`MontgomeryCtx`] refuses, reads
+/// as not prime.
 pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
     if n < &BigUint::from_u64(2) {
         return false;
@@ -67,10 +70,8 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
     if n.is_even() {
         return false;
     }
-    for &p in &SMALL_PRIMES {
-        if n.rem_u64(p) == 0 {
-            return n.to_u64() == Some(p);
-        }
+    if let Some(p) = smallest_small_factor(n) {
+        return n.to_u64() == Some(p);
     }
 
     // One Montgomery context serves every round and every squaring.
@@ -78,10 +79,7 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
         return false;
     };
     // Write n-1 = d * 2^s with d odd.
-    let one = BigUint::one();
-    let two = BigUint::from_u64(2);
-    let n_minus_1 = n.sub(&one);
-    let mut d = n_minus_1.clone();
+    let mut d = n.sub(&BigUint::one());
     let mut s = 0usize;
     while d.is_even() {
         d = d.shr(1);
@@ -90,21 +88,32 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut dyn Rng) -> bool {
 
     // Bases a are drawn from [2, n-2].
     let range = n.sub(&BigUint::from_u64(3));
-    'witness: for _ in 0..MR_ROUNDS {
-        let a = random_below(&range, rng).add(&two);
-        let mut x = ctx.pow_mod(&a, &d);
-        if x.is_one() || x == n_minus_1 {
-            continue 'witness;
+    let two = BigUint::from_u64(2);
+    (0..MR_ROUNDS)
+        .all(|_| ctx.is_strong_probable_prime(&random_below(&range, rng).add(&two), &d, s))
+}
+
+/// The first of [`SMALL_PRIMES`] that divides `n`, if any.
+///
+/// `n` is reduced once per run of consecutive small primes whose
+/// product fits in a word (3 * 5 * ... * 47 < 2^64, and so on), and
+/// each prime of the run is tested against that one-word residue.
+fn smallest_small_factor(n: &BigUint) -> Option<u64> {
+    let mut primes = &SMALL_PRIMES[..];
+    while !primes.is_empty() {
+        // The longest run of the remaining primes whose product fits.
+        let (mut run, mut product) = (0, 1u64);
+        while let Some(next) = primes.get(run).and_then(|&p| product.checked_mul(p)) {
+            product = next;
+            run += 1;
         }
-        for _ in 0..s - 1 {
-            x = ctx.mul_mod(&x, &x);
-            if x == n_minus_1 {
-                continue 'witness;
-            }
+        let residue = n.rem_u64(product);
+        if let Some(&p) = primes[..run].iter().find(|&&p| residue.is_multiple_of(p)) {
+            return Some(p);
         }
-        return false;
+        primes = &primes[run..];
     }
-    true
+    None
 }
 
 /// Generates a random probable prime with exactly `bits` bits, the
@@ -145,7 +154,16 @@ mod tests {
     #[test]
     fn known_primes_pass() {
         let mut r = rng();
-        for p in [2u64, 3, 5, 101, 997, 7919, 1_000_000_007, 0xffffffff00000001] {
+        for p in [
+            2u64,
+            3,
+            5,
+            101,
+            997,
+            7919,
+            1_000_000_007,
+            0xffffffff00000001,
+        ] {
             assert!(
                 is_probably_prime(&BigUint::from_u64(p), &mut r),
                 "p={p} should be prime"
@@ -173,6 +191,22 @@ mod tests {
                 !is_probably_prime(&BigUint::from_u64(c), &mut r),
                 "Carmichael {c} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn grouped_trial_division_finds_the_first_small_factor() {
+        let mut r = rng();
+        let mut values: Vec<BigUint> = (0..300).map(|_| random_with_bits(512, &mut r)).collect();
+        // Multiples of primes at the end of one run and the start of the
+        // next, and of the last primes in the list.
+        for &(p, q) in &[(47u64, 53u64), (997, 991), (3, 997), (53, 59)] {
+            values.push(random_with_bits(500, &mut r).mul_u64(p).mul_u64(q));
+            values.push(BigUint::from_u64(p * q));
+        }
+        for n in values {
+            let want = SMALL_PRIMES.iter().copied().find(|&p| n.rem_u64(p) == 0);
+            assert_eq!(smallest_small_factor(&n), want, "n={n}");
         }
     }
 

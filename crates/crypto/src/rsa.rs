@@ -18,8 +18,8 @@ const SHA1_PREFIX: [u8; 15] = [
 
 /// ASN.1 DigestInfo prefix for SHA-256.
 const SHA256_PREFIX: [u8; 19] = [
-    0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01,
-    0x05, 0x00, 0x04, 0x20,
+    0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01, 0x05,
+    0x00, 0x04, 0x20,
 ];
 
 fn digest_info_prefix(alg: DigestAlgorithm) -> &'static [u8] {
@@ -340,11 +340,7 @@ impl std::fmt::Debug for RsaPrivateKey {
 }
 
 /// EMSA-PKCS1-v1_5 encoding: `0x00 01 FF..FF 00 || DigestInfo || hash`.
-fn emsa_pkcs1_v15(
-    alg: DigestAlgorithm,
-    message: &[u8],
-    k: usize,
-) -> Result<Vec<u8>, CryptoError> {
+fn emsa_pkcs1_v15(alg: DigestAlgorithm, message: &[u8], k: usize) -> Result<Vec<u8>, CryptoError> {
     let hash = alg.digest(message);
     let prefix = digest_info_prefix(alg);
     let t_len = prefix.len() + hash.len();
@@ -411,7 +407,10 @@ mod tests {
         let kp = keypair();
         let mut r = rng();
         let m = random_below(kp.public.modulus(), &mut r);
-        assert_eq!(kp.private.raw(&m).unwrap(), kp.private.raw_no_crt(&m).unwrap());
+        assert_eq!(
+            kp.private.raw(&m).unwrap(),
+            kp.private.raw_no_crt(&m).unwrap()
+        );
     }
 
     #[test]
@@ -457,7 +456,10 @@ mod tests {
         let kp = keypair();
         let mut sig = kp.private.sign(DigestAlgorithm::Sha1, b"msg").unwrap();
         sig[64] ^= 0x01;
-        assert!(kp.public.verify(DigestAlgorithm::Sha1, b"msg", &sig).is_err());
+        assert!(kp
+            .public
+            .verify(DigestAlgorithm::Sha1, b"msg", &sig)
+            .is_err());
     }
 
     #[test]

@@ -222,7 +222,10 @@ impl SessionKeyring {
     /// Whether any key is installed at all (lets hot paths skip the
     /// map lookup entirely when the session layer is unused).
     pub fn is_empty(&self) -> bool {
-        self.keys.read().expect("session keyring poisoned").is_empty()
+        self.keys
+            .read()
+            .expect("session keyring poisoned")
+            .is_empty()
     }
 
     /// A clone of the key record for `key_id`, if present.
@@ -268,7 +271,10 @@ impl SessionKeyring {
         if state.revoked || state.used >= state.key.max_messages {
             return true;
         }
-        let lifetime = state.key.expires_at_ms.saturating_sub(state.key.established_ms);
+        let lifetime = state
+            .key
+            .expires_at_ms
+            .saturating_sub(state.key.established_ms);
         now_ms.saturating_sub(state.key.established_ms) >= lifetime.saturating_mul(3) / 4
     }
 
@@ -516,7 +522,14 @@ mod tests {
         ring.install(key_a.clone());
         let (seq, mac) = ring.tag(key_a.key_id, NOW, &[b"forged for B"]).unwrap();
         assert_eq!(
-            ring.verify(key_a.key_id, seq, Some(&topic_b), NOW, &[b"forged for B"], &mac),
+            ring.verify(
+                key_a.key_id,
+                seq,
+                Some(&topic_b),
+                NOW,
+                &[b"forged for B"],
+                &mac
+            ),
             SessionVerdict::WrongTopic
         );
     }

@@ -123,7 +123,9 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!("not-a-uuid".parse::<Uuid>().is_err());
         assert!("12345678-9abc-4def-8001".parse::<Uuid>().is_err());
-        assert!("zz345678-9abc-4def-8001-020304050607".parse::<Uuid>().is_err());
+        assert!("zz345678-9abc-4def-8001-020304050607"
+            .parse::<Uuid>()
+            .is_err());
     }
 
     #[test]

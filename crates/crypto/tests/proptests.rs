@@ -1,12 +1,13 @@
 //! Property-based tests on the arithmetic and primitive layers.
 
-use nb_crypto::bigint::BigUint;
+use nb_crypto::bigint::{BigUint, MontgomeryCtx};
 use nb_crypto::hmac::{hmac, verify_mac};
 use nb_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_transform};
 use nb_crypto::padding::{pkcs7_pad, pkcs7_unpad};
 use nb_crypto::sha256::Sha256;
 use nb_crypto::Digest;
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Arbitrary BigUint up to ~256 bits, biased toward interesting
 /// small values and limb boundaries.
@@ -29,6 +30,37 @@ fn arb_bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), len).prop_map(|b| BigUint::from_bytes_be(&b))
 }
 
+/// `m`, or `m + 1` when `m` is even.
+fn make_odd(m: BigUint) -> BigUint {
+    if m.is_odd() {
+        m
+    } else {
+        m.add(&BigUint::one())
+    }
+}
+
+/// An odd modulus of `widths` limbs whose top limb is `u64::MAX`, and
+/// one time in four with every limb `u64::MAX`: the largest values of
+/// their width, where the carry out of a Montgomery product's top limb
+/// and its final subtraction matter most.
+fn arb_top_heavy_modulus(widths: Range<usize>) -> impl Strategy<Value = BigUint> {
+    let max = widths.end - 1;
+    (
+        widths,
+        proptest::collection::vec(any::<u64>(), max..max + 1),
+        0u8..4,
+    )
+        .prop_map(|(width, mut limbs, shape)| {
+            limbs.truncate(width);
+            if shape == 0 {
+                limbs.fill(u64::MAX);
+            }
+            limbs[width - 1] = u64::MAX;
+            let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+            make_odd(BigUint::from_bytes_be(&bytes))
+        })
+}
+
 /// An odd modulus above 1 of up to 1024 bits (16 limbs). The widest
 /// tier is drawn least often: the division-based reference is slow in
 /// debug builds.
@@ -37,15 +69,33 @@ fn arb_odd_modulus() -> impl Strategy<Value = BigUint> {
         6 => arb_bytes(1..33),
         3 => arb_bytes(33..65),
         2 => arb_bytes(65..129),
+        2 => arb_top_heavy_modulus(1..17),
     ]
-    .prop_map(|m| {
-        if m.is_odd() {
-            m
-        } else {
-            m.add(&BigUint::one())
-        }
-    })
+    .prop_map(make_odd)
     .prop_filter("modulus > 1", |m| !m.is_one())
+}
+
+/// An odd modulus of 17 to 64 limbs (up to 4096 bits), wider than
+/// RSA-1024's modulus.
+fn arb_wide_odd_modulus() -> impl Strategy<Value = BigUint> {
+    prop_oneof![
+        arb_bytes(129..513)
+            .prop_map(make_odd)
+            .prop_filter("17 limbs or more", |m| m.bit_length() > 1024),
+        arb_top_heavy_modulus(17..65),
+        arb_top_heavy_modulus(64..65),
+    ]
+}
+
+/// A value below `m`: `r mod m`, or one of the edge values 0, 1 and
+/// `m - 1` (selected by `edge` 0, 1 and 2).
+fn below(m: &BigUint, r: &BigUint, edge: u8) -> BigUint {
+    match edge {
+        0 => BigUint::zero(),
+        1 => BigUint::one(),
+        2 => m.sub(&BigUint::one()),
+        _ => r.rem(m).unwrap(),
+    }
 }
 
 /// Exponents of up to 1024 bits on both sides of the 64-bit threshold
@@ -132,14 +182,46 @@ proptest! {
         m in arb_odd_modulus(),
         exp in arb_exponent(),
         r in arb_bytes(0..129),
+        edge in 0u8..6,
         c in 0u64..4,
     ) {
-        // c >= 1 puts the base at or above the modulus.
-        let base = r.add(&m.mul_u64(c));
+        // Half the bases are 0, 1 or m - 1 before c >= 1 puts the base
+        // at or above the modulus.
+        let base = below(&m, &r, edge).add(&m.mul_u64(c));
         prop_assert_eq!(
             base.modpow(&exp, &m).unwrap(),
             base.modpow_generic(&exp, &m).unwrap()
         );
+    }
+
+    #[test]
+    fn montgomery_mul_mod_agrees_with_division(
+        m in arb_odd_modulus(),
+        ra in arb_bytes(0..129),
+        rb in arb_bytes(0..129),
+        edge_a in 0u8..6,
+        edge_b in 0u8..6,
+    ) {
+        let (a, b) = (below(&m, &ra, edge_a), below(&m, &rb, edge_b));
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&m).unwrap());
+    }
+
+    #[test]
+    fn montgomery_products_that_are_multiples_of_the_modulus_are_zero(
+        u in arb_bytes(1..65),
+        v in arb_bytes(1..65),
+        exp in 2u64..6,
+    ) {
+        // A product that is a non-zero multiple of m leaves the
+        // reduction at exactly m before its final subtraction.
+        let (u, v) = (make_odd(u), make_odd(v));
+        prop_assume!(!u.is_one() && !v.is_one());
+        let m = u.mul(&v);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        prop_assert!(ctx.mul_mod(&u, &v).is_zero());
+        let m = u.mul(&u);
+        prop_assert!(u.modpow(&BigUint::from_u64(exp), &m).unwrap().is_zero());
     }
 
     #[test]
@@ -205,5 +287,39 @@ proptest! {
         let mut other_key = key.clone();
         other_key[0] ^= 0xff;
         prop_assert!(!verify_mac(&mac, &hmac::<Sha256>(&other_key, &msg)));
+    }
+}
+
+proptest! {
+    // Each case costs up to a few hundred 64-limb products on both
+    // sides, so wide moduli get fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn montgomery_agrees_with_generic_on_wide_moduli(
+        m in arb_wide_odd_modulus(),
+        exp in prop_oneof![any::<u64>().prop_map(BigUint::from_u64), arb_bytes(9..33)],
+        r in arb_bytes(0..513),
+        edge in 0u8..6,
+        c in 0u64..2,
+    ) {
+        let base = below(&m, &r, edge).add(&m.mul_u64(c));
+        prop_assert_eq!(
+            base.modpow(&exp, &m).unwrap(),
+            base.modpow_generic(&exp, &m).unwrap()
+        );
+    }
+
+    #[test]
+    fn montgomery_mul_mod_agrees_with_division_on_wide_moduli(
+        m in arb_wide_odd_modulus(),
+        ra in arb_bytes(0..513),
+        rb in arb_bytes(0..513),
+        edge_a in 0u8..6,
+        edge_b in 0u8..6,
+    ) {
+        let (a, b) = (below(&m, &ra, edge_a), below(&m, &rb, edge_b));
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&m).unwrap());
     }
 }
