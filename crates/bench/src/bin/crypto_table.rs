@@ -84,18 +84,28 @@ impl<'a> Row<'a> {
     }
 }
 
-fn time_op(samples: usize, mut op: impl FnMut()) -> Stats {
-    // Warm-up.
-    for _ in 0..3 {
-        op();
+/// Warms every row up with three operations, then runs `trials`
+/// trials of each, rotating which row goes first.
+fn run(rows: &mut [Row], trials: usize) {
+    for row in rows.iter_mut() {
+        for _ in 0..3 {
+            (row.op)();
+        }
     }
-    let mut v = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        op();
-        v.push(t0.elapsed().as_secs_f64() * 1000.0);
+    for trial in 0..trials {
+        for k in 0..rows.len() {
+            let at = (trial + k) % rows.len();
+            rows[at].trial();
+        }
     }
-    Stats::from_samples(&v)
+}
+
+/// Prints a table of the rows' samples over every trial.
+fn print_rows(title: &str, rows: &[Row]) {
+    print_header(title, "ms");
+    for row in rows {
+        print_row(row.label, &Stats::from_samples(&row.all));
+    }
 }
 
 fn main() {
@@ -193,22 +203,8 @@ fn main() {
             let _ = nb_crypto::hmac::hmac::<nb_crypto::sha256::Sha256>(&aes_key, &mac_data);
         }),
     ];
-    for row in &mut rows {
-        // Warm-up.
-        for _ in 0..3 {
-            (row.op)();
-        }
-    }
-    for trial in 0..TRIALS {
-        for k in 0..rows.len() {
-            let at = (trial + k) % rows.len();
-            rows[at].trial();
-        }
-    }
-    print_header("Security and Authorization related costs", "ms");
-    for row in &rows {
-        print_row(row.label, &Stats::from_samples(&row.all));
-    }
+    run(&mut rows, TRIALS);
+    print_rows("Security and Authorization related costs", &rows);
     let json: Vec<String> = rows.iter().map(|r| format!("      {}", r.json())).collect();
     let report = format!(
         "{{\n  \"crypto\": {{\n    \"bench\": \"crypto_table\",\n    \"unit\": \"ms\",\n    \"trials\": {TRIALS},\n    \"rows\": {{\n{}\n    }}\n  }}\n}}\n",
@@ -228,30 +224,22 @@ fn main() {
     });
     let base = nb_crypto::BigUint::from_u64(0x1234_5678_9abc_def1);
     let exp = nb_crypto::BigUint::from_u64(65537);
-    print_header("Ablations (design choices)", "ms");
-    print_row(
-        "modpow 1024-bit (Montgomery)",
-        &time_op(samples, || {
+    let c = nb_crypto::BigUint::from_u64(0xdead_beef);
+    // One trial each, printed but left out of BENCH_paper.json.
+    let mut ablations = [
+        Row::new("modpow_montgomery", "modpow 1024-bit (Montgomery)", samples, || {
             let _ = base.modpow(&exp, &m).unwrap();
         }),
-    );
-    print_row(
-        "modpow 1024-bit (schoolbook reduction)",
-        &time_op(samples.min(50), || {
+        Row::new("modpow_generic", "modpow 1024-bit (schoolbook reduction)", samples.min(50), || {
             let _ = base.modpow_generic(&exp, &m).unwrap();
         }),
-    );
-    let c = nb_crypto::BigUint::from_u64(0xdead_beef);
-    print_row(
-        "RSA private op (no CRT)",
-        &time_op(samples, || {
+        Row::new("private_no_crt", "RSA private op (no CRT)", samples, || {
             let _ = delegate.private.raw_no_crt(&c).unwrap();
         }),
-    );
-    print_row(
-        "RSA private op (CRT, via sign)",
-        &time_op(samples, || {
+        Row::new("private_crt", "RSA private op (CRT, via sign)", samples, || {
             let _ = delegate.private.sign(DigestAlgorithm::Sha1, b"x").unwrap();
         }),
-    );
+    ];
+    run(&mut ablations, 1);
+    print_rows("Ablations (design choices)", &ablations);
 }

@@ -9,14 +9,15 @@ use std::borrow::Cow;
 ///
 /// Montgomery representation maps `a` to `a * R mod n` where
 /// `R = 2^(64N)` and `N` is the width of the fixed-width kernel that
-/// serves `n`: 8 limbs up to 512 bits (RSA-1024's primes and CRT
-/// halves), 16 up to 1024 bits (its modulus), then 32 and 64, so
-/// moduli of up to 4096 bits. Any `R` above an odd `n` works, so a
-/// narrower modulus runs zero-extended at the next width and every
-/// result is the same. Multiplication in this domain avoids per-step
-/// long division, and the fixed width lets the compiler unroll the limb
-/// loops: that is what makes RSA key generation and 1024-bit
-/// exponentiation fast enough for the paper's benchmark workloads.
+/// serves `n`: 4 limbs up to 256 bits (RSA-512's primes), 8 up to 512
+/// bits (RSA-1024's primes and CRT halves), 16 up to 1024 bits (its
+/// modulus), then 32 and 64, so moduli of up to 4096 bits. Any `R`
+/// above an odd `n` works, so a narrower modulus runs zero-extended at
+/// the next width and every result is the same. Multiplication in this
+/// domain avoids per-step long division, and the fixed width lets the
+/// compiler unroll the limb loops: that is what makes RSA key
+/// generation and 1024-bit exponentiation fast enough for the paper's
+/// benchmark workloads.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
     n: BigUint,
@@ -29,6 +30,7 @@ const MAX_LIMBS: usize = 64;
 /// A [`Fixed`] context at the narrowest width that holds the modulus.
 #[derive(Clone, Debug)]
 enum Kernel {
+    L4(Fixed<4>),
     L8(Fixed<8>),
     L16(Fixed<16>),
     L32(Box<Fixed<32>>),
@@ -40,6 +42,7 @@ enum Kernel {
 macro_rules! with_kernel {
     ($kernel:expr, |$k:ident| $body:expr) => {
         match $kernel {
+            Kernel::L4($k) => $body,
             Kernel::L8($k) => $body,
             Kernel::L16($k) => $body,
             Kernel::L32($k) => $body,
@@ -68,7 +71,8 @@ impl MontgomeryCtx {
             return Err(CryptoError::Malformed("Montgomery modulus must be odd"));
         }
         let kernel = match n.limbs.len() {
-            0..=8 => Kernel::L8(Fixed::new(n)),
+            0..=4 => Kernel::L4(Fixed::new(n)),
+            5..=8 => Kernel::L8(Fixed::new(n)),
             9..=16 => Kernel::L16(Fixed::new(n)),
             17..=32 => Kernel::L32(Box::new(Fixed::new(n))),
             33..=MAX_LIMBS => Kernel::L64(Box::new(Fixed::new(n))),

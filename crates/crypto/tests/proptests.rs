@@ -87,14 +87,15 @@ fn arb_wide_odd_modulus() -> impl Strategy<Value = BigUint> {
     ]
 }
 
-/// A value below `m`: `r mod m`, or one of the edge values 0, 1 and
-/// `m - 1` (selected by `edge` 0, 1 and 2).
-fn below(m: &BigUint, r: &BigUint, edge: u8) -> BigUint {
+/// An operand modulo `m`: one of the edge values 0, 1 and `m - 1`
+/// (selected by `edge` 0, 1 and 2), or else `r` unreduced, often many
+/// limbs wider than `m`.
+fn operand(m: &BigUint, r: &BigUint, edge: u8) -> BigUint {
     match edge {
         0 => BigUint::zero(),
         1 => BigUint::one(),
         2 => m.sub(&BigUint::one()),
-        _ => r.rem(m).unwrap(),
+        _ => r.clone(),
     }
 }
 
@@ -185,9 +186,10 @@ proptest! {
         edge in 0u8..6,
         c in 0u64..4,
     ) {
-        // Half the bases are 0, 1 or m - 1 before c >= 1 puts the base
-        // at or above the modulus.
-        let base = below(&m, &r, edge).add(&m.mul_u64(c));
+        // Half the bases are 0, 1 or m - 1 and half are r, of up to
+        // 1024 bits, before c >= 1 puts the base at or above the
+        // modulus.
+        let base = operand(&m, &r, edge).add(&m.mul_u64(c));
         prop_assert_eq!(
             base.modpow(&exp, &m).unwrap(),
             base.modpow_generic(&exp, &m).unwrap()
@@ -202,7 +204,10 @@ proptest! {
         edge_a in 0u8..6,
         edge_b in 0u8..6,
     ) {
-        let (a, b) = (below(&m, &ra, edge_a), below(&m, &rb, edge_b));
+        // Reduced operands; the exponentiation properties take
+        // unreduced ones.
+        let a = operand(&m, &ra, edge_a).rem(&m).unwrap();
+        let b = operand(&m, &rb, edge_b).rem(&m).unwrap();
         let ctx = MontgomeryCtx::new(&m).unwrap();
         prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&m).unwrap());
     }
@@ -303,7 +308,7 @@ proptest! {
         edge in 0u8..6,
         c in 0u64..2,
     ) {
-        let base = below(&m, &r, edge).add(&m.mul_u64(c));
+        let base = operand(&m, &r, edge).add(&m.mul_u64(c));
         prop_assert_eq!(
             base.modpow(&exp, &m).unwrap(),
             base.modpow_generic(&exp, &m).unwrap()
@@ -318,7 +323,10 @@ proptest! {
         edge_a in 0u8..6,
         edge_b in 0u8..6,
     ) {
-        let (a, b) = (below(&m, &ra, edge_a), below(&m, &rb, edge_b));
+        // Reduced operands; the exponentiation properties take
+        // unreduced ones.
+        let a = operand(&m, &ra, edge_a).rem(&m).unwrap();
+        let b = operand(&m, &rb, edge_b).rem(&m).unwrap();
         let ctx = MontgomeryCtx::new(&m).unwrap();
         prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&m).unwrap());
     }
