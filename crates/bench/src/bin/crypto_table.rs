@@ -223,7 +223,11 @@ fn main() {
         b
     });
     let base = nb_crypto::BigUint::from_u64(0x1234_5678_9abc_def1);
-    let exp = nb_crypto::BigUint::from_u64(65537);
+    // A full-width odd exponent below the modulus, so both modpow rows
+    // time a 1024-bit exponentiation (e = 65537 would time the 17-bit
+    // verify path).
+    let exp = m.sub(&nb_crypto::BigUint::from_u64(2));
+    assert_eq!(exp.bit_length(), 1024);
     let c = nb_crypto::BigUint::from_u64(0xdead_beef);
     // One trial each, printed but left out of BENCH_paper.json.
     let mut ablations = [

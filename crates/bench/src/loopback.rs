@@ -457,10 +457,12 @@ impl Gate {
         Gate { baseline, variant, budget_pct, overhead_pct, noise_pct, verdict }
     }
 
-    /// The gate as a JSON object.
+    /// The gate as a JSON object. Overhead and noise are written at
+    /// full precision, so a checker that applies the rule to them
+    /// reaches the verdict the gate reached.
     pub fn json(&self) -> String {
         format!(
-            "{{ \"baseline\": \"{}\", \"variant\": \"{}\", \"budget_pct\": {}, \"overhead_pct\": {:.2}, \"noise_pct\": {:.2}, \"verdict\": \"{}\" }}",
+            "{{ \"baseline\": \"{}\", \"variant\": \"{}\", \"budget_pct\": {}, \"overhead_pct\": {}, \"noise_pct\": {}, \"verdict\": \"{}\" }}",
             self.baseline,
             self.variant,
             self.budget_pct,
@@ -540,5 +542,33 @@ mod tests {
         assert_eq!(Verdict::of(6.0, 1.0, 5.0), Verdict::Fail);
         assert_eq!(Verdict::of(6.0, 8.0, 5.0), Verdict::Unresolved);
         assert_eq!(Verdict::of(9.0, 8.0, 5.0), Verdict::Fail);
+    }
+
+    #[test]
+    fn gate_json_keeps_the_numbers_its_verdict_came_from() {
+        let (overhead_pct, noise_pct, budget_pct) = (4.19, 5.004, 5.0);
+        let verdict = Verdict::of(overhead_pct, noise_pct, budget_pct);
+        assert_eq!(verdict, Verdict::Unresolved);
+        let gate = Gate {
+            baseline: "base",
+            variant: "var",
+            budget_pct,
+            overhead_pct,
+            noise_pct,
+            verdict,
+        };
+        let json = gate.json();
+        let field = |name: &str| -> f64 {
+            let start = json.find(&format!("\"{name}\": ")).unwrap() + name.len() + 4;
+            let len = json[start..].find(',').unwrap();
+            json[start..start + len].parse().unwrap()
+        };
+        assert_eq!(field("overhead_pct"), overhead_pct);
+        assert_eq!(field("noise_pct"), noise_pct);
+        assert_eq!(
+            Verdict::of(field("overhead_pct"), field("noise_pct"), budget_pct),
+            verdict
+        );
+        assert!(json.contains("\"verdict\": \"unresolved\""), "{json}");
     }
 }

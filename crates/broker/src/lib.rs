@@ -32,7 +32,6 @@
 //! `docs/OBSERVABILITY.md`, "Causal tracing").
 
 pub mod client;
-pub mod discovery;
 pub mod error;
 pub mod network;
 pub mod node;

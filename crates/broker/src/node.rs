@@ -13,6 +13,7 @@ use nb_metrics::{Counter, Gauge, Registry, Snapshot};
 use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TelemetryConfig, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
+use nb_transport::TransportError;
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
 use nb_wire::token::Rights;
@@ -40,10 +41,10 @@ pub struct BrokerConfig {
     pub token_skew_ms: u64,
     /// Enforce authorization tokens on broker-published trace topics.
     pub require_tokens: bool,
-    /// Interval for subscription anti-entropy: each broker
-    /// periodically re-advertises to every neighbour the full set of
-    /// filters it should hold, repairing adverts lost on unreliable
-    /// links. `None` disables the refresher.
+    /// Interval for subscription anti-entropy: each neighbour link
+    /// periodically re-advertises to its peer the full set of filters
+    /// the peer should hold, repairing adverts lost on unreliable
+    /// links. `None` turns anti-entropy off.
     pub advert_refresh: Option<std::time::Duration>,
     /// Routing TTL: a message whose `TraceContext.hop_count` exceeds
     /// this after a neighbour-ingress increment is dropped (and
@@ -206,9 +207,6 @@ struct State {
     subs: SubscriptionTable,
     internal: HashMap<String, Sender<Message>>,
     owner_keys: HashMap<Uuid, RsaPublicKey>,
-    /// Rate limiter for hello replies (prevents two registered peers
-    /// from bouncing hellos forever).
-    hello_replied_ms: HashMap<String, u64>,
 }
 
 struct Inner {
@@ -257,11 +255,8 @@ struct Inner {
     /// What recovery found on construction (`None` without a data
     /// dir).
     recovery: Option<Recovery>,
-    /// Set when [`Broker::shutdown`] begins; shared with the advert
-    /// refresher, which sleeps on it.
-    closing: Arc<Closing>,
-    /// The advert refresher's thread, joined by [`Broker::shutdown`].
-    refresher: Mutex<Option<JoinHandle<()>>>,
+    /// Set when [`Broker::shutdown`] begins.
+    closed: AtomicBool,
 }
 
 /// One link a worker serves.
@@ -269,40 +264,6 @@ struct Link {
     /// The worker's sender: closing it ends the worker's receives.
     sender: Arc<dyn FrameSender>,
     worker: JoinHandle<()>,
-}
-
-/// Whether [`Broker::shutdown`] has begun, with the condition variable
-/// the advert refresher sleeps on so that shutdown wakes it at once.
-#[derive(Default)]
-struct Closing {
-    closed: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Closing {
-    fn is_closed(&self) -> bool {
-        *self.closed.lock()
-    }
-
-    fn close(&self) {
-        *self.closed.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Sleeps for `interval` unless the broker closes first; returns
-    /// whether it is still open.
-    fn sleep_while_open(&self, interval: Duration) -> bool {
-        let deadline = Instant::now() + interval;
-        let mut closed = self.closed.lock();
-        while !*closed {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return true;
-            }
-            self.cv.wait_for(&mut closed, left);
-        }
-        false
-    }
 }
 
 /// The durable store plus the mirror state it checkpoints from.
@@ -371,7 +332,7 @@ impl Broker {
             }
         }
 
-        let broker = Broker {
+        Broker {
             inner: Arc::new(Inner {
                 id,
                 clock,
@@ -382,7 +343,6 @@ impl Broker {
                     subs,
                     internal: HashMap::new(),
                     owner_keys,
-                    hello_replied_ms: HashMap::new(),
                 }),
                 neighbor_cv: Condvar::new(),
                 subs_cv: Condvar::new(),
@@ -398,25 +358,9 @@ impl Broker {
                 session_keys: Arc::new(SessionKeyring::new()),
                 persist: Mutex::new(persist),
                 recovery,
-                closing: Arc::new(Closing::default()),
-                refresher: Mutex::new(None),
+                closed: AtomicBool::new(false),
             }),
-        };
-        if let Some(interval) = broker.inner.config.advert_refresh {
-            let weak = Arc::downgrade(&broker.inner);
-            let closing = Arc::clone(&broker.inner.closing);
-            let refresher = std::thread::Builder::new()
-                .name(format!("{}-advert-refresh", broker.inner.id))
-                .spawn(move || {
-                    while closing.sleep_while_open(interval) {
-                        let Some(inner) = weak.upgrade() else { return };
-                        refresh_adverts(&inner);
-                    }
-                })
-                .expect("spawn advert refresher");
-            *broker.inner.refresher.lock() = Some(refresher);
         }
-        broker
     }
 
     /// This broker's identifier.
@@ -439,8 +383,8 @@ impl Broker {
     }
 
     /// Shuts this broker down: closes every link it serves, waits for
-    /// the links' workers and the advert refresher to exit, and drops the broker's in-process consumers, route cache
-    /// and monitor.
+    /// the links' workers to exit, and drops the broker's in-process
+    /// consumers, route cache and monitor.
     ///
     /// Shutdown is not a departure. From its start nothing is
     /// journalled and no withdrawal is sent, so a durable broker
@@ -451,9 +395,7 @@ impl Broker {
     pub fn shutdown(&self) {
         self.close_links();
         let links = std::mem::take(&mut *self.inner.links.lock());
-        let refresher = self.inner.refresher.lock().take();
-        let workers = links.into_values().map(|link| link.worker);
-        for thread in workers.chain(refresher) {
+        for thread in links.into_values().map(|link| link.worker) {
             // A shutdown run on a thread of this broker's own cannot
             // wait for itself.
             if thread.thread().id() != std::thread::current().id() {
@@ -465,7 +407,6 @@ impl Broker {
             state.clients.clear();
             state.neighbors.clear();
             state.internal.clear();
-            state.hello_replied_ms.clear();
             self.inner.routes.bump();
         }
         self.inner.routes.clear();
@@ -479,7 +420,7 @@ impl Broker {
     /// broker before it waits for any, so no broker reads a peer's
     /// shutdown as a departure.
     pub(crate) fn close_links(&self) {
-        self.inner.closing.close();
+        self.inner.closed.store(true, Ordering::Release);
         self.simulate_crash();
         for link in self.inner.links.lock().values() {
             link.sender.close();
@@ -529,8 +470,7 @@ impl Broker {
     /// changes on the constrained Obs topic through this broker's own
     /// internal publish path (constraint-exempt, like the monitor
     /// audit sink). Callers drive it with
-    /// [`TelemetryPublisher::tick`] from a maintenance loop or
-    /// [`TelemetryPublisher::start`]; sign it with
+    /// [`TelemetryPublisher::tick`] from a maintenance loop; sign it with
     /// [`TelemetryPublisher::signed`] before first publish if the
     /// aggregator requires authenticated streams.
     pub fn telemetry_publisher(&self, config: PublisherConfig) -> TelemetryPublisher {
@@ -705,7 +645,7 @@ impl Broker {
     /// takes the link out of the table.
     fn spawn_worker(&self, role: &str, endpoint: Endpoint, worker: fn(&Inner, Endpoint)) {
         let mut links = self.inner.links.lock();
-        if self.inner.closing.is_closed() {
+        if self.inner.closed.load(Ordering::Acquire) {
             endpoint.sender().close();
             return;
         }
@@ -728,7 +668,7 @@ impl Broker {
     pub fn register_internal(&self, consumer: &str) -> Receiver<Message> {
         let (tx, rx) = unbounded();
         let mut state = self.inner.state.lock();
-        if !self.inner.closing.is_closed() {
+        if !self.inner.closed.load(Ordering::Acquire) {
             state.internal.insert(consumer.to_string(), tx);
             self.inner.routes.bump();
         }
@@ -1287,7 +1227,7 @@ fn client_worker(inner: &Inner, endpoint: Endpoint) {
         // receive buffer; only the session control the pipeline hands
         // back is decoded here. Lock-free termination check: punish()
         // flips the shared flag.
-        let received = endpoint.recv_with(|frame| {
+        let received = endpoint.recv_with(None, |frame| {
             if terminated.load(Ordering::Acquire) {
                 ClientFrame::Terminated
             } else if route_frame(inner, frame, Ingress::Client(&client_id), None) {
@@ -1312,7 +1252,7 @@ fn client_worker(inner: &Inner, endpoint: Endpoint) {
                 // tracks the live table exactly; only a *broker* crash
                 // or shutdown (which journal nothing) preserves client
                 // subscriptions for post-restart re-attachment.
-                if !inner.closing.is_closed() {
+                if !inner.closed.load(Ordering::Acquire) {
                     change_interest(inner, Interest::ClientGone(&client_id));
                 }
                 return;
@@ -1547,121 +1487,158 @@ fn advertise_all(inner: &Inner, peer: &str, sender: &dyn FrameSender) {
     }
 }
 
+/// How often a neighbour link re-sends its hello until the peer's
+/// arrives, so a lossy link cannot wedge the handshake.
+const HELLO_RETRY: Duration = Duration::from_millis(200);
+
+/// A neighbour link's handshake state.
+enum Peer {
+    /// The peer's hello has not arrived; the frames that beat it (e.g.
+    /// adverts reordered by jitter) wait here.
+    Unknown(Vec<Vec<u8>>),
+    /// The peer is registered as `id`; `replied_ms` is when this link
+    /// last answered a re-sent hello, on the broker's clock.
+    Known { id: String, replied_ms: u64 },
+}
+
+/// One neighbour link, as the thread that serves it sees it.
+struct NeighborLink<'a> {
+    inner: &'a Inner,
+    sender: Arc<dyn FrameSender>,
+    peer: Peer,
+    /// When [`NeighborLink::on_tick`] is next due: `None` once the peer
+    /// is known and anti-entropy is off.
+    next_tick: Option<Instant>,
+}
+
+/// Serves one neighbour link until it closes: each frame is handed, in
+/// place in the endpoint's receive buffer, to
+/// [`NeighborLink::on_frame`], and [`NeighborLink::on_tick`] runs
+/// whenever its deadline passes, however busy the link is.
 fn neighbor_worker(inner: &Inner, endpoint: Endpoint) {
-    // Identify ourselves, then wait for the peer's hello, buffering
-    // anything (e.g. adverts reordered by jitter) that arrives before
-    // it. The hello is retransmitted periodically so a lossy link
-    // cannot wedge the handshake.
-    let hello = hello(inner);
-    if endpoint.send(&hello).is_err() {
-        return;
-    }
-    let mut buffered: Vec<Vec<u8>> = Vec::new();
-    let peer_id = loop {
-        match endpoint.recv_timeout(Duration::from_millis(200)) {
-            Ok(frame) => {
-                if let Ok(Message {
-                    payload: Payload::NeighborHello { broker_id },
-                    ..
-                }) = Message::from_bytes(&frame)
-                {
-                    let mut state = inner.state.lock();
-                    state.neighbors.insert(broker_id.clone(), endpoint.sender());
-                    inner.routes.bump();
-                    break broker_id;
-                }
-                buffered.push(frame);
-            }
-            Err(nb_transport::TransportError::Timeout) => {
-                if endpoint.send(&hello).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
+    let mut link = NeighborLink {
+        inner,
+        sender: endpoint.sender(),
+        peer: Peer::Unknown(Vec::new()),
+        next_tick: Some(Instant::now()),
     };
-    inner.neighbor_cv.notify_all();
-    // Now that the peer is known, advertise what it should hold.
-    advertise_all(inner, &peer_id, endpoint.sender().as_ref());
-    for mut frame in buffered {
-        handle_neighbor_frame(inner, &peer_id, &mut frame);
+    loop {
+        let now = Instant::now();
+        if link.next_tick.is_some_and(|due| due <= now) && link.on_tick(now).is_err() {
+            break;
+        }
+        // Receive even when the next tick is already due, so no interval
+        // is short enough to starve the link.
+        let wait = link.next_tick.map(|due| due.saturating_duration_since(now));
+        match endpoint.recv_with(wait, |frame| link.on_frame(frame)) {
+            Ok(()) | Err(TransportError::Timeout) => {}
+            Err(_) => break,
+        }
     }
-
-    // Frames are handled in place in the endpoint's receive buffer.
-    while endpoint
-        .recv_with(|frame| handle_neighbor_frame(inner, &peer_id, frame))
-        .is_ok()
-    {}
+    let Peer::Known { id, .. } = &link.peer else {
+        return;
+    };
     // A link closed by shutdown is not a departure.
-    if !inner.closing.is_closed() {
-        change_interest(inner, Interest::NeighborGone(&peer_id));
+    if !inner.closed.load(Ordering::Acquire) {
+        change_interest(inner, Interest::NeighborGone(id));
     }
     inner.neighbor_cv.notify_all();
 }
 
-/// Handles one frame from neighbour `peer_id`: data frames are routed
-/// undecoded (the pipeline patches the hop byte in place); only the
-/// handshake the pipeline hands back is decoded here.
-fn handle_neighbor_frame(inner: &Inner, peer_id: &str, frame: &mut [u8]) {
-    if route_frame(inner, frame, Ingress::Neighbor(peer_id), None) {
-        return;
-    }
-    let Ok(msg) = Message::from_bytes(frame) else {
-        return;
-    };
-    match &msg.payload {
-        Payload::NeighborHello { .. } => {
-            // The peer is (re)announcing itself — our own hello may
-            // have been lost. Answer with a fresh hello; the exchange
-            // quiesces once both sides are registered (peers stop
-            // retransmitting after registration).
-            let now = inner.clock.now_ms();
-            let sender = {
-                let mut state = inner.state.lock();
-                let last = state.hello_replied_ms.get(peer_id).copied().unwrap_or(0);
-                if now.saturating_sub(last) < 1000 {
-                    None // rate-limited: at most one reply per second
-                } else {
-                    state.hello_replied_ms.insert(peer_id.to_string(), now);
-                    state.neighbors.get(peer_id).map(Arc::clone)
-                }
-            };
-            if let Some(sender) = sender {
-                let _ = sender.send_frame(&hello(inner));
+impl NeighborLink<'_> {
+    /// Runs when the link's deadline passes: until the peer's hello
+    /// arrives, sends this broker's hello every [`HELLO_RETRY`]; after
+    /// it, sends the peer its full set every
+    /// [`BrokerConfig::advert_refresh`] (anti-entropy: a single lost
+    /// advert is repaired within one interval; a lost withdrawal is
+    /// not, which would need an advert carrying the whole set). Fails
+    /// only when a hello cannot be sent.
+    fn on_tick(&mut self, now: Instant) -> nb_transport::Result<()> {
+        match &self.peer {
+            Peer::Unknown(_) => {
+                self.sender.send_frame(&hello(self.inner))?;
+                self.next_tick = Some(now + HELLO_RETRY);
+            }
+            Peer::Known { id, .. } => {
+                advertise_all(self.inner, id, self.sender.as_ref());
+                self.next_tick = self.inner.config.advert_refresh.map(|every| now + every);
             }
         }
-        Payload::NeighborSubscribe { filter } => change_interest(
-            inner,
-            Interest::Advert {
-                neighbor: peer_id,
-                filter,
-            },
-        ),
-        Payload::NeighborUnsubscribe { filter } => change_interest(
-            inner,
-            Interest::Withdraw {
-                neighbor: peer_id,
-                filter,
-            },
-        ),
-        _ => {}
+        Ok(())
     }
-}
 
-/// Anti-entropy pass: re-advertise to each neighbour the full set it
-/// should hold. Idempotent at the receiver (set insertion), so repeated
-/// adverts are harmless; a single lost advert is repaired within one
-/// refresh interval. A lost withdrawal is not: that would need an
-/// advert carrying the whole set.
-fn refresh_adverts(inner: &Inner) {
-    let neighbors: Vec<(String, Arc<dyn FrameSender>)> = {
-        let state = inner.state.lock();
-        let links = state.neighbors.iter();
-        links
-            .map(|(peer, s)| (peer.clone(), Arc::clone(s)))
-            .collect()
-    };
-    for (peer, sender) in neighbors {
-        advertise_all(inner, &peer, sender.as_ref());
+    /// Handles one frame from the peer. Until the peer's hello, frames
+    /// wait. After it, data frames are routed undecoded (the pipeline
+    /// patches the hop byte in place); only the handshake and adverts
+    /// the pipeline hands back are decoded.
+    fn on_frame(&mut self, frame: &mut [u8]) {
+        let inner = self.inner;
+        let (id, replied_ms) = match &mut self.peer {
+            Peer::Known { id, replied_ms } => (id, replied_ms),
+            Peer::Unknown(early) => {
+                match Message::from_bytes(frame) {
+                    Ok(Message {
+                        payload: Payload::NeighborHello { broker_id },
+                        ..
+                    }) => {
+                        let early = std::mem::take(early);
+                        self.register(broker_id, early);
+                    }
+                    _ => early.push(frame.to_vec()),
+                }
+                return;
+            }
+        };
+        if route_frame(inner, frame, Ingress::Neighbor(id), None) {
+            return;
+        }
+        let Ok(msg) = Message::from_bytes(frame) else {
+            return;
+        };
+        match &msg.payload {
+            Payload::NeighborHello { .. } => {
+                // The peer is announcing itself again: our hello may have
+                // been lost. Answer at most once a second; the exchange
+                // quiesces once both sides are registered, since a
+                // registered link sends no hello unasked.
+                let now = inner.clock.now_ms();
+                if now.saturating_sub(*replied_ms) >= 1000 {
+                    *replied_ms = now;
+                    let _ = self.sender.send_frame(&hello(inner));
+                }
+            }
+            Payload::NeighborSubscribe { filter } => change_interest(
+                inner,
+                Interest::Advert {
+                    neighbor: id,
+                    filter,
+                },
+            ),
+            Payload::NeighborUnsubscribe { filter } => change_interest(
+                inner,
+                Interest::Withdraw {
+                    neighbor: id,
+                    filter,
+                },
+            ),
+            _ => {}
+        }
+    }
+
+    /// The peer's hello arrived: registers the peer as `id` and replays
+    /// the frames that beat the hello. The peer's full set goes out on
+    /// the tick this makes due.
+    fn register(&mut self, id: String, early: Vec<Vec<u8>>) {
+        {
+            let mut state = self.inner.state.lock();
+            state.neighbors.insert(id.clone(), Arc::clone(&self.sender));
+            self.inner.routes.bump();
+        }
+        self.inner.neighbor_cv.notify_all();
+        self.peer = Peer::Known { id, replied_ms: 0 };
+        self.next_tick = Some(Instant::now());
+        for mut frame in early {
+            self.on_frame(&mut frame);
+        }
     }
 }

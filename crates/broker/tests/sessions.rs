@@ -18,7 +18,7 @@ use nb_wire::{Message, Payload, SessionTag};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 const SILENCE: Duration = Duration::from_millis(300);
@@ -121,7 +121,16 @@ fn session_tagged_frames_route_without_rsa() {
         assert_eq!(got.session.map(|t| t.seq), Some(seq), "tag survives relay");
     }
 
-    let relay = net.broker(1).metrics_snapshot();
+    // The relay counts a frame once it has delivered it, so the
+    // subscriber can read the eighth frame before the relay counts it.
+    let deadline = Instant::now() + TIMEOUT;
+    let relay = loop {
+        let relay = net.broker(1).metrics_snapshot();
+        if relay.counter("broker.route.fastpath").unwrap_or(0) >= 8 || Instant::now() >= deadline {
+            break relay;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     assert!(
         relay.counter("broker.session.verified").unwrap_or(0) >= 8,
         "relay authenticated via the keyring"

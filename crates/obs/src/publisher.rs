@@ -1,7 +1,6 @@
 //! [`TelemetryPublisher`]: one node's periodic metric reporter.
 
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::Arc;
 
 use nb_crypto::Credential;
 use nb_metrics::{Snapshot, SnapshotValue};
@@ -65,9 +64,9 @@ struct Inner {
 ///
 /// Cadence is polled, not threaded: [`tick`][Self::tick] consults the
 /// injected clock through a [`Ticker`], so tests driving a `MockClock`
-/// get deterministic sequence numbers, and production callers either
-/// call `tick` from an existing maintenance loop or let
-/// [`start`][Self::start] run a background pump. Frames carry
+/// get deterministic sequence numbers, and production callers call
+/// `tick` from a loop they already run (a deployment's obs plane ticks
+/// every publisher from one thread). Frames carry
 /// cumulative values for entries whose value changed since the last
 /// publish (computed with [`Snapshot::delta`]); every
 /// [`full_every`][PublisherConfig::full_every]-th frame is a keyframe
@@ -208,24 +207,6 @@ impl TelemetryPublisher {
             }
         }
         (inner.sink)(msg);
-    }
-
-    /// Spawns a background pump calling [`tick`][Self::tick] at a
-    /// fraction of the interval, for deployments on the system clock.
-    /// The thread holds only a weak handle and exits when the last
-    /// publisher clone is dropped.
-    pub fn start(&self) {
-        let weak: Weak<Inner> = Arc::downgrade(&self.inner);
-        let poll = Duration::from_millis((self.inner.config.interval_ms / 4).clamp(1, 250));
-        std::thread::Builder::new()
-            .name(format!("obs-publish-{}", self.inner.node))
-            .spawn(move || loop {
-                std::thread::sleep(poll);
-                let Some(inner) = weak.upgrade() else { return };
-                let publisher = TelemetryPublisher { inner };
-                publisher.tick();
-            })
-            .expect("spawn telemetry publisher");
     }
 }
 

@@ -2,16 +2,15 @@
 //!
 //! A [`Deployment`] stands up the full stack the paper's experiments
 //! need: a certificate authority, a replicated TDN cluster, a broker
-//! topology over the simulated network, one tracing engine per broker,
-//! and a broker directory — then hands out traced entities and
-//! trackers attached to chosen brokers.
+//! topology over the simulated network and one tracing engine per
+//! broker — then hands out traced entities and trackers attached to
+//! chosen brokers.
 
 use crate::config::{SigningMode, TracingConfig};
 use crate::engine::{EngineSetup, TracingEngine};
 use crate::entity::{EntityOptions, TracedEntity};
 use crate::tracker::{Tracker, TrackerOptions};
 use crate::Result;
-use nb_broker::discovery::{BrokerDirectory, BrokerRecord};
 use nb_broker::network::{BrokerNetwork, Medium};
 use nb_broker::BrokerConfig;
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
@@ -55,8 +54,6 @@ pub struct Deployment {
     pub engines: Vec<TracingEngine>,
     /// The replicated topic-discovery cluster.
     pub tdns: TdnCluster,
-    /// The broker directory (secure broker discovery).
-    pub directory: BrokerDirectory,
     ca: Mutex<CertificateAuthority>,
     ca_key: RsaPublicKey,
     config: TracingConfig,
@@ -77,7 +74,8 @@ pub struct Deployment {
 /// (or [`publish_all`][ClusterObs::publish_all]), then
 /// [`pump`][ClusterObs::pump] to drain delivered frames into the
 /// aggregator. System-clock deployments call
-/// [`start`][ClusterObs::start] once and read the aggregator at will.
+/// [`start`][ClusterObs::start] once, which runs both on one thread,
+/// and read the aggregator at will.
 #[derive(Clone)]
 pub struct ClusterObs {
     inner: std::sync::Arc<ObsInner>,
@@ -156,10 +154,12 @@ impl ClusterObs {
         }
     }
 
-    /// Spawns the background plane for system-clock deployments: each
-    /// publisher's pump plus one drain thread feeding the aggregator.
-    /// Idempotent; the drain thread exits when the last `ClusterObs`
-    /// clone is dropped.
+    /// Spawns the background plane for system-clock deployments: one
+    /// thread, `obs-plane`, that ticks every publisher at a quarter of
+    /// the shortest publish interval (1–250 ms) and, between ticks,
+    /// feeds the aggregator each frame as it arrives. Idempotent; the
+    /// thread exits once the last `ClusterObs` clone is dropped or
+    /// broker 0 shuts down.
     pub fn start(&self) {
         if self
             .inner
@@ -168,29 +168,29 @@ impl ClusterObs {
         {
             return;
         }
-        for p in &self.inner.publishers {
-            p.start();
-        }
+        let publishers = self.inner.publishers.iter();
+        let interval_ms = publishers.map(|p| p.interval_ms()).min().unwrap_or(1);
+        let poll = std::time::Duration::from_millis((interval_ms / 4).clamp(1, 250));
         let weak = std::sync::Arc::downgrade(&self.inner);
         std::thread::Builder::new()
-            .name("obs-aggregate".into())
+            .name("obs-plane".into())
             .spawn(move || loop {
                 let Some(inner) = weak.upgrade() else { return };
-                match inner
-                    .rx
-                    .recv_timeout(std::time::Duration::from_millis(100))
-                {
-                    Ok(msg) => {
-                        inner.aggregator.ingest(&msg);
-                        while let Ok(more) = inner.rx.try_recv() {
-                            inner.aggregator.ingest(&more);
+                for p in &inner.publishers {
+                    p.tick();
+                }
+                let due = std::time::Instant::now() + poll;
+                while let Some(left) = due.checked_duration_since(std::time::Instant::now()) {
+                    match inner.rx.recv_timeout(left) {
+                        Ok(msg) => {
+                            inner.aggregator.ingest(&msg);
                         }
+                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => break,
+                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                     }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                 }
             })
-            .expect("spawn obs aggregate thread");
+            .expect("spawn obs plane thread");
     }
 }
 
@@ -249,15 +249,9 @@ impl Deployment {
         };
         network.wait_for_mesh(std::time::Duration::from_secs(10));
 
-        let directory = BrokerDirectory::new();
         let mut engines = Vec::with_capacity(network.len());
         for (i, broker) in network.brokers.iter().enumerate() {
             let credential = ca.issue(&format!("broker:{}", broker.id()), validity, &mut rng)?;
-            directory.register(BrokerRecord {
-                broker_id: broker.id().to_string(),
-                certificate: credential.certificate.clone(),
-                load: 0,
-            });
             engines.push(TracingEngine::start(EngineSetup {
                 broker: broker.clone(),
                 credential,
@@ -274,7 +268,6 @@ impl Deployment {
             network,
             engines,
             tdns,
-            directory,
             ca: Mutex::new(ca),
             ca_key,
             config,

@@ -113,16 +113,21 @@ impl Endpoint {
         self.receive(Some(timeout))
     }
 
-    /// Blocks until a frame arrives, then lends it to `f` and returns
-    /// what `f` returns. A TCP endpoint lends the frame in place in its
-    /// receive buffer, so the steady state allocates nothing; `f` may
-    /// modify the frame (the broker patches hop counts in place). `f`
-    /// runs under the endpoint's reader lock, so it must not receive
-    /// from this endpoint; sending through it is fine.
-    pub fn recv_with<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+    /// Blocks until a frame arrives, or up to `timeout` when one is
+    /// given, then lends it to `f` and returns what `f` returns. A TCP
+    /// endpoint lends the frame in place in its receive buffer, so the
+    /// steady state allocates nothing; `f` may modify the frame (the
+    /// broker patches hop counts in place). `f` runs under the
+    /// endpoint's reader lock, so it must not receive from this
+    /// endpoint; sending through it is fine.
+    pub fn recv_with<R>(
+        &self,
+        timeout: Option<Duration>,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R> {
         match &self.inbound {
-            Inbound::Queue(_) => self.recv().map(|mut frame| f(&mut frame)),
-            Inbound::Stream(reader) => reader.read_frame(None, f),
+            Inbound::Queue(_) => self.receive(timeout).map(|mut frame| f(&mut frame)),
+            Inbound::Stream(reader) => reader.read_frame(timeout, f),
         }
     }
 

@@ -590,7 +590,7 @@ mod tests {
         client.send(b"lent").unwrap();
         client.send(b"next").unwrap();
         let len = server
-            .recv_with(|frame| {
+            .recv_with(None, |frame| {
                 assert_eq!(frame, b"lent");
                 frame[0] = b'L';
                 frame.len()
@@ -598,6 +598,10 @@ mod tests {
             .unwrap();
         assert_eq!(len, 4);
         assert_eq!(server.recv().unwrap(), b"next");
+        assert_eq!(
+            server.recv_with(Some(Duration::from_millis(20)), |frame| frame.len()),
+            Err(TransportError::Timeout)
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@ fn main() {
     println!("== entity-tracing quickstart ==\n");
 
     // Stand up the full stack: CA, 3 replicated TDNs, a 2-broker
-    // chain over ~1.5 ms simulated links, one tracing engine per
-    // broker, and a broker directory.
+    // chain over ~1.5 ms simulated links and one tracing engine per
+    // broker.
     let mut config = TracingConfig::default();
     config.ping_interval = Duration::from_millis(200);
     config.response_timeout = Duration::from_millis(100);

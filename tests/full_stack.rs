@@ -351,27 +351,6 @@ fn metrics_snapshot_covers_every_layer() {
 }
 
 #[test]
-fn broker_discovery_selects_a_valid_broker() {
-    let deployment = Deployment::new(
-        Topology::Chain(3),
-        LinkConfig::instant(),
-        system_clock(),
-        fast_config(),
-    )
-    .unwrap();
-    let record = deployment
-        .directory
-        .discover(&deployment.ca_key(), deployment.clock.now_ms())
-        .expect("a broker must be discoverable");
-    assert!(record.broker_id.starts_with("broker-"));
-    // The record's certificate chains to the deployment CA.
-    record
-        .certificate
-        .verify(&deployment.ca_key(), deployment.clock.now_ms())
-        .unwrap();
-}
-
-#[test]
 fn view_is_shared_across_clones_and_threads() {
     let deployment = Deployment::new(
         Topology::Chain(2),
