@@ -82,7 +82,11 @@ pub fn parse_properties(text: &str) -> Result<Vec<PropertySpec>, String> {
             .split_once(':')
             .ok_or_else(|| err("missing `name:` prefix"))?;
         let name = name.trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_') {
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        {
             return Err(err("property name must be [A-Za-z0-9_-]+"));
         }
         if specs.iter().any(|s| s.name == name) {
@@ -95,7 +99,8 @@ pub fn parse_properties(text: &str) -> Result<Vec<PropertySpec>, String> {
         let (check, pattern) = rest
             .split_once(" on ")
             .ok_or_else(|| err("missing ` on <pattern>`"))?;
-        let pattern = Topic::parse(pattern.trim()).map_err(|e| err(&format!("bad pattern ({e})")))?;
+        let pattern =
+            Topic::parse(pattern.trim()).map_err(|e| err(&format!("bad pattern ({e})")))?;
         let mut words = check.split_whitespace();
         let kind = match words.next() {
             Some("require-token") => PropertyKind::RequireToken,

@@ -408,11 +408,7 @@ impl MonitorSet {
                 _ => {}
             },
             PropertyKind::ExactlyOnce => {
-                let key = (
-                    ev.node.to_string(),
-                    ev.sender.to_string(),
-                    ev.msg_id,
-                );
+                let key = (ev.node.to_string(), ev.sender.to_string(), ev.msg_id);
                 if self.inner.dedup.lock().check_and_insert(key) {
                     self.flag(
                         spec,

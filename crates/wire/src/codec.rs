@@ -274,7 +274,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an `Option<T>` via a presence byte.
-    pub fn get_option<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Option<T>> {
+    pub fn get_option<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Option<T>> {
         match self.get_u8()? {
             0 => Ok(None),
             1 => Ok(Some(f(self)?)),
@@ -416,10 +419,7 @@ mod tests {
         w.put_varint(u64::MAX); // absurd length
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            r.get_bytes(),
-            Err(WireError::LengthOverflow(_))
-        ));
+        assert!(matches!(r.get_bytes(), Err(WireError::LengthOverflow(_))));
     }
 
     #[test]

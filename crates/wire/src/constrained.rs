@@ -391,7 +391,10 @@ mod tests {
         assert_eq!(c.constrainer, Constrainer::Entity("entity-42".to_string()));
         assert_eq!(c.allowed_actions, AllowedActions::SubscribeOnly);
         assert_eq!(c.distribution, Distribution::Disseminate);
-        assert_eq!(c.suffixes, vec!["Trace-Topic".to_string(), "Session-1".to_string()]);
+        assert_eq!(
+            c.suffixes,
+            vec!["Trace-Topic".to_string(), "Session-1".to_string()]
+        );
     }
 
     #[test]
@@ -463,7 +466,11 @@ mod tests {
             "/Constrained/Traces/Broker/SubscribeOnly/x",
             "/Constrained/Traces/Broker/Subscribe/x",
         ] {
-            assert_eq!(parse(s).allowed_actions, AllowedActions::SubscribeOnly, "{s}");
+            assert_eq!(
+                parse(s).allowed_actions,
+                AllowedActions::SubscribeOnly,
+                "{s}"
+            );
         }
     }
 

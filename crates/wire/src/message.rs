@@ -135,7 +135,13 @@ pub struct Message {
 
 impl Message {
     /// Creates an unauthenticated message.
-    pub fn new(id: u64, topic: Topic, sender: impl Into<String>, timestamp_ms: u64, payload: Payload) -> Self {
+    pub fn new(
+        id: u64,
+        topic: Topic,
+        sender: impl Into<String>,
+        timestamp_ms: u64,
+        payload: Payload,
+    ) -> Self {
         Message {
             id,
             correlation_id: 0,
@@ -235,7 +241,6 @@ impl Message {
     pub fn trace_sampled(&self) -> bool {
         self.trace.is_some_and(|t| t.sampled)
     }
-
 }
 
 /// Encodes a trace context as a section body.
@@ -363,8 +368,12 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-            ca.issue("entity:msg-test", Validity::starting_now(NOW, 1 << 40), &mut rng)
-                .unwrap()
+            ca.issue(
+                "entity:msg-test",
+                Validity::starting_now(NOW, 1 << 40),
+                &mut rng,
+            )
+            .unwrap()
         })
     }
 

@@ -752,9 +752,13 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-            ca.issue("entity:payload-test", Validity::starting_now(NOW, 1 << 40), &mut rng)
-                .unwrap()
-                .certificate
+            ca.issue(
+                "entity:payload-test",
+                Validity::starting_now(NOW, 1 << 40),
+                &mut rng,
+            )
+            .unwrap()
+            .certificate
         })
     }
 
@@ -764,9 +768,7 @@ mod tests {
             topic_id: Uuid::new_v4(&mut rng),
             descriptor: "Availability/Traces/entity-1".to_string(),
             owner_cert: cert().clone(),
-            restrictions: DiscoveryRestrictions::AllowedSubjects(vec![
-                "tracker:ops".to_string()
-            ]),
+            restrictions: DiscoveryRestrictions::AllowedSubjects(vec!["tracker:ops".to_string()]),
             created_ms: NOW,
             lifetime_ms: 3_600_000,
             tdn_id: "tdn-0".to_string(),
@@ -863,10 +865,7 @@ mod tests {
         round_trip(Payload::GaugeInterestRequest { secured: true });
         round_trip(Payload::InterestResponse {
             credentials: cert().clone(),
-            interests: vec![
-                TraceCategory::ChangeNotifications,
-                TraceCategory::Load,
-            ],
+            interests: vec![TraceCategory::ChangeNotifications, TraceCategory::Load],
             reply_topic: Topic::parse("/replies/tracker-1").unwrap(),
         });
         round_trip(Payload::EncryptedTrace {
@@ -890,14 +889,12 @@ mod tests {
     fn restrictions_permit_logic() {
         let c = cert();
         assert!(DiscoveryRestrictions::Open.permits(c));
-        assert!(DiscoveryRestrictions::AllowedSubjects(vec![
-            "entity:payload-test".to_string()
-        ])
-        .permits(c));
-        assert!(!DiscoveryRestrictions::AllowedSubjects(vec!["other".to_string()]).permits(c));
         assert!(
-            DiscoveryRestrictions::AllowedFingerprints(vec![c.fingerprint()]).permits(c)
+            DiscoveryRestrictions::AllowedSubjects(vec!["entity:payload-test".to_string()])
+                .permits(c)
         );
+        assert!(!DiscoveryRestrictions::AllowedSubjects(vec!["other".to_string()]).permits(c));
+        assert!(DiscoveryRestrictions::AllowedFingerprints(vec![c.fingerprint()]).permits(c));
         assert!(!DiscoveryRestrictions::AllowedFingerprints(vec![[0u8; 32]]).permits(c));
     }
 
@@ -921,10 +918,7 @@ mod tests {
         assert_eq!(SessionGrant::from_bytes(&grant.to_bytes()).unwrap(), grant);
 
         let km = TraceKeyMaterial::aes192_cbc(vec![0x11; 24]);
-        assert_eq!(
-            TraceKeyMaterial::from_bytes(&km.to_bytes()).unwrap(),
-            km
-        );
+        assert_eq!(TraceKeyMaterial::from_bytes(&km.to_bytes()).unwrap(), km);
         assert_eq!(km.padding, "PKCS7");
     }
 }

@@ -175,7 +175,10 @@ mod tests {
     #[test]
     fn join_appends_segments() {
         let base = t("/Constrained/Traces");
-        assert_eq!(base.join("Broker/Publish-Only").unwrap(), t("/Constrained/Traces/Broker/Publish-Only"));
+        assert_eq!(
+            base.join("Broker/Publish-Only").unwrap(),
+            t("/Constrained/Traces/Broker/Publish-Only")
+        );
         assert_eq!(base.join("X").unwrap().len(), 3);
     }
 

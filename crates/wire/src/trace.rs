@@ -1,9 +1,7 @@
 //! The trace taxonomy (paper Table 1) and its topic mapping (Table 2).
 
 use crate::codec::{Decode, Encode, Reader, Writer};
-use crate::constrained::{
-    AllowedActions, ConstrainedTopic, Constrainer, Distribution, EventType,
-};
+use crate::constrained::{AllowedActions, ConstrainedTopic, Constrainer, Distribution, EventType};
 use crate::error::WireError;
 use crate::topic::Topic;
 use crate::Result;

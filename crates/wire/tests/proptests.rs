@@ -56,14 +56,14 @@ fn arb_trace_kind() -> impl Strategy<Value = TraceKind> {
                 workload: wl,
             })
         ),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
-            |(a, b, c, d)| TraceKind::NetworkMetrics(NetworkMetrics {
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(a, b, c, d)| {
+            TraceKind::NetworkMetrics(NetworkMetrics {
                 loss_rate: a as f64 / u32::MAX as f64,
                 transit_delay_ms: b as f64,
                 bandwidth_bps: c as f64,
                 out_of_order_rate: d as f64 / u32::MAX as f64,
             })
-        ),
+        }),
     ]
 }
 

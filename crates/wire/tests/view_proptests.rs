@@ -4,15 +4,15 @@
 //! frames carrying unknown trailing sections from hypothetical newer
 //! peers.
 
+use nb_crypto::bigint::BigUint;
+use nb_crypto::rsa::RsaPublicKey;
+use nb_crypto::Uuid;
+use nb_telemetry::TraceContext;
 use nb_wire::codec::{Decode, Encode, Writer};
 use nb_wire::message::{Message, SessionTag, SECTION_SESSION, SECTION_TRACE};
 use nb_wire::token::{AuthorizationToken, Rights};
 use nb_wire::topic::Topic;
 use nb_wire::{topic_hash, MessageView, Payload};
-use nb_crypto::bigint::BigUint;
-use nb_crypto::rsa::RsaPublicKey;
-use nb_crypto::Uuid;
-use nb_telemetry::TraceContext;
 use proptest::prelude::*;
 
 fn arb_segment() -> impl Strategy<Value = String> {
@@ -73,14 +73,19 @@ fn arb_session() -> impl Strategy<Value = SessionTag> {
 }
 
 fn arb_trace() -> impl Strategy<Value = TraceContext> {
-    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>(), any::<bool>()).prop_map(
-        |(hi, lo, parent_span, hop_count, sampled)| TraceContext {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u8>(),
+        any::<bool>(),
+    )
+        .prop_map(|(hi, lo, parent_span, hop_count, sampled)| TraceContext {
             trace_id: (u128::from(hi) << 64) | u128::from(lo),
             parent_span,
             hop_count,
             sampled,
-        },
-    )
+        })
 }
 
 /// An arbitrary envelope: every authentication field independently
