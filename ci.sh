@@ -17,10 +17,11 @@ quick=false
 echo "== build (release) =="
 cargo build --release --workspace
 
-# nb-crypto, home of the RSA arithmetic, is kept rustfmt-clean (the
-# rest of the tree is not yet).
-echo "== fmt (nb-crypto) =="
-cargo fmt -p nb-crypto --check
+# nb-crypto (the RSA arithmetic), nb-wire (the envelope parser and
+# the token rule) and nb-monitor are kept rustfmt-clean (the rest of
+# the tree is not yet).
+echo "== fmt (nb-crypto, nb-wire, nb-monitor) =="
+cargo fmt -p nb-crypto -p nb-wire -p nb-monitor --check
 
 echo "== test =="
 cargo test --workspace --quiet

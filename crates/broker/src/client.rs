@@ -156,8 +156,7 @@ impl BrokerClient {
         if let Some(m) = self.stash.lock().pop_front() {
             return Ok(m);
         }
-        let frame = self.endpoint.recv_timeout(timeout)?;
-        Ok(Message::from_bytes(&frame)?)
+        Ok(self.recv(timeout)?)
     }
 
     fn wait_correlated(&self, request_id: u64, timeout: Duration) -> Result<Message> {
@@ -167,15 +166,29 @@ impl BrokerClient {
             if remaining.is_zero() {
                 return Err(BrokerError::Timeout);
             }
-            let frame = self.endpoint.recv_timeout(remaining).map_err(|e| match e {
+            let msg = self.recv(remaining).map_err(|e| match e {
                 TransportError::Timeout => BrokerError::Timeout,
                 other => BrokerError::Transport(other),
             })?;
-            let msg = Message::from_bytes(&frame)?;
             if msg.correlation_id == request_id {
                 return Ok(msg);
             }
             self.stash.lock().push_back(msg);
+        }
+    }
+
+    /// Receives the next frame that decodes. Any client may publish on a
+    /// plain topic, so one that does not decode is skipped rather than
+    /// ending the caller's receive loop; timeouts and link errors return.
+    fn recv(&self, timeout: Duration) -> std::result::Result<Message, TransportError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.endpoint.recv_with(Some(remaining), |frame| Message::from_bytes(frame))? {
+                Ok(msg) => return Ok(msg),
+                Err(_) if remaining.is_zero() => return Err(TransportError::Timeout),
+                Err(_) => {}
+            }
         }
     }
 }

@@ -18,16 +18,10 @@ pub enum BrokerError {
         /// What was attempted.
         action: &'static str,
     },
-    /// A trace publication lacked a (valid) authorization token.
-    TokenRequired(String),
     /// The broker refused a control request.
     Refused(String),
-    /// The client was disconnected for repeated bogus attempts (§5.2).
-    Terminated,
     /// A request timed out waiting for its response.
     Timeout,
-    /// The named client/neighbor is unknown.
-    Unknown(String),
 }
 
 impl fmt::Display for BrokerError {
@@ -38,13 +32,8 @@ impl fmt::Display for BrokerError {
             BrokerError::NotPermitted { topic, action } => {
                 write!(f, "{action} not permitted on constrained topic {topic}")
             }
-            BrokerError::TokenRequired(topic) => {
-                write!(f, "authorization token required on {topic}")
-            }
             BrokerError::Refused(reason) => write!(f, "refused: {reason}"),
-            BrokerError::Terminated => write!(f, "communications terminated (bogus attempts)"),
             BrokerError::Timeout => write!(f, "request timed out"),
-            BrokerError::Unknown(who) => write!(f, "unknown peer: {who}"),
         }
     }
 }

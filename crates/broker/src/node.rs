@@ -16,7 +16,7 @@ use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::TransportError;
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
-use nb_wire::token::Rights;
+use nb_wire::token::AuthorizationToken;
 use nb_wire::payload::{is_client_control_tag, is_neighbor_control_tag};
 use nb_wire::view::TopicView;
 use nb_monitor::{DeliveryEvent, MonitorSet};
@@ -747,26 +747,6 @@ enum Ingress<'a> {
     Internal,
 }
 
-/// The owned decode of the frame being routed: made at most once, and
-/// only when something needs an owned [`Message`] — an in-process
-/// consumer or the RSA token fallback. `publish_internal` hands over
-/// the message it encoded, so its frames never decode.
-struct Owned {
-    msg: Option<Message>,
-    /// Whether the pipeline decoded the frame itself.
-    decoded: bool,
-}
-
-impl Owned {
-    fn get(&mut self, frame: &[u8]) -> Option<&mut Message> {
-        if self.msg.is_none() && !self.decoded {
-            self.decoded = true;
-            self.msg = Message::from_bytes(frame).ok();
-        }
-        self.msg.as_mut()
-    }
-}
-
 /// Routes one encoded data frame: the broker's only data path, for
 /// client ingress, neighbour ingress and internal publishes alike.
 ///
@@ -784,11 +764,14 @@ impl Owned {
 /// `is_client_control_tag` / `is_neighbor_control_tag`): the worker
 /// then decodes and handles the frame.
 ///
-/// `broker.route.fastpath` counts frames routed without an owned
-/// decode, `broker.route.slowpath` those the pipeline had to decode;
-/// `broker.route.ns` times every frame. Steady-state invariant
-/// (enforced by `tests/no_alloc_route.rs`): a cache hit that needs no
-/// owned decode performs no heap allocation, sampled or not.
+/// `broker.route.fastpath` counts frames routed without a decode,
+/// `broker.route.slowpath` those the pipeline decoded something of: the
+/// whole message for an in-process consumer (`publish_internal` hands
+/// over the message it encoded instead), or the token alone for the
+/// RSA token fallback. `broker.route.ns` times every frame.
+/// Steady-state invariant (enforced by `tests/no_alloc_route.rs`): a
+/// cache hit that needs no decode performs no heap allocation, sampled
+/// or not.
 fn route_frame(
     inner: &Inner,
     frame: &mut [u8],
@@ -796,14 +779,11 @@ fn route_frame(
     owned: Option<Message>,
 ) -> bool {
     let t0 = now_ns();
-    let mut owned = Owned {
-        msg: owned,
-        decoded: false,
-    };
-    if !route_steps(inner, frame, ingress, &mut owned, t0) {
+    let mut decoded = false;
+    if !route_steps(inner, frame, ingress, owned, &mut decoded, t0) {
         return false;
     }
-    if owned.decoded {
+    if decoded {
         inner.routes.slowpath.inc();
     } else {
         inner.routes.fastpath.inc();
@@ -818,7 +798,8 @@ fn route_steps(
     inner: &Inner,
     frame: &mut [u8],
     ingress: Ingress<'_>,
-    owned: &mut Owned,
+    owned: Option<Message>,
+    decoded: &mut bool,
     t0: u64,
 ) -> bool {
     // A client that sends bytes no router can read is as bogus as one
@@ -886,7 +867,7 @@ fn route_steps(
         Ingress::Neighbor(_) | Ingress::Internal => {
             if policy.requires_token
                 && inner.config.require_tokens
-                && !admit(inner, &entry, &view, frame, hash, trace, owned)
+                && !admit(inner, &entry, &view, hash, trace, decoded)
             {
                 return true;
             }
@@ -915,11 +896,12 @@ fn route_steps(
     let consumer_msg = if entry.internal.is_empty() {
         None
     } else {
-        let Some(msg) = owned.get(frame) else {
+        *decoded |= owned.is_none();
+        let Ok(mut msg) = owned.map_or_else(|| Message::from_bytes(frame), Ok) else {
             return bogus();
         };
         msg.trace = trace;
-        Some(&*msg)
+        Some(msg)
     };
     if entry.monitored
         && (consumer_msg.is_some()
@@ -929,7 +911,7 @@ fn route_steps(
                 .any(|dest| !echo(&dest.id) && !dest.terminated.load(Ordering::Acquire))
             || (forward && entry.neighbors.iter().any(|dest| !returning(&dest.id))))
     {
-        report_delivery(inner, &view, frame, hash, trace);
+        report_delivery(inner, &view, hash, trace);
     }
     // Tail sampling: an unsampled message already older than the slow
     // threshold records its terminal spans anyway, so slow outliers
@@ -962,7 +944,7 @@ fn route_steps(
             span(&deliver_ctx, Stage::Deliver, start);
         }
     }
-    if let Some(msg) = consumer_msg {
+    if let Some(msg) = &consumer_msg {
         for tx in &entry.internal {
             let start = stamp(&deliver_ctx);
             if tx.send(msg.clone()).is_ok() {
@@ -990,17 +972,18 @@ fn route_steps(
 /// §4.3 admission of a trace publication this broker relays or issues.
 /// A session tag verifies against the keyring with one HMAC over the
 /// frame in place; untagged frames, an empty keyring, and unknown or
-/// expired keys fall back to the RSA token checks on an owned decode.
+/// expired keys fall back to [`AuthorizationToken::admits`] on the
+/// frame's token, decoded alone (setting `decoded`): the token never
+/// covered the payload, so the payload is not decoded for it.
 /// Returns `false` when the frame must be discarded (accounting and
 /// the monitor report already done).
 fn admit(
     inner: &Inner,
     entry: &RouteEntry,
     view: &MessageView<'_>,
-    frame: &[u8],
     hash: u64,
     trace: Option<TraceContext>,
-    owned: &mut Owned,
+    decoded: &mut bool,
 ) -> bool {
     let m = &inner.metrics;
     let session_topic = entry.policy.as_ref().and_then(|p| p.session_topic.as_ref());
@@ -1026,7 +1009,7 @@ fn admit(
                 m.session_revoked_dropped.inc();
                 m.dropped_spurious.inc();
                 if entry.monitored {
-                    report_delivery(inner, view, frame, hash, trace);
+                    report_delivery(inner, view, hash, trace);
                 }
                 return false;
             }
@@ -1037,49 +1020,29 @@ fn admit(
             }
         }
     }
-    let accepted = owned
-        .get(frame)
-        .is_some_and(|msg| token_acceptable(inner, msg));
+    *decoded = true;
+    let token = view.token.and_then(|b| AuthorizationToken::from_bytes(b).ok());
+    // The hosting broker knows the topic owner; a transit broker does
+    // not, and `admits` then checks the window alone.
+    let accepted = token.is_some_and(|token| {
+        let owner = inner.state.lock().owner_keys.get(&token.trace_topic).cloned();
+        let now = inner.clock.now_ms();
+        token.admits(owner.as_ref(), now, inner.config.token_skew_ms).is_ok()
+    });
     if !accepted {
         m.dropped_spurious.inc();
     }
     accepted
 }
 
-/// The RSA token check (§4.3, §5.2): the validity window always, the
-/// owner's signature when this broker knows the topic owner (always
-/// true at the hosting broker; transit brokers keep the window check).
-fn token_acceptable(inner: &Inner, msg: &Message) -> bool {
-    let Some(token) = &msg.token else {
-        return false;
-    };
-    let now = inner.clock.now_ms();
-    let skew = inner.config.token_skew_ms;
-    if now > token.valid_until_ms.saturating_add(skew) || now + skew < token.valid_from_ms {
-        return false;
-    }
-    let owner_key = inner.state.lock().owner_keys.get(&token.trace_topic).cloned();
-    match owner_key {
-        Some(key) => token.verify(&key, Rights::Publish, now, skew).is_ok(),
-        None => true,
-    }
-}
-
 /// Reports one delivery decision to the attached monitor, stamped with
 /// this broker's clock. `trace` carries the hop count the frame
 /// travels on with.
-fn report_delivery(
-    inner: &Inner,
-    view: &MessageView<'_>,
-    frame: &[u8],
-    hash: u64,
-    trace: Option<TraceContext>,
-) {
+fn report_delivery(inner: &Inner, view: &MessageView<'_>, hash: u64, trace: Option<TraceContext>) {
     if let Some(monitor) = inner.monitor.read().as_ref() {
         monitor.on_delivery(&DeliveryEvent::from_view(
             &inner.id,
             view,
-            frame,
             hash,
             trace.map(|ctx| ctx.hop_count),
             inner.clock.now_ms(),

@@ -7,11 +7,13 @@ use nb_broker::{Broker, BrokerClient, BrokerConfig, BrokerError};
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
 use nb_crypto::rsa::RsaKeyPair;
 use nb_crypto::Uuid;
+use nb_monitor::{parse_properties, MonitorSet};
 use nb_transport::clock::{system_clock, SharedClock};
 use nb_transport::sim::{LinkConfig, SimNetwork};
+use nb_wire::codec::{Decode, Encode};
 use nb_wire::token::{AuthorizationToken, Rights};
 use nb_wire::trace::{topics, TraceCategory, TraceEvent, TraceKind};
-use nb_wire::{Message, Payload, Topic};
+use nb_wire::{Message, MessageView, Payload, Topic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, OnceLock};
@@ -417,6 +419,83 @@ fn expired_token_is_dropped_without_owner_key() {
     .with_token(expired_token);
     net.broker(0).publish_internal(msg);
     assert!(tracker.next_message(Duration::from_millis(300)).is_err());
+}
+
+/// A transit broker decides a relayed trace publication on its token
+/// alone, decoding nothing else: an in-window token carries a frame
+/// whose payload does not decode (the token never covered the
+/// payload), the monitor's `require-token` does not flag it, and an
+/// expired token is still dropped and counted.
+#[test]
+fn relayed_trace_is_judged_on_its_token_alone() {
+    let clock: SharedClock = system_clock();
+    let net = SimNetwork::new(27);
+    let transit = Broker::new("transit", clock.clone(), BrokerConfig::default());
+    let specs = parse_properties("auth: require-token on /Constrained/Traces/*/Publish-Only/#\n");
+    let monitor = MonitorSet::new(specs.unwrap(), credential("Monitor"), 100);
+    transit.attach_monitor(monitor.clone());
+    let owner = credential("entity:owner-relay");
+    let mut rng = StdRng::seed_from_u64(27);
+    let delegate = RsaKeyPair::generate(512, &mut rng).unwrap();
+    let trace_topic = Uuid::new_v4(&mut rng);
+    let topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
+
+    // A raw subscriber: it reads each frame exactly as the broker sends it.
+    let (broker_side, tracker) = net.symmetric_link(LinkConfig::instant());
+    transit.attach_client(broker_side);
+    let control = [
+        Payload::Attach {
+            client_id: "tracker".into(),
+        },
+        Payload::Subscribe {
+            filter: topic.clone(),
+        },
+    ];
+    for (id, payload) in control.into_iter().enumerate() {
+        let request = Message::new(id as u64, nb_broker::control_topic(), "tracker", 0, payload);
+        tracker.send(&request.to_bytes()).unwrap();
+        let reply = Message::from_bytes(&tracker.recv_timeout(TIMEOUT).unwrap()).unwrap();
+        assert!(matches!(reply.payload, Payload::Ack));
+    }
+
+    let now = clock.now_ms();
+    let relayed = |valid_from_ms, valid_until_ms| {
+        let token = AuthorizationToken::issue(
+            &owner,
+            trace_topic,
+            delegate.public.clone(),
+            Rights::Publish,
+            valid_from_ms,
+            valid_until_ms,
+        )
+        .unwrap();
+        let msg = Message::new(1, topic.clone(), "broker-0", now, Payload::Blob { data: vec![7; 8] })
+            .with_token(token);
+        let mut frame = msg.to_bytes();
+        // A payload tag byte no payload has.
+        let view = MessageView::parse(&frame).unwrap();
+        let tag_at = view.payload.as_ptr() as usize - frame.as_ptr() as usize;
+        frame[tag_at] = 0xFE;
+        assert!(Message::from_bytes(&frame).is_err());
+        frame
+    };
+    let spurious = || {
+        let snap = transit.metrics_snapshot();
+        snap.counter("broker.drop.spurious_token").unwrap_or(0)
+    };
+
+    let mut frame = relayed(now - 1_000, now + 60_000);
+    let sent = frame.clone();
+    transit.ingest_neighbor_frame("broker-0", &mut frame);
+    assert_eq!(tracker.recv_timeout(TIMEOUT).unwrap(), sent, "forwarded as relayed");
+    assert_eq!(spurious(), 0);
+    let events = monitor.metrics_snapshot().counter("monitor.events");
+    assert_eq!((events, monitor.violation_count()), (Some(1), 0));
+
+    let mut expired = relayed(now - 120_000, now - 60_000);
+    transit.ingest_neighbor_frame("broker-0", &mut expired);
+    assert_eq!(spurious(), 1);
+    assert!(tracker.recv_timeout(Duration::from_millis(200)).is_err());
 }
 
 #[test]

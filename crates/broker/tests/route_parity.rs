@@ -26,7 +26,7 @@ use nb_broker::{Broker, BrokerConfig};
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
 use nb_crypto::rsa::RsaKeyPair;
 use nb_crypto::{SessionKey, Uuid};
-use nb_monitor::{parse_properties, DeliveryEvent, MonitorSet, TokenSource};
+use nb_monitor::{parse_properties, DeliveryEvent, MonitorSet};
 use nb_telemetry::{TelemetryConfig, TraceContext};
 use nb_transport::clock::{MockClock, SharedClock};
 use nb_transport::endpoint::{Endpoint, FrameSender};
@@ -878,11 +878,7 @@ fn report(twin: &MonitorSet, (msg, hop): &ExpectedEvent) {
         sender: view.sender,
         msg_id: view.id,
         hop: *hop,
-        token: if view.has_token {
-            TokenSource::Frame(&frame)
-        } else {
-            TokenSource::Absent
-        },
+        token: view.token,
         session: view.session,
         now_ms: START_MS,
     });

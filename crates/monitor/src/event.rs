@@ -5,38 +5,7 @@
 //! [`nb_wire::MessageView`] into the very frame buffer it is about to
 //! forward, so building an event costs no allocation.
 
-use nb_wire::codec::Decode;
-use nb_wire::{AuthorizationToken, MessageView, SessionTag, TopicView};
-
-/// Where an event's authorization token can be found, if anywhere.
-///
-/// The broker's routing pipeline does not decode tokens it has no use
-/// for, so it hands the monitor the raw frame instead; the monitor
-/// performs the owned decode lazily, and only when a `require-token`
-/// property actually matched the topic.
-#[derive(Debug, Clone, Copy)]
-pub enum TokenSource<'a> {
-    /// The envelope carries no token.
-    Absent,
-    /// The frame's header flags a token; decode from these raw bytes
-    /// on demand.
-    Frame(&'a [u8]),
-}
-
-impl TokenSource<'_> {
-    /// Resolves the token to an owned value, decoding the frame if
-    /// needed. `None` means genuinely absent; `Some(Err(..))` means
-    /// the frame flagged a token but would not decode.
-    pub fn resolve(&self) -> Option<Result<AuthorizationToken, nb_wire::WireError>> {
-        match self {
-            TokenSource::Absent => None,
-            TokenSource::Frame(frame) => match nb_wire::Message::from_bytes(frame) {
-                Ok(msg) => msg.token.map(Ok),
-                Err(e) => Some(Err(e)),
-            },
-        }
-    }
-}
+use nb_wire::{MessageView, SessionTag, TopicView};
 
 /// One delivery decision: broker `node` is about to hand `sender`'s
 /// message to at least one local subscriber or downstream neighbour.
@@ -56,8 +25,10 @@ pub struct DeliveryEvent<'a> {
     pub msg_id: u64,
     /// Hop count from the trace/TTL section, `None` if untraced.
     pub hop: Option<u8>,
-    /// Authorization evidence.
-    pub token: TokenSource<'a>,
+    /// The envelope's authorization token, encoded: the bytes the
+    /// frame's view lends ([`MessageView::token`]). The monitor decodes
+    /// it only when a `require-token` property matched the topic.
+    pub token: Option<&'a [u8]>,
     /// Session tag from the envelope's trailing section, when the
     /// frame authenticates via a negotiated session key instead of an
     /// RSA-signed token (the broker verifies the MAC before reporting;
@@ -80,13 +51,11 @@ impl<'a> DeliveryEvent<'a> {
     /// Builds an event from a zero-copy frame view (what the broker
     /// reports).
     /// `hop` is the post-increment hop count the frame will carry
-    /// onward; `frame` must be the buffer `view` was parsed from;
-    /// `now_ms` is the broker's clock (never the frame's own
+    /// onward; `now_ms` is the broker's clock (never the frame's own
     /// timestamp, which the publisher chose).
     pub fn from_view(
         node: &'a str,
         view: &'a MessageView<'a>,
-        frame: &'a [u8],
         topic_hash: u64,
         hop: Option<u8>,
         now_ms: u64,
@@ -98,11 +67,7 @@ impl<'a> DeliveryEvent<'a> {
             sender: view.sender,
             msg_id: view.id,
             hop,
-            token: if view.has_token {
-                TokenSource::Frame(frame)
-            } else {
-                TokenSource::Absent
-            },
+            token: view.token,
             session: view.session,
             now_ms,
         }

@@ -19,7 +19,7 @@
 //!
 //! | kind | checks |
 //! |------|--------|
-//! | `require-token` | every delivery on the pattern carries an authorization token that is inside its validity window and, when the topic owner's key is known, carries a valid owner signature ([`PropertyKind::RequireToken`]) |
+//! | `require-token` | every delivery on the pattern carries an authorization token that the brokers' own rule admits, [`nb_wire::AuthorizationToken::admits`]: inside its validity window and, when the topic owner's key is known, granting `Publish` under a valid owner signature ([`PropertyKind::RequireToken`]) |
 //! | `max-hops N` | the hop count of a traced frame never exceeds `N` ([`PropertyKind::MaxHops`], lenient: untraced frames pass) |
 //! | `require-ttl N` | frames must carry a trace/TTL section *and* stay within `N` hops (strict — scope it to channels where tracing is guaranteed) |
 //! | `exactly-once` | no `(node, sender, message-id)` triple is ever delivered twice — catches replay after link repair |
@@ -42,5 +42,5 @@ pub mod event;
 mod set;
 
 pub use dsl::{parse_properties, standard_properties, PropertyKind, PropertySpec};
-pub use event::{DeliveryEvent, TokenSource, VerdictKind};
+pub use event::{DeliveryEvent, VerdictKind};
 pub use set::{audit_topic, AuditSink, MonitorSet, Violation};

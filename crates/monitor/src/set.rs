@@ -12,15 +12,15 @@ use std::time::Instant;
 use nb_crypto::{Credential, RsaPublicKey, Uuid};
 use nb_metrics::{Counter, Histogram, Registry, Snapshot};
 use nb_telemetry::SpanEvent;
-use nb_wire::codec::{Reader, Writer};
+use nb_wire::codec::{Decode, Reader, Writer};
 use nb_wire::{
     AllowedActions, AuthorizationToken, ConstrainedTopic, Constrainer, Distribution, EventType,
-    Message, Payload, Rights, Topic, TopicView,
+    Message, Payload, Topic, TopicView,
 };
 use parking_lot::{Mutex, RwLock};
 
 use crate::dsl::{PropertyKind, PropertySpec};
-use crate::event::{DeliveryEvent, TokenSource, VerdictKind};
+use crate::event::{DeliveryEvent, VerdictKind};
 
 /// Callback the monitor hands signed audit messages to — typically
 /// `Broker::publish_internal` on one broker of the deployment.
@@ -366,7 +366,7 @@ impl MonitorSet {
                 // by `require-session`, so flagging the absent token
                 // here would double-count one breach under two names.
                 if ev.session.is_none() {
-                    if let Some(detail) = self.token_verdict(&ev.token, ev.now_ms) {
+                    if let Some(detail) = self.token_verdict(ev.token, ev.now_ms) {
                         self.flag(spec, ev.node, ev.topic_path(), detail, ev.now_ms);
                     }
                 }
@@ -426,38 +426,21 @@ impl MonitorSet {
         }
     }
 
-    /// `None` = token acceptable; `Some(detail)` = violation.
-    fn token_verdict(&self, source: &TokenSource<'_>, now_ms: u64) -> Option<String> {
-        let token = match source.resolve() {
+    /// `None` = token admitted; `Some(detail)` = violation, by the
+    /// brokers' own rule ([`AuthorizationToken::admits`]): an unknown
+    /// owner means the window alone, as at a transit broker.
+    fn token_verdict(&self, token: Option<&[u8]>, now_ms: u64) -> Option<String> {
+        let token = match token.map(AuthorizationToken::from_bytes) {
             None => return Some("no authorization token attached".to_string()),
-            Some(Err(e)) => return Some(format!("token flagged but frame would not decode: {e}")),
+            Some(Err(e)) => return Some(format!("token would not decode: {e}")),
             Some(Ok(token)) => token,
         };
-        self.token_detail(&token, now_ms)
-    }
-
-    fn token_detail(&self, token: &AuthorizationToken, now_ms: u64) -> Option<String> {
-        let skew = self.inner.token_skew_ms;
-        // Saturating on both sides: a token minted with a validity
-        // bound near u64::MAX must read as "never expires", not wrap
-        // into the past (mirrors `token_acceptable` in nb-broker).
-        if now_ms.saturating_add(skew) < token.valid_from_ms
-            || now_ms > token.valid_until_ms.saturating_add(skew)
-        {
-            return Some(format!(
-                "token outside its validity window ({}..{} at {now_ms})",
-                token.valid_from_ms, token.valid_until_ms
-            ));
-        }
         let keys = self.inner.owner_keys.read();
-        match keys.get(&token.trace_topic) {
-            Some(owner) => token
-                .verify(owner, Rights::Publish, now_ms, skew)
-                .err()
-                .map(|e| format!("token failed owner-signature verification: {e}")),
-            // Unknown owner: window-only, like a transit broker.
-            None => None,
-        }
+        let owner = keys.get(&token.trace_topic);
+        let verdict = token.admits(owner, now_ms, self.inner.token_skew_ms);
+        verdict
+            .err()
+            .map(|e| format!("token refused at {now_ms}: {e}"))
     }
 
     /// Records that engine `node` pinged `entity` with sequence `seq`.

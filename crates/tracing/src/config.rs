@@ -2,6 +2,16 @@
 
 use std::time::Duration;
 
+/// Size of the per-entity ping history (the paper keeps the last 10).
+pub const PING_WINDOW: usize = 10;
+
+/// Lifetime of minted authorization tokens, ms.
+pub const TOKEN_LIFETIME_MS: u64 = 60_000;
+
+/// Trace session-key lifetime, ms (rotated at 3/4 of it; see
+/// `nb_crypto::SessionKeyring::needs_rotation`).
+pub const SESSION_LIFETIME_MS: u64 = 600_000;
+
 /// How a traced entity authenticates its messages to its hosting
 /// broker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +44,6 @@ pub struct TracingConfig {
     pub suspicion_threshold: usize,
     /// Additional consecutive losses (beyond suspicion) before FAILED.
     pub failure_threshold: usize,
-    /// Size of the per-entity ping history window (the paper keeps
-    /// the last 10 pings).
-    pub ping_window: usize,
     /// Scheduler tick for the engine's background thread.
     pub tick: Duration,
     /// Whether the engine's thread runs a scheduling pass every `tick`
@@ -47,8 +54,6 @@ pub struct TracingConfig {
     pub gauge_interval: Duration,
     /// Interval between NETWORK_METRICS publications.
     pub metrics_interval: Duration,
-    /// Lifetime of minted authorization tokens, ms.
-    pub token_lifetime_ms: u64,
     /// Clock-skew tolerance for token validation, ms (NTP keeps the
     /// paper's clocks within 30–100 ms).
     pub token_skew_ms: u64,
@@ -63,9 +68,6 @@ pub struct TracingConfig {
     /// traces keep carrying tokens either way, so receivers without
     /// the key fall back to the full RSA path.
     pub session_keys: bool,
-    /// Trace session-key lifetime, ms (the engine rotates at 3/4 of
-    /// this; see `nb_crypto::SessionKeyring::needs_rotation`).
-    pub session_lifetime_ms: u64,
     /// Messages a trace session key may tag before rotation is due.
     pub session_max_messages: u64,
     /// Causal-tracing knobs, shared by the brokers, engines, entities
@@ -83,16 +85,13 @@ impl Default for TracingConfig {
             response_timeout: Duration::from_millis(250),
             suspicion_threshold: 3,
             failure_threshold: 3,
-            ping_window: 10,
             tick: Duration::from_millis(20),
             auto_tick: true,
             gauge_interval: Duration::from_secs(5),
             metrics_interval: Duration::from_secs(2),
-            token_lifetime_ms: 60_000,
             token_skew_ms: 100,
             rsa_bits: 1024,
             session_keys: false,
-            session_lifetime_ms: 600_000,
             session_max_messages: 1 << 16,
             telemetry: nb_telemetry::TelemetryConfig::default(),
         }
@@ -110,16 +109,13 @@ impl TracingConfig {
             response_timeout: Duration::from_millis(50),
             suspicion_threshold: 2,
             failure_threshold: 2,
-            ping_window: 10,
             tick: Duration::from_millis(5),
             auto_tick: false,
             gauge_interval: Duration::from_millis(500),
             metrics_interval: Duration::from_millis(500),
-            token_lifetime_ms: 60_000,
             token_skew_ms: 100,
             rsa_bits: 512,
             session_keys: false,
-            session_lifetime_ms: 600_000,
             session_max_messages: 1 << 16,
             telemetry: nb_telemetry::TelemetryConfig::default(),
         }
@@ -134,7 +130,7 @@ mod tests {
     fn defaults_are_paper_shaped() {
         let c = TracingConfig::default();
         assert_eq!(c.rsa_bits, 1024);
-        assert_eq!(c.ping_window, 10);
+        assert_eq!(PING_WINDOW, 10);
         assert!(c.min_ping_interval < c.ping_interval);
         assert!((30..=100_000).contains(&c.token_skew_ms));
     }

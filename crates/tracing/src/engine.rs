@@ -6,7 +6,7 @@
 //! the traced entity".
 
 use crate::channels;
-use crate::config::TracingConfig;
+use crate::config::{TracingConfig, SESSION_LIFETIME_MS};
 use crate::failure::{DetectorEvent, FailureDetector, Liveness};
 use crate::interest::{InterestSet, TrackerInterest};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -674,15 +674,8 @@ fn handle_session_message(inner: &Arc<EngineInner>, msg: Message) {
         }
         Payload::DelegationToken { token } => {
             // Verify the delegation actually comes from the topic owner.
-            if token
-                .verify(
-                    &session.cert.public_key,
-                    nb_wire::token::Rights::Publish,
-                    now,
-                    inner.config.token_skew_ms,
-                )
-                .is_err()
-            {
+            let owner = Some(&session.cert.public_key);
+            if token.admits(owner, now, inner.config.token_skew_ms).is_err() {
                 inner.metrics.auth_failures.inc();
                 return;
             }
@@ -883,7 +876,7 @@ fn rotate_session_key(inner: &EngineInner, session: &mut Session, old_key_id: u6
         SessionKey::mint(
             session.trace_topic,
             now,
-            inner.config.session_lifetime_ms,
+            SESSION_LIFETIME_MS,
             inner.config.session_max_messages,
             &mut *rng,
         )

@@ -17,7 +17,7 @@
 //! 6. answer pings and report state transitions and load.
 
 use crate::channels;
-use crate::config::{SigningMode, TracingConfig};
+use crate::config::{SigningMode, TracingConfig, SESSION_LIFETIME_MS, TOKEN_LIFETIME_MS};
 use crate::error::TracingError;
 use crate::Result;
 use nb_broker::BrokerClient;
@@ -308,7 +308,7 @@ impl TracedEntity {
                 delegate.public.clone(),
                 Rights::Publish,
                 now.saturating_sub(self.inner.config.token_skew_ms),
-                now + self.inner.config.token_lifetime_ms,
+                now + TOKEN_LIFETIME_MS,
             )?
         };
         self.send_authed(Payload::DelegationToken { token })
@@ -358,7 +358,7 @@ impl TracedEntity {
         let key = SessionKey::mint(
             self.inner.trace_topic,
             now,
-            self.inner.config.session_lifetime_ms,
+            SESSION_LIFETIME_MS,
             self.inner.config.session_max_messages,
             &mut *self.inner.rng.lock(),
         );

@@ -12,7 +12,7 @@
 //! The detector is a pure state machine over explicit timestamps, so
 //! it is deterministic under a mock clock.
 
-use crate::config::TracingConfig;
+use crate::config::{TracingConfig, PING_WINDOW};
 use nb_transport::metrics::{PingOutcome, PingWindow, RttEstimator};
 use std::collections::HashMap;
 
@@ -69,7 +69,7 @@ impl FailureDetector {
             response_timeout_ms: config.response_timeout.as_millis() as u64,
             suspicion_threshold: config.suspicion_threshold,
             failure_threshold: config.failure_threshold,
-            window: PingWindow::new(config.ping_window),
+            window: PingWindow::new(PING_WINDOW),
             rtt: RttEstimator::new(),
             outstanding: HashMap::new(),
             next_seq: 1,

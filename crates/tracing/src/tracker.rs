@@ -24,9 +24,8 @@ use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_wire::codec::Decode;
 use nb_wire::payload::{TopicAdvertisement, TraceKeyMaterial};
-use nb_wire::token::Rights;
 use nb_wire::trace::{topics, TraceCategory, TraceEvent};
-use nb_wire::{Message, Payload};
+use nb_wire::{AuthorizationToken, Message, Payload};
 use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -328,20 +327,17 @@ fn discover_advertisement(
     best.ok_or_else(|| TracingError::TopicNotFound(entity_id.to_string()))
 }
 
-/// §4.1/§5.2: only accept broker publications carrying a token signed
-/// by the topic owner.
-fn token_valid(inner: &TrackerInner, msg: &Message) -> bool {
-    let Some(token) = &msg.token else {
-        return false;
-    };
-    token
-        .verify(
-            &inner.owner_key,
-            Rights::Publish,
-            inner.clock.now_ms(),
-            inner.config.token_skew_ms,
-        )
-        .is_ok()
+/// §4.1/§5.2: only accept broker publications carrying a token the
+/// topic owner signed ([`AuthorizationToken::admits`]); a refusal is
+/// counted.
+fn token_admitted(inner: &TrackerInner, msg: &Message) -> bool {
+    let (now, skew) = (inner.clock.now_ms(), inner.config.token_skew_ms);
+    let admits = |t: &AuthorizationToken| t.admits(Some(&inner.owner_key), now, skew).is_ok();
+    let admitted = msg.token.as_ref().is_some_and(admits);
+    if !admitted {
+        inner.metrics.rejected_tokens.inc();
+    }
+    admitted
 }
 
 /// Whether a trace publication is admissible: a valid session MAC
@@ -377,12 +373,7 @@ fn frame_authorized(inner: &TrackerInner, msg: &Message) -> bool {
             }
         }
     }
-    if token_valid(inner, msg) {
-        true
-    } else {
-        inner.metrics.rejected_tokens.inc();
-        false
-    }
+    token_admitted(inner, msg)
 }
 
 /// Records a terminal tracker span when the message rode a sampled
@@ -400,21 +391,23 @@ fn handle_message(inner: &Arc<TrackerInner>, msg: Message) {
         None
     };
     let t0 = if traced.is_some() { now_ns() } else { 0 };
+    // §5.1: control messages count only under the owner's token ("after
+    // confirming the validity of the security token, then respond…").
+    let control = matches!(
+        msg.payload,
+        Payload::GaugeInterestRequest { .. }
+            | Payload::TraceKeyDelivery { .. }
+            | Payload::SessionKeyDelivery { .. }
+            | Payload::SessionKeyRevoke { .. }
+    );
+    if control && !token_admitted(inner, &msg) {
+        return;
+    }
     match &msg.payload {
         Payload::GaugeInterestRequest { .. } => {
-            // §5.1: "Interested trackers, after confirming the validity
-            // of the security token, then respond…"
-            if !token_valid(inner, &msg) {
-                inner.metrics.rejected_tokens.inc();
-                return;
-            }
             let _ = send_interest_response(inner);
         }
         Payload::TraceKeyDelivery { sealed } => {
-            if !token_valid(inner, &msg) {
-                inner.metrics.rejected_tokens.inc();
-                return;
-            }
             if let Ok(bytes) = sealed.open(&inner.credential.private_key) {
                 if let Ok(material) = TraceKeyMaterial::from_bytes(&bytes) {
                     if let Ok(mode) = material.mode() {
@@ -424,10 +417,6 @@ fn handle_message(inner: &Arc<TrackerInner>, msg: Message) {
             }
         }
         Payload::SessionKeyDelivery { sealed } => {
-            if !token_valid(inner, &msg) {
-                inner.metrics.rejected_tokens.inc();
-                return;
-            }
             if let Ok(bytes) = sealed.open(&inner.credential.private_key) {
                 if let Ok(key) = SessionKey::from_bytes(&bytes) {
                     // Only keys bound to the tracked topic are
@@ -439,14 +428,8 @@ fn handle_message(inner: &Arc<TrackerInner>, msg: Message) {
                 }
             }
         }
-        Payload::SessionKeyRevoke { key_id, topic } => {
-            if !token_valid(inner, &msg) {
-                inner.metrics.rejected_tokens.inc();
-                return;
-            }
-            if *topic == inner.trace_topic {
-                inner.sessions.revoke(*key_id);
-            }
+        Payload::SessionKeyRevoke { key_id, topic } if *topic == inner.trace_topic => {
+            inner.sessions.revoke(*key_id);
         }
         Payload::Trace { event } => {
             if !frame_authorized(inner, &msg) {

@@ -6,26 +6,27 @@
 //! (broker delegation, §4.3), or an HMAC under a shared session key
 //! (the §6.3 signing-cost optimization).
 //!
-//! The wire format is version 3, the only version either decoder
-//! accepts: a version byte, the envelope head (id, correlation id,
-//! topic, sender, timestamp), the payload behind a big-endian `u32`
-//! length prefix, the optional authentication fields, and a *trailing
+//! The wire format is version 3, the only version the parser accepts:
+//! a version byte, the envelope head (id, correlation id, topic,
+//! sender, timestamp), the payload behind a big-endian `u32` length
+//! prefix, the optional authentication fields, and a *trailing
 //! section* block — a section count, then `(tag, length-prefixed
 //! body)` pairs carrying the optional [`TraceContext`] and
-//! [`SessionTag`]. Decoders skip sections with tags they do not
+//! [`SessionTag`]. The parser skips sections with tags it does not
 //! recognize, so the envelope can grow without a version bump.
 //!
 //! The payload length prefix lets a router skip straight over the
 //! body to the authentication and section trailers without decoding
-//! it. That is what makes the zero-copy [`crate::view::MessageView`]
-//! possible: the broker data plane parses only the routing-relevant
-//! fields of a frame and forwards the original bytes untouched.
+//! it. That is what makes the zero-copy [`MessageView`], the envelope's
+//! only parser, possible; the owned decoder parses through it, and the
+//! broker data plane forwards the original bytes untouched.
 
 use crate::codec::{Decode, Encode, Reader, Writer};
 use crate::error::WireError;
 use crate::payload::Payload;
 use crate::token::AuthorizationToken;
 use crate::topic::Topic;
+use crate::view::MessageView;
 use crate::Result;
 use nb_crypto::cert::Credential;
 use nb_crypto::digest::DigestAlgorithm;
@@ -254,23 +255,6 @@ fn encode_trace_section(ctx: &TraceContext) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a trace-section body. Trailing bytes are tolerated so the
-/// section itself can grow compatibly.
-fn decode_trace_section(body: &[u8]) -> Result<TraceContext> {
-    let mut r = Reader::new(body);
-    let hi = r.get_u64()?;
-    let lo = r.get_u64()?;
-    let parent_span = r.get_u64()?;
-    let hop_count = r.get_u8()?;
-    let sampled = r.get_bool()?;
-    Ok(TraceContext {
-        trace_id: (u128::from(hi) << 64) | u128::from(lo),
-        parent_span,
-        hop_count,
-        sampled,
-    })
-}
-
 impl Encode for Message {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(WIRE_VERSION);
@@ -302,48 +286,23 @@ impl Encode for Message {
 }
 
 impl Decode for Message {
+    /// Parses the rest of `r` as one frame with [`MessageView::parse`],
+    /// the envelope's only parser, then owns what the view lends.
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let version = r.get_u8()?;
-        if version != WIRE_VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let id = r.get_u64()?;
-        let correlation_id = r.get_u64()?;
-        let topic = Topic::decode(r)?;
-        let sender = r.get_str()?;
-        let timestamp_ms = r.get_u64()?;
-        let len = r.get_u32()? as usize;
-        if len > crate::codec::MAX_CHUNK_LEN {
-            return Err(WireError::LengthOverflow("payload"));
-        }
-        let mut pr = Reader::new(r.get_exact(len, "payload body")?);
-        let payload = Payload::decode(&mut pr)?;
-        pr.expect_end("payload")?;
-        let mut msg = Message {
-            id,
-            correlation_id,
-            topic,
-            sender,
-            timestamp_ms,
-            payload,
-            signature: r.get_option(|r| r.get_bytes())?,
-            token: r.get_option(AuthorizationToken::decode)?,
-            mac: r.get_option(|r| r.get_bytes())?,
-            trace: None,
-            session: None,
-        };
-        let sections = r.get_varint()?;
-        for _ in 0..sections {
-            let tag = r.get_u8()?;
-            let body = r.get_bytes_ref()?;
-            if tag == SECTION_TRACE && msg.trace.is_none() {
-                msg.trace = Some(decode_trace_section(body)?);
-            } else if tag == SECTION_SESSION && msg.session.is_none() {
-                msg.session = Some(SessionTag::from_section_bytes(body)?);
-            }
-            // Any other tag: an extension from a newer peer — skip.
-        }
-        Ok(msg)
+        let view = MessageView::parse(r.get_exact(r.remaining(), "message")?)?;
+        Ok(Message {
+            id: view.id,
+            correlation_id: view.correlation_id,
+            topic: view.topic.to_topic()?,
+            sender: view.sender.to_string(),
+            timestamp_ms: view.timestamp_ms,
+            payload: Payload::from_bytes(view.payload)?,
+            signature: view.signature.map(<[u8]>::to_vec),
+            token: view.token.map(AuthorizationToken::from_bytes).transpose()?,
+            mac: view.mac.map(<[u8]>::to_vec),
+            trace: view.trace,
+            session: view.session,
+        })
     }
 }
 

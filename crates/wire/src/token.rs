@@ -17,7 +17,7 @@ use crate::Result;
 use nb_crypto::cert::Credential;
 use nb_crypto::digest::DigestAlgorithm;
 use nb_crypto::rsa::RsaPublicKey;
-use nb_crypto::Uuid;
+use nb_crypto::{CryptoError, Uuid};
 
 /// Rights grantable by an authorization token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +55,9 @@ impl Rights {
 /// paper assumes NTP keeps clocks "within 30-100 milliseconds"; we
 /// allow a conservative 100 ms.
 pub const DEFAULT_SKEW_MS: u64 = 100;
+
+/// Why a token past its validity window is refused.
+const EXPIRED: &str = "token past its validity window";
 
 /// A signed delegation token (§4.3).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,29 +139,43 @@ impl AuthorizationToken {
         now_ms: u64,
         skew_ms: u64,
     ) -> Result<()> {
+        self.check_window(now_ms, skew_ms)?;
         if self.rights != expected_rights {
-            return Err(WireError::Crypto(
-                nb_crypto::CryptoError::CertificateInvalid("token grants different rights"),
-            ));
-        }
-        if now_ms + skew_ms < self.valid_from_ms {
-            return Err(WireError::Crypto(
-                nb_crypto::CryptoError::CertificateInvalid("token not yet valid"),
-            ));
-        }
-        if now_ms > self.valid_until_ms.saturating_add(skew_ms) {
-            return Err(WireError::Crypto(
-                nb_crypto::CryptoError::CertificateInvalid("token expired"),
-            ));
+            return Err(CryptoError::CertificateInvalid("token grants different rights").into());
         }
         owner_key
             .verify(DigestAlgorithm::Sha1, &self.tbs_bytes(), &self.signature)
             .map_err(WireError::Crypto)
     }
 
+    /// §4.3's rule for every node that relays or consumes a trace: the
+    /// validity window with `skew_ms` on both edges and, when the topic
+    /// owner's key is known, [`Rights::Publish`] under the owner's
+    /// signature ([`AuthorizationToken::verify`]). A transit broker,
+    /// which does not know the owner, checks the window alone.
+    pub fn admits(&self, owner: Option<&RsaPublicKey>, now_ms: u64, skew_ms: u64) -> Result<()> {
+        self.check_window(now_ms, skew_ms)?;
+        owner.map_or(Ok(()), |key| {
+            self.verify(key, Rights::Publish, now_ms, skew_ms)
+        })
+    }
+
+    /// The one comparison of the validity window: `skew_ms` widens both
+    /// edges (inclusive), saturating, so a bound near `u64::MAX` never wraps.
+    fn check_window(&self, now_ms: u64, skew_ms: u64) -> Result<()> {
+        let why = if now_ms > self.valid_until_ms.saturating_add(skew_ms) {
+            EXPIRED
+        } else if now_ms.saturating_add(skew_ms) < self.valid_from_ms {
+            "token before its validity window"
+        } else {
+            return Ok(());
+        };
+        Err(CryptoError::CertificateInvalid(why).into())
+    }
+
     /// Whether the window has lapsed at `now_ms` (no signature check).
     pub fn is_expired(&self, now_ms: u64) -> bool {
-        now_ms > self.valid_until_ms
+        self.check_window(now_ms, 0) == Err(CryptoError::CertificateInvalid(EXPIRED).into())
     }
 
     /// Whether the token is in its final `fraction` of lifetime —
@@ -168,6 +185,17 @@ impl AuthorizationToken {
         let lifetime = self.valid_until_ms.saturating_sub(self.valid_from_ms);
         let elapsed = now_ms.saturating_sub(self.valid_from_ms);
         lifetime == 0 || (elapsed as f64) >= (lifetime as f64) * fraction
+    }
+
+    /// Steps `r` over one encoded token without decoding it (the layout
+    /// of [`Encode`] below), so the envelope parser can lend the token's
+    /// bytes ([`crate::MessageView::token`]) without allocating.
+    pub(crate) fn skip(r: &mut Reader<'_>) -> Result<()> {
+        r.get_exact(16, "token uuid")?;
+        r.get_bytes_ref()?; // delegate key
+        r.get_exact(1 + 8 + 8, "token rights/validity")?;
+        r.get_bytes_ref()?; // signature
+        Ok(())
     }
 }
 
@@ -242,13 +270,17 @@ mod tests {
     }
 
     fn token(valid_from: u64, valid_until: u64) -> AuthorizationToken {
+        issued(Rights::Publish, valid_from, valid_until)
+    }
+
+    fn issued(rights: Rights, valid_from: u64, valid_until: u64) -> AuthorizationToken {
         let fx = fixture();
         let mut rng = StdRng::seed_from_u64(3);
         AuthorizationToken::issue(
             &fx.owner,
             Uuid::new_v4(&mut rng),
             fx.delegate.public.clone(),
-            Rights::Publish,
+            rights,
             valid_from,
             valid_until,
         )
@@ -413,5 +445,50 @@ mod tests {
             assert_eq!(Rights::from_wire_id(r.wire_id()).unwrap(), r);
         }
         assert!(Rights::from_wire_id(0).is_err());
+    }
+
+    #[test]
+    fn admits_table() {
+        let owner = &fixture().owner.certificate.public_key;
+        let (skew, max) = (DEFAULT_SKEW_MS, u64::MAX);
+        // (valid_from, valid_until, now, admitted): both edges take the
+        // skew and are inclusive; near u64::MAX they saturate, so a
+        // window ending within `skew` of the maximum never expires.
+        for (from, until, now, admitted) in [
+            (NOW, NOW + 60_000, NOW - skew - 1, false),
+            (NOW, NOW + 60_000, NOW - skew, true),
+            (NOW, NOW + 60_000, NOW + 60_000 + skew, true),
+            (NOW, NOW + 60_000, NOW + 60_001 + skew, false),
+            (max - 10_000, max - skew - 1, max - 1, true),
+            (max - 10_000, max - skew - 1, max, false),
+            (max - 10, max, max - 10 - skew - 1, false),
+            (max - 10, max, max - 10 - skew, true),
+            (max - 10, max, max, true),
+        ] {
+            let t = token(from, until);
+            for key in [None, Some(owner)] {
+                let got = t.admits(key, now, skew).is_ok();
+                assert_eq!(
+                    got,
+                    admitted,
+                    "{from}..{until} at {now}, owner known: {}",
+                    key.is_some()
+                );
+            }
+        }
+        // Owner unknown (a transit broker): the window alone, so an
+        // in-window Subscribe token or forged signature passes. Owner
+        // known: Publish rights under the owner's signature.
+        let subscribe = issued(Rights::Subscribe, NOW - 1000, NOW + 60_000);
+        let mut forged = token(NOW - 1000, NOW + 60_000);
+        forged.signature[10] ^= 0xff;
+        for t in [&subscribe, &forged] {
+            t.admits(None, NOW, skew).unwrap();
+            assert!(t.admits(Some(owner), NOW, skew).is_err());
+        }
+        let other = RsaKeyPair::generate(512, &mut StdRng::seed_from_u64(56)).unwrap();
+        let valid = token(NOW - 1000, NOW + 60_000);
+        assert!(valid.admits(Some(&other.public), NOW, skew).is_err());
+        valid.admits(Some(owner), NOW, skew).unwrap();
     }
 }

@@ -1,20 +1,22 @@
-//! Zero-copy frame views for the broker data plane.
+//! Zero-copy frame views: the envelope's only parser.
 //!
 //! The broker's hot path routes far more frames than it originates,
 //! and most of a frame — the payload body, signatures, tokens — is
-//! opaque to routing. [`MessageView`] parses *only* the fields routing
-//! needs (topic, sender, payload tag, auth presence, trace context)
-//! directly out of a borrowed byte slice, allocating nothing, so the
-//! broker can match and forward the original frame bytes untouched.
+//! opaque to routing. [`MessageView::parse`] walks the whole envelope
+//! in a borrowed byte slice without allocating: it decodes what routing
+//! needs (topic, sender, payload tag, trace and session sections) and
+//! lends the rest undecoded, so the broker can forward the original
+//! frame bytes untouched.
 //!
 //! Views parse the version-3 envelope (whose payload is
 //! u32-length-prefixed, see [`crate::message`]) and reject every other
-//! version, exactly like the owned decoder. The owned [`crate::Message`]
-//! decode stays for consumers that need the payload or token.
+//! version. The owned [`crate::Message`] decoder parses through a view
+//! and owns what it lends, so it accepts no frame the view rejects.
 
 use crate::codec::Reader;
 use crate::error::WireError;
 use crate::message::{SessionTag, SECTION_SESSION, SECTION_TRACE, WIRE_VERSION};
+use crate::token::AuthorizationToken;
 use crate::topic::Topic;
 use crate::Result;
 use nb_telemetry::TraceContext;
@@ -186,12 +188,13 @@ pub struct MessageView<'a> {
     pub payload_tag: u8,
     /// The complete encoded payload, undecoded.
     pub payload: &'a [u8],
-    /// Whether an RSA signature is attached.
-    pub has_signature: bool,
-    /// Whether an authorization token is attached.
-    pub has_token: bool,
-    /// Whether an HMAC is attached.
-    pub has_mac: bool,
+    /// The attached RSA signature, if any.
+    pub signature: Option<&'a [u8]>,
+    /// The attached authorization token's encoded bytes, undecoded
+    /// (`AuthorizationToken::from_bytes` decodes them), if any.
+    pub token: Option<&'a [u8]>,
+    /// The attached HMAC, if any.
+    pub mac: Option<&'a [u8]>,
     /// Decoded causal trace context, if the frame carries one (the
     /// trace section is small and fixed-width; decoding it allocates
     /// nothing).
@@ -248,9 +251,13 @@ impl<'a> MessageView<'a> {
         let payload = r.get_exact(payload_len, "payload body")?;
         let payload_tag = *payload.first().ok_or(WireError::Truncated("payload tag"))?;
 
-        let has_signature = skip_option_bytes(&mut r)?;
-        let has_token = skip_option_token(&mut r)?;
-        let has_mac = skip_option_bytes(&mut r)?;
+        let signature = r.get_option(|r| r.get_bytes_ref())?;
+        let token = r.get_option(|r| {
+            let start = frame.len() - r.remaining();
+            AuthorizationToken::skip(r)?;
+            Ok(&frame[start..frame.len() - r.remaining()])
+        })?;
+        let mac = r.get_option(|r| r.get_bytes_ref())?;
 
         let mut trace = None;
         let mut session = None;
@@ -289,9 +296,9 @@ impl<'a> MessageView<'a> {
             timestamp_ms,
             payload_tag,
             payload,
-            has_signature,
-            has_token,
-            has_mac,
+            signature,
+            token,
+            mac,
             trace,
             session,
             trace_hop_offset,
@@ -323,48 +330,13 @@ impl<'a> MessageView<'a> {
     }
 }
 
-/// Skips an `Option<bytes>` field, returning its presence.
-fn skip_option_bytes(r: &mut Reader<'_>) -> Result<bool> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => {
-            r.get_bytes_ref()?;
-            Ok(true)
-        }
-        tag => Err(WireError::UnknownTag {
-            what: "option",
-            tag,
-        }),
-    }
-}
-
-/// Skips an `Option<AuthorizationToken>` field, returning its
-/// presence. Mirrors the token encode layout: trace-topic UUID,
-/// delegate key bytes, rights byte, validity window, signature bytes.
-fn skip_option_token(r: &mut Reader<'_>) -> Result<bool> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => {
-            r.get_exact(16, "token uuid")?;
-            r.get_bytes_ref()?; // delegate key
-            r.get_exact(1 + 8 + 8, "token rights/validity")?;
-            r.get_bytes_ref()?; // signature
-            Ok(true)
-        }
-        tag => Err(WireError::UnknownTag {
-            what: "option",
-            tag,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::{Decode, Encode};
     use crate::message::Message;
     use crate::payload::Payload;
-    use crate::token::{AuthorizationToken, Rights};
+    use crate::token::Rights;
     use nb_crypto::Uuid;
 
     const NOW: u64 = 1_700_000_000_000;
@@ -417,7 +389,11 @@ mod tests {
         assert_eq!(v.sender, m.sender);
         assert_eq!(v.timestamp_ms, m.timestamp_ms);
         assert_eq!(v.payload_tag, 30); // Ping
-        assert!(v.has_signature && v.has_token && v.has_mac);
+        assert_eq!(
+            (v.signature, v.mac),
+            (Some(&[4u8; 64][..]), Some(&[5u8; 32][..]))
+        );
+        assert_eq!(v.token, Some(token().to_bytes().as_slice()));
         assert_eq!(v.trace, Some(ctx()));
         assert!(v.topic.eq_topic(&m.topic));
         assert_eq!(v.topic.to_topic().unwrap(), m.topic);

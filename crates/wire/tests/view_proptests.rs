@@ -2,17 +2,19 @@
 //! parser and the owned [`Message`] decoder: for arbitrary envelopes
 //! (any combination of signature, token, MAC and trace context), for
 //! frames carrying unknown trailing sections from hypothetical newer
-//! peers.
+//! peers, and — against a reference copy of the owned decoder that
+//! walked the envelope itself before it parsed through the view — for
+//! edited encodings and random bytes.
 
 use nb_crypto::bigint::BigUint;
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::Uuid;
 use nb_telemetry::TraceContext;
-use nb_wire::codec::{Decode, Encode, Writer};
+use nb_wire::codec::{Decode, Encode, Reader, Writer, MAX_CHUNK_LEN};
 use nb_wire::message::{Message, SessionTag, SECTION_SESSION, SECTION_TRACE};
 use nb_wire::token::{AuthorizationToken, Rights};
 use nb_wire::topic::Topic;
-use nb_wire::{topic_hash, MessageView, Payload};
+use nb_wire::{topic_hash, MessageView, Payload, WireError};
 use proptest::prelude::*;
 
 fn arb_segment() -> impl Strategy<Value = String> {
@@ -174,9 +176,9 @@ fn assert_view_agrees(bytes: &[u8], m: &Message) {
     assert_eq!(v.sender, m.sender.as_str());
     assert_eq!(v.timestamp_ms, m.timestamp_ms);
     assert_eq!(v.payload, m.payload.to_bytes().as_slice());
-    assert_eq!(v.has_signature, m.signature.is_some());
-    assert_eq!(v.has_token, m.token.is_some());
-    assert_eq!(v.has_mac, m.mac.is_some());
+    assert_eq!(v.signature, m.signature.as_deref());
+    assert_eq!(v.token, m.token.as_ref().map(Encode::to_bytes).as_deref());
+    assert_eq!(v.mac, m.mac.as_deref());
     assert_eq!(v.trace, m.trace);
     assert_eq!(v.session, m.session);
     assert!(v.topic.eq_topic(&m.topic));
@@ -233,5 +235,118 @@ proptest! {
         prop_assert_eq!(&Message::from_bytes(&bytes).unwrap(), &m);
         // The zero-copy view agrees on every routing-relevant field.
         assert_view_agrees(&bytes, &m);
+    }
+}
+
+/// The owned decoder as it was when it walked the envelope itself,
+/// kept as the reference the view-based decoder must agree with.
+fn reference_decode(bytes: &[u8]) -> Result<Message, WireError> {
+    let mut r = Reader::new(bytes);
+    let version = r.get_u8()?;
+    if version != 3 {
+        return Err(WireError::BadVersion(version));
+    }
+    let id = r.get_u64()?;
+    let correlation_id = r.get_u64()?;
+    let topic = Topic::decode(&mut r)?;
+    let sender = r.get_str()?;
+    let timestamp_ms = r.get_u64()?;
+    let len = r.get_u32()? as usize;
+    if len > MAX_CHUNK_LEN {
+        return Err(WireError::LengthOverflow("payload"));
+    }
+    let mut pr = Reader::new(r.get_exact(len, "payload body")?);
+    let payload = Payload::decode(&mut pr)?;
+    pr.expect_end("payload")?;
+    let mut msg = Message {
+        id,
+        correlation_id,
+        topic,
+        sender,
+        timestamp_ms,
+        payload,
+        signature: r.get_option(|r| r.get_bytes())?,
+        token: r.get_option(AuthorizationToken::decode)?,
+        mac: r.get_option(|r| r.get_bytes())?,
+        trace: None,
+        session: None,
+    };
+    let sections = r.get_varint()?;
+    for _ in 0..sections {
+        let tag = r.get_u8()?;
+        let body = r.get_bytes_ref()?;
+        if tag == SECTION_TRACE && msg.trace.is_none() {
+            let mut tr = Reader::new(body);
+            let hi = tr.get_u64()?;
+            let lo = tr.get_u64()?;
+            msg.trace = Some(TraceContext {
+                trace_id: (u128::from(hi) << 64) | u128::from(lo),
+                parent_span: tr.get_u64()?,
+                hop_count: tr.get_u8()?,
+                sampled: tr.get_bool()?,
+            });
+        } else if tag == SECTION_SESSION && msg.session.is_none() {
+            msg.session = Some(SessionTag::from_section_bytes(body)?);
+        }
+    }
+    r.expect_end("structure")?;
+    Ok(msg)
+}
+
+/// The decoder under test and the reference agree on `bytes` (the same
+/// `Ok` value, or both fail), and the view accepts whatever either
+/// decoder accepts.
+fn assert_decoders_agree(bytes: &[u8]) {
+    let owned = Message::from_bytes(bytes);
+    let reference = reference_decode(bytes);
+    match (&owned, &reference) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "bytes: {bytes:?}"),
+        (Err(_), Err(_)) => {}
+        _ => panic!("decoders disagree on {bytes:?}: {owned:?} vs {reference:?}"),
+    }
+    if reference.is_ok() {
+        assert!(MessageView::parse(bytes).is_ok(), "view refused {bytes:?}");
+    }
+}
+
+/// Applies one edit to `bytes`: overwrite a byte, truncate, or insert a
+/// byte, at `at` (taken modulo the length).
+fn edit(bytes: &mut Vec<u8>, (kind, at, byte): (u8, usize, u8)) {
+    match kind {
+        0 if !bytes.is_empty() => {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        1 => bytes.truncate(at % (bytes.len() + 1)),
+        _ => bytes.insert(at % (bytes.len() + 1), byte),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The view-based decoder against the reference, on every
+    /// arbitrary encoding and on 1–3 edits of it.
+    #[test]
+    fn owned_decoder_matches_the_reference_on_edited_frames(
+        m in arb_message(),
+        edits in proptest::collection::vec((0u8..3, any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut bytes = m.to_bytes();
+        assert_decoders_agree(&bytes);
+        for e in edits {
+            edit(&mut bytes, e);
+            assert_decoders_agree(&bytes);
+        }
+    }
+
+    /// The same on random bytes behind a version byte of 3.
+    #[test]
+    fn owned_decoder_matches_the_reference_on_random_bytes(
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut bytes = vec![3u8];
+        bytes.extend_from_slice(&body);
+        assert_decoders_agree(&bytes);
     }
 }
