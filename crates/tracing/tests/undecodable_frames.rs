@@ -123,5 +123,5 @@ fn entity_answers_pings_after_an_undecodable_frame() {
     let _mallory = publish_undecodable(&dep, channels::registration_reply("pinged"));
     let answered = entity.pings_answered();
     assert!(entity.wait_for_pings(answered + 5, WAIT));
-    assert_eq!(tracker.view().status("pinged"), Some(EntityStatus::Available));
+    assert!(tracker.wait_for_status(EntityStatus::Available, WAIT));
 }
