@@ -35,6 +35,8 @@ mod tests {
         assert!(ConstrainedTopic::parse(&registration_reply("e"))
             .unwrap()
             .is_none());
-        assert!(ConstrainedTopic::parse(&key_delivery("t")).unwrap().is_none());
+        assert!(ConstrainedTopic::parse(&key_delivery("t"))
+            .unwrap()
+            .is_none());
     }
 }

@@ -17,14 +17,14 @@ use nb_crypto::modes::{cbc_encrypt, ctr_transform, CipherMode};
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::{SessionKey, SessionKeyring, Uuid};
 use nb_metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
+use nb_monitor::{MonitorSet, VerdictKind};
+use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_telemetry::{now_ns, FlightRecorder, HeadSampler, SpanEvent, Stage, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::payload::{SessionGrant, TraceKeyMaterial};
 use nb_wire::token::AuthorizationToken;
 use nb_wire::trace::{topics, EntityState, TraceCategory, TraceEvent, TraceKind};
-use nb_monitor::{MonitorSet, VerdictKind};
-use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_wire::{Message, Payload, SessionTag, Topic};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -337,10 +337,7 @@ impl TracingEngine {
     /// Captures every `tracing.*` metric of this engine (the session
     /// gauge is sampled at call time).
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.inner
-            .metrics
-            .sessions
-            .set(self.session_count() as i64);
+        self.inner.metrics.sessions.set(self.session_count() as i64);
         self.inner.metrics.registry.snapshot()
     }
 }
@@ -675,7 +672,10 @@ fn handle_session_message(inner: &Arc<EngineInner>, msg: Message) {
         Payload::DelegationToken { token } => {
             // Verify the delegation actually comes from the topic owner.
             let owner = Some(&session.cert.public_key);
-            if token.admits(owner, now, inner.config.token_skew_ms).is_err() {
+            if token
+                .admits(owner, now, inner.config.token_skew_ms)
+                .is_err()
+            {
                 inner.metrics.auth_failures.inc();
                 return;
             }
@@ -927,8 +927,7 @@ fn publish_trace(
     let category = kind.category();
     // Change notifications always flow (they are the "change
     // notifications only" service tier); the rest is interest-gated.
-    let gated = category != TraceCategory::ChangeNotifications
-        && !session.interest.wants(category);
+    let gated = category != TraceCategory::ChangeNotifications && !session.interest.wants(category);
     if gated {
         inner.metrics.traces_gated.inc();
         return None;

@@ -331,13 +331,10 @@ impl TracedEntity {
         self.inner.rng.lock().fill_bytes(&mut key);
         let sealed = self.seal_to_broker(&key)?;
         // The transition message itself is RSA-signed.
-        let mut msg = self
-            .inner
-            .client
-            .make_message(
-                self.inner.session_channel.clone(),
-                Payload::SymmetricKeySetup { sealed },
-            );
+        let mut msg = self.inner.client.make_message(
+            self.inner.session_channel.clone(),
+            Payload::SymmetricKeySetup { sealed },
+        );
         msg.sign(&self.inner.credential)?;
         self.inner.client.send_message(&msg)?;
         *self.inner.mac_key.lock() = Some(key);
@@ -430,82 +427,83 @@ impl TracedEntity {
             .spawn(move || {
                 let mut last_setup = std::time::Instant::now();
                 loop {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Loss recovery: until the first ping proves the broker
-                // holds our delegation token (it only pings joined
-                // sessions), periodically re-send the setup bundle.
-                // Every setup message is idempotent at the engine.
-                //
-                // This must run *before* blocking on the receive: an
-                // un-joined session gets no pings, so when the setup
-                // bundle is lost every receive times out and a retry
-                // gated behind a successful receive would never fire.
-                if inner.pings_answered.load(Ordering::Relaxed) == 0
-                    && last_setup.elapsed() > Duration::from_millis(1500)
-                {
-                    last_setup = std::time::Instant::now();
-                    let entity = TracedEntity {
-                        inner: Arc::clone(&inner),
-                    };
-                    let _ = entity.send_delegation_token();
-                    if inner.mac_key.lock().is_some() {
-                        let _ = entity.enable_symmetric_mode();
+                    if inner.stop.load(Ordering::SeqCst) {
+                        return;
                     }
-                    if inner.secured {
-                        let _ = entity.send_trace_key();
-                    }
-                    // A lost announcement leaves the engine on the
-                    // token path; each retry mints a fresh key and the
-                    // engine adopts the newest.
-                    if inner.config.session_keys {
-                        let _ = entity.announce_session_key();
-                    }
-                    let state = *inner.state.lock();
-                    let _ = entity.send_authed(Payload::StateReport {
-                        from: None,
-                        to: state,
-                    });
-                    // `entity` is just another Arc handle; dropping it
-                    // here is safe and leaves the pump running.
-                }
-                let msg = match inner.client.next_message(Duration::from_millis(50)) {
-                    Ok(m) => m,
-                    Err(nb_broker::BrokerError::Timeout) => continue,
-                    Err(nb_broker::BrokerError::Transport(
-                        nb_transport::TransportError::Timeout,
-                    )) => continue,
-                    Err(_) => return,
-                };
-                if let Payload::Ping { seq, sent_at_ms } = msg.payload {
-                    // §3.3: the response echoes both the number and the
-                    // timestamp of the ping.
-                    let state = *inner.state.lock();
-                    let mut reply = inner.client.make_message(
-                        inner.session_channel.clone(),
-                        Payload::PingResponse {
-                            seq,
-                            echo_sent_at_ms: sent_at_ms,
-                            state,
-                        },
-                    );
-                    // Return-path propagation: the response travels on
-                    // the ping's own trace so the engine's Consume span
-                    // closes the loop in one causal chain.
-                    reply.trace = msg.trace;
-                    if authenticate_message(&inner, &mut reply).is_ok()
-                        && inner.client.send_message(&reply).is_ok()
+                    // Loss recovery: until the first ping proves the broker
+                    // holds our delegation token (it only pings joined
+                    // sessions), periodically re-send the setup bundle.
+                    // Every setup message is idempotent at the engine.
+                    //
+                    // This must run *before* blocking on the receive: an
+                    // un-joined session gets no pings, so when the setup
+                    // bundle is lost every receive times out and a retry
+                    // gated behind a successful receive would never fire.
+                    if inner.pings_answered.load(Ordering::Relaxed) == 0
+                        && last_setup.elapsed() > Duration::from_millis(1500)
                     {
-                        inner.pings_answered.fetch_add(1, Ordering::SeqCst);
-                        // Holding the notify lock across the signal
-                        // closes the missed-wakeup window against
-                        // wait_for_pings' check-then-wait.
-                        let _guard = inner.ping_notify.lock();
-                        inner.ping_cv.notify_all();
+                        last_setup = std::time::Instant::now();
+                        let entity = TracedEntity {
+                            inner: Arc::clone(&inner),
+                        };
+                        let _ = entity.send_delegation_token();
+                        if inner.mac_key.lock().is_some() {
+                            let _ = entity.enable_symmetric_mode();
+                        }
+                        if inner.secured {
+                            let _ = entity.send_trace_key();
+                        }
+                        // A lost announcement leaves the engine on the
+                        // token path; each retry mints a fresh key and the
+                        // engine adopts the newest.
+                        if inner.config.session_keys {
+                            let _ = entity.announce_session_key();
+                        }
+                        let state = *inner.state.lock();
+                        let _ = entity.send_authed(Payload::StateReport {
+                            from: None,
+                            to: state,
+                        });
+                        // `entity` is just another Arc handle; dropping it
+                        // here is safe and leaves the pump running.
+                    }
+                    let msg = match inner.client.next_message(Duration::from_millis(50)) {
+                        Ok(m) => m,
+                        Err(nb_broker::BrokerError::Timeout) => continue,
+                        Err(nb_broker::BrokerError::Transport(
+                            nb_transport::TransportError::Timeout,
+                        )) => continue,
+                        Err(_) => return,
+                    };
+                    if let Payload::Ping { seq, sent_at_ms } = msg.payload {
+                        // §3.3: the response echoes both the number and the
+                        // timestamp of the ping.
+                        let state = *inner.state.lock();
+                        let mut reply = inner.client.make_message(
+                            inner.session_channel.clone(),
+                            Payload::PingResponse {
+                                seq,
+                                echo_sent_at_ms: sent_at_ms,
+                                state,
+                            },
+                        );
+                        // Return-path propagation: the response travels on
+                        // the ping's own trace so the engine's Consume span
+                        // closes the loop in one causal chain.
+                        reply.trace = msg.trace;
+                        if authenticate_message(&inner, &mut reply).is_ok()
+                            && inner.client.send_message(&reply).is_ok()
+                        {
+                            inner.pings_answered.fetch_add(1, Ordering::SeqCst);
+                            // Holding the notify lock across the signal
+                            // closes the missed-wakeup window against
+                            // wait_for_pings' check-then-wait.
+                            let _guard = inner.ping_notify.lock();
+                            inner.ping_cv.notify_all();
+                        }
                     }
                 }
-            }})
+            })
             .expect("spawn entity pump");
     }
 }

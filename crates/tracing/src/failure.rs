@@ -118,10 +118,7 @@ impl FailureDetector {
     pub fn on_response(&mut self, seq: u64, now_ms: u64) -> Option<DetectorEvent> {
         let sent_at = self.outstanding.remove(&seq)?;
         let rtt = now_ms.saturating_sub(sent_at) as f64;
-        let in_order = self
-            .highest_answered_seq
-            .map(|h| seq > h)
-            .unwrap_or(true);
+        let in_order = self.highest_answered_seq.map(|h| seq > h).unwrap_or(true);
         if in_order {
             self.highest_answered_seq = Some(seq);
         }
@@ -164,9 +161,7 @@ impl FailureDetector {
                 self.liveness = Liveness::Suspected;
                 Some(DetectorEvent::Suspect)
             }
-            Liveness::Suspected
-                if losses >= self.suspicion_threshold + self.failure_threshold =>
-            {
+            Liveness::Suspected if losses >= self.suspicion_threshold + self.failure_threshold => {
                 self.liveness = Liveness::Failed;
                 Some(DetectorEvent::Fail)
             }

@@ -225,7 +225,8 @@ impl Deployment {
         let now = clock.now_ms();
         let validity = deployment_validity(now);
         let mut rng = StdRng::seed_from_u64(0xdeb1);
-        let mut ca = CertificateAuthority::new("deployment-ca", config.rsa_bits, validity, &mut rng)?;
+        let mut ca =
+            CertificateAuthority::new("deployment-ca", config.rsa_bits, validity, &mut rng)?;
         let ca_key = ca.certificate().public_key.clone();
 
         let tdns = TdnCluster::new(3, &mut ca, validity, clock.clone(), &mut rng)?;

@@ -93,13 +93,9 @@ mod tests {
 
     fn cert(name: &str) -> Certificate {
         let mut rng = StdRng::seed_from_u64(name.len() as u64);
-        let mut ca = CertificateAuthority::new(
-            "ca",
-            512,
-            Validity::starting_now(0, u64::MAX / 2),
-            &mut rng,
-        )
-        .unwrap();
+        let mut ca =
+            CertificateAuthority::new("ca", 512, Validity::starting_now(0, u64::MAX / 2), &mut rng)
+                .unwrap();
         ca.issue(name, Validity::starting_now(0, u64::MAX / 2), &mut rng)
             .unwrap()
             .certificate

@@ -147,12 +147,9 @@ mod tests {
         let dir = TempDir::new("tracker-persist").unwrap();
         let before;
         {
-            let (mut d, live, _) = Durable::<TrackerDurableState>::open(
-                dir.path(),
-                "tracker",
-                StoreConfig::default(),
-            )
-            .unwrap();
+            let (mut d, live, _) =
+                Durable::<TrackerDurableState>::open(dir.path(), "tracker", StoreConfig::default())
+                    .unwrap();
             for seq in 1..=5u64 {
                 let ev = event(seq, TraceKind::AllsWell);
                 assert!(live.view.apply(&ev));
@@ -163,12 +160,9 @@ mod tests {
             assert!(!live.view.apply(&event(2, TraceKind::Failed)));
             before = live.view.get("e1").unwrap();
         }
-        let (_, recovered, rec) = Durable::<TrackerDurableState>::open(
-            dir.path(),
-            "tracker",
-            StoreConfig::default(),
-        )
-        .unwrap();
+        let (_, recovered, rec) =
+            Durable::<TrackerDurableState>::open(dir.path(), "tracker", StoreConfig::default())
+                .unwrap();
         let after = recovered.view.get("e1").unwrap();
         assert_eq!(rec.records_replayed, 5);
         assert_eq!(after.traces_seen, before.traces_seen);

@@ -142,23 +142,18 @@ impl Tracker {
         // resumes from the last applied sequence instead of a blank
         // map (stale re-deliveries stay rejected, nothing re-counts).
         let (view, persist, recovery) = match &opts.data_dir {
-            Some(dir) => match Durable::<TrackerDurableState>::open(
-                dir,
-                "tracker",
-                opts.store.clone(),
-            ) {
-                Ok((durable, state, rec)) => {
-                    (state.view, Some(durable), Some(rec))
+            Some(dir) => {
+                match Durable::<TrackerDurableState>::open(dir, "tracker", opts.store.clone()) {
+                    Ok((durable, state, rec)) => (state.view, Some(durable), Some(rec)),
+                    // Storage trouble degrades to in-memory operation —
+                    // tracking beats crashing on a bad disk.
+                    Err(_) => (AvailabilityView::new(), None, None),
                 }
-                // Storage trouble degrades to in-memory operation —
-                // tracking beats crashing on a bad disk.
-                Err(_) => (AvailabilityView::new(), None, None),
-            },
+            }
             None => (AvailabilityView::new(), None, None),
         };
 
-        let recorder =
-            FlightRecorder::new(opts.tracker_id.clone(), opts.config.telemetry.capacity);
+        let recorder = FlightRecorder::new(opts.tracker_id.clone(), opts.config.telemetry.capacity);
         let inner = Arc::new(TrackerInner {
             id: opts.tracker_id,
             credential: opts.credential,
@@ -264,11 +259,7 @@ impl Tracker {
     /// poll interval of latency to every status assertion.
     ///
     /// [`AvailabilityView::wait_for_status`]: crate::view::AvailabilityView::wait_for_status
-    pub fn wait_for_status(
-        &self,
-        want: crate::view::EntityStatus,
-        timeout: Duration,
-    ) -> bool {
+    pub fn wait_for_status(&self, want: crate::view::EntityStatus, timeout: Duration) -> bool {
         self.inner
             .view
             .wait_for_status(&self.inner.entity_id, want, timeout)
@@ -305,10 +296,7 @@ fn discover_advertisement(
     entity_id: &str,
     credential: &Credential,
 ) -> Result<TopicAdvertisement> {
-    let adverts = tdns.discover(
-        &topics::discovery_query(entity_id),
-        &credential.certificate,
-    );
+    let adverts = tdns.discover(&topics::discovery_query(entity_id), &credential.certificate);
     // Verify TDN provenance; prefer the newest advertisement (a
     // compromised topic may have been replaced, §5.2).
     let mut best: Option<TopicAdvertisement> = None;
@@ -364,9 +352,7 @@ fn frame_authorized(inner: &TrackerInner, msg: &Message) -> bool {
                 // The issuer rotated ahead of us (or the key lapsed):
                 // fall back to the RSA token path below.
                 SessionVerdict::UnknownKey | SessionVerdict::Expired => {}
-                SessionVerdict::Revoked
-                | SessionVerdict::WrongTopic
-                | SessionVerdict::BadMac => {
+                SessionVerdict::Revoked | SessionVerdict::WrongTopic | SessionVerdict::BadMac => {
                     inner.metrics.session_rejected.inc();
                     return false;
                 }
@@ -380,7 +366,9 @@ fn frame_authorized(inner: &TrackerInner, msg: &Message) -> bool {
 /// trace.
 fn record_span(inner: &TrackerInner, ctx: Option<&TraceContext>, stage: Stage, t0: u64) {
     if let Some(ctx) = ctx {
-        inner.recorder.record(SpanEvent::new(ctx, stage, t0, now_ns()));
+        inner
+            .recorder
+            .record(SpanEvent::new(ctx, stage, t0, now_ns()));
     }
 }
 
@@ -511,10 +499,6 @@ fn send_interest_response(inner: &Arc<TrackerInner>) -> Result<()> {
 
 impl std::fmt::Debug for Tracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Tracker({} → {})",
-            self.inner.id, self.inner.entity_id
-        )
+        write!(f, "Tracker({} → {})", self.inner.id, self.inner.entity_id)
     }
 }

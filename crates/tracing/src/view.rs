@@ -270,7 +270,10 @@ mod tests {
                 to: EntityState::Initializing,
             },
         ));
-        assert_eq!(view.get("e1").unwrap().state, Some(EntityState::Initializing));
+        assert_eq!(
+            view.get("e1").unwrap().state,
+            Some(EntityState::Initializing)
+        );
         view.apply(&event(
             2,
             TraceKind::StateTransition {

@@ -91,7 +91,10 @@ fn secured_tracking_survives_middle_link_outage() {
             2,
             "chaos-tracker",
             "chaos-entity",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 
@@ -146,7 +149,10 @@ fn secured_tracking_survives_middle_link_outage() {
         after.last_seq - before.last_seq
     );
     // The entity's own link (b0, unaffected) never flapped.
-    assert!(entity.pings_answered() > 0, "entity stopped answering pings");
+    assert!(
+        entity.pings_answered() > 0,
+        "entity stopped answering pings"
+    );
 
     // Observability: the held frames and the oversized-frame guard
     // are both visible in one merged deployment snapshot.

@@ -119,7 +119,10 @@ fn heartbeats_track_ping_count_deterministically() {
             0,
             "hb-watch",
             "hb-det",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
         )
         .unwrap();
     settle();
@@ -231,13 +234,8 @@ fn adaptive_interval_hastens_detection() {
         if !adaptive {
             config.min_ping_interval = config.ping_interval;
         }
-        let dep = Deployment::new(
-            Topology::Chain(1),
-            LinkConfig::instant(),
-            shared,
-            config,
-        )
-        .unwrap();
+        let dep =
+            Deployment::new(Topology::Chain(1), LinkConfig::instant(), shared, config).unwrap();
         let entity = dep
             .traced_entity(
                 0,

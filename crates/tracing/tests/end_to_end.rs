@@ -54,7 +54,10 @@ fn entity_registers_and_tracker_sees_it_available() {
             1,
             "ops-console",
             "web-service",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 
@@ -78,12 +81,22 @@ fn heartbeats_flow_to_interested_trackers() {
         )
         .unwrap();
     let tracker = dep
-        .tracker(1, "hb-tracker", "hb-entity", vec![TraceCategory::AllUpdates])
+        .tracker(
+            1,
+            "hb-tracker",
+            "hb-entity",
+            vec![TraceCategory::AllUpdates],
+        )
         .unwrap();
 
     assert!(wait_until(WAIT, || entity.pings_answered() >= 3));
     assert!(wait_until(WAIT, || {
-        tracker.view().get("hb-entity").map(|r| r.traces_seen).unwrap_or(0) >= 3
+        tracker
+            .view()
+            .get("hb-entity")
+            .map(|r| r.traces_seen)
+            .unwrap_or(0)
+            >= 3
     }));
     assert_eq!(
         dep.engine(0).liveness_of("hb-entity"),
@@ -154,7 +167,10 @@ fn state_transitions_and_load_reports_propagate() {
         )
         .unwrap();
     // Wait for the tracker's interest to register at the engine.
-    assert!(wait_until(WAIT, || dep.engine(0).interest_count("stateful") >= 1));
+    assert!(wait_until(WAIT, || dep
+        .engine(0)
+        .interest_count("stateful")
+        >= 1));
 
     entity.set_state(EntityState::Recovering).unwrap();
     assert!(wait_until(WAIT, || {
@@ -263,7 +279,10 @@ fn secured_traces_are_encrypted_and_only_keyed_trackers_read_them() {
             1,
             "cleared-tracker",
             "secret-entity",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
         )
         .unwrap();
 
@@ -292,7 +311,10 @@ fn symmetric_signing_mode_works_end_to_end() {
             1,
             "fast-tracker",
             "fast-entity",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
         )
         .unwrap();
 
@@ -389,7 +411,12 @@ fn multiple_trackers_with_different_interests() {
     assert!(wait_until(WAIT, || dep.engine(0).interest_count("popular") == 2));
     assert!(wait_until(WAIT, || entity.pings_answered() >= 3));
     assert!(wait_until(WAIT, || {
-        t_all.view().get("popular").map(|r| r.traces_seen).unwrap_or(0) >= 3
+        t_all
+            .view()
+            .get("popular")
+            .map(|r| r.traces_seen)
+            .unwrap_or(0)
+            >= 3
     }));
     // Both see availability.
     assert!(wait_until(WAIT, || {
@@ -419,7 +446,10 @@ fn token_refresh_keeps_traces_flowing() {
             1,
             "refresh-watcher",
             "refresher",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
         )
         .unwrap();
     assert!(wait_until(WAIT, || tracker.traces_applied() >= 2));
@@ -448,7 +478,10 @@ fn tracing_works_across_four_hops() {
             4,
             "far-tracker",
             "far-entity",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
         )
         .unwrap();
     assert!(wait_until(WAIT, || {
@@ -474,7 +507,10 @@ fn failed_entity_recovers_by_reregistering() {
             1,
             "phoenix-watcher",
             "phoenix",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
     assert!(wait_until(WAIT, || {
@@ -499,10 +535,7 @@ fn failed_entity_recovers_by_reregistering() {
         )
         .unwrap();
     assert!(wait_until(WAIT, || revived.pings_answered() >= 2));
-    assert_eq!(
-        dep.engine(0).liveness_of("phoenix"),
-        Some(Liveness::Alive)
-    );
+    assert_eq!(dep.engine(0).liveness_of("phoenix"), Some(Liveness::Alive));
     // The revived entity got a fresh session and trace topic; the old
     // tracker is bound to the dead topic (its view stays Failed), so
     // resuming tracking means re-running discovery — which prefers the
@@ -514,7 +547,10 @@ fn failed_entity_recovers_by_reregistering() {
             1,
             "phoenix-watcher-2",
             "phoenix",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
     assert_eq!(tracker2.trace_topic(), revived.trace_topic());
@@ -552,7 +588,10 @@ fn secured_tracing_with_negotiated_ctr_mode() {
             1,
             "ctr-tracker",
             "ctr-entity",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
         )
         .unwrap();
     assert!(wait_until(WAIT, || tracker.has_trace_key()));

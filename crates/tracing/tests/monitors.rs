@@ -64,7 +64,10 @@ fn clean_end_to_end_run_reports_zero_violations() {
             1,
             "clean-ops",
             "clean-svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 
@@ -90,7 +93,13 @@ fn clean_end_to_end_run_reports_zero_violations() {
     assert_eq!(monitor.violation_count(), 0, "{:?}", monitor.violations());
     assert_eq!(snapshot.counter("monitor.audit.published"), Some(0));
     // The sampled overhead histogram populated (event 0 is sampled).
-    assert!(snapshot.histogram("monitor.check_ns").map(|h| h.count).unwrap_or(0) >= 1);
+    assert!(
+        snapshot
+            .histogram("monitor.check_ns")
+            .map(|h| h.count)
+            .unwrap_or(0)
+            >= 1
+    );
 
     // The offline span sweep over the whole deployment's telemetry is
     // also clean.
@@ -140,7 +149,9 @@ fn causally_inconsistent_verdicts_are_caught_on_the_audit_topic() {
     assert_eq!(violations.len(), 2, "{violations:?}");
     assert!(violations.iter().all(|v| v.property == "causal"));
     assert!(violations[0].detail.contains("supporting ping response"));
-    assert!(violations[1].detail.contains("no outstanding unanswered ping"));
+    assert!(violations[1]
+        .detail
+        .contains("no outstanding unanswered ping"));
     assert_eq!(violations[0].topic, "/Entities/ghost-entity");
 
     // Both reports arrive signed on the audit topic.

@@ -78,13 +78,7 @@ fn tracker_restart_recovers_view_exactly_once() {
     let shared: Arc<dyn Clock> = Arc::new(clock.clone());
     let mut config = TracingConfig::for_tests();
     config.auto_tick = false;
-    let dep = Deployment::new(
-        Topology::Chain(1),
-        LinkConfig::instant(),
-        shared,
-        config,
-    )
-    .unwrap();
+    let dep = Deployment::new(Topology::Chain(1), LinkConfig::instant(), shared, config).unwrap();
     let entity = dep
         .traced_entity(
             0,
@@ -100,7 +94,10 @@ fn tracker_restart_recovers_view_exactly_once() {
             0,
             "rec-tracker",
             "rec-entity",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
             Some(dir.path().to_path_buf()),
         )
         .unwrap();
@@ -135,7 +132,10 @@ fn tracker_restart_recovers_view_exactly_once() {
             0,
             "rec-tracker",
             "rec-entity",
-            vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+            vec![
+                TraceCategory::AllUpdates,
+                TraceCategory::ChangeNotifications,
+            ],
             Some(dir.path().to_path_buf()),
         )
         .unwrap();
@@ -356,14 +356,25 @@ fn tdn_restart_recovers_registry_provenance_and_epoch() {
     let owner = ca.issue("owner", validity, &mut rng).unwrap();
 
     let dir = TempDir::new("tdn-restart").unwrap();
-    let tdn = Tdn::new("tdn-rec", tdn_cred.clone(), ca_key.clone(), clock.clone(), 1);
+    let tdn = Tdn::new(
+        "tdn-rec",
+        tdn_cred.clone(),
+        ca_key.clone(),
+        clock.clone(),
+        1,
+    );
     let rec0 = tdn.persist_to(dir.path(), StoreConfig::default()).unwrap();
     assert!(rec0.started_fresh);
 
     // Mid-workload: two local creations (one short-lived), one
     // verified replica from a peer, then an expiry sweep.
-    tdn.create_topic(&owner.certificate, "entity/one", DiscoveryRestrictions::Open, 0)
-        .unwrap();
+    tdn.create_topic(
+        &owner.certificate,
+        "entity/one",
+        DiscoveryRestrictions::Open,
+        0,
+    )
+    .unwrap();
     tdn.create_topic(
         &owner.certificate,
         "entity/ephemeral",
@@ -375,7 +386,12 @@ fn tdn_restart_recovers_registry_provenance_and_epoch() {
     let peer = Tdn::new("tdn-peer", peer_cred, ca_key.clone(), clock.clone(), 2);
     tdn.add_peer("tdn-peer", peer.public_key());
     let replica = peer
-        .create_topic(&owner.certificate, "entity/three", DiscoveryRestrictions::Open, 0)
+        .create_topic(
+            &owner.certificate,
+            "entity/three",
+            DiscoveryRestrictions::Open,
+            0,
+        )
         .unwrap();
     tdn.replicate(replica).unwrap();
 
@@ -407,7 +423,8 @@ fn tdn_restart_recovers_registry_provenance_and_epoch() {
     );
     // Purges are not resurrected by replay.
     assert!(
-        tdn.discover("entity/ephemeral", &owner.certificate).is_empty(),
+        tdn.discover("entity/ephemeral", &owner.certificate)
+            .is_empty(),
         "purged advert came back from the dead"
     );
 }

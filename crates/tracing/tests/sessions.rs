@@ -63,7 +63,10 @@ fn session_tagged_traces_flow_end_to_end() {
             1,
             "console",
             "svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 
@@ -121,7 +124,10 @@ fn session_rotation_is_seamless_and_audited() {
             1,
             "watcher",
             "rotating",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 
@@ -157,5 +163,8 @@ fn session_rotation_is_seamless_and_audited() {
             break;
         }
     }
-    assert!(audited, "rotation must publish a revocation on the audit topic");
+    assert!(
+        audited,
+        "rotation must publish a revocation on the audit topic"
+    );
 }

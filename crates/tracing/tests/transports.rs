@@ -32,7 +32,10 @@ fn run_flow(medium: Medium) {
             1,
             "xport-tracker",
             "xport-entity",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 

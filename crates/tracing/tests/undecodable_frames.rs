@@ -28,7 +28,13 @@ fn deployment() -> Deployment {
         tick: Duration::from_millis(10),
         ..TracingConfig::for_tests()
     };
-    Deployment::new(Topology::Chain(1), LinkConfig::instant(), system_clock(), config).unwrap()
+    Deployment::new(
+        Topology::Chain(1),
+        LinkConfig::instant(),
+        system_clock(),
+        config,
+    )
+    .unwrap()
 }
 
 fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
@@ -59,7 +65,9 @@ fn publish_undecodable(dep: &Deployment, topic: Topic) -> BrokerClient {
     let tag_at = view.payload.as_ptr() as usize - frame.as_ptr() as usize;
     frame[tag_at] = 0xFE;
     raw.send_frame(&frame).unwrap();
-    mallory.subscribe(Topic::parse("/Mallory/Barrier").unwrap(), WAIT).unwrap();
+    mallory
+        .subscribe(Topic::parse("/Mallory/Barrier").unwrap(), WAIT)
+        .unwrap();
     mallory
 }
 
