@@ -2,18 +2,24 @@
 //! route cache is warm, routing a frame to its local subscribers
 //! allocates nothing — a plain client publish, a head-sampled one that
 //! records its AuthCheck/Route/Deliver spans, neighbour ingress with
-//! its in-place hop patch, and a publish that reaches the broker's
-//! client worker over a real loopback TCP link. Uses a counting global
-//! allocator that sees every thread, so everything is measured inside
-//! one test function to keep the counter unpolluted by parallel tests.
+//! its in-place hop patch, a session-tagged trace relayed to a broker
+//! that holds its key (one keyring HMAC in `admit`), and a publish
+//! that reaches the broker's client worker over a real loopback TCP
+//! link. Uses a counting global allocator that sees every thread, so
+//! everything is measured inside one test function to keep the counter
+//! unpolluted by parallel tests.
 
 use nb_broker::{Broker, BrokerConfig};
+use nb_crypto::{SessionKey, Uuid};
 use nb_telemetry::{TelemetryConfig, TraceContext};
 use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::tcp::{self, TcpTransportListener};
 use nb_wire::codec::{Decode, Encode};
-use nb_wire::{Message, MessageView, Payload, Topic};
+use nb_wire::trace::{topics, TraceCategory, TraceEvent, TraceKind};
+use nb_wire::{Message, MessageView, Payload, SessionTag, Topic};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -185,6 +191,82 @@ fn warm_route_path_never_allocates() {
     });
     let hop = MessageView::parse(&relayed).unwrap().trace.map(|ctx| ctx.hop_count);
     assert_eq!(hop, Some(1), "the relayed frame carries the incremented hop");
+
+    // A session-tagged trace publication relayed from a neighbour:
+    // tokens are required on trace topics, and this broker holds the
+    // session key, so `admit` authenticates every frame with one
+    // keyring HMAC over the frame in place.
+    let mut rng = StdRng::seed_from_u64(11);
+    let trace_topic = Uuid::new_v4(&mut rng);
+    let now = system_clock().now_ms();
+    let key = SessionKey::mint(trace_topic, now, 600_000, u64::MAX, &mut rng);
+    broker.install_session_key(key.clone());
+    let publication = topics::publication(&trace_topic, TraceCategory::AllUpdates);
+    let control = Topic::parse("/Constrained/RealTime/Broker/PublishSubscribe/Control").unwrap();
+    frames_tx
+        .send(
+            Message::new(
+                3,
+                control,
+                "sub",
+                0,
+                Payload::Subscribe {
+                    filter: publication.clone(),
+                },
+            )
+            .to_bytes(),
+        )
+        .unwrap();
+    let trace = Message::new(
+        8,
+        publication,
+        "b1",
+        now,
+        Payload::Trace {
+            event: TraceEvent {
+                entity_id: "entity-1".into(),
+                trace_topic,
+                seq: 1,
+                timestamp_ms: now,
+                kind: TraceKind::AllsWell,
+            },
+        },
+    );
+    let mac = key.mac(0, &[&trace.signable_bytes()]);
+    let mut tagged = trace
+        .with_session(SessionTag {
+            key_id: key.key_id,
+            seq: 0,
+            mac,
+        })
+        .to_bytes();
+    let verified = || {
+        broker
+            .metrics_snapshot()
+            .counter("broker.session.verified")
+            .unwrap_or(0)
+    };
+    let delivered = sink.delivered.load(Ordering::Relaxed);
+    let mut ready = false;
+    for _ in 0..500 {
+        broker.ingest_neighbor_frame("peer", &mut tagged);
+        // The subscribe's ack, then a delivered copy.
+        if sink.delivered.load(Ordering::Relaxed) >= delivered + 2 {
+            ready = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(ready, "the trace subscription never became routable");
+    let verified_before = verified();
+    assert_route_never_allocates("session-tagged relayed trace", &sink, || {
+        broker.ingest_neighbor_frame("peer", &mut tagged)
+    });
+    assert_eq!(
+        verified() - verified_before,
+        11_000,
+        "every relayed trace authenticates through the keyring"
+    );
 
     // TCP ingress: a publisher on a real loopback link. The client
     // worker reads the socket itself and routes each frame in place in

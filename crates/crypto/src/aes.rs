@@ -3,9 +3,43 @@
 //! The paper's security layer encrypts traces with **192-bit AES
 //! keys**; this module provides the block primitive and
 //! [`crate::modes`] supplies CBC/CTR on top of it.
+//!
+//! Two kernels run the rounds: the portable byte-wise one below, and
+//! the AES-NI one in `aes::ni` on x86 CPUs that have it. [`Aes::new`]
+//! detects the CPU once, at key expansion, and every block the key
+//! encrypts or decrypts runs on the kernel chosen then. The portable
+//! kernel is the only one on other CPUs and the reference the tests
+//! compare the AES-NI kernel against.
 
 use crate::error::CryptoError;
+use ni::AesNi;
 use std::sync::OnceLock;
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
+mod ni;
+
+/// No AES-NI off x86: the portable kernel is the only one.
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+mod ni {
+    /// Never made: there is no AES-NI kernel on this architecture.
+    #[derive(Clone)]
+    pub(super) enum AesNi {}
+
+    impl AesNi {
+        pub(super) fn new(_enc: &[[u8; 16]]) -> Option<Self> {
+            None
+        }
+
+        pub(super) fn encrypt(&self, _enc: &[[u8; 16]], _block: &mut [u8; 16]) {
+            match *self {}
+        }
+
+        pub(super) fn decrypt(&self, _block: &mut [u8; 16]) {
+            match *self {}
+        }
+    }
+}
 
 /// Forward S-box (FIPS 197, figure 7).
 #[rustfmt::skip]
@@ -108,21 +142,29 @@ impl KeySize {
     }
 }
 
+/// Most round keys any key size needs (AES-256: 14 rounds + 1).
+const MAX_ROUND_KEYS: usize = 15;
+
 /// An expanded AES key, ready to encrypt/decrypt 16-byte blocks.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Encryption round keys; the first `rounds + 1` are in use.
+    round_keys: [[u8; 16]; MAX_ROUND_KEYS],
     rounds: usize,
+    /// The AES-NI kernel with its decryption keys, when the CPU has
+    /// AES-NI; `None` runs the portable kernel.
+    ni: Option<AesNi>,
 }
 
 impl Aes {
-    /// Expands `key` (16, 24 or 32 bytes).
+    /// Expands `key` (16, 24 or 32 bytes), and on a CPU with AES-NI
+    /// also its decryption keys for the AES-NI kernel.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
         let size = KeySize::for_key(key)?;
         let nk = key.len() / 4;
         let nr = size.rounds();
         let total_words = 4 * (nr + 1);
-        let mut w = vec![[0u8; 4]; total_words];
+        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
         for (i, word) in w.iter_mut().take(nk).enumerate() {
             word.copy_from_slice(&key[4 * i..4 * i + 4]);
         }
@@ -145,17 +187,14 @@ impl Aes {
                 w[i][j] = w[i - nk][j] ^ temp[j];
             }
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (j, word) in c.iter().enumerate() {
-                    rk[4 * j..4 * j + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
+        let mut round_keys = [[0u8; 16]; MAX_ROUND_KEYS];
+        for (rk, words) in round_keys.iter_mut().zip(w[..total_words].chunks_exact(4)) {
+            for (j, word) in words.iter().enumerate() {
+                rk[4 * j..4 * j + 4].copy_from_slice(word);
+            }
+        }
         Ok(Aes {
+            ni: AesNi::new(&round_keys[..=nr]),
             round_keys,
             rounds: nr,
         })
@@ -163,6 +202,28 @@ impl Aes {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.ni {
+            Some(ni) => ni.encrypt(&self.round_keys[..=self.rounds], block),
+            None => self.encrypt_portable(block),
+        }
+    }
+
+    /// Decrypts one 16-byte block in place.
+    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        match &self.ni {
+            Some(ni) => ni.decrypt(block),
+            None => self.decrypt_portable(block),
+        }
+    }
+
+    /// The same key on the portable kernel, whatever the CPU has.
+    #[cfg(test)]
+    pub(crate) fn portable(mut self) -> Self {
+        self.ni = None;
+        self
+    }
+
+    fn encrypt_portable(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[0]);
         for round in 1..self.rounds {
             sub_bytes(block);
@@ -175,8 +236,7 @@ impl Aes {
         add_round_key(block, &self.round_keys[self.rounds]);
     }
 
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    fn decrypt_portable(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[self.rounds]);
         inv_shift_rows(block);
         inv_sub_bytes(block);
@@ -262,6 +322,7 @@ fn inv_mix_columns(state: &mut [u8; 16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -378,6 +439,32 @@ mod tests {
             assert_ne!(block, orig);
             aes.decrypt_block(&mut block);
             assert_eq!(block, orig);
+        }
+    }
+
+    proptest! {
+        // Both kernels on one expanded key: each case is skipped only
+        // on a CPU without AES-NI.
+        #[test]
+        fn aes_ni_matches_portable_for_every_key_size(
+            size in 0usize..3,
+            key in proptest::collection::vec(any::<u8>(), 32..33),
+            block in proptest::array::uniform16(any::<u8>()),
+        ) {
+            let key = &key[..[16, 24, 32][size]];
+            let hardware = Aes::new(key).unwrap();
+            if hardware.ni.is_none() {
+                return;
+            }
+            let portable = hardware.clone().portable();
+            let (mut a, mut b) = (block, block);
+            hardware.encrypt_block(&mut a);
+            portable.encrypt_block(&mut b);
+            prop_assert_eq!(a, b, "encrypt");
+            let (mut a, mut b) = (block, block);
+            hardware.decrypt_block(&mut a);
+            portable.decrypt_block(&mut b);
+            prop_assert_eq!(a, b, "decrypt");
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::sha1::Sha1;
 use crate::sha256::Sha256;
 
 /// A streaming message digest (Merkle–Damgård construction).
-pub trait Digest: Default {
+pub trait Digest: Default + Clone {
     /// Output size in bytes.
     const OUTPUT_LEN: usize;
     /// Internal block size in bytes (needed by HMAC).
@@ -14,8 +14,16 @@ pub trait Digest: Default {
     /// Absorbs `data` into the state.
     fn update(&mut self, data: &[u8]);
 
+    /// Consumes the digest and writes the final hash into `out`, which
+    /// must be [`Digest::OUTPUT_LEN`] bytes long. Touches no heap.
+    fn finalize_into(self, out: &mut [u8]);
+
     /// Consumes the digest and produces the final hash.
-    fn finalize(self) -> Vec<u8>;
+    fn finalize(self) -> Vec<u8> {
+        let mut out = vec![0; Self::OUTPUT_LEN];
+        self.finalize_into(&mut out);
+        out
+    }
 
     /// One-shot convenience: hash `data` in a single call.
     fn digest(data: &[u8]) -> Vec<u8> {
@@ -23,6 +31,18 @@ pub trait Digest: Default {
         d.update(data);
         d.finalize()
     }
+}
+
+/// Writes the Merkle–Damgård suffix of a `len`-byte message into
+/// `pad`: `0x80`, zeros up to 56 mod 64, then the bit length as a
+/// big-endian `u64`. Returns the suffix length (9 to 72 bytes).
+pub(crate) fn md_padding(len: u64, pad: &mut [u8; 72]) -> usize {
+    let rem = (len % 64 + 1) as usize;
+    let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
+    pad[0] = 0x80;
+    pad[1..=zeros].fill(0);
+    pad[1 + zeros..9 + zeros].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
+    9 + zeros
 }
 
 /// Runtime-selectable digest algorithm identifier, used in wire

@@ -6,6 +6,67 @@
 //! are replaced by cheap symmetric authentication.
 
 use crate::digest::Digest;
+use std::fmt;
+
+/// Largest block and output of the crate's digests (SHA-1, SHA-256).
+const MAX_BLOCK_LEN: usize = 64;
+const MAX_OUTPUT_LEN: usize = 32;
+
+/// An HMAC key, absorbed once: the digest states after the inner
+/// (`key ⊕ ipad`) and outer (`key ⊕ opad`) key blocks. Each MAC
+/// starts from copies of these midstates, so it hashes the key no
+/// more and touches no heap.
+#[derive(Clone)]
+pub struct Hmac<D: Digest> {
+    inner: D,
+    outer: D,
+}
+
+impl<D: Digest> Hmac<D> {
+    /// Absorbs `key`, hashed first when it is longer than a block.
+    pub fn new(key: &[u8]) -> Self {
+        let mut block = [0u8; MAX_BLOCK_LEN];
+        let block = &mut block[..D::BLOCK_LEN];
+        if key.len() > D::BLOCK_LEN {
+            let mut hashed = D::default();
+            hashed.update(key);
+            hashed.finalize_into(&mut block[..D::OUTPUT_LEN]);
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = D::default();
+        block.iter_mut().for_each(|b| *b ^= 0x36);
+        inner.update(block);
+        let mut outer = D::default();
+        block.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        outer.update(block);
+        Hmac { inner, outer }
+    }
+
+    /// A digest primed with the inner key block: absorb the message
+    /// into it, then pass it to [`Hmac::finish`].
+    pub fn begin(&self) -> D {
+        self.inner.clone()
+    }
+
+    /// Writes the MAC of the message absorbed into `inner` (from
+    /// [`Hmac::begin`]) into `out`, which must be
+    /// [`Digest::OUTPUT_LEN`] bytes long.
+    pub fn finish(&self, inner: D, out: &mut [u8]) {
+        let mut inner_hash = [0u8; MAX_OUTPUT_LEN];
+        let inner_hash = &mut inner_hash[..D::OUTPUT_LEN];
+        inner.finalize_into(inner_hash);
+        let mut outer = self.outer.clone();
+        outer.update(inner_hash);
+        outer.finalize_into(out);
+    }
+}
+
+impl<D: Digest> fmt::Debug for Hmac<D> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Hmac(..)")
+    }
+}
 
 /// Computes `HMAC(key, message)` with digest `D`.
 pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
@@ -17,27 +78,14 @@ pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
 /// caller to materialize it. The broker's zero-copy fast path feeds
 /// the signable region of a frame as two borrowed slices.
 pub fn hmac_parts<D: Digest>(key: &[u8], parts: &[&[u8]]) -> Vec<u8> {
-    let mut key_block = vec![0u8; D::BLOCK_LEN];
-    if key.len() > D::BLOCK_LEN {
-        let hashed = D::digest(key);
-        key_block[..hashed.len()].copy_from_slice(&hashed);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut inner = D::default();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    let key = Hmac::<D>::new(key);
+    let mut inner = key.begin();
     for part in parts {
         inner.update(part);
     }
-    let inner_hash = inner.finalize();
-
-    let mut outer = D::default();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_hash);
-    outer.finalize()
+    let mut out = vec![0; D::OUTPUT_LEN];
+    key.finish(inner, &mut out);
+    out
 }
 
 /// Constant-time byte-slice equality: length check, then an

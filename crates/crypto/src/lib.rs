@@ -8,7 +8,8 @@
 //! * Miller–Rabin probabilistic prime generation ([`prime`]),
 //! * RSA key generation, PKCS#1 v1.5 signing and encryption ([`rsa`]),
 //! * SHA-1 and SHA-256 digests ([`sha1`], [`sha256`]) behind a common
-//!   [`digest::Digest`] trait, plus HMAC ([`hmac`]),
+//!   [`digest::Digest`] trait, plus HMAC with per-key midstates
+//!   ([`hmac`]),
 //! * AES-128/192/256 with CBC and CTR modes and PKCS#7 padding
 //!   ([`aes`], [`modes`], [`padding`]),
 //! * simplified X.509-style certificates and chains ([`cert`]),
@@ -26,6 +27,16 @@
 //! established against FIPS-197, NIST SP 800-38A, RFC 2202/4231 and
 //! NIST SHA test vectors (see the unit tests in each module) and by
 //! property-based tests on the arithmetic core.
+//!
+//! SHA-256 and AES also run on the x86 SHA-NI and AES-NI
+//! instructions, chosen by CPU feature detection, with the portable
+//! code as the only path elsewhere and as the reference the
+//! differential tests check them against. Their two arch modules
+//! (`sha256::ni`, `aes::ni`) are the only code allowed `unsafe`, and
+//! every `unsafe` block there states why it holds.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod bigint;

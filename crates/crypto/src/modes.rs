@@ -7,7 +7,7 @@
 
 use crate::aes::{Aes, BLOCK_SIZE};
 use crate::error::CryptoError;
-use crate::padding::{pkcs7_pad, pkcs7_unpad};
+use crate::padding::{pkcs7_pad, pkcs7_unpadded_len};
 
 /// Cipher mode selector carried in key-distribution payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,95 +37,108 @@ impl CipherMode {
     }
 }
 
-/// Encrypts with AES-CBC + PKCS#7. `iv` must be 16 bytes.
-pub fn cbc_encrypt(key: &[u8], iv: &[u8], plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let _t = crate::instrument::AES_ENCRYPT_US.start_timer();
-    let aes = Aes::new(key)?;
-    let iv: [u8; BLOCK_SIZE] = iv.try_into().map_err(|_| CryptoError::InvalidLength {
-        what: "CBC IV",
+/// Reads a 16-byte IV or nonce.
+fn block_param(bytes: &[u8], what: &'static str) -> Result<[u8; BLOCK_SIZE], CryptoError> {
+    bytes.try_into().map_err(|_| CryptoError::InvalidLength {
+        what,
         expected: BLOCK_SIZE,
-        actual: iv.len(),
-    })?;
-    let padded = pkcs7_pad(plaintext, BLOCK_SIZE);
-    let mut out = Vec::with_capacity(padded.len());
-    let mut prev = iv;
-    for chunk in padded.chunks_exact(BLOCK_SIZE) {
-        let mut block: [u8; BLOCK_SIZE] = chunk.try_into().unwrap();
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        aes.encrypt_block(&mut block);
-        out.extend_from_slice(&block);
-        prev = block;
-    }
-    Ok(out)
+        actual: bytes.len(),
+    })
 }
 
-/// Decrypts AES-CBC + PKCS#7.
-pub fn cbc_decrypt(key: &[u8], iv: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let _t = crate::instrument::AES_DECRYPT_US.start_timer();
-    let aes = Aes::new(key)?;
-    let iv: [u8; BLOCK_SIZE] = iv.try_into().map_err(|_| CryptoError::InvalidLength {
-        what: "CBC IV",
-        expected: BLOCK_SIZE,
-        actual: iv.len(),
-    })?;
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
-        return Err(CryptoError::InvalidLength {
-            what: "CBC ciphertext",
-            expected: BLOCK_SIZE,
-            actual: ciphertext.len(),
-        });
+fn xor_block(block: &mut [u8; BLOCK_SIZE], with: &[u8; BLOCK_SIZE]) {
+    for (b, w) in block.iter_mut().zip(with) {
+        *b ^= w;
     }
-    let mut out = Vec::with_capacity(ciphertext.len());
-    let mut prev = iv;
-    for chunk in ciphertext.chunks_exact(BLOCK_SIZE) {
-        let cipher_block: [u8; BLOCK_SIZE] = chunk.try_into().unwrap();
-        let mut block = cipher_block;
-        aes.decrypt_block(&mut block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        out.extend_from_slice(&block);
-        prev = cipher_block;
-    }
-    pkcs7_unpad(&out, BLOCK_SIZE)
 }
 
-/// AES-CTR keystream transform (encryption and decryption are the same
-/// operation). `nonce` must be 16 bytes; the low 32 bits are treated as
-/// the big-endian block counter.
-pub fn ctr_transform(key: &[u8], nonce: &[u8], data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let _t = crate::instrument::AES_CTR_US.start_timer();
-    let aes = Aes::new(key)?;
-    let counter0: [u8; BLOCK_SIZE] = nonce.try_into().map_err(|_| CryptoError::InvalidLength {
-        what: "CTR nonce",
-        expected: BLOCK_SIZE,
-        actual: nonce.len(),
-    })?;
-    let mut out = Vec::with_capacity(data.len());
-    let mut counter = counter0;
-    for chunk in data.chunks(BLOCK_SIZE) {
-        let mut keystream = counter;
-        aes.encrypt_block(&mut keystream);
-        for (d, k) in chunk.iter().zip(keystream.iter()) {
-            out.push(d ^ k);
+impl Aes {
+    /// Encrypts with CBC + PKCS#7 under this key. `iv` must be 16
+    /// bytes.
+    pub fn cbc_encrypt(&self, iv: &[u8], plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let _t = crate::instrument::AES_ENCRYPT_US.start_timer();
+        let mut prev = block_param(iv, "CBC IV")?;
+        let mut out = pkcs7_pad(plaintext, BLOCK_SIZE);
+        for chunk in out.chunks_exact_mut(BLOCK_SIZE) {
+            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().unwrap();
+            xor_block(block, &prev);
+            self.encrypt_block(block);
+            prev = *block;
         }
-        // Increment the big-endian counter (carry across all 16 bytes).
-        for byte in counter.iter_mut().rev() {
-            let (v, overflow) = byte.overflowing_add(1);
-            *byte = v;
-            if !overflow {
-                break;
+        Ok(out)
+    }
+
+    /// Decrypts CBC + PKCS#7 under this key.
+    pub fn cbc_decrypt(&self, iv: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let _t = crate::instrument::AES_DECRYPT_US.start_timer();
+        let mut prev = block_param(iv, "CBC IV")?;
+        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
+            return Err(CryptoError::InvalidLength {
+                what: "CBC ciphertext",
+                expected: BLOCK_SIZE,
+                actual: ciphertext.len(),
+            });
+        }
+        let mut out = ciphertext.to_vec();
+        for chunk in out.chunks_exact_mut(BLOCK_SIZE) {
+            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().unwrap();
+            let cipher_block = *block;
+            self.decrypt_block(block);
+            xor_block(block, &prev);
+            prev = cipher_block;
+        }
+        out.truncate(pkcs7_unpadded_len(&out, BLOCK_SIZE)?);
+        Ok(out)
+    }
+
+    /// The CTR keystream transform under this key (encryption and
+    /// decryption are the same operation). `nonce` must be 16 bytes;
+    /// it is the first counter block, incremented as a big-endian
+    /// integer (carry across all 16 bytes).
+    pub fn ctr_transform(&self, nonce: &[u8], data: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let _t = crate::instrument::AES_CTR_US.start_timer();
+        let mut counter = block_param(nonce, "CTR nonce")?;
+        let mut out = data.to_vec();
+        for chunk in out.chunks_mut(BLOCK_SIZE) {
+            let mut keystream = counter;
+            self.encrypt_block(&mut keystream);
+            for (d, k) in chunk.iter_mut().zip(keystream) {
+                *d ^= k;
+            }
+            for byte in counter.iter_mut().rev() {
+                let (v, overflow) = byte.overflowing_add(1);
+                *byte = v;
+                if !overflow {
+                    break;
+                }
             }
         }
+        Ok(out)
     }
-    Ok(out)
+}
+
+/// Encrypts with AES-CBC + PKCS#7 under the raw `key` (see
+/// [`Aes::cbc_encrypt`]). `iv` must be 16 bytes.
+pub fn cbc_encrypt(key: &[u8], iv: &[u8], plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    Aes::new(key)?.cbc_encrypt(iv, plaintext)
+}
+
+/// Decrypts AES-CBC + PKCS#7 under the raw `key` (see
+/// [`Aes::cbc_decrypt`]).
+pub fn cbc_decrypt(key: &[u8], iv: &[u8], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    Aes::new(key)?.cbc_decrypt(iv, ciphertext)
+}
+
+/// AES-CTR keystream transform under the raw `key` (see
+/// [`Aes::ctr_transform`]). `nonce` must be 16 bytes.
+pub fn ctr_transform(key: &[u8], nonce: &[u8], data: &[u8]) -> Result<Vec<u8>, CryptoError> {
+    Aes::new(key)?.ctr_transform(nonce, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -242,5 +255,32 @@ mod tests {
             assert_eq!(CipherMode::from_wire_id(mode.wire_id()).unwrap(), mode);
         }
         assert!(CipherMode::from_wire_id(0).is_err());
+    }
+
+    proptest! {
+        // A pre-expanded key on each kernel against the byte-key
+        // functions (which run on the CPU's kernel).
+        #[test]
+        fn pre_expanded_keys_match_the_byte_key_functions(
+            size in 0usize..3,
+            key in proptest::collection::vec(any::<u8>(), 32..33),
+            iv in proptest::array::uniform16(any::<u8>()),
+            data in proptest::collection::vec(any::<u8>(), 0..100),
+        ) {
+            let key = &key[..[16, 24, 32][size]];
+            let cbc = cbc_encrypt(key, &iv, &data).unwrap();
+            let ctr = ctr_transform(key, &iv, &data).unwrap();
+            // Block-aligned bytes that are mostly not valid CBC output.
+            let junk = &data[..data.len() / BLOCK_SIZE * BLOCK_SIZE];
+            let junk_plain = cbc_decrypt(key, &iv, junk).ok();
+            let expanded = Aes::new(key).unwrap();
+            for aes in [expanded.clone(), expanded.portable()] {
+                prop_assert_eq!(aes.cbc_encrypt(&iv, &data).unwrap(), cbc.clone());
+                prop_assert_eq!(aes.cbc_decrypt(&iv, &cbc).unwrap(), data.clone());
+                prop_assert_eq!(aes.cbc_decrypt(&iv, junk).ok(), junk_plain.clone());
+                prop_assert_eq!(aes.ctr_transform(&iv, &data).unwrap(), ctr.clone());
+                prop_assert_eq!(aes.ctr_transform(&iv, &ctr).unwrap(), data.clone());
+            }
+        }
     }
 }

@@ -20,6 +20,12 @@ pub fn pkcs7_pad(data: &[u8], block_size: usize) -> Vec<u8> {
 
 /// Strips and validates PKCS#7 padding.
 pub fn pkcs7_unpad(data: &[u8], block_size: usize) -> Result<Vec<u8>, CryptoError> {
+    Ok(data[..pkcs7_unpadded_len(data, block_size)?].to_vec())
+}
+
+/// Validates PKCS#7 padding and returns the length of the data before
+/// it.
+pub(crate) fn pkcs7_unpadded_len(data: &[u8], block_size: usize) -> Result<usize, CryptoError> {
     if data.is_empty() || !data.len().is_multiple_of(block_size) {
         return Err(CryptoError::BadPadding("length not a multiple of block"));
     }
@@ -27,11 +33,11 @@ pub fn pkcs7_unpad(data: &[u8], block_size: usize) -> Result<Vec<u8>, CryptoErro
     if pad_len == 0 || pad_len > block_size {
         return Err(CryptoError::BadPadding("pad byte out of range"));
     }
-    let (body, pad) = data.split_at(data.len() - pad_len);
-    if pad.iter().any(|&b| b as usize != pad_len) {
+    let body_len = data.len() - pad_len;
+    if data[body_len..].iter().any(|&b| b as usize != pad_len) {
         return Err(CryptoError::BadPadding("inconsistent pad bytes"));
     }
-    Ok(body.to_vec())
+    Ok(body_len)
 }
 
 #[cfg(test)]

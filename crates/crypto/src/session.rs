@@ -33,7 +33,7 @@
 
 use crate::digest::Digest;
 use crate::error::CryptoError;
-use crate::hmac::{ct_eq, hmac_parts};
+use crate::hmac::{ct_eq, Hmac};
 use crate::sha256::Sha256;
 use crate::uuid::Uuid;
 use rand::Rng;
@@ -45,14 +45,17 @@ use std::sync::RwLock;
 pub const SESSION_MAC_LEN: usize = 32;
 
 /// One negotiated per-(entity, tracker-set) session key.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct SessionKey {
     /// Random 64-bit identifier carried in every tagged frame.
     pub key_id: u64,
     /// The trace topic this key is bound to (the entity's topic).
     pub topic: Uuid,
-    /// The HMAC-SHA256 secret.
-    pub secret: [u8; 32],
+    /// The HMAC-SHA256 secret. Private, so that `hmac` always follows
+    /// from it.
+    secret: [u8; 32],
+    /// The secret absorbed into HMAC-SHA256 midstates, once per key.
+    hmac: Hmac<Sha256>,
     /// When the key was negotiated (ms since epoch).
     pub established_ms: u64,
     /// Last instant at which the key is accepted (inclusive — see the
@@ -62,7 +65,36 @@ pub struct SessionKey {
     pub max_messages: u64,
 }
 
+/// Keys are equal when their serializations are (the midstates follow
+/// from the secret).
+impl PartialEq for SessionKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_bytes() == other.to_bytes()
+    }
+}
+
+impl Eq for SessionKey {}
+
 impl SessionKey {
+    fn new(
+        key_id: u64,
+        topic: Uuid,
+        secret: [u8; 32],
+        established_ms: u64,
+        expires_at_ms: u64,
+        max_messages: u64,
+    ) -> Self {
+        SessionKey {
+            key_id,
+            topic,
+            secret,
+            hmac: Hmac::new(&secret),
+            established_ms,
+            expires_at_ms,
+            max_messages,
+        }
+    }
+
     /// Mints a fresh key bound to `topic`, valid for `lifetime_ms`
     /// with a budget of `max_messages` tags.
     pub fn mint(
@@ -74,14 +106,14 @@ impl SessionKey {
     ) -> Self {
         let mut secret = [0u8; 32];
         rng.fill_bytes(&mut secret);
-        SessionKey {
-            key_id: rng.next_u64(),
+        SessionKey::new(
+            rng.next_u64(),
             topic,
             secret,
-            established_ms: now_ms,
-            expires_at_ms: now_ms.saturating_add(lifetime_ms),
+            now_ms,
+            now_ms.saturating_add(lifetime_ms),
             max_messages,
-        }
+        )
     }
 
     /// Whether the key has lapsed at `now_ms` (inclusive boundary:
@@ -121,28 +153,28 @@ impl SessionKey {
         topic.copy_from_slice(&bytes[8..24]);
         let mut secret = [0u8; 32];
         secret.copy_from_slice(&bytes[24..56]);
-        Ok(SessionKey {
-            key_id: u64_at(0),
-            topic: Uuid::from_bytes(topic),
+        Ok(SessionKey::new(
+            u64_at(0),
+            Uuid::from_bytes(topic),
             secret,
-            established_ms: u64_at(56),
-            expires_at_ms: u64_at(64),
-            max_messages: u64_at(72),
-        })
+            u64_at(56),
+            u64_at(64),
+            u64_at(72),
+        ))
     }
 
     /// Computes the session MAC for (`seq`, `parts`): HMAC-SHA256 over
-    /// `key_id ‖ seq ‖ parts[0] ‖ parts[1] ‖ …`.
+    /// `key_id ‖ seq ‖ parts[0] ‖ parts[1] ‖ …`, from the key's
+    /// midstates and with no heap allocation.
     pub fn mac(&self, seq: u64, parts: &[&[u8]]) -> [u8; SESSION_MAC_LEN] {
-        let key_id = self.key_id.to_be_bytes();
-        let seq = seq.to_be_bytes();
-        let mut all: Vec<&[u8]> = Vec::with_capacity(parts.len() + 2);
-        all.push(&key_id);
-        all.push(&seq);
-        all.extend_from_slice(parts);
-        let digest = hmac_parts::<Sha256>(&self.secret, &all);
+        let mut inner = self.hmac.begin();
+        inner.update(&self.key_id.to_be_bytes());
+        inner.update(&seq.to_be_bytes());
+        for part in parts {
+            inner.update(part);
+        }
         let mut mac = [0u8; SESSION_MAC_LEN];
-        mac.copy_from_slice(&digest);
+        self.hmac.finish(inner, &mut mac);
         mac
     }
 }
@@ -349,6 +381,8 @@ const _: () = assert!(Sha256::OUTPUT_LEN == SESSION_MAC_LEN);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_parts;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -532,5 +566,36 @@ mod tests {
             ),
             SessionVerdict::WrongTopic
         );
+    }
+
+    /// HMAC-SHA256 straight from RFC 2104, for a key no longer than a
+    /// block.
+    fn reference_hmac(key: &[u8], message: &[u8]) -> Vec<u8> {
+        let mut block = [0u8; 64];
+        block[..key.len()].copy_from_slice(key);
+        let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(message);
+        let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&Sha256::digest(&inner));
+        Sha256::digest(&outer)
+    }
+
+    proptest! {
+        #[test]
+        fn mac_matches_hmac_parts_over_the_concatenation(
+            seed in any::<u64>(),
+            seq in any::<u64>(),
+            message in proptest::collection::vec(any::<u8>(), 0..300),
+            split in 0usize..300,
+        ) {
+            let key = key(&mut StdRng::seed_from_u64(seed));
+            let (head, tail) = message.split_at(split.min(message.len()));
+            let mut concat = key.key_id.to_be_bytes().to_vec();
+            concat.extend_from_slice(&seq.to_be_bytes());
+            concat.extend_from_slice(&message);
+            let mac = key.mac(seq, &[head, tail]).to_vec();
+            prop_assert_eq!(mac.clone(), hmac_parts::<Sha256>(&key.secret, &[&concat]));
+            prop_assert_eq!(mac, reference_hmac(&key.secret, &concat));
+        }
     }
 }

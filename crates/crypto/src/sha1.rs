@@ -1,7 +1,7 @@
 //! SHA-1 (FIPS 180-4). The paper's signature benchmarks use
 //! "1024-bit RSA with 160-bit SHA-1 and PKCS#1 padding".
 
-use crate::digest::Digest;
+use crate::digest::{md_padding, Digest};
 
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
@@ -93,17 +93,15 @@ impl Digest for Sha1 {
         self.buf_len = rest.len();
     }
 
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80, pad with zeros to 56 mod 64, append bit length.
-        let mut pad = vec![0x80u8];
-        let rem = (self.len as usize + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad);
+    fn finalize_into(mut self, out: &mut [u8]) {
+        assert_eq!(out.len(), Self::OUTPUT_LEN, "SHA-1 output length");
+        let mut pad = [0u8; 72];
+        let pad_len = md_padding(self.len, &mut pad);
+        self.update(&pad[..pad_len]);
         debug_assert_eq!(self.buf_len, 0);
-        self.h.iter().flat_map(|w| w.to_be_bytes()).collect()
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
     }
 }
 

@@ -1,7 +1,38 @@
 //! SHA-256 (FIPS 180-4), used for certificate signatures and message
-//! digests where a stronger hash than the paper-era SHA-1 is wanted.
+//! digests where a stronger hash than the paper-era SHA-1 is wanted,
+//! and under every HMAC on the trace path.
+//!
+//! Two compression kernels fold whole blocks into the state: the
+//! portable one below, and the SHA-NI one in `sha256::ni` on x86 CPUs
+//! that have the SHA extensions. [`Sha256::update`] detects the CPU
+//! once per call and picks one for all the blocks it folds. The
+//! portable kernel is the only one on other CPUs and the reference the
+//! tests compare the SHA-NI kernel against.
 
-use crate::digest::Digest;
+use crate::digest::{md_padding, Digest};
+use ni::ShaNi;
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
+mod ni;
+
+/// No SHA extensions off x86: the portable kernel is the only one.
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+mod ni {
+    /// Never made: there is no SHA-NI kernel on this architecture.
+    #[derive(Clone, Copy)]
+    pub(super) enum ShaNi {}
+
+    impl ShaNi {
+        pub(super) fn detect() -> Option<Self> {
+            None
+        }
+
+        pub(super) fn compress(self, _state: &mut [u32; 8], _blocks: &[u8]) {
+            match self {}
+        }
+    }
+}
 
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
@@ -38,8 +69,10 @@ impl Default for Sha256 {
     }
 }
 
-impl Sha256 {
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable compression function (FIPS 180-4 §6.2.2): folds each
+/// 64-byte block of `blocks` into `state`.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -52,7 +85,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -73,8 +106,53 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (hi, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (hi, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *hi = hi.wrapping_add(v);
+        }
+    }
+}
+
+impl Sha256 {
+    /// Absorbs `data`, folding whole blocks with the SHA-NI kernel when
+    /// `ni` is given and with the portable one otherwise.
+    fn absorb(&mut self, mut data: &[u8], ni: Option<ShaNi>) {
+        let compress = |state: &mut [u32; 8], blocks: &[u8]| match ni {
+            Some(ni) => ni.compress(state, blocks),
+            None => compress_portable(state, blocks),
+        };
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < 64 {
+                // Buffer still partially filled and input exhausted.
+                return;
+            }
+            let block = self.buf;
+            compress(&mut self.h, &block);
+            self.buf_len = 0;
+        }
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress(&mut self.h, &data[..whole]);
+        }
+        let rest = &data[whole..];
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
+    }
+
+    /// Pads with `ni`'s kernel (see [`Sha256::absorb`]) and writes the
+    /// digest into `out`.
+    fn finish(mut self, ni: Option<ShaNi>, out: &mut [u8]) {
+        assert_eq!(out.len(), Self::OUTPUT_LEN, "SHA-256 output length");
+        let mut pad = [0u8; 72];
+        let pad_len = md_padding(self.len, &mut pad);
+        self.absorb(&pad[..pad_len], ni);
+        debug_assert_eq!(self.buf_len, 0);
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
     }
 }
@@ -83,48 +161,19 @@ impl Digest for Sha256 {
     const OUTPUT_LEN: usize = 32;
     const BLOCK_LEN: usize = 64;
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            } else {
-                // Buffer still partially filled and input exhausted.
-                return;
-            }
-        }
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            let block: &[u8; 64] = chunk.try_into().unwrap();
-            self.compress(block);
-        }
-        let rest = chunks.remainder();
-        self.buf[..rest.len()].copy_from_slice(rest);
-        self.buf_len = rest.len();
+    fn update(&mut self, data: &[u8]) {
+        self.absorb(data, ShaNi::detect());
     }
 
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.len.wrapping_mul(8);
-        let mut pad = vec![0x80u8];
-        let rem = (self.len as usize + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad);
-        debug_assert_eq!(self.buf_len, 0);
-        self.h.iter().flat_map(|w| w.to_be_bytes()).collect()
+    fn finalize_into(self, out: &mut [u8]) {
+        self.finish(ShaNi::detect(), out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -183,5 +232,46 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Sha256::digest(b"entity-1"), Sha256::digest(b"entity-2"));
+    }
+
+    /// The portable kernel alone, start to finish.
+    fn portable_digest(data: &[u8]) -> [u8; 32] {
+        let mut d = Sha256::default();
+        d.absorb(data, None);
+        let mut out = [0u8; 32];
+        d.finish(None, &mut out);
+        out
+    }
+
+    proptest! {
+        // Both kernels called directly: each case is skipped only on a
+        // CPU without SHA-NI.
+        #[test]
+        fn sha_ni_compression_matches_portable(
+            state in proptest::array::uniform8(any::<u32>()),
+            blocks in 1usize..5,
+            bytes in proptest::collection::vec(any::<u8>(), 256..257),
+        ) {
+            let Some(ni) = ShaNi::detect() else { return };
+            let data = &bytes[..64 * blocks];
+            let mut portable = state;
+            compress_portable(&mut portable, data);
+            let mut hardware = state;
+            ni.compress(&mut hardware, data);
+            prop_assert_eq!(hardware, portable);
+        }
+
+        #[test]
+        fn streaming_at_every_split_matches_the_portable_kernel(
+            data in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            let expected = portable_digest(&data).to_vec();
+            for split in 0..=data.len() {
+                let mut d = Sha256::default();
+                d.update(&data[..split]);
+                d.update(&data[split..]);
+                prop_assert_eq!(d.finalize(), expected.clone(), "split {}", split);
+            }
+        }
     }
 }

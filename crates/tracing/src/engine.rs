@@ -11,9 +11,10 @@ use crate::failure::{DetectorEvent, FailureDetector, Liveness};
 use crate::interest::{InterestSet, TrackerInterest};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use nb_broker::Broker;
+use nb_crypto::aes::Aes;
 use nb_crypto::cert::{Certificate, Credential};
 use nb_crypto::hybrid::SealedEnvelope;
-use nb_crypto::modes::{cbc_encrypt, ctr_transform, CipherMode};
+use nb_crypto::modes::CipherMode;
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::{SessionKey, SessionKeyring, Uuid};
 use nb_metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
@@ -131,9 +132,8 @@ struct Session {
     token: Option<AuthorizationToken>,
     /// §6.3 shared HMAC key (replaces per-message RSA verification).
     mac_key: Option<Vec<u8>>,
-    /// §5.1 secret trace key and negotiated cipher mode (traces
-    /// encrypted when present).
-    trace_key: Option<(Vec<u8>, CipherMode)>,
+    /// §5.1 secret trace key (traces encrypted when present).
+    trace_key: Option<TraceKey>,
     /// Current trace session key (amortized RSA): the id of the key
     /// the engine tags outgoing trace publications with. The key
     /// material itself lives in the broker's shared keyring.
@@ -146,6 +146,14 @@ struct Session {
     /// MAC'd messages that overtook the SymmetricKeySetup (replayed
     /// once the key arrives).
     pending_mac: Vec<Message>,
+}
+
+/// A §5.1 trace key: its bytes, sealed to each tracker, the key
+/// expanded once for every trace it encrypts, and the negotiated mode.
+struct TraceKey {
+    key: Vec<u8>,
+    aes: Aes,
+    mode: CipherMode,
 }
 
 struct EngineInner {
@@ -690,11 +698,16 @@ fn handle_session_message(inner: &Arc<EngineInner>, msg: Message) {
             // §5.1: the entity's secret trace key arrives sealed to us,
             // together with the negotiated algorithm and padding. It
             // goes at once to every registered tracker: an entity that
-            // re-sends its setup mints a fresh key each time.
+            // re-sends its setup mints a fresh key each time. A key or
+            // mode that does not parse leaves the session as it was.
             if let Ok(bytes) = sealed.open(&inner.credential.private_key) {
                 if let Ok(material) = TraceKeyMaterial::from_bytes(&bytes) {
-                    if let Ok(mode) = material.mode() {
-                        session.trace_key = Some((material.key, mode));
+                    if let (Ok(mode), Ok(aes)) = (material.mode(), Aes::new(&material.key)) {
+                        session.trace_key = Some(TraceKey {
+                            key: material.key,
+                            aes,
+                            mode,
+                        });
                         for tracker in session.interest.trackers() {
                             deliver_trace_key(inner, session, tracker, now);
                         }
@@ -818,10 +831,10 @@ fn send_to_tracker(
 /// Seals the §5.1 trace key to one tracker (no-op without a key or a
 /// delegation token).
 fn deliver_trace_key(inner: &EngineInner, session: &Session, tracker: &TrackerInterest, now: u64) {
-    let (Some((key, mode)), Some(token)) = (&session.trace_key, &session.token) else {
+    let (Some(trace_key), Some(token)) = (&session.trace_key, &session.token) else {
         return;
     };
-    let material = TraceKeyMaterial::aes192(key.clone(), *mode);
+    let material = TraceKeyMaterial::aes192(trace_key.key.clone(), trace_key.mode);
     if let Some(sealed) = seal(inner, &tracker.certificate.public_key, &material.to_bytes()) {
         let delivery = Payload::TraceKeyDelivery { sealed };
         send_to_tracker(inner, tracker, token, delivery, now);
@@ -951,16 +964,16 @@ fn publish_trace(
     session.trace_seq += 1;
 
     let payload = match &session.trace_key {
-        Some((key, mode)) => {
+        Some(trace_key) => {
             // The iv doubles as the CTR nonce in counter mode.
             let mut iv = [0u8; 16];
             {
                 let mut rng = inner.rng.lock();
                 (*rng).fill_bytes(&mut iv);
             }
-            let encrypted = match mode {
-                CipherMode::Cbc => cbc_encrypt(key, &iv, &event.to_bytes()),
-                CipherMode::Ctr => ctr_transform(key, &iv, &event.to_bytes()),
+            let encrypted = match trace_key.mode {
+                CipherMode::Cbc => trace_key.aes.cbc_encrypt(&iv, &event.to_bytes()),
+                CipherMode::Ctr => trace_key.aes.ctr_transform(&iv, &event.to_bytes()),
             };
             match encrypted {
                 Ok(ciphertext) => Payload::EncryptedTrace { iv, ciphertext },

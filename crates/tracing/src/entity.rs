@@ -77,6 +77,9 @@ struct EntityInner {
     secured: bool,
     mac_key: Mutex<Option<Vec<u8>>>,
     delegate: Mutex<RsaKeyPair>,
+    /// The delegation token last sent; the pump sends a fresh one once
+    /// it passes half its life.
+    token: Mutex<Option<AuthorizationToken>>,
     rng: Mutex<StdRng>,
     /// Head-sampling decision for entity-originated messages.
     sampler: HeadSampler,
@@ -206,6 +209,7 @@ impl TracedEntity {
             secured: opts.secured,
             mac_key: Mutex::new(None),
             delegate: Mutex::new(delegate),
+            token: Mutex::new(None),
             rng: Mutex::new(rng),
             sampler,
             stop: AtomicBool::new(false),
@@ -311,6 +315,7 @@ impl TracedEntity {
                 now + TOKEN_LIFETIME_MS,
             )?
         };
+        *self.inner.token.lock() = Some(token.clone());
         self.send_authed(Payload::DelegationToken { token })
     }
 
@@ -425,10 +430,25 @@ impl TracedEntity {
         std::thread::Builder::new()
             .name(format!("entity-{}-pump", inner.id))
             .spawn(move || {
+                let entity = TracedEntity {
+                    inner: Arc::clone(&inner),
+                };
                 let mut last_setup = std::time::Instant::now();
                 loop {
                     if inner.stop.load(Ordering::SeqCst) {
                         return;
+                    }
+                    // §4.3: the token is refreshed "once a token is closer
+                    // to expiration", with the same delegate key. Without
+                    // it the hosting broker drops every probe, key
+                    // delivery and trace as spurious once the token lapses.
+                    let refresh_due = inner
+                        .token
+                        .lock()
+                        .as_ref()
+                        .is_some_and(|token| token.near_expiry(inner.clock.now_ms(), 0.5));
+                    if refresh_due {
+                        let _ = entity.send_delegation_token();
                     }
                     // Loss recovery: until the first ping proves the broker
                     // holds our delegation token (it only pings joined
@@ -443,9 +463,6 @@ impl TracedEntity {
                         && last_setup.elapsed() > Duration::from_millis(1500)
                     {
                         last_setup = std::time::Instant::now();
-                        let entity = TracedEntity {
-                            inner: Arc::clone(&inner),
-                        };
                         let _ = entity.send_delegation_token();
                         if inner.mac_key.lock().is_some() {
                             let _ = entity.enable_symmetric_mode();
@@ -464,8 +481,6 @@ impl TracedEntity {
                             from: None,
                             to: state,
                         });
-                        // `entity` is just another Arc handle; dropping it
-                        // here is safe and leaves the pump running.
                     }
                     let msg = match inner.client.next_message(Duration::from_millis(50)) {
                         Ok(m) => m,

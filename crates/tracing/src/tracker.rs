@@ -13,8 +13,9 @@ use crate::persist::TrackerDurableState;
 use crate::view::AvailabilityView;
 use crate::Result;
 use nb_broker::BrokerClient;
+use nb_crypto::aes::Aes;
 use nb_crypto::cert::Credential;
-use nb_crypto::modes::{cbc_decrypt, ctr_transform, CipherMode};
+use nb_crypto::modes::CipherMode;
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::{SessionKey, SessionKeyring, SessionVerdict, Uuid};
 use nb_metrics::{Counter, Registry, Snapshot};
@@ -90,7 +91,8 @@ struct TrackerInner {
     trace_topic: Uuid,
     owner_key: RsaPublicKey,
     interests: Vec<TraceCategory>,
-    trace_key: Mutex<Option<(Vec<u8>, CipherMode)>>,
+    /// The §5.1 trace key, expanded once on delivery, and its mode.
+    trace_key: Mutex<Option<(Aes, CipherMode)>>,
     /// Session keys delivered by the engine (amortized RSA): tagged
     /// traces verify with one HMAC here instead of an RSA token check.
     sessions: SessionKeyring,
@@ -398,8 +400,8 @@ fn handle_message(inner: &Arc<TrackerInner>, msg: Message) {
         Payload::TraceKeyDelivery { sealed } => {
             if let Ok(bytes) = sealed.open(&inner.credential.private_key) {
                 if let Ok(material) = TraceKeyMaterial::from_bytes(&bytes) {
-                    if let Ok(mode) = material.mode() {
-                        *inner.trace_key.lock() = Some((material.key, mode));
+                    if let (Ok(mode), Ok(aes)) = (material.mode(), Aes::new(&material.key)) {
+                        *inner.trace_key.lock() = Some((aes, mode));
                     }
                 }
             }
@@ -432,20 +434,12 @@ fn handle_message(inner: &Arc<TrackerInner>, msg: Message) {
                 record_span(inner, traced.as_ref(), Stage::TrackerReject, t0);
                 return;
             }
-            let key = inner.trace_key.lock().clone();
-            let Some((key, mode)) = key else {
-                inner.metrics.undecryptable.inc();
-                record_span(inner, traced.as_ref(), Stage::TrackerReject, t0);
-                return;
+            let decrypted = match &*inner.trace_key.lock() {
+                Some((aes, CipherMode::Cbc)) => aes.cbc_decrypt(iv, ciphertext).ok(),
+                Some((aes, CipherMode::Ctr)) => aes.ctr_transform(iv, ciphertext).ok(),
+                None => None,
             };
-            let decrypted = match mode {
-                CipherMode::Cbc => cbc_decrypt(&key, iv, ciphertext),
-                CipherMode::Ctr => ctr_transform(&key, iv, ciphertext),
-            };
-            match decrypted
-                .ok()
-                .and_then(|pt| TraceEvent::from_bytes(&pt).ok())
-            {
+            match decrypted.and_then(|pt| TraceEvent::from_bytes(&pt).ok()) {
                 Some(event) => {
                     apply_event(inner, event);
                     record_span(inner, traced.as_ref(), Stage::TrackerApply, t0);
