@@ -51,7 +51,11 @@ fn bench_rsa(c: &mut Criterion) {
     let sig = kp.private.sign(DigestAlgorithm::Sha1, &msg).unwrap();
 
     c.bench_function("rsa1024_sign_sha1", |b| {
-        b.iter(|| kp.private.sign(DigestAlgorithm::Sha1, black_box(&msg)).unwrap())
+        b.iter(|| {
+            kp.private
+                .sign(DigestAlgorithm::Sha1, black_box(&msg))
+                .unwrap()
+        })
     });
     c.bench_function("rsa1024_verify_sha1", |b| {
         b.iter(|| {

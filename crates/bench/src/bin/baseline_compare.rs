@@ -25,7 +25,12 @@ fn main() {
 
     println!("== Baseline comparison: message complexity ==\n");
     println!("Naive all-to-all heartbeats (paper §1: N×(N−1) per period):");
-    println!("{:<12} {:>18} {:>22}", "N entities", "msgs/period", format!("msgs over {rounds} periods"));
+    println!(
+        "{:<12} {:>18} {:>22}",
+        "N entities",
+        "msgs/period",
+        format!("msgs over {rounds} periods")
+    );
     for n in [10usize, 30, 50, 100] {
         let mut sys = NaiveHeartbeatSystem::new(n, NaiveConfig::default());
         for _ in 0..rounds {
@@ -83,7 +88,10 @@ fn main() {
                 1,
                 "cmp-tracker",
                 "cmp-entity",
-                vec![TraceCategory::AllUpdates, TraceCategory::ChangeNotifications],
+                vec![
+                    TraceCategory::AllUpdates,
+                    TraceCategory::ChangeNotifications,
+                ],
             )
             .expect("tracker")
         });

@@ -67,7 +67,10 @@ fn main() {
             2,
             "chaos-watcher",
             "chaos-svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .expect("tracker");
 
@@ -96,21 +99,24 @@ fn main() {
         assert!(dep.network.restore_link(1));
         let healed_at = Instant::now();
         let reconverged = wait_until(RECONVERGE_BUDGET, || {
-            tracker.view().get("chaos-svc").is_some_and(|r| {
-                r.status == EntityStatus::Available && r.traces_seen >= before + 2
-            })
+            tracker
+                .view()
+                .get("chaos-svc")
+                .is_some_and(|r| r.status == EntityStatus::Available && r.traces_seen >= before + 2)
         });
         let elapsed = healed_at.elapsed();
         assert!(
             reconverged,
             "cycle {cycle}: tracker did not reconverge within {RECONVERGE_BUDGET:?}"
         );
-        println!("cycle {cycle}: reconverged in {:>8.2} ms", elapsed.as_secs_f64() * 1e3);
+        println!(
+            "cycle {cycle}: reconverged in {:>8.2} ms",
+            elapsed.as_secs_f64() * 1e3
+        );
         times.push(elapsed);
     }
 
-    let mean_ms =
-        times.iter().map(Duration::as_secs_f64).sum::<f64>() / times.len() as f64 * 1e3;
+    let mean_ms = times.iter().map(Duration::as_secs_f64).sum::<f64>() / times.len() as f64 * 1e3;
     let max_ms = times
         .iter()
         .map(Duration::as_secs_f64)
@@ -137,6 +143,9 @@ fn main() {
         end.last_seq - start.last_seq,
         "traces lost or applied twice"
     );
-    assert!(entity.pings_answered() > 0, "entity stopped answering pings");
+    assert!(
+        entity.pings_answered() > 0,
+        "entity stopped answering pings"
+    );
     println!("\nchaos report OK: {cycles} cycles, mean reconverge {mean_ms:.2} ms");
 }

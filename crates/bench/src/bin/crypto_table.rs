@@ -49,7 +49,14 @@ struct Row<'a> {
 
 impl<'a> Row<'a> {
     fn new(key: &'static str, label: &'static str, samples: usize, op: impl FnMut() + 'a) -> Self {
-        Row { key, label, samples, op: Box::new(op), all: Vec::new(), trial_means: Vec::new() }
+        Row {
+            key,
+            label,
+            samples,
+            op: Box::new(op),
+            all: Vec::new(),
+            trial_means: Vec::new(),
+        }
     }
 
     /// Times one trial of `samples` operations.
@@ -61,7 +68,8 @@ impl<'a> Row<'a> {
             self.all.push(t0.elapsed().as_secs_f64() * 1000.0);
         }
         let trial = &self.all[start..];
-        self.trial_means.push(trial.iter().sum::<f64>() / trial.len() as f64);
+        self.trial_means
+            .push(trial.iter().sum::<f64>() / trial.len() as f64);
     }
 
     /// The row as a JSON object.
@@ -123,7 +131,11 @@ fn main() {
     )
     .unwrap();
     let owner = ca
-        .issue("entity:bench", Validity::starting_now(now, 1 << 40), &mut rng)
+        .issue(
+            "entity:bench",
+            Validity::starting_now(now, 1 << 40),
+            &mut rng,
+        )
         .unwrap();
     let owner_key = owner.certificate.public_key.clone();
     let trace_topic = Uuid::new_v4(&mut rng);
@@ -161,21 +173,31 @@ fn main() {
     // §6.3 rationale in one line: symmetric auth vs RSA signing.
     let mut mac_data = trace_bytes.clone();
     let mut rows = vec![
-        Row::new("token_generation", "Token Generation and Signing", samples.min(40), || {
-            let kp = RsaKeyPair::generate(1024, &mut kg_rng).unwrap();
-            let _ = AuthorizationToken::issue(
-                &owner,
-                trace_topic,
-                kp.public,
-                Rights::Publish,
-                now,
-                now + 60_000,
-            )
-            .unwrap();
-        }),
-        Row::new("token_verify", "Verifying Authorization Token", samples, || {
-            token.verify(&owner_key, Rights::Publish, now, 100).unwrap();
-        }),
+        Row::new(
+            "token_generation",
+            "Token Generation and Signing",
+            samples.min(40),
+            || {
+                let kp = RsaKeyPair::generate(1024, &mut kg_rng).unwrap();
+                let _ = AuthorizationToken::issue(
+                    &owner,
+                    trace_topic,
+                    kp.public,
+                    Rights::Publish,
+                    now,
+                    now + 60_000,
+                )
+                .unwrap();
+            },
+        ),
+        Row::new(
+            "token_verify",
+            "Verifying Authorization Token",
+            samples,
+            || {
+                token.verify(&owner_key, Rights::Publish, now, 100).unwrap();
+            },
+        ),
         Row::new("aes_encrypt", "Encrypting Trace Message", samples, || {
             let _ = cbc_encrypt(&aes_key, &iv, &trace_bytes).unwrap();
         }),
@@ -185,23 +207,43 @@ fn main() {
         Row::new("sign", "Sign Trace Message", samples, || {
             let _ = owner.sign(&trace_bytes).unwrap();
         }),
-        Row::new("verify", "Verify Signature in Trace Message", samples, || {
-            owner_key
-                .verify(DigestAlgorithm::Sha1, &trace_bytes, &signature)
-                .unwrap();
-        }),
-        Row::new("sign_encrypted", "Sign Encrypted Trace Message", samples, || {
-            let _ = owner.sign(&encrypted).unwrap();
-        }),
-        Row::new("verify_encrypted", "Verify Signature in Encrypted Trace Message", samples, || {
-            owner_key
-                .verify(DigestAlgorithm::Sha1, &encrypted, &enc_signature)
-                .unwrap();
-        }),
-        Row::new("hmac_sha256", "HMAC-SHA256 authenticate (6.3 optimization)", samples, || {
-            mac_data[0] ^= 1;
-            let _ = nb_crypto::hmac::hmac::<nb_crypto::sha256::Sha256>(&aes_key, &mac_data);
-        }),
+        Row::new(
+            "verify",
+            "Verify Signature in Trace Message",
+            samples,
+            || {
+                owner_key
+                    .verify(DigestAlgorithm::Sha1, &trace_bytes, &signature)
+                    .unwrap();
+            },
+        ),
+        Row::new(
+            "sign_encrypted",
+            "Sign Encrypted Trace Message",
+            samples,
+            || {
+                let _ = owner.sign(&encrypted).unwrap();
+            },
+        ),
+        Row::new(
+            "verify_encrypted",
+            "Verify Signature in Encrypted Trace Message",
+            samples,
+            || {
+                owner_key
+                    .verify(DigestAlgorithm::Sha1, &encrypted, &enc_signature)
+                    .unwrap();
+            },
+        ),
+        Row::new(
+            "hmac_sha256",
+            "HMAC-SHA256 authenticate (6.3 optimization)",
+            samples,
+            || {
+                mac_data[0] ^= 1;
+                let _ = nb_crypto::hmac::hmac::<nb_crypto::sha256::Sha256>(&aes_key, &mac_data);
+            },
+        ),
     ];
     run(&mut rows, TRIALS);
     print_rows("Security and Authorization related costs", &rows);
@@ -231,18 +273,33 @@ fn main() {
     let c = nb_crypto::BigUint::from_u64(0xdead_beef);
     // One trial each, printed but left out of BENCH_paper.json.
     let mut ablations = [
-        Row::new("modpow_montgomery", "modpow 1024-bit (Montgomery)", samples, || {
-            let _ = base.modpow(&exp, &m).unwrap();
-        }),
-        Row::new("modpow_generic", "modpow 1024-bit (schoolbook reduction)", samples.min(50), || {
-            let _ = base.modpow_generic(&exp, &m).unwrap();
-        }),
+        Row::new(
+            "modpow_montgomery",
+            "modpow 1024-bit (Montgomery)",
+            samples,
+            || {
+                let _ = base.modpow(&exp, &m).unwrap();
+            },
+        ),
+        Row::new(
+            "modpow_generic",
+            "modpow 1024-bit (schoolbook reduction)",
+            samples.min(50),
+            || {
+                let _ = base.modpow_generic(&exp, &m).unwrap();
+            },
+        ),
         Row::new("private_no_crt", "RSA private op (no CRT)", samples, || {
             let _ = delegate.private.raw_no_crt(&c).unwrap();
         }),
-        Row::new("private_crt", "RSA private op (CRT, via sign)", samples, || {
-            let _ = delegate.private.sign(DigestAlgorithm::Sha1, b"x").unwrap();
-        }),
+        Row::new(
+            "private_crt",
+            "RSA private op (CRT, via sign)",
+            samples,
+            || {
+                let _ = delegate.private.sign(DigestAlgorithm::Sha1, b"x").unwrap();
+            },
+        ),
     ];
     run(&mut ablations, 1);
     print_rows("Ablations (design choices)", &ablations);

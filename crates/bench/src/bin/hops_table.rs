@@ -15,7 +15,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
-use nb_bench::{measure_trace_latencies, print_header, print_row, sample_count, wait_interest, Stats};
+use nb_bench::{
+    measure_trace_latencies, print_header, print_row, sample_count, wait_interest, Stats,
+};
 use nb_broker::network::Medium;
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};

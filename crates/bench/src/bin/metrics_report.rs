@@ -114,7 +114,10 @@ fn main() {
         "crypto.",
     ] {
         assert!(
-            snapshot.entries().iter().any(|e| e.name.starts_with(family)),
+            snapshot
+                .entries()
+                .iter()
+                .any(|e| e.name.starts_with(family)),
             "metrics report is missing the {family}* family"
         );
     }

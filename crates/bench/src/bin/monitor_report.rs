@@ -60,17 +60,29 @@ fn monitored_topic() -> Topic {
 fn credentials() -> (Credential, Credential) {
     let mut rng = StdRng::seed_from_u64(0xb41c);
     let validity = Validity::starting_now(0, u64::MAX / 2);
-    let mut ca = CertificateAuthority::new("bench-ca", 512, validity, &mut rng)
-        .expect("bench CA");
-    let monitor = ca.issue("Monitor", validity, &mut rng).expect("monitor cred");
-    let owner = ca.issue("entity:bench", validity, &mut rng).expect("owner cred");
+    let mut ca = CertificateAuthority::new("bench-ca", 512, validity, &mut rng).expect("bench CA");
+    let monitor = ca
+        .issue("Monitor", validity, &mut rng)
+        .expect("monitor cred");
+    let owner = ca
+        .issue("entity:bench", validity, &mut rng)
+        .expect("owner cred");
     (monitor, owner)
 }
 
 /// Pre-encodes one data frame for `topic`; monitored frames carry an
 /// authorization token and a trace context like real trace traffic.
 fn data_frame(sender: &str, topic: Topic, monitored: bool, owner: &Credential) -> Vec<u8> {
-    let mut msg = Message::new(10, topic, sender, 0, Payload::Ping { seq: 1, sent_at_ms: 0 });
+    let mut msg = Message::new(
+        10,
+        topic,
+        sender,
+        0,
+        Payload::Ping {
+            seq: 1,
+            sent_at_ms: 0,
+        },
+    );
     if monitored {
         let token = AuthorizationToken::issue(
             owner,
@@ -91,7 +103,11 @@ fn data_frame(sender: &str, topic: Topic, monitored: bool, owner: &Credential) -
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = publisher_threads();
-    let (per_thread, timed) = if quick { (50_000, 20_000) } else { (500_000, 200_000) };
+    let (per_thread, timed) = if quick {
+        (50_000, 20_000)
+    } else {
+        (500_000, 200_000)
+    };
     println!(
         "== monitor report: loopback broker, {threads} publishers x {per_thread} msgs ({}) ==",
         if quick { "quick" } else { "full" }
@@ -103,14 +119,21 @@ fn main() {
         require_tokens: false,
         // Keep span recording off: broker-side telemetry is not what
         // this bench measures.
-        telemetry: nb_telemetry::TelemetryConfig { enabled: false, ..Default::default() },
+        telemetry: nb_telemetry::TelemetryConfig {
+            enabled: false,
+            ..Default::default()
+        },
         ..BrokerConfig::default()
     };
     let (mut plain_events, mut checked_events, mut violations) = (0u64, 0u64, 0u64);
     let mut check_ns = HistogramSummary::empty();
     let [off, on, hot] = run_trials(|c| {
         let monitored = c == 2;
-        let topic = if monitored { monitored_topic() } else { plain_topic() };
+        let topic = if monitored {
+            monitored_topic()
+        } else {
+            plain_topic()
+        };
         let monitor = (c > 0).then(|| MonitorSet::new(specs.clone(), monitor_cred.clone(), 100));
         // Fresh id per probe attempt: exactly-once monitoring is live.
         let mut probe = data_frame(PUBLISHER, topic.clone(), monitored, &owner);
@@ -130,7 +153,11 @@ fn main() {
             // Monitored frames publish as the topic's constrainer
             // (Publish-Only enforcement); plain frames use per-thread
             // identities.
-            let id = if monitored { PUBLISHER.to_string() } else { format!("pub-{t}") };
+            let id = if monitored {
+                PUBLISHER.to_string()
+            } else {
+                format!("pub-{t}")
+            };
             let mut frame = data_frame(&id, topic.clone(), monitored, &owner);
             move |b: &Broker, seq: u64| {
                 // Message id sits after the version byte (offset 1..9,
@@ -146,7 +173,9 @@ fn main() {
             if monitored {
                 assert!(events >= trial.sent, "monitors missed events: {events}");
                 checked_events += events;
-                let sampled = snap.histogram("monitor.check_ns").expect("check_ns sampled");
+                let sampled = snap
+                    .histogram("monitor.check_ns")
+                    .expect("check_ns sampled");
                 check_ns = check_ns.accumulate(sampled);
             } else {
                 plain_events += events;
@@ -162,7 +191,10 @@ fn main() {
     // Clean traffic: every monitored frame checked, nothing flagged,
     // and unmonitored frames never reach the monitor tap.
     assert_eq!(violations, 0, "clean traffic raised violations");
-    assert_eq!(plain_events, 0, "unmonitored frames reached the monitor tap");
+    assert_eq!(
+        plain_events, 0,
+        "unmonitored frames reached the monitor tap"
+    );
 
     // Per-event check overhead, two ways: the sampled in-monitor
     // timing, and the end-to-end throughput delta per message.
@@ -181,7 +213,10 @@ fn main() {
         quick,
         threads,
         &[
-            ("saturation_msgs_per_config", (threads as u64 * per_thread).to_string()),
+            (
+                "saturation_msgs_per_config",
+                (threads as u64 * per_thread).to_string(),
+            ),
             ("timed_msgs_per_config", timed.to_string()),
             ("monitors_off", off.json()),
             ("monitors_on", on.json()),
@@ -190,7 +225,10 @@ fn main() {
             ("plain_topic_monitor_events", plain_events.to_string()),
             ("violations", violations.to_string()),
             ("gate", gate.json()),
-            ("per_event_check_ns", format!("{:.0}", checked_overhead_ns.max(0.0))),
+            (
+                "per_event_check_ns",
+                format!("{:.0}", checked_overhead_ns.max(0.0)),
+            ),
             ("sampled_check_ns_mean", format!("{:.0}", check_ns.mean())),
         ],
     );

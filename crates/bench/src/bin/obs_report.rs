@@ -46,14 +46,23 @@ fn bench_topic() -> Topic {
 fn obs_credential() -> Credential {
     let mut rng = StdRng::seed_from_u64(0x0b5);
     let validity = Validity::starting_now(0, u64::MAX / 2);
-    let mut ca =
-        CertificateAuthority::new("bench-ca", 512, validity, &mut rng).expect("bench CA");
+    let mut ca = CertificateAuthority::new("bench-ca", 512, validity, &mut rng).expect("bench CA");
     ca.issue("Obs", validity, &mut rng).expect("obs cred")
 }
 
 /// Pre-encodes one data frame for the bench topic.
 fn data_frame(sender: &str) -> Vec<u8> {
-    Message::new(10, bench_topic(), sender, 0, Payload::Ping { seq: 1, sent_at_ms: 0 }).to_bytes()
+    Message::new(
+        10,
+        bench_topic(),
+        sender,
+        0,
+        Payload::Ping {
+            seq: 1,
+            sent_at_ms: 0,
+        },
+    )
+    .to_bytes()
 }
 
 /// The plane's pump thread: every 5 ms until `stop` is set, ticks
@@ -82,7 +91,11 @@ fn pump(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = publisher_threads();
-    let (per_thread, timed) = if quick { (50_000, 20_000) } else { (500_000, 200_000) };
+    let (per_thread, timed) = if quick {
+        (50_000, 20_000)
+    } else {
+        (500_000, 200_000)
+    };
     println!(
         "== obs report: loopback broker, {threads} publishers x {per_thread} msgs ({}) ==",
         if quick { "quick" } else { "full" }
@@ -91,7 +104,10 @@ fn main() {
     let credential = obs_credential();
     let config = BrokerConfig {
         require_tokens: false,
-        telemetry: nb_telemetry::TelemetryConfig { enabled: false, ..Default::default() },
+        telemetry: nb_telemetry::TelemetryConfig {
+            enabled: false,
+            ..Default::default()
+        },
         ..BrokerConfig::default()
     };
 
@@ -101,9 +117,13 @@ fn main() {
     let mut planes: Vec<ClusterAggregator> = Vec::new();
     let [off, on] = run_trials(|c| {
         let mut probe = data_frame("pub-0");
-        let lb = Loopback::new(config.clone(), false, &[bench_topic()], |_| {}, |b| {
-            b.ingest_client_frame("pub-0", &mut probe)
-        });
+        let lb = Loopback::new(
+            config.clone(),
+            false,
+            &[bench_topic()],
+            |_| {},
+            |b| b.ingest_client_frame("pub-0", &mut probe),
+        );
         let publish = |t: usize| {
             let id = format!("pub-{t}");
             let mut frame = data_frame(&id);
@@ -120,10 +140,15 @@ fn main() {
         let agg = ClusterAggregator::new(AggregatorConfig::default());
         agg.require_signatures(credential.certificate.public_key.clone());
         let rx = lb.broker.register_internal("obs-agg");
-        lb.broker.subscribe_internal("obs-agg", telemetry_topic()).expect("subscribe obs");
+        lb.broker
+            .subscribe_internal("obs-agg", telemetry_topic())
+            .expect("subscribe obs");
         let publisher = lb
             .broker
-            .telemetry_publisher(PublisherConfig { interval_ms: 100, full_every: 8 })
+            .telemetry_publisher(PublisherConfig {
+                interval_ms: 100,
+                full_every: 8,
+            })
             .signed(credential.clone());
         let stop = AtomicBool::new(false);
         let trial = std::thread::scope(|s| {
@@ -143,19 +168,30 @@ fn main() {
     // The plane must actually have run in every trial: signed frames
     // accepted, none rejected or dropped as duplicates, and the node
     // totals carry the broker families.
-    let count = |agg: &ClusterAggregator, name: &str| {
-        agg.metrics_snapshot().counter(name).unwrap_or(0)
-    };
-    let accepted: Vec<u64> = planes.iter().map(|a| count(a, "obs.frames.accepted")).collect();
+    let count =
+        |agg: &ClusterAggregator, name: &str| agg.metrics_snapshot().counter(name).unwrap_or(0);
+    let accepted: Vec<u64> = planes
+        .iter()
+        .map(|a| count(a, "obs.frames.accepted"))
+        .collect();
     let rejected: u64 = planes.iter().map(|a| count(a, "obs.frames.rejected")).sum();
-    let duplicate: u64 = planes.iter().map(|a| count(a, "obs.frames.duplicate")).sum();
-    assert!(accepted.iter().all(|&n| n > 0), "a trial aggregated no frames: {accepted:?}");
+    let duplicate: u64 = planes
+        .iter()
+        .map(|a| count(a, "obs.frames.duplicate"))
+        .sum();
+    assert!(
+        accepted.iter().all(|&n| n > 0),
+        "a trial aggregated no frames: {accepted:?}"
+    );
     assert_eq!(rejected, 0, "genuine frames must verify");
     assert_eq!(duplicate, 0, "a trial's frames were dropped as duplicates");
     for agg in &planes {
         let total = agg.node_total("bench").expect("bench node aggregated");
         assert!(
-            total.entries().iter().any(|e| e.name.starts_with("broker.")),
+            total
+                .entries()
+                .iter()
+                .any(|e| e.name.starts_with("broker.")),
             "node totals must carry the broker family"
         );
     }
@@ -183,7 +219,10 @@ fn main() {
         quick,
         threads,
         &[
-            ("saturation_msgs_per_config", (threads as u64 * per_thread).to_string()),
+            (
+                "saturation_msgs_per_config",
+                (threads as u64 * per_thread).to_string(),
+            ),
             ("timed_msgs_per_config", timed.to_string()),
             ("telemetry_off", off.json()),
             ("telemetry_on", on.json()),

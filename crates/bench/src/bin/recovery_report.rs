@@ -152,16 +152,35 @@ fn topic() -> Topic {
 }
 
 fn data_frame(sender: &str, seq: u64) -> Vec<u8> {
-    Message::new(seq, topic(), sender, 0, Payload::Ping { seq, sent_at_ms: 0 }).to_bytes()
+    Message::new(
+        seq,
+        topic(),
+        sender,
+        0,
+        Payload::Ping { seq, sent_at_ms: 0 },
+    )
+    .to_bytes()
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = publisher_threads();
     let (append_n, curve, ckpt_n, per_thread, timed) = if quick {
-        (100_000u64, vec![1_000u64, 10_000, 50_000], 50_000u64, 50_000u64, 20_000u64)
+        (
+            100_000u64,
+            vec![1_000u64, 10_000, 50_000],
+            50_000u64,
+            50_000u64,
+            20_000u64,
+        )
     } else {
-        (1_000_000, vec![1_000, 10_000, 100_000, 500_000], 500_000, 500_000, 200_000)
+        (
+            1_000_000,
+            vec![1_000, 10_000, 100_000, 500_000],
+            500_000,
+            500_000,
+            200_000,
+        )
     };
     println!(
         "== recovery report: WAL + restart + fast-path overhead ({}) ==",
@@ -206,10 +225,17 @@ fn main() {
             dir.path().join(format!("trial-{durable_trials}"))
         });
         let mut probe = data_frame("probe", 1);
-        let config = BrokerConfig { data_dir, ..BrokerConfig::default() };
-        let lb = Loopback::new(config, true, &[topic()], |_| {}, |b| {
-            b.ingest_client_frame("probe", &mut probe)
-        });
+        let config = BrokerConfig {
+            data_dir,
+            ..BrokerConfig::default()
+        };
+        let lb = Loopback::new(
+            config,
+            true,
+            &[topic()],
+            |_| {},
+            |b| b.ingest_client_frame("probe", &mut probe),
+        );
         let before = wal_appends.get();
         let trial = lb.trial(threads, per_thread, timed, |t| {
             let id = format!("pub-{t}");

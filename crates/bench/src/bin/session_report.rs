@@ -96,9 +96,10 @@ struct EntityCtx {
 fn mint_entities(count: usize, now: u64) -> (Vec<EntityCtx>, Credential) {
     let mut rng = StdRng::seed_from_u64(0x5e5510);
     let validity = Validity::starting_now(0, u64::MAX / 2);
-    let mut ca =
-        CertificateAuthority::new("bench-ca", 1024, validity, &mut rng).expect("bench CA");
-    let monitor_cred = ca.issue("Monitor", validity, &mut rng).expect("monitor cred");
+    let mut ca = CertificateAuthority::new("bench-ca", 1024, validity, &mut rng).expect("bench CA");
+    let monitor_cred = ca
+        .issue("Monitor", validity, &mut rng)
+        .expect("monitor cred");
     let entities = (0..count)
         .map(|i| {
             let name = format!("entity-{i}");
@@ -174,7 +175,17 @@ fn fast_topic() -> Topic {
 
 /// Plain data frame on the fast-path guard's topic.
 fn plain_frame(sender: &str) -> Vec<u8> {
-    Message::new(7, fast_topic(), sender, 0, Payload::Ping { seq: 1, sent_at_ms: 0 }).to_bytes()
+    Message::new(
+        7,
+        fast_topic(),
+        sender,
+        0,
+        Payload::Ping {
+            seq: 1,
+            sent_at_ms: 0,
+        },
+    )
+    .to_bytes()
 }
 
 fn main() {
@@ -190,9 +201,17 @@ fn main() {
     // fast-path guard's.
     let auths = [Auth::RsaSigned, Auth::RsaToken, Auth::Session];
     let (sizes, fast_n, fast_t): ([(u64, u64); 3], u64, u64) = if quick {
-        ([(300, 100), (3_000, 1_000), (30_000, 10_000)], 50_000, 20_000)
+        (
+            [(300, 100), (3_000, 1_000), (30_000, 10_000)],
+            50_000,
+            20_000,
+        )
     } else {
-        ([(2_000, 300), (20_000, 5_000), (200_000, 50_000)], 300_000, 100_000)
+        (
+            [(2_000, 300), (20_000, 5_000), (200_000, 50_000)],
+            300_000,
+            100_000,
+        )
     };
     println!(
         "== session report: 1 hosting broker, {threads} co-resident entities ({}) ==",
@@ -206,7 +225,10 @@ fn main() {
     let config = BrokerConfig {
         // Keep trace publications off the span recorder: broker-side
         // telemetry is not what this bench measures.
-        telemetry: nb_telemetry::TelemetryConfig { enabled: false, ..Default::default() },
+        telemetry: nb_telemetry::TelemetryConfig {
+            enabled: false,
+            ..Default::default()
+        },
         ..BrokerConfig::default()
     };
 
@@ -236,7 +258,9 @@ fn main() {
             }
             b.attach_monitor(monitor.clone());
         };
-        let lb = Loopback::new(config.clone(), false, &filters, setup, |b| probe(b, &entities[0]));
+        let lb = Loopback::new(config.clone(), false, &filters, setup, |b| {
+            probe(b, &entities[0])
+        });
         for e in &entities[1..] {
             lb.await_route(|b| probe(b, e));
         }
@@ -253,7 +277,10 @@ fn main() {
         let snap = lb.broker.metrics_snapshot();
         verified[c] += snap.counter("broker.session.verified").unwrap_or(0);
         fallbacks[c] += snap.counter("broker.session.fallback").unwrap_or(0);
-        monitor_events += monitor.metrics_snapshot().counter("monitor.events").unwrap_or(0);
+        monitor_events += monitor
+            .metrics_snapshot()
+            .counter("monitor.events")
+            .unwrap_or(0);
         violations += monitor.violation_count();
         trial
     });
@@ -263,7 +290,10 @@ fn main() {
 
     // Clean runs: every monitor stayed silent, every session frame
     // authenticated through the keyring with zero RSA fallbacks.
-    assert_eq!(violations, 0, "clean traffic must leave the monitors silent");
+    assert_eq!(
+        violations, 0,
+        "clean traffic must leave the monitors silent"
+    );
     assert!(monitor_events > 0, "monitors never saw the traffic");
     assert!(
         verified[2] >= session.sent(),
@@ -298,19 +328,32 @@ fn main() {
         let mut probe = plain_frame("probe");
         let install = |b: &Broker| {
             if c == 1 {
-                entities.iter().for_each(|e| b.install_session_key(e.key.clone()));
+                entities
+                    .iter()
+                    .for_each(|e| b.install_session_key(e.key.clone()));
             }
         };
-        let lb = Loopback::new(BrokerConfig::default(), false, &[fast_topic()], install, |b| {
-            b.ingest_client_frame("probe", &mut probe)
-        });
+        let lb = Loopback::new(
+            BrokerConfig::default(),
+            false,
+            &[fast_topic()],
+            install,
+            |b| b.ingest_client_frame("probe", &mut probe),
+        );
         let trial = lb.trial(threads, fast_n, fast_t, |t| {
             let id = format!("pub-{t}");
             let mut frame = plain_frame(&id);
             move |b: &Broker, _seq: u64| b.ingest_client_frame(&id, &mut frame)
         });
-        let fastpath = lb.broker.metrics_snapshot().counter("broker.route.fastpath").unwrap_or(0);
-        assert!(fastpath >= trial.sent, "plain frames left the cached fast path");
+        let fastpath = lb
+            .broker
+            .metrics_snapshot()
+            .counter("broker.route.fastpath")
+            .unwrap_or(0);
+        assert!(
+            fastpath >= trial.sent,
+            "plain frames left the cached fast path"
+        );
         if c == 1 {
             for (total, (k, b)) in keyring_checks.iter_mut().zip(keyring.iter().zip(before)) {
                 *total += k.get() - b;
@@ -320,8 +363,15 @@ fn main() {
     });
     fast_none.print("fastpath (no keys)");
     fast_keys.print("fastpath (keys installed)");
-    assert_eq!(keyring_checks, [0; 4], "plain frames consulted the keyring ({KEYRING_CHECKS:?})");
-    let gate = Gate::check(5.0, ("fastpath_no_keys", &fast_none), ("fastpath_keys", &fast_keys));
+    assert_eq!(
+        keyring_checks, [0; 4],
+        "plain frames consulted the keyring ({KEYRING_CHECKS:?})"
+    );
+    let gate = Gate::check(
+        5.0,
+        ("fastpath_no_keys", &fast_none),
+        ("fastpath_keys", &fast_keys),
+    );
 
     let checks_json: Vec<String> = KEYRING_CHECKS
         .iter()
@@ -347,7 +397,10 @@ fn main() {
             ("speedup_vs_rsa_signed", format!("{speedup_signed:.2}")),
             ("speedup_vs_rsa_token", format!("{speedup_token:.2}")),
             ("gate", gate.json()),
-            ("keyring_checks_on_plain", format!("{{ {} }}", checks_json.join(", "))),
+            (
+                "keyring_checks_on_plain",
+                format!("{{ {} }}", checks_json.join(", ")),
+            ),
         ],
     );
 }

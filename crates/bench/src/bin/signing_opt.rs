@@ -11,7 +11,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
-use nb_bench::{measure_trace_latencies, print_header, print_row, sample_count, wait_interest, Stats};
+use nb_bench::{
+    measure_trace_latencies, print_header, print_row, sample_count, wait_interest, Stats,
+};
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};
 use nb_transport::clock::system_clock;
@@ -30,13 +32,7 @@ fn run_point(hops: usize, mode: SigningMode, samples: usize) -> Option<Stats> {
     )
     .ok()?;
     let entity = dep
-        .traced_entity(
-            0,
-            "opt-entity",
-            DiscoveryRestrictions::Open,
-            mode,
-            false,
-        )
+        .traced_entity(0, "opt-entity", DiscoveryRestrictions::Open, mode, false)
         .ok()?;
     let tracker = dep
         .tracker(
@@ -62,8 +58,14 @@ fn main() {
     println!("(entity→broker authentication: RSA signature vs shared-key HMAC; {samples} samples per point)");
 
     for (label, mode) in [
-        ("Per-message RSA signing (base scheme)", SigningMode::RsaSign),
-        ("Symmetric-key authentication (optimized)", SigningMode::SymmetricKey),
+        (
+            "Per-message RSA signing (base scheme)",
+            SigningMode::RsaSign,
+        ),
+        (
+            "Symmetric-key authentication (optimized)",
+            SigningMode::SymmetricKey,
+        ),
     ] {
         print_header(label, "ms");
         for hops in 2..=6 {

@@ -31,13 +31,24 @@ fn topic() -> Topic {
 }
 
 fn data_frame(sender: &str, seq: u64) -> Vec<u8> {
-    Message::new(seq, topic(), sender, 0, Payload::Ping { seq, sent_at_ms: 0 }).to_bytes()
+    Message::new(
+        seq,
+        topic(),
+        sender,
+        0,
+        Payload::Ping { seq, sent_at_ms: 0 },
+    )
+    .to_bytes()
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let threads = publisher_threads();
-    let (per_thread, timed) = if quick { (50_000, 20_000) } else { (500_000, 200_000) };
+    let (per_thread, timed) = if quick {
+        (50_000, 20_000)
+    } else {
+        (500_000, 200_000)
+    };
     println!(
         "== throughput report: loopback broker, {threads} publishers x {per_thread} msgs ({}) ==",
         if quick { "quick" } else { "full" }
@@ -46,9 +57,13 @@ fn main() {
     let mut counters = [0u64; 4];
     let [pipeline] = run_trials(|_| {
         let mut probe = data_frame("probe", 1);
-        let lb = Loopback::new(BrokerConfig::default(), true, &[topic()], |_| {}, |b| {
-            b.ingest_client_frame("probe", &mut probe)
-        });
+        let lb = Loopback::new(
+            BrokerConfig::default(),
+            true,
+            &[topic()],
+            |_| {},
+            |b| b.ingest_client_frame("probe", &mut probe),
+        );
         let trial = lb.trial(threads, per_thread, timed, |t| {
             let id = format!("pub-{t}");
             let mut frame = data_frame(&id, t as u64 + 10);
@@ -62,10 +77,16 @@ fn main() {
     });
     pipeline.print("pipeline");
     let [fastpath, slowpath, cache_hits, cache_stale] = counters;
-    println!("{fastpath} of {} frames routed without a decode", fastpath + slowpath);
+    println!(
+        "{fastpath} of {} frames routed without a decode",
+        fastpath + slowpath
+    );
 
     // Shape checks backing the CI smoke run.
-    assert!(fastpath >= pipeline.sent(), "a data frame needed an owned decode");
+    assert!(
+        fastpath >= pipeline.sent(),
+        "a data frame needed an owned decode"
+    );
     assert!(cache_hits > 0, "route cache never hit");
 
     write_report(

@@ -22,7 +22,9 @@
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
 use nb_bench::loopback::wait_until;
-use nb_telemetry::{chrome_trace, json_lines, HeadSampler, NodeSpans, SpanEvent, Stage, TraceContext};
+use nb_telemetry::{
+    chrome_trace, json_lines, HeadSampler, NodeSpans, SpanEvent, Stage, TraceContext,
+};
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};
 use nb_tracing::view::EntityStatus;
@@ -218,7 +220,10 @@ fn main() {
         }
     }
 
-    println!("\n-- per-hop latency attribution (mean µs over {} traces) --", traces.len());
+    println!(
+        "\n-- per-hop latency attribution (mean µs over {} traces) --",
+        traces.len()
+    );
     println!(
         "{:>4}  {:>10}  {:>10}  {:>10}  {:>10}  {:>12}",
         "hop", "auth", "route", "queue", "forward", "transit→next"

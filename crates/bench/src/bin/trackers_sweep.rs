@@ -11,7 +11,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // config tweaking reads better imperatively
 
-use nb_bench::{measure_trace_latencies, print_header, print_row, sample_count, wait_interest, Stats};
+use nb_bench::{
+    measure_trace_latencies, print_header, print_row, sample_count, wait_interest, Stats,
+};
 use nb_tracing::config::{SigningMode, TracingConfig};
 use nb_tracing::harness::{Deployment, Topology};
 use nb_transport::clock::system_clock;

@@ -96,8 +96,12 @@ fn attach_sink_client(broker: &Broker, id: &str, filters: &[Topic]) -> (Arc<Sink
         frames_rx,
     ));
     let control = nb_broker::control_topic();
-    let attach = Payload::Attach { client_id: id.to_string() };
-    let subscribes = filters.iter().map(|f| Payload::Subscribe { filter: f.clone() });
+    let attach = Payload::Attach {
+        client_id: id.to_string(),
+    };
+    let subscribes = filters
+        .iter()
+        .map(|f| Payload::Subscribe { filter: f.clone() });
     for (seq, payload) in (1..).zip(std::iter::once(attach).chain(subscribes)) {
         let frame = Message::new(seq, control.clone(), id, 0, payload).to_bytes();
         frames_tx.send(frame).expect("control frame");
@@ -148,7 +152,10 @@ impl Loopback {
         setup: impl FnOnce(&Broker),
         probe: impl FnMut(&Broker),
     ) -> Loopback {
-        let config = BrokerConfig { advert_refresh: None, ..config };
+        let config = BrokerConfig {
+            advert_refresh: None,
+            ..config
+        };
         let broker = Broker::new("bench", system_clock(), config);
         setup(&broker);
         let fleet = if idle_fleet { IDLE_SUBSCRIBERS } else { 0 };
@@ -162,7 +169,11 @@ impl Loopback {
             .collect();
         let (sink, uplink) = attach_sink_client(&broker, "sub", hot);
         uplinks.push(uplink);
-        let loopback = Loopback { broker, sink, _uplinks: uplinks };
+        let loopback = Loopback {
+            broker,
+            sink,
+            _uplinks: uplinks,
+        };
         loopback.await_route(probe);
         loopback
     }
@@ -173,7 +184,10 @@ impl Loopback {
         let before = self.sink.delivered();
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.sink.delivered() == before {
-            assert!(Instant::now() < deadline, "subscription never became routable");
+            assert!(
+                Instant::now() < deadline,
+                "subscription never became routable"
+            );
             probe(&self.broker);
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -205,7 +219,11 @@ impl Loopback {
                 t.elapsed().as_nanos() as f64
             })
             .collect();
-        assert_eq!(self.sink.delivered() - before, timed, "lost or duplicated timed deliveries");
+        assert_eq!(
+            self.sink.delivered() - before,
+            timed,
+            "lost or duplicated timed deliveries"
+        );
         lat_ns.sort_by(f64::total_cmp);
         Trial {
             msgs_per_sec,
@@ -254,7 +272,11 @@ impl Loopback {
             t0.elapsed()
         });
         let msgs = threads as u64 * per_thread;
-        assert_eq!(self.sink.delivered() - before, msgs, "lost or duplicated deliveries");
+        assert_eq!(
+            self.sink.delivered() - before,
+            msgs,
+            "lost or duplicated deliveries"
+        );
         msgs as f64 / elapsed.as_secs_f64()
     }
 }
@@ -352,9 +374,8 @@ impl Section {
 
     /// The section as a JSON object (see `docs/PERFORMANCE.md`).
     pub fn json(&self) -> String {
-        let list = |f: fn(&Trial) -> String| {
-            self.trials.iter().map(f).collect::<Vec<_>>().join(", ")
-        };
+        let list =
+            |f: fn(&Trial) -> String| self.trials.iter().map(f).collect::<Vec<_>>().join(", ");
         let s = &self.msgs_per_sec;
         format!(
             "{{\n    \"trials\": {},\n    \"msgs_per_sec\": {:.0},\n    \"min_msgs_per_sec\": {:.0},\n    \"max_msgs_per_sec\": {:.0},\n    \"iqr_msgs_per_sec\": {:.0},\n    \"trial_msgs_per_sec\": [{}],\n    \"p50_route_ns\": {:.0},\n    \"p99_route_ns\": {:.0},\n    \"sent\": [{}],\n    \"delivered\": [{}]\n  }}",
@@ -454,7 +475,14 @@ impl Gate {
             Verdict::Fail,
             "{variant} costs {overhead_pct:.2}% of {baseline} throughput (budget {budget_pct}%, noise {noise_pct:.2}%)"
         );
-        Gate { baseline, variant, budget_pct, overhead_pct, noise_pct, verdict }
+        Gate {
+            baseline,
+            variant,
+            budget_pct,
+            overhead_pct,
+            noise_pct,
+            verdict,
+        }
     }
 
     /// The gate as a JSON object. Overhead and noise are written at
@@ -501,10 +529,28 @@ mod tests {
     #[test]
     fn spread_of_odd_and_even_samples() {
         let odd = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
-        assert_eq!(odd, Spread { min: 1.0, q1: 2.0, median: 3.0, q3: 4.0, max: 5.0 });
+        assert_eq!(
+            odd,
+            Spread {
+                min: 1.0,
+                q1: 2.0,
+                median: 3.0,
+                q3: 4.0,
+                max: 5.0
+            }
+        );
         assert_eq!(odd.iqr(), 2.0);
         let even = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(even, Spread { min: 1.0, q1: 1.75, median: 2.5, q3: 3.25, max: 4.0 });
+        assert_eq!(
+            even,
+            Spread {
+                min: 1.0,
+                q1: 1.75,
+                median: 2.5,
+                q3: 3.25,
+                max: 4.0
+            }
+        );
     }
 
     #[test]
@@ -512,14 +558,24 @@ mod tests {
         let mut order = Vec::new();
         let sections: [Section; 3] = run_trials(|c| {
             order.push(c);
-            Trial { msgs_per_sec: c as f64, p50_ns: 0, p99_ns: 0, sent: 1, delivered: 1 }
+            Trial {
+                msgs_per_sec: c as f64,
+                p50_ns: 0,
+                p99_ns: 0,
+                sent: 1,
+                delivered: 1,
+            }
         });
         let firsts: Vec<usize> = order.chunks(3).map(|round| round[0]).collect();
         assert_eq!(firsts, [0, 1, 2, 0, 1]);
         for round in order.chunks(3) {
             let mut configs = round.to_vec();
             configs.sort_unstable();
-            assert_eq!(configs, [0, 1, 2], "every round runs every configuration once");
+            assert_eq!(
+                configs,
+                [0, 1, 2],
+                "every round runs every configuration once"
+            );
         }
         for (c, section) in sections.iter().enumerate() {
             assert_eq!(section.trials.len(), TRIALS);

@@ -184,7 +184,10 @@ impl BrokerClient {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.endpoint.recv_with(Some(remaining), |frame| Message::from_bytes(frame))? {
+            match self
+                .endpoint
+                .recv_with(Some(remaining), |frame| Message::from_bytes(frame))?
+            {
                 Ok(msg) => return Ok(msg),
                 Err(_) if remaining.is_zero() => return Err(TransportError::Timeout),
                 Err(_) => {}

@@ -251,10 +251,7 @@ impl BrokerNetwork {
     /// Downs every listed inter-broker link at once — a partition.
     /// Returns how many links were scriptable.
     pub fn partition(&self, link_idxs: &[usize]) -> usize {
-        link_idxs
-            .iter()
-            .filter(|&&idx| self.drop_link(idx))
-            .count()
+        link_idxs.iter().filter(|&&idx| self.drop_link(idx)).count()
     }
 
     /// Installs a frame-rewriting adversary on inter-broker link `idx`

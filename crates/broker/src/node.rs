@@ -10,18 +10,18 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::{SessionKey, SessionKeyring, SessionVerdict, Uuid};
 use nb_metrics::{Counter, Gauge, Registry, Snapshot};
+use nb_monitor::{DeliveryEvent, MonitorSet};
+use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
+use nb_store::{Durable, DurableState, Recovery, StoreConfig};
 use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TelemetryConfig, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::TransportError;
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::constrained::{Action, Actor, ConstrainedTopic};
-use nb_wire::token::AuthorizationToken;
 use nb_wire::payload::{is_client_control_tag, is_neighbor_control_tag};
+use nb_wire::token::AuthorizationToken;
 use nb_wire::view::TopicView;
-use nb_monitor::{DeliveryEvent, MonitorSet};
-use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
-use nb_store::{Durable, DurableState, Recovery, StoreConfig};
 use nb_wire::{Message, MessageView, Payload, Topic};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -158,12 +158,14 @@ impl BrokerMetrics {
 
     /// Per-event-type publish counter (`broker.publish.topic.<family>`).
     fn published_for(&self, family: &str) -> Counter {
-        self.registry.counter(&format!("broker.publish.topic.{family}"))
+        self.registry
+            .counter(&format!("broker.publish.topic.{family}"))
     }
 
     /// Per-event-type delivery counter (`broker.deliver.topic.<family>`).
     fn delivered_for(&self, family: &str) -> Counter {
-        self.registry.counter(&format!("broker.deliver.topic.{family}"))
+        self.registry
+            .counter(&format!("broker.deliver.topic.{family}"))
     }
 }
 
@@ -879,8 +881,12 @@ fn route_steps(
     }
     if let Some(ctx) = &traced {
         let t_auth = now_ns();
-        inner.recorder.record(SpanEvent::new(ctx, Stage::Route, t0, t_route));
-        inner.recorder.record(SpanEvent::new(ctx, Stage::AuthCheck, t_route, t_auth));
+        inner
+            .recorder
+            .record(SpanEvent::new(ctx, Stage::Route, t0, t_route));
+        inner
+            .recorder
+            .record(SpanEvent::new(ctx, Stage::AuthCheck, t_route, t_auth));
     }
 
     // Distribution suppression: the constrainer's publishes stay local
@@ -930,7 +936,9 @@ fn route_steps(
     let stamp = |ctx: &Option<TraceContext>| if ctx.is_some() { now_ns() } else { 0 };
     let span = |ctx: &Option<TraceContext>, stage, start| {
         if let Some(ctx) = ctx {
-            inner.recorder.record(SpanEvent::new(ctx, stage, start, now_ns()));
+            inner
+                .recorder
+                .record(SpanEvent::new(ctx, stage, start, now_ns()));
         }
     };
     for dest in &entry.clients {
@@ -1021,13 +1029,22 @@ fn admit(
         }
     }
     *decoded = true;
-    let token = view.token.and_then(|b| AuthorizationToken::from_bytes(b).ok());
+    let token = view
+        .token
+        .and_then(|b| AuthorizationToken::from_bytes(b).ok());
     // The hosting broker knows the topic owner; a transit broker does
     // not, and `admits` then checks the window alone.
     let accepted = token.is_some_and(|token| {
-        let owner = inner.state.lock().owner_keys.get(&token.trace_topic).cloned();
+        let owner = inner
+            .state
+            .lock()
+            .owner_keys
+            .get(&token.trace_topic)
+            .cloned();
         let now = inner.clock.now_ms();
-        token.admits(owner.as_ref(), now, inner.config.token_skew_ms).is_ok()
+        token
+            .admits(owner.as_ref(), now, inner.config.token_skew_ms)
+            .is_ok()
     });
     if !accepted {
         m.dropped_spurious.inc();

@@ -31,13 +31,13 @@
 //! it, then take one shard write lock. No path ever holds a shard lock
 //! and the state lock simultaneously, so no lock-order cycle exists.
 
+use crossbeam::channel::Sender;
 use nb_crypto::Uuid;
 use nb_metrics::{Counter, Histogram, Registry};
 use nb_transport::endpoint::FrameSender;
 use nb_wire::constrained::{
     Action, Actor, AllowedActions, ConstrainedTopic, Constrainer, EventType,
 };
-use crossbeam::channel::Sender;
 use nb_wire::{Message, Topic, TopicView};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -359,8 +359,14 @@ mod tests {
         assert!(cache.lookup(hash, &view.topic).is_some());
 
         cache.bump();
-        assert!(cache.lookup(hash, &view.topic).is_none(), "stale after bump");
-        assert_eq!(registry.snapshot().counter("broker.route.cache_stale"), Some(1));
+        assert!(
+            cache.lookup(hash, &view.topic).is_none(),
+            "stale after bump"
+        );
+        assert_eq!(
+            registry.snapshot().counter("broker.route.cache_stale"),
+            Some(1)
+        );
 
         cache.insert(hash, cache.current_version(), entry("/A/B", &registry));
         assert!(cache.lookup(hash, &view.topic).is_some());
@@ -377,7 +383,11 @@ mod tests {
         cache.insert(hash, filled_at, Arc::clone(&cached));
         assert_eq!(Arc::strong_count(&cached), 2);
         cache.clear();
-        assert_eq!(Arc::strong_count(&cached), 1, "the cache let go of the entry");
+        assert_eq!(
+            Arc::strong_count(&cached),
+            1,
+            "the cache let go of the entry"
+        );
         // A fill that read its version before the clear lands after it.
         cache.insert(hash, filled_at, Arc::clone(&cached));
         assert_eq!(Arc::strong_count(&cached), 1);

@@ -469,8 +469,14 @@ fn relayed_trace_is_judged_on_its_token_alone() {
             valid_until_ms,
         )
         .unwrap();
-        let msg = Message::new(1, topic.clone(), "broker-0", now, Payload::Blob { data: vec![7; 8] })
-            .with_token(token);
+        let msg = Message::new(
+            1,
+            topic.clone(),
+            "broker-0",
+            now,
+            Payload::Blob { data: vec![7; 8] },
+        )
+        .with_token(token);
         let mut frame = msg.to_bytes();
         // A payload tag byte no payload has.
         let view = MessageView::parse(&frame).unwrap();
@@ -487,7 +493,11 @@ fn relayed_trace_is_judged_on_its_token_alone() {
     let mut frame = relayed(now - 1_000, now + 60_000);
     let sent = frame.clone();
     transit.ingest_neighbor_frame("broker-0", &mut frame);
-    assert_eq!(tracker.recv_timeout(TIMEOUT).unwrap(), sent, "forwarded as relayed");
+    assert_eq!(
+        tracker.recv_timeout(TIMEOUT).unwrap(),
+        sent,
+        "forwarded as relayed"
+    );
     assert_eq!(spurious(), 0);
     let events = monitor.metrics_snapshot().counter("monitor.events");
     assert_eq!((events, monitor.violation_count()), (Some(1), 0));

@@ -33,8 +33,8 @@ fn malformed_frames_count_as_bogus_and_terminate() {
     // limit of 3 the broker terminates the client.
     let msg = client.make_message(t("/x"), Payload::Ack);
     let _ = msg; // the client itself stays protocol-correct otherwise
-    // We can't send raw bytes through BrokerClient, so drive the limit
-    // through constrained-topic violations instead.
+                 // We can't send raw bytes through BrokerClient, so drive the limit
+                 // through constrained-topic violations instead.
     for _ in 0..3 {
         let _ = client.publish(
             t("/Constrained/Traces/Broker/Publish-Only/x/AllUpdates"),

@@ -15,11 +15,23 @@ fn anti_entropy_repairs_lost_adverts() {
     assert!(net.wait_for_mesh(Duration::from_secs(10)));
     let publisher = net.attach_client(0, "pub").unwrap();
     let subscriber = net.attach_client(1, "sub").unwrap();
-    subscriber.subscribe(Topic::parse("/Lossy/Topic").unwrap(), Duration::from_secs(10)).unwrap();
+    subscriber
+        .subscribe(
+            Topic::parse("/Lossy/Topic").unwrap(),
+            Duration::from_secs(10),
+        )
+        .unwrap();
     // Publish once per 100ms; with the advert repaired, one of these
     // must arrive within 20s.
     for i in 0..200u32 {
-        publisher.publish(Topic::parse("/Lossy/Topic").unwrap(), Payload::Blob { data: i.to_be_bytes().to_vec() }).unwrap();
+        publisher
+            .publish(
+                Topic::parse("/Lossy/Topic").unwrap(),
+                Payload::Blob {
+                    data: i.to_be_bytes().to_vec(),
+                },
+            )
+            .unwrap();
         if subscriber.next_message(Duration::from_millis(100)).is_ok() {
             eprintln!("delivered after {} publishes", i + 1);
             return;

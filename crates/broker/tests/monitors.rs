@@ -110,7 +110,12 @@ fn trace_message(broker: &Broker, trace_topic: Uuid, clock: &SharedClock) -> Mes
     )
 }
 
-fn valid_token(owner: &Credential, trace_topic: Uuid, now: u64, delegate: &RsaKeyPair) -> AuthorizationToken {
+fn valid_token(
+    owner: &Credential,
+    trace_topic: Uuid,
+    now: u64,
+    delegate: &RsaKeyPair,
+) -> AuthorizationToken {
     AuthorizationToken::issue(
         owner,
         trace_topic,
@@ -146,12 +151,18 @@ fn forged_token_in_flight_is_caught_on_the_audit_topic() {
     let subscriber = net.attach_client(1, "tracker").unwrap();
     let pub_topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
     subscriber.subscribe(pub_topic.clone(), TIMEOUT).unwrap();
-    assert!(net.broker(0).wait_for_remote_subscription(&pub_topic, TIMEOUT));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&pub_topic, TIMEOUT));
 
     // Clean phase: a genuine owner-signed token crosses both brokers.
     let now = clock.now_ms();
-    let msg = trace_message(net.broker(0), trace_topic, &clock)
-        .with_token(valid_token(&owner, trace_topic, now, &delegate));
+    let msg = trace_message(net.broker(0), trace_topic, &clock).with_token(valid_token(
+        &owner,
+        trace_topic,
+        now,
+        &delegate,
+    ));
     net.broker(0).publish_internal(msg);
     subscriber.next_message(TIMEOUT).expect("clean delivery");
     assert_eq!(monitor.violation_count(), 0, "clean token must not fire");
@@ -180,12 +191,18 @@ fn forged_token_in_flight_is_caught_on_the_audit_topic() {
     });
 
     let now = clock.now_ms();
-    let msg = trace_message(net.broker(0), trace_topic, &clock)
-        .with_token(valid_token(&owner, trace_topic, now, &delegate));
+    let msg = trace_message(net.broker(0), trace_topic, &clock).with_token(valid_token(
+        &owner,
+        trace_topic,
+        now,
+        &delegate,
+    ));
     net.broker(0).publish_internal(msg);
 
     // The misbehaving broker still delivers the forged message…
-    subscriber.next_message(TIMEOUT).expect("lax broker delivers");
+    subscriber
+        .next_message(TIMEOUT)
+        .expect("lax broker delivers");
     // …but the monitor flags it and reports on the audit topic.
     let report = next_audit_report(&auditor, &monitor);
     assert_eq!(report.property, "auth");
@@ -221,11 +238,13 @@ fn stripped_and_inflated_ttl_are_caught() {
     let subscriber = net.attach_client(1, "tracker").unwrap();
     let pub_topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
     subscriber.subscribe(pub_topic.clone(), TIMEOUT).unwrap();
-    assert!(net.broker(0).wait_for_remote_subscription(&pub_topic, TIMEOUT));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&pub_topic, TIMEOUT));
 
     // Clean phase: a traced frame arrives at broker-1 with hop 1.
-    let msg = trace_message(net.broker(0), trace_topic, &clock)
-        .with_trace(TraceContext::root(0, false));
+    let msg =
+        trace_message(net.broker(0), trace_topic, &clock).with_trace(TraceContext::root(0, false));
     net.broker(0).publish_internal(msg);
     subscriber.next_message(TIMEOUT).expect("clean delivery");
     assert_eq!(monitor.violation_count(), 0, "in-bound TTL must not fire");
@@ -240,13 +259,19 @@ fn stripped_and_inflated_ttl_are_caught() {
         }
         msg.to_bytes()
     });
-    let msg = trace_message(net.broker(0), trace_topic, &clock)
-        .with_trace(TraceContext::root(0, false));
+    let msg =
+        trace_message(net.broker(0), trace_topic, &clock).with_trace(TraceContext::root(0, false));
     net.broker(0).publish_internal(msg);
-    subscriber.next_message(TIMEOUT).expect("stripped frame still delivered");
+    subscriber
+        .next_message(TIMEOUT)
+        .expect("stripped frame still delivered");
     let report = next_audit_report(&auditor, &monitor);
     assert_eq!(report.property, "ttl-strip");
-    assert!(report.detail.contains("missing"), "detail: {}", report.detail);
+    assert!(
+        report.detail.contains("missing"),
+        "detail: {}",
+        report.detail
+    );
 
     // Attack 2: inflate the hop counter past the property bound (2)
     // but under the broker TTL (16), so routing does not drop it.
@@ -260,13 +285,19 @@ fn stripped_and_inflated_ttl_are_caught() {
         }
         msg.to_bytes()
     });
-    let msg = trace_message(net.broker(0), trace_topic, &clock)
-        .with_trace(TraceContext::root(0, false));
+    let msg =
+        trace_message(net.broker(0), trace_topic, &clock).with_trace(TraceContext::root(0, false));
     net.broker(0).publish_internal(msg);
-    subscriber.next_message(TIMEOUT).expect("inflated frame still delivered");
+    subscriber
+        .next_message(TIMEOUT)
+        .expect("inflated frame still delivered");
     let report = next_audit_report(&auditor, &monitor);
     assert_eq!(report.property, "ttl");
-    assert!(report.detail.contains("exceeds"), "detail: {}", report.detail);
+    assert!(
+        report.detail.contains("exceeds"),
+        "detail: {}",
+        report.detail
+    );
     assert_eq!(monitor.violation_count(), 2);
 }
 
@@ -280,22 +311,25 @@ fn replayed_frames_are_caught_exactly_once_violation() {
     let mut rng = StdRng::seed_from_u64(43);
     let trace_topic = Uuid::new_v4(&mut rng);
 
-    let (monitor, auditor) = attach_monitor(
-        &net,
-        1,
-        "replay: exactly-once on /Constrained/Traces/#\n",
-    );
+    let (monitor, auditor) =
+        attach_monitor(&net, 1, "replay: exactly-once on /Constrained/Traces/#\n");
 
     let subscriber = net.attach_client(1, "tracker").unwrap();
     let pub_topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
     subscriber.subscribe(pub_topic.clone(), TIMEOUT).unwrap();
-    assert!(net.broker(0).wait_for_remote_subscription(&pub_topic, TIMEOUT));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&pub_topic, TIMEOUT));
 
     // Clean phase.
     net.broker(0)
         .publish_internal(trace_message(net.broker(0), trace_topic, &clock));
     subscriber.next_message(TIMEOUT).expect("clean delivery");
-    assert_eq!(monitor.violation_count(), 0, "single delivery must not fire");
+    assert_eq!(
+        monitor.violation_count(),
+        0,
+        "single delivery must not fire"
+    );
 
     // Attack phase: the link now replays every frame once.
     assert!(net.replay_link(0, 1));
@@ -308,7 +342,11 @@ fn replayed_frames_are_caught_exactly_once_violation() {
     // …and the monitor flags the duplicate.
     let report = next_audit_report(&auditor, &monitor);
     assert_eq!(report.property, "replay");
-    assert!(report.detail.contains("duplicate"), "detail: {}", report.detail);
+    assert!(
+        report.detail.contains("duplicate"),
+        "detail: {}",
+        report.detail
+    );
     assert_eq!(monitor.violation_count(), 1);
     assert_eq!(
         monitor
@@ -338,7 +376,9 @@ fn events_are_stamped_with_the_broker_clock() {
     let subscriber = net.attach_client(1, "tracker").unwrap();
     let pub_topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
     subscriber.subscribe(pub_topic.clone(), TIMEOUT).unwrap();
-    assert!(net.broker(0).wait_for_remote_subscription(&pub_topic, TIMEOUT));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&pub_topic, TIMEOUT));
 
     let now = clock.now_ms();
     let expired = AuthorizationToken::issue(
@@ -354,7 +394,9 @@ fn events_are_stamped_with_the_broker_clock() {
     msg.timestamp_ms = now - 90_000;
     net.broker(0).publish_internal(msg);
 
-    subscriber.next_message(TIMEOUT).expect("lax broker delivers");
+    subscriber
+        .next_message(TIMEOUT)
+        .expect("lax broker delivers");
     let report = next_audit_report(&auditor, &monitor);
     assert_eq!(report.property, "auth");
     assert!(
@@ -371,7 +413,12 @@ fn events_are_stamped_with_the_broker_clock() {
 /// leaves no recipient, and the monitor must see no event.
 #[test]
 fn no_event_without_a_recipient() {
-    let net = BrokerNetwork::chain(1, LinkConfig::instant(), system_clock(), BrokerConfig::default());
+    let net = BrokerNetwork::chain(
+        1,
+        LinkConfig::instant(),
+        system_clock(),
+        BrokerConfig::default(),
+    );
     let specs = parse_properties("replay: exactly-once on /Echo/#\n").unwrap();
     let monitor = MonitorSet::new(specs, credential("Monitor"), 100);
     net.broker(0).attach_monitor(monitor.clone());
@@ -392,5 +439,8 @@ fn no_event_without_a_recipient() {
     let stats = net.broker(0).stats();
     assert_eq!(stats.published, 5);
     assert_eq!(stats.delivered_local, 0);
-    assert_eq!(monitor.metrics_snapshot().counter("monitor.events"), Some(0));
+    assert_eq!(
+        monitor.metrics_snapshot().counter("monitor.events"),
+        Some(0)
+    );
 }

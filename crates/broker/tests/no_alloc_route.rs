@@ -127,15 +127,25 @@ fn warm_route_path_never_allocates() {
                 control.clone(),
                 "sub",
                 0,
-                Payload::Attach { client_id: "sub".into() },
+                Payload::Attach {
+                    client_id: "sub".into(),
+                },
             )
             .to_bytes(),
         )
         .unwrap();
     frames_tx
         .send(
-            Message::new(2, control, "sub", 0, Payload::Subscribe { filter: topic.clone() })
-                .to_bytes(),
+            Message::new(
+                2,
+                control,
+                "sub",
+                0,
+                Payload::Subscribe {
+                    filter: topic.clone(),
+                },
+            )
+            .to_bytes(),
         )
         .unwrap();
 
@@ -147,7 +157,10 @@ fn warm_route_path_never_allocates() {
         topic,
         "pub",
         0,
-        Payload::Ping { seq: 0, sent_at_ms: 0 },
+        Payload::Ping {
+            seq: 0,
+            sent_at_ms: 0,
+        },
     );
     let mut frame = message.to_bytes();
 
@@ -170,7 +183,10 @@ fn warm_route_path_never_allocates() {
 
     // Head-sampled: the same pipeline records its spans into the
     // lock-free flight recorder.
-    let mut sampled = message.clone().with_trace(TraceContext::root(0, true)).to_bytes();
+    let mut sampled = message
+        .clone()
+        .with_trace(TraceContext::root(0, true))
+        .to_bytes();
     let recorded = broker.flight_recorder().recorded();
     assert_route_never_allocates("head-sampled client frame", &sink, || {
         broker.ingest_client_frame("pub", &mut sampled)
@@ -189,8 +205,15 @@ fn warm_route_path_never_allocates() {
         relayed.copy_from_slice(&template);
         broker.ingest_neighbor_frame("peer", &mut relayed)
     });
-    let hop = MessageView::parse(&relayed).unwrap().trace.map(|ctx| ctx.hop_count);
-    assert_eq!(hop, Some(1), "the relayed frame carries the incremented hop");
+    let hop = MessageView::parse(&relayed)
+        .unwrap()
+        .trace
+        .map(|ctx| ctx.hop_count);
+    assert_eq!(
+        hop,
+        Some(1),
+        "the relayed frame carries the incremented hop"
+    );
 
     // A session-tagged trace publication relayed from a neighbour:
     // tokens are required on trace topics, and this broker holds the
@@ -288,13 +311,19 @@ fn warm_route_path_never_allocates() {
     );
     publisher.send(&attach.to_bytes()).unwrap();
     let ack = publisher.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert!(matches!(Message::from_bytes(&ack).unwrap().payload, Payload::Ack));
+    assert!(matches!(
+        Message::from_bytes(&ack).unwrap().payload,
+        Payload::Ack
+    ));
     let published = Message::new(
         9,
         Topic::parse("/Sensor/NoAlloc/Temp").unwrap(),
         "tcp-pub",
         0,
-        Payload::Ping { seq: 0, sent_at_ms: 0 },
+        Payload::Ping {
+            seq: 0,
+            sent_at_ms: 0,
+        },
     )
     .to_bytes();
     assert_route_never_allocates("TCP client ingress", &sink, || {

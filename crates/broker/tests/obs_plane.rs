@@ -84,7 +84,12 @@ fn unauthorized_client_publisher_is_refused() {
     // A client is not the `Obs` constrainer: its publish on the
     // Publish-Only Obs topic must be refused at the broker.
     let mallory = net.attach_client(0, "mallory").unwrap();
-    let _ = mallory.publish(telemetry_topic(), Payload::Blob { data: vec![0xde, 0xad] });
+    let _ = mallory.publish(
+        telemetry_topic(),
+        Payload::Blob {
+            data: vec![0xde, 0xad],
+        },
+    );
 
     let deadline = Instant::now() + TIMEOUT;
     while counter(&broker, "broker.reject.constraint") == rejected_before
@@ -118,8 +123,12 @@ fn three_broker_aggregator_converges_exactly_under_flaky_link_and_replay() {
     home.subscribe_internal("agg", telemetry_topic()).unwrap();
     // Let the subscription advert gossip across the chain before
     // anything publishes, so no pre-fault frame is lost to a race.
-    assert!(net.broker(1).wait_for_remote_subscription(&telemetry_topic(), TIMEOUT));
-    assert!(net.broker(2).wait_for_remote_subscription(&telemetry_topic(), TIMEOUT));
+    assert!(net
+        .broker(1)
+        .wait_for_remote_subscription(&telemetry_topic(), TIMEOUT));
+    assert!(net
+        .broker(2)
+        .wait_for_remote_subscription(&telemetry_topic(), TIMEOUT));
 
     // Each node reports a private registry only this test mutates, so
     // expected totals are exact, not racing live broker counters.

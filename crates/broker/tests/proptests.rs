@@ -9,23 +9,41 @@ use std::collections::{HashMap, HashSet};
 
 #[derive(Debug, Clone)]
 enum Op {
-    AddLocal { consumer: u8, topic: u8, suppressed: bool },
-    RemoveLocal { consumer: u8, topic: u8 },
-    RemoveConsumer { consumer: u8 },
-    AddRemote { neighbor: u8, topic: u8 },
-    RemoveRemote { neighbor: u8, topic: u8 },
-    RemoveNeighbor { neighbor: u8 },
+    AddLocal {
+        consumer: u8,
+        topic: u8,
+        suppressed: bool,
+    },
+    RemoveLocal {
+        consumer: u8,
+        topic: u8,
+    },
+    RemoveConsumer {
+        consumer: u8,
+    },
+    AddRemote {
+        neighbor: u8,
+        topic: u8,
+    },
+    RemoveRemote {
+        neighbor: u8,
+        topic: u8,
+    },
+    RemoveNeighbor {
+        neighbor: u8,
+    },
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0u8..4, 0u8..6, any::<bool>())
-                .prop_map(|(consumer, topic, suppressed)| Op::AddLocal {
+            (0u8..4, 0u8..6, any::<bool>()).prop_map(|(consumer, topic, suppressed)| {
+                Op::AddLocal {
                     consumer,
                     topic,
-                    suppressed
-                }),
+                    suppressed,
+                }
+            }),
             (0u8..4, 0u8..6).prop_map(|(consumer, topic)| Op::RemoveLocal { consumer, topic }),
             (0u8..4).prop_map(|consumer| Op::RemoveConsumer { consumer }),
             (0u8..3, 0u8..6).prop_map(|(neighbor, topic)| Op::AddRemote { neighbor, topic }),
@@ -50,13 +68,24 @@ fn neighbor(i: u8) -> String {
 
 fn apply(table: &mut SubscriptionTable, op: Op) -> bool {
     match op {
-        Op::AddLocal { consumer: c, topic: t, suppressed } => {
-            table.add_local(&consumer(c), topic(t), suppressed)
-        }
-        Op::RemoveLocal { consumer: c, topic: t } => table.remove_local(&consumer(c), &topic(t)),
+        Op::AddLocal {
+            consumer: c,
+            topic: t,
+            suppressed,
+        } => table.add_local(&consumer(c), topic(t), suppressed),
+        Op::RemoveLocal {
+            consumer: c,
+            topic: t,
+        } => table.remove_local(&consumer(c), &topic(t)),
         Op::RemoveConsumer { consumer: c } => table.remove_consumer(&consumer(c)),
-        Op::AddRemote { neighbor: n, topic: t } => table.add_remote(&neighbor(n), topic(t)),
-        Op::RemoveRemote { neighbor: n, topic: t } => table.remove_remote(&neighbor(n), &topic(t)),
+        Op::AddRemote {
+            neighbor: n,
+            topic: t,
+        } => table.add_remote(&neighbor(n), topic(t)),
+        Op::RemoveRemote {
+            neighbor: n,
+            topic: t,
+        } => table.remove_remote(&neighbor(n), &topic(t)),
         Op::RemoveNeighbor { neighbor: n } => table.remove_neighbor(&neighbor(n)),
     }
 }

@@ -37,7 +37,11 @@ fn collect_from(sub: &nb_broker::BrokerClient, expected: usize, senders: usize, 
         };
         let seq = u32::from_be_bytes(data[..4].try_into().unwrap());
         match last_seq.get(&msg.sender) {
-            None => assert_eq!(seq, 0, "{who}: first message from {} out of order", msg.sender),
+            None => assert_eq!(
+                seq, 0,
+                "{who}: first message from {} out of order",
+                msg.sender
+            ),
             Some(&prev) => assert_eq!(
                 seq,
                 prev + 1,
@@ -48,7 +52,11 @@ fn collect_from(sub: &nb_broker::BrokerClient, expected: usize, senders: usize, 
         last_seq.insert(msg.sender.clone(), seq);
         received += 1;
     }
-    assert_eq!(last_seq.len(), senders, "{who}: missing a publisher entirely");
+    assert_eq!(
+        last_seq.len(),
+        senders,
+        "{who}: missing a publisher entirely"
+    );
 }
 
 /// See [`collect_from`] — the common case with `PUBLISHERS` senders.
@@ -68,11 +76,17 @@ fn concurrent_publishers_lose_and_duplicate_nothing() {
 
     let local_sub = net.attach_client(0, "sub-local").unwrap();
     let remote_sub = net.attach_client(1, "sub-remote").unwrap();
-    local_sub.subscribe(topic(), Duration::from_secs(10)).unwrap();
-    remote_sub.subscribe(topic(), Duration::from_secs(10)).unwrap();
+    local_sub
+        .subscribe(topic(), Duration::from_secs(10))
+        .unwrap();
+    remote_sub
+        .subscribe(topic(), Duration::from_secs(10))
+        .unwrap();
     // Publishing starts only once broker 0 has seen broker 1's advert,
     // otherwise early messages are (correctly) never forwarded.
-    assert!(net.broker(0).wait_for_remote_subscription(&topic(), Duration::from_secs(10)));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&topic(), Duration::from_secs(10)));
 
     // Subscription churn on the hot topic and a cold one, running for
     // the whole publish phase: every cycle bumps the route version and
@@ -86,9 +100,15 @@ fn concurrent_publishers_lose_and_duplicate_nothing() {
             let mut cycles = 0u32;
             while !stop.load(Ordering::Relaxed) || cycles < 20 {
                 churner.subscribe(topic(), Duration::from_secs(5)).unwrap();
-                churner.subscribe(cold.clone(), Duration::from_secs(5)).unwrap();
-                churner.unsubscribe(topic(), Duration::from_secs(5)).unwrap();
-                churner.unsubscribe(cold.clone(), Duration::from_secs(5)).unwrap();
+                churner
+                    .subscribe(cold.clone(), Duration::from_secs(5))
+                    .unwrap();
+                churner
+                    .unsubscribe(topic(), Duration::from_secs(5))
+                    .unwrap();
+                churner
+                    .unsubscribe(cold.clone(), Duration::from_secs(5))
+                    .unwrap();
                 cycles += 1;
             }
         })
@@ -100,7 +120,12 @@ fn concurrent_publishers_lose_and_duplicate_nothing() {
             std::thread::spawn(move || {
                 for seq in 0..PER_PUBLISHER {
                     client
-                        .publish(topic(), Payload::Blob { data: seq.to_be_bytes().to_vec() })
+                        .publish(
+                            topic(),
+                            Payload::Blob {
+                                data: seq.to_be_bytes().to_vec(),
+                            },
+                        )
                         .unwrap();
                 }
             })
@@ -153,7 +178,9 @@ fn mid_flood_unsubscribe_never_delivers_to_a_stale_subscriber() {
     let victim = net.attach_client(0, "victim").unwrap();
     keeper.subscribe(topic(), Duration::from_secs(10)).unwrap();
     victim.subscribe(topic(), Duration::from_secs(10)).unwrap();
-    assert!(net.broker(0).wait_for_remote_subscription(&topic(), Duration::from_secs(10)));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&topic(), Duration::from_secs(10)));
 
     let publishers: Vec<_> = (0..PUBLISHERS)
         .map(|p| {
@@ -161,7 +188,12 @@ fn mid_flood_unsubscribe_never_delivers_to_a_stale_subscriber() {
             std::thread::spawn(move || {
                 for seq in 0..PER_PUBLISHER {
                     client
-                        .publish(topic(), Payload::Blob { data: seq.to_be_bytes().to_vec() })
+                        .publish(
+                            topic(),
+                            Payload::Blob {
+                                data: seq.to_be_bytes().to_vec(),
+                            },
+                        )
                         .unwrap();
                 }
             })
@@ -171,10 +203,16 @@ fn mid_flood_unsubscribe_never_delivers_to_a_stale_subscriber() {
     // Mid-flood: the victim proves it is receiving, then changes its
     // subscription policy — off the hot topic, onto the cold one.
     for _ in 0..100 {
-        victim.next_message(Duration::from_secs(10)).expect("victim receives mid-flood");
+        victim
+            .next_message(Duration::from_secs(10))
+            .expect("victim receives mid-flood");
     }
-    victim.unsubscribe(topic(), Duration::from_secs(10)).unwrap();
-    victim.subscribe(cold.clone(), Duration::from_secs(10)).unwrap();
+    victim
+        .unsubscribe(topic(), Duration::from_secs(10))
+        .unwrap();
+    victim
+        .subscribe(cold.clone(), Duration::from_secs(10))
+        .unwrap();
 
     // Drain deliveries routed before the ack (already queued or in
     // flight on the instant links) until the victim's queue goes quiet.
@@ -189,15 +227,27 @@ fn mid_flood_unsubscribe_never_delivers_to_a_stale_subscriber() {
     // topic so the victim's new subscription proves live.
     let late = net.attach_client(0, "pub-late").unwrap();
     for seq in 0..200u32 {
-        late.publish(topic(), Payload::Blob { data: seq.to_be_bytes().to_vec() })
-            .unwrap();
-    }
-    late.publish(cold.clone(), Payload::Blob { data: u32::MAX.to_be_bytes().to_vec() })
+        late.publish(
+            topic(),
+            Payload::Blob {
+                data: seq.to_be_bytes().to_vec(),
+            },
+        )
         .unwrap();
+    }
+    late.publish(
+        cold.clone(),
+        Payload::Blob {
+            data: u32::MAX.to_be_bytes().to_vec(),
+        },
+    )
+    .unwrap();
 
     // The victim sees exactly the cold marker — zero stale hot-topic
     // deliveries — and then nothing.
-    let marker = victim.next_message(Duration::from_secs(10)).expect("cold marker arrives");
+    let marker = victim
+        .next_message(Duration::from_secs(10))
+        .expect("cold marker arrives");
     assert_eq!(marker.topic, cold, "stale delivery after unsubscribe ack");
     assert!(
         victim.next_message(Duration::from_millis(500)).is_err(),

@@ -96,7 +96,9 @@ fn subscribe_tracker(net: &BrokerNetwork, trace_topic: Uuid) -> nb_broker::Broke
     let subscriber = net.attach_client(1, "tracker").unwrap();
     let pub_topic = topics::publication(&trace_topic, TraceCategory::AllUpdates);
     subscriber.subscribe(pub_topic.clone(), TIMEOUT).unwrap();
-    assert!(net.broker(0).wait_for_remote_subscription(&pub_topic, TIMEOUT));
+    assert!(net
+        .broker(0)
+        .wait_for_remote_subscription(&pub_topic, TIMEOUT));
     subscriber
 }
 
@@ -253,7 +255,11 @@ fn revoked_session_replay_fires_exactly_one_violation() {
     let subscriber = subscribe_tracker(&net, trace_topic);
 
     // Clean phase: the tagged frame crosses both brokers, silently.
-    let msg = tag_under(trace_message(net.broker(0), trace_topic, &clock), &old_key, 1);
+    let msg = tag_under(
+        trace_message(net.broker(0), trace_topic, &clock),
+        &old_key,
+        1,
+    );
     net.broker(0).publish_internal(msg.clone());
     subscriber.next_message(TIMEOUT).expect("clean delivery");
     assert_eq!(monitor.violation_count(), 0, "clean run must stay silent");
@@ -286,7 +292,11 @@ fn revoked_session_replay_fires_exactly_one_violation() {
 
     // Rotation completes: traffic under the new key flows, and the
     // violation count stays at one.
-    let msg = tag_under(trace_message(net.broker(0), trace_topic, &clock), &new_key, 1);
+    let msg = tag_under(
+        trace_message(net.broker(0), trace_topic, &clock),
+        &new_key,
+        1,
+    );
     net.broker(0).publish_internal(msg);
     subscriber.next_message(TIMEOUT).expect("new key delivers");
     assert_eq!(monitor.violation_count(), 1);
@@ -322,7 +332,13 @@ fn session_tag_does_not_shield_a_client_from_punishment() {
         notice.payload
     );
     let stats = net.broker(0).stats();
-    assert_eq!(stats.rejected, 3, "each attempt up to the limit is a rejection");
+    assert_eq!(
+        stats.rejected, 3,
+        "each attempt up to the limit is a rejection"
+    );
     assert_eq!(stats.terminated_clients, 1);
-    assert_eq!(stats.dropped_spurious, 0, "no frame reached token admission");
+    assert_eq!(
+        stats.dropped_spurious, 0,
+        "no frame reached token admission"
+    );
 }

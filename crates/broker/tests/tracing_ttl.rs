@@ -115,7 +115,9 @@ fn sampled_messages_leave_a_span_trail_on_every_broker() {
         .unwrap();
     let delivered = sub.next_message(TIMEOUT).unwrap();
     assert_eq!(
-        delivered.trace.map(|c| (c.trace_id, c.hop_count, c.sampled)),
+        delivered
+            .trace
+            .map(|c| (c.trace_id, c.hop_count, c.sampled)),
         Some((ctx.trace_id, 1, true)),
         "context must propagate with the hop count incremented"
     );

@@ -99,7 +99,11 @@ impl Histogram {
             // `record` bumps `count` before `fetch_min`, so a snapshot
             // racing the very first observation can see count > 0 with
             // `min` still at its u64::MAX sentinel; never leak it.
-            min: if count == 0 || min == u64::MAX { 0 } else { min },
+            min: if count == 0 || min == u64::MAX {
+                0
+            } else {
+                min
+            },
             max: inner.max.load(Ordering::Relaxed),
             buckets,
         }
@@ -108,7 +112,9 @@ impl Histogram {
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram").field("count", &self.count()).finish()
+        f.debug_struct("Histogram")
+            .field("count", &self.count())
+            .finish()
     }
 }
 

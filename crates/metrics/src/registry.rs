@@ -232,7 +232,12 @@ mod tests {
         let r = Registry::new();
         r.counter("b");
         r.counter("a");
-        let names: Vec<_> = r.snapshot().entries().iter().map(|e| e.name.clone()).collect();
+        let names: Vec<_> = r
+            .snapshot()
+            .entries()
+            .iter()
+            .map(|e| e.name.clone())
+            .collect();
         assert_eq!(names, vec!["a", "b"]);
     }
 

@@ -173,7 +173,10 @@ impl Snapshot {
                         })
                     }
                 };
-                SnapshotEntry { name: e.name.clone(), value }
+                SnapshotEntry {
+                    name: e.name.clone(),
+                    value,
+                }
             })
             .collect();
         Snapshot::from_entries(entries)
@@ -308,10 +311,7 @@ mod tests {
         let b = Registry::new();
         b.gauge("depth").set(-2);
 
-        let merged = a
-            .snapshot()
-            .prefixed("a")
-            .merge(b.snapshot().prefixed("b"));
+        let merged = a.snapshot().prefixed("a").merge(b.snapshot().prefixed("b"));
         assert_eq!(merged.counter("a.hits"), Some(1));
         assert_eq!(merged.gauge("b.depth"), Some(-2));
         assert_eq!(merged.len(), 2);
@@ -426,7 +426,10 @@ mod tests {
         let later = r.snapshot();
         let rebuilt = earlier.accumulate(&later.delta(&earlier));
         assert_eq!(rebuilt.counter("n"), later.counter("n"));
-        let (a, b) = (rebuilt.histogram("lat").unwrap(), later.histogram("lat").unwrap());
+        let (a, b) = (
+            rebuilt.histogram("lat").unwrap(),
+            later.histogram("lat").unwrap(),
+        );
         assert_eq!(a.count, b.count);
         assert_eq!(a.sum, b.sum);
         assert_eq!(a.buckets, b.buckets);

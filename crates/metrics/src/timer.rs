@@ -53,7 +53,8 @@ impl Timer {
 impl Drop for Timer {
     fn drop(&mut self) {
         if !self.done {
-            self.histogram.record(self.start.elapsed().as_micros() as u64);
+            self.histogram
+                .record(self.start.elapsed().as_micros() as u64);
         }
     }
 }

@@ -21,8 +21,7 @@ enum Op {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (arb_name(), 0u64..10_000).prop_map(|(n, v)| Op::Count(format!("c.{n}"), v)),
-        (arb_name(), 0u64..1000)
-            .prop_map(|(n, v)| Op::Gauge(format!("g.{n}"), v as i64 - 500)),
+        (arb_name(), 0u64..1000).prop_map(|(n, v)| Op::Gauge(format!("g.{n}"), v as i64 - 500)),
         (arb_name(), 0u64..1_000_000).prop_map(|(n, v)| Op::Record(format!("h.{n}"), v)),
     ]
 }

@@ -168,7 +168,7 @@ impl ClusterAggregator {
                     ring_capacity: config.ring_capacity.max(2),
                     degraded_after: config.degraded_after.max(1),
                     down_after: config.down_after.max(2),
-                    },
+                },
                 trusted_key: RwLock::new(None),
                 nodes: Mutex::new(BTreeMap::new()),
                 metrics: AggMetrics::new(),
@@ -218,17 +218,19 @@ impl ClusterAggregator {
     pub fn ingest_frame(&self, frame: TelemetryFrame) -> bool {
         let inner = &*self.inner;
         let mut nodes = inner.nodes.lock();
-        let series = nodes.entry(frame.node.clone()).or_insert_with(|| NodeSeries {
-            kind: frame.kind,
-            last_seq: 0,
-            interval_ms: frame.interval_ms.max(1),
-            last_heard_ms: 0,
-            frames: 0,
-            flaps: 0,
-            state: HealthState::Up,
-            total: Snapshot::default(),
-            ring: VecDeque::new(),
-        });
+        let series = nodes
+            .entry(frame.node.clone())
+            .or_insert_with(|| NodeSeries {
+                kind: frame.kind,
+                last_seq: 0,
+                interval_ms: frame.interval_ms.max(1),
+                last_heard_ms: 0,
+                frames: 0,
+                flaps: 0,
+                state: HealthState::Up,
+                total: Snapshot::default(),
+                ring: VecDeque::new(),
+            });
         if series.frames > 0 && frame.seq <= series.last_seq {
             inner.metrics.duplicate.inc();
             return false;
@@ -253,7 +255,9 @@ impl ClusterAggregator {
         } else {
             overlay(&series.total, &frame.snapshot)
         };
-        series.ring.push_back((frame.clock_ms, series.total.clone()));
+        series
+            .ring
+            .push_back((frame.clock_ms, series.total.clone()));
         while series.ring.len() > inner.config.ring_capacity {
             series.ring.pop_front();
         }
@@ -403,7 +407,13 @@ mod tests {
     use super::*;
     use nb_metrics::Registry;
 
-    fn frame(node: &str, seq: u64, clock_ms: u64, full: bool, snapshot: Snapshot) -> TelemetryFrame {
+    fn frame(
+        node: &str,
+        seq: u64,
+        clock_ms: u64,
+        full: bool,
+        snapshot: Snapshot,
+    ) -> TelemetryFrame {
         TelemetryFrame {
             node: node.into(),
             kind: NodeKind::Broker,
@@ -441,7 +451,10 @@ mod tests {
         assert!(!agg.ingest_frame(frame("b0", 1, 200, false, counters(&[("x", 2)]))));
         assert!(!agg.ingest_frame(frame("b0", 0, 100, true, counters(&[("x", 1)]))));
         assert_eq!(agg.node_total("b0").unwrap().counter("x"), Some(2));
-        assert_eq!(agg.metrics_snapshot().counter("obs.frames.duplicate"), Some(2));
+        assert_eq!(
+            agg.metrics_snapshot().counter("obs.frames.duplicate"),
+            Some(2)
+        );
     }
 
     #[test]
@@ -516,7 +529,9 @@ mod tests {
             Topic::parse("/Some/Other/Topic").unwrap(),
             "x",
             0,
-            Payload::Blob { data: vec![1, 2, 3] },
+            Payload::Blob {
+                data: vec![1, 2, 3],
+            },
         );
         assert!(!agg.ingest(&off_topic));
         let garbage = Message::new(
@@ -524,10 +539,15 @@ mod tests {
             crate::telemetry_topic(),
             "x",
             0,
-            Payload::Blob { data: vec![1, 2, 3] },
+            Payload::Blob {
+                data: vec![1, 2, 3],
+            },
         );
         assert!(!agg.ingest(&garbage));
-        assert_eq!(agg.metrics_snapshot().counter("obs.frames.rejected"), Some(1));
+        assert_eq!(
+            agg.metrics_snapshot().counter("obs.frames.rejected"),
+            Some(1)
+        );
         assert!(agg.nodes().is_empty());
     }
 }

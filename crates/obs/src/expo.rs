@@ -95,7 +95,9 @@ pub fn prometheus_text(agg: &ClusterAggregator, now_ms: u64) -> String {
 }
 
 fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn json_snapshot(snapshot: &Snapshot) -> String {
@@ -216,7 +218,10 @@ mod tests {
         assert!(text.contains("obs_obs_frames_accepted{scope=\"aggregator\"} 2"));
         // Every line is `name{labels} value`.
         for line in text.lines() {
-            assert!(line.contains('{') && line.contains("} "), "bad line: {line}");
+            assert!(
+                line.contains('{') && line.contains("} "),
+                "bad line: {line}"
+            );
         }
     }
 
@@ -230,10 +235,7 @@ mod tests {
         assert!(json.contains("\"cluster\": {"));
         assert!(json.contains("\"broker.publish.accepted\": 10"));
         // Balanced braces/brackets (hand-built JSON sanity).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count(),);
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -156,39 +156,40 @@ impl TelemetryFrame {
         let full = r.get_bool()?;
         let entries = r.get_seq(|r| {
             let name = r.get_str()?;
-            let value = match r.get_u8()? {
-                VALUE_COUNTER => SnapshotValue::Counter(r.get_varint()?),
-                VALUE_GAUGE => SnapshotValue::Gauge(r.get_u64()? as i64),
-                VALUE_HISTOGRAM => {
-                    let count = r.get_varint()?;
-                    let sum = r.get_u64()?;
-                    let min = r.get_varint()?;
-                    let max = r.get_varint()?;
-                    let mut h = HistogramSummary::empty();
-                    h.count = count;
-                    h.sum = sum;
-                    h.min = min;
-                    h.max = max;
-                    let pairs = r.get_seq(|r| {
-                        let idx = r.get_u8()?;
-                        let n = r.get_varint()?;
-                        Ok((idx, n))
-                    })?;
-                    for (idx, n) in pairs {
-                        let slot = h.buckets.get_mut(idx as usize).ok_or(
-                            WireError::LengthOverflow("telemetry histogram bucket index"),
-                        )?;
-                        *slot = n;
+            let value =
+                match r.get_u8()? {
+                    VALUE_COUNTER => SnapshotValue::Counter(r.get_varint()?),
+                    VALUE_GAUGE => SnapshotValue::Gauge(r.get_u64()? as i64),
+                    VALUE_HISTOGRAM => {
+                        let count = r.get_varint()?;
+                        let sum = r.get_u64()?;
+                        let min = r.get_varint()?;
+                        let max = r.get_varint()?;
+                        let mut h = HistogramSummary::empty();
+                        h.count = count;
+                        h.sum = sum;
+                        h.min = min;
+                        h.max = max;
+                        let pairs = r.get_seq(|r| {
+                            let idx = r.get_u8()?;
+                            let n = r.get_varint()?;
+                            Ok((idx, n))
+                        })?;
+                        for (idx, n) in pairs {
+                            let slot = h.buckets.get_mut(idx as usize).ok_or(
+                                WireError::LengthOverflow("telemetry histogram bucket index"),
+                            )?;
+                            *slot = n;
+                        }
+                        SnapshotValue::Histogram(h)
                     }
-                    SnapshotValue::Histogram(h)
-                }
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        what: "telemetry value kind",
-                        tag,
-                    })
-                }
-            };
+                    tag => {
+                        return Err(WireError::UnknownTag {
+                            what: "telemetry value kind",
+                            tag,
+                        })
+                    }
+                };
             Ok(SnapshotEntry { name, value })
         })?;
         r.expect_end("telemetry frame")?;
@@ -250,7 +251,10 @@ mod tests {
             full: false,
             snapshot: Snapshot::default(),
         };
-        assert_eq!(TelemetryFrame::from_bytes(&frame.to_bytes()).unwrap(), frame);
+        assert_eq!(
+            TelemetryFrame::from_bytes(&frame.to_bytes()).unwrap(),
+            frame
+        );
     }
 
     #[test]

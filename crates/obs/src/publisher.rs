@@ -217,20 +217,22 @@ fn sparse_changes(current: &Snapshot, last: &Snapshot) -> Snapshot {
     let changed: Vec<_> = current
         .entries()
         .iter()
-        .filter(|e| match delta.entries().iter().find(|d| d.name == e.name) {
-            Some(d) => match (&d.value, &e.value) {
-                (SnapshotValue::Counter(dc), _) => *dc > 0,
-                (SnapshotValue::Histogram(dh), _) => dh.count > 0,
-                // Gauges: the delta carries the current reading, so
-                // compare against the previous snapshot directly.
-                (SnapshotValue::Gauge(_), v) => last
-                    .entries()
-                    .iter()
-                    .find(|p| p.name == e.name)
-                    .is_none_or(|p| p.value != *v),
+        .filter(
+            |e| match delta.entries().iter().find(|d| d.name == e.name) {
+                Some(d) => match (&d.value, &e.value) {
+                    (SnapshotValue::Counter(dc), _) => *dc > 0,
+                    (SnapshotValue::Histogram(dh), _) => dh.count > 0,
+                    // Gauges: the delta carries the current reading, so
+                    // compare against the previous snapshot directly.
+                    (SnapshotValue::Gauge(_), v) => last
+                        .entries()
+                        .iter()
+                        .find(|p| p.name == e.name)
+                        .is_none_or(|p| p.value != *v),
+                },
+                None => true,
             },
-            None => true,
-        })
+        )
         .cloned()
         .collect();
     Snapshot::from_entries(changed)
@@ -243,7 +245,12 @@ mod tests {
     use nb_transport::clock::MockClock;
     use nb_wire::Payload;
 
-    fn harness() -> (Registry, MockClock, TelemetryPublisher, Arc<Mutex<Vec<Message>>>) {
+    fn harness() -> (
+        Registry,
+        MockClock,
+        TelemetryPublisher,
+        Arc<Mutex<Vec<Message>>>,
+    ) {
         let registry = Registry::new();
         let out: Arc<Mutex<Vec<Message>>> = Arc::new(Mutex::new(Vec::new()));
         let sink_out = out.clone();
@@ -304,7 +311,10 @@ mod tests {
         assert!(!frames[2].full);
         assert_eq!(frames[2].snapshot.len(), 1);
         // Sparse entries are cumulative, not bare deltas.
-        assert_eq!(frames[2].snapshot.counter("broker.publish.accepted"), Some(3));
+        assert_eq!(
+            frames[2].snapshot.counter("broker.publish.accepted"),
+            Some(3)
+        );
     }
 
     #[test]
@@ -341,13 +351,9 @@ mod tests {
         use rand::SeedableRng;
 
         let mut rng = StdRng::seed_from_u64(7);
-        let mut ca = CertificateAuthority::new(
-            "ca",
-            512,
-            Validity::starting_now(0, u64::MAX / 4),
-            &mut rng,
-        )
-        .unwrap();
+        let mut ca =
+            CertificateAuthority::new("ca", 512, Validity::starting_now(0, u64::MAX / 4), &mut rng)
+                .unwrap();
         let credential = ca
             .issue("Obs", Validity::starting_now(0, u64::MAX / 4), &mut rng)
             .unwrap();

@@ -155,7 +155,8 @@ impl<T: DurableState> Durable<T> {
             snapshot::ReadOutcome::Ok(loaded) => {
                 let mut r = Reader::new(&loaded.payload);
                 let state = T::snapshot_decode(&mut r).map_err(StoreError::Codec)?;
-                r.expect_end("snapshot payload").map_err(StoreError::Codec)?;
+                r.expect_end("snapshot payload")
+                    .map_err(StoreError::Codec)?;
                 recovery.snapshot_loaded = true;
                 recovery.snapshot_seq = loaded.wal_seq;
                 instrument::SNAPSHOTS_LOADED.inc();

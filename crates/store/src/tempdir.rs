@@ -25,12 +25,7 @@ impl TempDir {
     /// `<prefix>-<pid>-<n>`.
     pub fn new(prefix: &str) -> std::io::Result<Self> {
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "nb-{}-{}-{}",
-            prefix,
-            std::process::id(),
-            n
-        ));
+        let path = std::env::temp_dir().join(format!("nb-{}-{}-{}", prefix, std::process::id(), n));
         std::fs::create_dir_all(&path)?;
         Ok(TempDir { path })
     }

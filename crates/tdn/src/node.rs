@@ -8,9 +8,9 @@ use nb_crypto::digest::DigestAlgorithm;
 use nb_crypto::rsa::RsaPublicKey;
 use nb_crypto::{CryptoError, Uuid};
 use nb_metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
+use nb_obs::{NodeKind, ObsSink, PublisherConfig, TelemetryPublisher};
 use nb_store::{Durable, DurableState, Recovery, StoreConfig};
 use nb_telemetry::{fresh_span_id, now_ns, FlightRecorder, SpanEvent, Stage, TraceContext};
-use nb_obs::{NodeKind, ObsSink, PublisherConfig, TelemetryPublisher};
 use nb_transport::clock::SharedClock;
 use nb_wire::payload::{DiscoveryRestrictions, TopicAdvertisement};
 use parking_lot::Mutex;
@@ -186,7 +186,11 @@ impl Tdn {
     ///
     /// Call before the node starts serving; mutations from then on are
     /// journalled to `dir/tdn.{wal,snap}`.
-    pub fn persist_to(&self, dir: impl AsRef<Path>, cfg: StoreConfig) -> nb_store::Result<Recovery> {
+    pub fn persist_to(
+        &self,
+        dir: impl AsRef<Path>,
+        cfg: StoreConfig,
+    ) -> nb_store::Result<Recovery> {
         let (durable, state, recovery) =
             Durable::<TdnDurableState>::open(dir.as_ref(), "tdn", cfg)?;
         let mut store = self.store.lock();
@@ -218,10 +222,7 @@ impl Tdn {
 
     /// Introduces a peer TDN (enables replica verification).
     pub fn add_peer(&self, peer_id: &str, key: RsaPublicKey) {
-        self.store
-            .lock()
-            .peer_keys
-            .insert(peer_id.to_string(), key);
+        self.store.lock().peer_keys.insert(peer_id.to_string(), key);
     }
 
     /// Handles a topic creation request (§3.1): verifies credentials,

@@ -151,7 +151,12 @@ fn topic_creation_rejects_bad_credentials() {
     forged.subject = "entity:mallory".to_string();
     assert!(fx
         .cluster
-        .create_topic(&forged, "Availability/Traces/m", DiscoveryRestrictions::Open, HOUR)
+        .create_topic(
+            &forged,
+            "Availability/Traces/m",
+            DiscoveryRestrictions::Open,
+            HOUR
+        )
         .is_err());
 }
 

@@ -50,11 +50,7 @@ fn hot_path_never_allocates() {
         }
     }
     assert_eq!(kept, 0);
-    assert_eq!(
-        allocations() - before,
-        0,
-        "unsampled guard path allocated"
-    );
+    assert_eq!(allocations() - before, 0, "unsampled guard path allocated");
 
     // 2. The sampled record path: building and recording a span.
     let before = allocations();

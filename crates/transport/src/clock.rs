@@ -130,7 +130,12 @@ impl Ticker {
             }
             if self
                 .next_due
-                .compare_exchange(next, now + self.interval_ms, Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(
+                    next,
+                    now + self.interval_ms,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
                 .is_ok()
             {
                 return true;

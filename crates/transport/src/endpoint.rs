@@ -177,7 +177,10 @@ mod tests {
         // Oversized for this endpoint's transport: rejected at build time.
         assert_eq!(
             ep.send(&[0u8; 101]),
-            Err(TransportError::FrameTooLarge { size: 101, max: 100 })
+            Err(TransportError::FrameTooLarge {
+                size: 101,
+                max: 100
+            })
         );
     }
 }

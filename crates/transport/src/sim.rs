@@ -287,7 +287,8 @@ impl SimNetwork {
         let link = LinkId(self.shared.next_link.fetch_add(1, Ordering::Relaxed));
         let (tx_to_a, rx_a) = unbounded();
         let (tx_to_b, rx_b) = unbounded();
-        let queues: Arc<LinkQueues> = Arc::new([Mutex::new(Some(tx_to_a)), Mutex::new(Some(tx_to_b))]);
+        let queues: Arc<LinkQueues> =
+            Arc::new([Mutex::new(Some(tx_to_a)), Mutex::new(Some(tx_to_b))]);
         let sender = |cfg, to| {
             Arc::new(SimSender {
                 cfg,
@@ -565,10 +566,7 @@ impl FrameSender for SimSender {
             let adversaries = self.shared.adversaries.lock();
             match adversaries.get(&self.link) {
                 None => (None, 0),
-                Some(adv) => (
-                    adv.tamper.as_ref().map(|f| f(frame.to_vec())),
-                    adv.replay,
-                ),
+                Some(adv) => (adv.tamper.as_ref().map(|f| f(frame.to_vec())), adv.replay),
             }
         };
         if tampered.is_some() {
@@ -637,7 +635,10 @@ impl FrameSender for SimSender {
         for _ in 0..replays {
             // Replay copies trail the original by the base latency —
             // the attacker recorded the frame and re-sends it.
-            push(now + self.cfg.latency + self.cfg.latency + jitter2, frame.to_vec());
+            push(
+                now + self.cfg.latency + self.cfg.latency + jitter2,
+                frame.to_vec(),
+            );
         }
         drop(queue);
         self.shared.start_scheduler();
@@ -742,10 +743,7 @@ mod tests {
             received += 1;
         }
         // 50% loss: expect 120..280 of 400 with overwhelming probability.
-        assert!(
-            (120..280).contains(&received),
-            "received {received} of {n}"
-        );
+        assert!((120..280).contains(&received), "received {received} of {n}");
     }
 
     #[test]
@@ -991,10 +989,7 @@ mod tests {
         while b.recv_timeout(Duration::from_millis(100)).is_ok() {
             received += 1;
         }
-        assert!(
-            (120..280).contains(&received),
-            "received {received} of {n}"
-        );
+        assert!((120..280).contains(&received), "received {received} of {n}");
     }
 
     #[test]
@@ -1076,8 +1071,14 @@ mod tests {
         });
         a.send(&[0x00, 0x42]).unwrap();
         // Both the original send and its replay copy carry the tamper.
-        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), [0xff, 0x42]);
-        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), [0xff, 0x42]);
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(1)).unwrap(),
+            [0xff, 0x42]
+        );
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(1)).unwrap(),
+            [0xff, 0x42]
+        );
     }
 
     #[test]

@@ -102,7 +102,9 @@ impl FrameSender for TcpFrameSender {
         // is in progress.
         {
             let mut pending = self.pending.lock();
-            pending.buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+            pending
+                .buf
+                .extend_from_slice(&(frame.len() as u32).to_be_bytes());
             pending.buf.extend_from_slice(frame);
             pending.frames += 1;
         }
@@ -225,7 +227,10 @@ impl TcpReader {
             None => (self.0.lock(), None),
             Some(t) => {
                 let deadline = Instant::now() + t;
-                (self.0.try_lock_for(t).ok_or(TransportError::Timeout)?, Some(deadline))
+                (
+                    self.0.try_lock_for(t).ok_or(TransportError::Timeout)?,
+                    Some(deadline),
+                )
             }
         };
         let mut read_once = false;
@@ -498,7 +503,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         assert_eq!(server.recv_timeout(Duration::ZERO).unwrap(), b"waiting");
         // A frame already in the receive buffer is served without a read.
-        raw.write_all(&[wire(b"first"), wire(b"second")].concat()).unwrap();
+        raw.write_all(&[wire(b"first"), wire(b"second")].concat())
+            .unwrap();
         assert_eq!(server.recv().unwrap(), b"first");
         assert_eq!(server.recv_timeout(Duration::ZERO).unwrap(), b"second");
         assert_eq!(
@@ -535,14 +541,18 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let reader = TcpReader::new(listener.accept().unwrap().0);
-        raw.write_all(&(MAX_FRAME_LEN as u32).to_be_bytes()).unwrap();
+        raw.write_all(&(MAX_FRAME_LEN as u32).to_be_bytes())
+            .unwrap();
         for _ in 0..5 {
             assert_eq!(
                 reader.read_frame(Some(Duration::from_millis(20)), |_| ()),
                 Err(TransportError::Timeout)
             );
             let (len, capacity) = buf_len(&reader);
-            assert!(len <= 8 * 1024 && capacity <= 8 * 1024, "{len} / {capacity} bytes");
+            assert!(
+                len <= 8 * 1024 && capacity <= 8 * 1024,
+                "{len} / {capacity} bytes"
+            );
         }
         // A 1 MiB frame grows it; handing the frame out shrinks it back.
         let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -551,9 +561,15 @@ mod tests {
         let bytes = [wire(&big), wire(b"small")].concat();
         let writer = std::thread::spawn(move || raw.write_all(&bytes).map(|()| raw));
         let timeout = Some(Duration::from_secs(5));
-        assert_eq!(reader.read_frame(timeout, |frame| frame.to_vec()).unwrap(), big);
+        assert_eq!(
+            reader.read_frame(timeout, |frame| frame.to_vec()).unwrap(),
+            big
+        );
         assert_eq!(buf_len(&reader), (RECV_BUF_INITIAL, RECV_BUF_INITIAL));
-        assert_eq!(reader.read_frame(timeout, |frame| frame.to_vec()).unwrap(), b"small");
+        assert_eq!(
+            reader.read_frame(timeout, |frame| frame.to_vec()).unwrap(),
+            b"small"
+        );
         let _raw = writer.join().unwrap().unwrap();
     }
 
@@ -663,7 +679,9 @@ mod tests {
         // length prefix, counts the frame and reports FrameTooLarge.
         let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let before = nb_metrics::global().counter("transport.frame.oversized").get();
+        let before = nb_metrics::global()
+            .counter("transport.frame.oversized")
+            .get();
         let raw = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             let bogus_len = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
@@ -681,7 +699,12 @@ mod tests {
             }
         );
         // The counter observed the event too.
-        assert!(nb_metrics::global().counter("transport.frame.oversized").get() > before);
+        assert!(
+            nb_metrics::global()
+                .counter("transport.frame.oversized")
+                .get()
+                > before
+        );
         // The reason sticks: later receives report it again, and the
         // frame is counted once.
         assert_eq!(
@@ -692,7 +715,10 @@ mod tests {
             })
         );
         assert_eq!(
-            nb_metrics::global().counter("transport.frame.oversized").get() - before,
+            nb_metrics::global()
+                .counter("transport.frame.oversized")
+                .get()
+                - before,
             1
         );
     }
@@ -739,7 +765,11 @@ mod tests {
         let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         let client = endpoint_with_stall(stream, Duration::from_millis(200)).unwrap();
-        let stalled = || nb_metrics::global().counter("transport.write.stalled").get();
+        let stalled = || {
+            nb_metrics::global()
+                .counter("transport.write.stalled")
+                .get()
+        };
         let before = stalled();
         let frame = vec![0x77u8; 64 * 1024];
         let mut sent = 0;
@@ -748,7 +778,10 @@ mod tests {
                 Ok(()) => sent += 1,
                 Err(e) => break e,
             }
-            assert!(sent < 100_000, "sends into a peer that never reads never stalled");
+            assert!(
+                sent < 100_000,
+                "sends into a peer that never reads never stalled"
+            );
         };
         assert!(
             matches!(&err, TransportError::Io(e) if e.kind() == ErrorKind::WouldBlock

@@ -146,15 +146,9 @@ mod tests {
     fn datagrams_round_trip() {
         let (a, b) = loopback_pair().unwrap();
         a.send(b"udp ping").unwrap();
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(2)).unwrap(),
-            b"udp ping"
-        );
+        assert_eq!(b.recv_timeout(Duration::from_secs(2)).unwrap(), b"udp ping");
         b.send(b"udp pong").unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(2)).unwrap(),
-            b"udp pong"
-        );
+        assert_eq!(a.recv_timeout(Duration::from_secs(2)).unwrap(), b"udp pong");
     }
 
     #[test]

@@ -31,10 +31,14 @@ fn work_counter(kind: &str) -> &'static str {
 
 /// Frames dropped or refused by a node, summed over its drop counters.
 fn drops(total: &entity_tracing::metrics::Snapshot) -> u64 {
-    ["broker.reject.constraint", "broker.drop.spurious_token", "broker.drop.ttl_exceeded"]
-        .iter()
-        .filter_map(|n| total.counter(n))
-        .sum()
+    [
+        "broker.reject.constraint",
+        "broker.drop.spurious_token",
+        "broker.drop.ttl_exceeded",
+    ]
+    .iter()
+    .filter_map(|n| total.counter(n))
+    .sum()
 }
 
 fn main() {
@@ -54,19 +58,39 @@ fn main() {
 
     // Background load so the board has something to show.
     let entity_far = deployment
-        .traced_entity(2, "svc-far", DiscoveryRestrictions::Open, SigningMode::RsaSign, false)
+        .traced_entity(
+            2,
+            "svc-far",
+            DiscoveryRestrictions::Open,
+            SigningMode::RsaSign,
+            false,
+        )
         .expect("entity");
     let entity_near = deployment
-        .traced_entity(0, "svc-near", DiscoveryRestrictions::Open, SigningMode::RsaSign, false)
+        .traced_entity(
+            0,
+            "svc-near",
+            DiscoveryRestrictions::Open,
+            SigningMode::RsaSign,
+            false,
+        )
         .expect("entity");
     let _watcher = deployment
-        .tracker(0, "ops-console", "svc-far", vec![TraceCategory::ChangeNotifications])
+        .tracker(
+            0,
+            "ops-console",
+            "svc-far",
+            vec![TraceCategory::ChangeNotifications],
+        )
         .expect("tracker");
 
     // The telemetry plane: signed publishers on every node, aggregator
     // at broker 0, all pumping in the background.
     let obs = deployment
-        .telemetry(PublisherConfig { interval_ms: 500, full_every: 8 })
+        .telemetry(PublisherConfig {
+            interval_ms: 500,
+            full_every: 8,
+        })
         .expect("telemetry plane");
     obs.start();
 

@@ -61,7 +61,10 @@ fn main() {
     // The console sits on the hub and tracks every service.
     let mut trackers = Vec::new();
     for (name, with_load) in SERVICES {
-        let mut interests = vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates];
+        let mut interests = vec![
+            TraceCategory::ChangeNotifications,
+            TraceCategory::AllUpdates,
+        ];
         if with_load {
             interests.push(TraceCategory::Load);
         }
@@ -70,7 +73,10 @@ fn main() {
             .expect("tracker");
         trackers.push((name, tracker));
     }
-    println!("\nconsole tracking {} services from the hub\n", trackers.len());
+    println!(
+        "\nconsole tracking {} services from the hub\n",
+        trackers.len()
+    );
 
     // Compute nodes report load.
     for (i, entity) in entities.iter().enumerate() {
@@ -119,7 +125,10 @@ fn main() {
                     .load
                     .map(|l| format!(" load={:.0}% cpu, workload={}", l.cpu_percent, l.workload))
                     .unwrap_or_default();
-                println!("  {name:<18} {:?}{load} ({} traces)", r.status, r.traces_seen);
+                println!(
+                    "  {name:<18} {:?}{load} ({} traces)",
+                    r.status, r.traces_seen
+                );
             }
             None => println!("  {name:<18} (no data)"),
         }

@@ -28,7 +28,11 @@ fn main() {
         config,
     )
     .expect("deployment");
-    println!("deployment up: {} brokers, {} TDNs", deployment.network.len(), deployment.tdns.len());
+    println!(
+        "deployment up: {} brokers, {} TDNs",
+        deployment.network.len(),
+        deployment.tdns.len()
+    );
 
     // The entity requests tracing (§3.1–3.2): it creates its trace
     // topic, registers with broker 0, and delegates publication
@@ -55,7 +59,10 @@ fn main() {
             1,
             "ops-console",
             "web-service",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .expect("tracker");
     println!("tracker attached on broker 1\n");

@@ -49,7 +49,10 @@ fn main() {
                 true,                      // §5.1 secured traces
             )
             .expect("worker");
-        println!("{name}: secured tracing enabled (topic {})", entity.trace_topic());
+        println!(
+            "{name}: secured tracing enabled (topic {})",
+            entity.trace_topic()
+        );
         workers.push((name, entity));
     }
 
@@ -61,7 +64,10 @@ fn main() {
                 2,
                 &format!("fleet-console-{i}"),
                 name,
-                vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+                vec![
+                    TraceCategory::ChangeNotifications,
+                    TraceCategory::AllUpdates,
+                ],
             )
             .expect("authorized tracker");
         consoles.push((name.clone(), tracker));

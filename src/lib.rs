@@ -114,7 +114,7 @@ pub mod prelude {
     pub use nb_tracing::config::{SigningMode, TracingConfig};
     pub use nb_tracing::harness::{ClusterObs, Deployment, Topology};
     pub use nb_tracing::view::{AvailabilityView, EntityStatus};
-    pub use nb_tracing::{TracedEntity, Tracker, TracingEngine};
+    pub use nb_tracing::{TracedEntity, TracingEngine, Tracker};
     pub use nb_transport::clock::{system_clock, Clock, MockClock, SystemClock};
     pub use nb_transport::sim::{LinkConfig, LinkId, SimNetwork};
     pub use nb_wire::payload::DiscoveryRestrictions;

@@ -50,20 +50,17 @@ fn prelude_quickstart_flow() {
     )
     .unwrap();
     let entity = deployment
-        .traced_entity(
-            0,
-            "svc",
-            DiscoveryRestrictions::Open,
-            Mode::RsaSign,
-            false,
-        )
+        .traced_entity(0, "svc", DiscoveryRestrictions::Open, Mode::RsaSign, false)
         .unwrap();
     let tracker = deployment
         .tracker(
             1,
             "watcher",
             "svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
     assert!(wait_until(WAIT, || {
@@ -103,7 +100,10 @@ fn tracking_survives_a_lossy_entity_link() {
             1,
             "patient-watcher",
             "flaky-link-svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
 
@@ -177,13 +177,8 @@ fn duplicated_frames_do_not_corrupt_the_view() {
     let _gate = lossy_gate();
     let mut link = LinkConfig::instant();
     link.duplicate_rate = 0.5;
-    let deployment = Deployment::new(
-        Topology::Chain(2),
-        link,
-        system_clock(),
-        fast_config(),
-    )
-    .unwrap();
+    let deployment =
+        Deployment::new(Topology::Chain(2), link, system_clock(), fast_config()).unwrap();
     let entity = deployment
         .traced_entity(
             0,
@@ -248,7 +243,10 @@ fn many_entities_many_trackers_cross_broker() {
                     0,
                     &format!("watch-{i}"),
                     &format!("svc-{i}"),
-                    vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+                    vec![
+                        TraceCategory::ChangeNotifications,
+                        TraceCategory::AllUpdates,
+                    ],
                 )
                 .unwrap(),
         );
@@ -303,7 +301,10 @@ fn metrics_snapshot_covers_every_layer() {
             1,
             "metered-watcher",
             "metered-svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
     assert!(wait_until(WAIT, || {
@@ -316,20 +317,38 @@ fn metrics_snapshot_covers_every_layer() {
     // Broker layer: the home broker accepted the entity's publishes and
     // delivered to local consumers; the trace topic shows up in the
     // per-family counters.
-    assert!(snapshot.counter("broker-0.broker.publish.accepted").unwrap() > 0);
+    assert!(
+        snapshot
+            .counter("broker-0.broker.publish.accepted")
+            .unwrap()
+            > 0
+    );
     assert!(snapshot.counter("broker-0.broker.deliver.local").unwrap() > 0);
     assert!(snapshot.counter_sum("broker-0.broker.publish.topic.") > 0);
 
     // Tracing engine layer: pings flowed, traces were published, and a
     // session is live at broker 0.
     assert!(snapshot.counter("broker-0.tracing.pings.sent").unwrap() > 0);
-    assert!(snapshot.counter("broker-0.tracing.traces.published").unwrap() > 0);
+    assert!(
+        snapshot
+            .counter("broker-0.tracing.traces.published")
+            .unwrap()
+            > 0
+    );
     assert_eq!(snapshot.gauge("broker-0.tracing.sessions"), Some(1));
 
     // TDN layer: the entity created its trace topic at one member and
     // the cluster replicated it; the tracker ran a discovery query.
-    assert!(snapshot.counter_sum("tdn-0.tdn.topics.created") + snapshot.counter_sum("tdn-1.tdn.topics.created") > 0);
-    assert!(snapshot.counter_sum("tdn-0.tdn.discovery.queries") > 0 || snapshot.counter_sum("tdn-1.tdn.discovery.queries") > 0 || snapshot.counter_sum("tdn-2.tdn.discovery.queries") > 0);
+    assert!(
+        snapshot.counter_sum("tdn-0.tdn.topics.created")
+            + snapshot.counter_sum("tdn-1.tdn.topics.created")
+            > 0
+    );
+    assert!(
+        snapshot.counter_sum("tdn-0.tdn.discovery.queries") > 0
+            || snapshot.counter_sum("tdn-1.tdn.discovery.queries") > 0
+            || snapshot.counter_sum("tdn-2.tdn.discovery.queries") > 0
+    );
 
     // Process-wide layers (shared with concurrently running tests, so
     // only direction is asserted): transport moved frames, tokens were
@@ -338,7 +357,9 @@ fn metrics_snapshot_covers_every_layer() {
     assert!(snapshot.counter("transport.bytes.sent").unwrap() > 0);
     assert!(snapshot.counter("token.minted").unwrap() > 0);
     assert!(snapshot.counter("token.verify.ok").unwrap() > 0);
-    let sign = snapshot.histogram("crypto.rsa.sign_us").expect("rsa sign timings");
+    let sign = snapshot
+        .histogram("crypto.rsa.sign_us")
+        .expect("rsa sign timings");
     assert!(sign.count > 0);
 
     // The rendered forms carry every entry.
@@ -373,7 +394,10 @@ fn view_is_shared_across_clones_and_threads() {
             1,
             "shared-watcher",
             "shared-svc",
-            vec![TraceCategory::ChangeNotifications, TraceCategory::AllUpdates],
+            vec![
+                TraceCategory::ChangeNotifications,
+                TraceCategory::AllUpdates,
+            ],
         )
         .unwrap();
     let view = tracker.view();
