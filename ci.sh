@@ -17,11 +17,10 @@ quick=false
 echo "== build (release) =="
 cargo build --release --workspace
 
-# nb-crypto (the RSA arithmetic and the SHA-NI/AES-NI kernels),
-# nb-wire (the envelope parser and the token rule), nb-monitor and
-# nb-tracing are kept rustfmt-clean (the rest of the tree is not yet).
-echo "== fmt (nb-crypto, nb-wire, nb-monitor, nb-tracing) =="
-cargo fmt -p nb-crypto -p nb-wire -p nb-monitor -p nb-tracing --check
+# The whole workspace is kept rustfmt-clean. --all also covers the
+# local path dependencies (the vendor/ stand-ins).
+echo "== fmt =="
+cargo fmt --all --check
 
 echo "== test =="
 cargo test --workspace --quiet
