@@ -118,7 +118,6 @@ fn bench_tokens(c: &mut Criterion) {
                     &owner.certificate.public_key,
                     Rights::Publish,
                     black_box(NOW + 5),
-                    100,
                 )
                 .unwrap()
         })

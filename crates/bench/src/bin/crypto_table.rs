@@ -195,7 +195,7 @@ fn main() {
             "Verifying Authorization Token",
             samples,
             || {
-                token.verify(&owner_key, Rights::Publish, now, 100).unwrap();
+                token.verify(&owner_key, Rights::Publish, now).unwrap();
             },
         ),
         Row::new("aes_encrypt", "Encrypting Trace Message", samples, || {

@@ -114,7 +114,7 @@ fn main() {
     );
 
     let (monitor_cred, owner) = credentials();
-    let specs = nb_monitor::standard_properties(BrokerConfig::default().max_hops, true);
+    let specs = nb_monitor::standard_properties(true);
     let config = BrokerConfig {
         require_tokens: false,
         // Keep span recording off: broker-side telemetry is not what
@@ -134,7 +134,7 @@ fn main() {
         } else {
             plain_topic()
         };
-        let monitor = (c > 0).then(|| MonitorSet::new(specs.clone(), monitor_cred.clone(), 100));
+        let monitor = (c > 0).then(|| MonitorSet::new(specs.clone(), monitor_cred.clone()));
         // Fresh id per probe attempt: exactly-once monitoring is live.
         let mut probe = data_frame(PUBLISHER, topic.clone(), monitored, &owner);
         let mut probe_id = u64::MAX;

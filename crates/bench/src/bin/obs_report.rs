@@ -26,8 +26,8 @@ use nb_bench::loopback::{publisher_threads, run_trials, write_report, Gate, Loop
 use nb_broker::{Broker, BrokerConfig};
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
 use nb_obs::{
-    json_export, prometheus_text, telemetry_topic, AggregatorConfig, ClusterAggregator,
-    PublisherConfig, TelemetryPublisher,
+    json_export, prometheus_text, telemetry_topic, ClusterAggregator, PublisherConfig,
+    TelemetryPublisher,
 };
 use nb_transport::clock::system_clock;
 use nb_wire::codec::Encode;
@@ -137,7 +137,7 @@ fn main() {
         if c == 0 {
             return lb.trial(threads, per_thread, timed, publish);
         }
-        let agg = ClusterAggregator::new(AggregatorConfig::default());
+        let agg = ClusterAggregator::new();
         agg.require_signatures(credential.certificate.public_key.clone());
         let rx = lb.broker.register_internal("obs-agg");
         lb.broker

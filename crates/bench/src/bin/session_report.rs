@@ -220,7 +220,7 @@ fn main() {
 
     let clock: SharedClock = system_clock();
     let (entities, monitor_cred) = mint_entities(threads, clock.now_ms());
-    let specs = nb_monitor::standard_properties(BrokerConfig::default().max_hops, true);
+    let specs = nb_monitor::standard_properties(true);
     let filters: Vec<Topic> = entities.iter().map(|e| e.pub_topic.clone()).collect();
     let config = BrokerConfig {
         // Keep trace publications off the span recorder: broker-side
@@ -243,7 +243,7 @@ fn main() {
     let (mut monitor_events, mut violations) = (0u64, 0u64);
     let [signed, token, session] = run_trials(|c| {
         let (auth, (per_thread, timed)) = (auths[c], sizes[c]);
-        let monitor = MonitorSet::new(specs.clone(), monitor_cred.clone(), 100);
+        let monitor = MonitorSet::new(specs.clone(), monitor_cred.clone());
         let mut probe_seq = 1_000_000u64;
         let mut probe = |b: &Broker, e: &EntityCtx| {
             probe_seq += 1;

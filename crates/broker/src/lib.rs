@@ -22,7 +22,7 @@
 //! mesh (chains, stars, trees — the shapes used in the paper's
 //! benchmarks). Cycles would need a spanning-tree protocol, which the
 //! paper does not describe; as a backstop, messages carrying a causal
-//! trace context are TTL-checked against `BrokerConfig::max_hops`, so
+//! trace context are TTL-checked against `nb_telemetry::MAX_HOPS`, so
 //! an accidental loop drops traffic (counted in
 //! `broker.drop.ttl_exceeded`) instead of amplifying it forever.
 //!
@@ -41,7 +41,7 @@ pub mod subscription;
 
 pub use client::BrokerClient;
 pub use error::BrokerError;
-pub use node::{Broker, BrokerConfig};
+pub use node::{Broker, BrokerConfig, BOGUS_ATTEMPT_LIMIT};
 pub use subscription::SubscriptionTable;
 
 /// The constrained topic session control travels on: client attach,

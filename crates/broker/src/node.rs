@@ -13,7 +13,10 @@ use nb_metrics::{Counter, Gauge, Registry, Snapshot};
 use nb_monitor::{DeliveryEvent, MonitorSet};
 use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_store::{Durable, DurableState, Recovery, StoreConfig};
-use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TelemetryConfig, TraceContext};
+use nb_telemetry::{
+    now_ns, FlightRecorder, SpanEvent, Stage, TelemetryConfig, TraceContext, MAX_HOPS,
+    RECORDER_CAPACITY, SLOW_THRESHOLD_MS,
+};
 use nb_transport::clock::SharedClock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::TransportError;
@@ -31,14 +34,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Broker tuning knobs.
+/// §5.2: after this many bogus attempts a client is disconnected.
+pub const BOGUS_ATTEMPT_LIMIT: u32 = 3;
+
+/// Broker settings.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
-    /// §5.2: after this many bogus attempts a client is disconnected.
-    pub bogus_attempt_limit: u32,
-    /// Clock-skew tolerance for token validity windows (the paper
-    /// assumes NTP keeps clocks within 30–100 ms).
-    pub token_skew_ms: u64,
     /// Enforce authorization tokens on broker-published trace topics.
     pub require_tokens: bool,
     /// Interval for subscription anti-entropy: each neighbour link
@@ -46,13 +47,7 @@ pub struct BrokerConfig {
     /// the peer should hold, repairing adverts lost on unreliable
     /// links. `None` turns anti-entropy off.
     pub advert_refresh: Option<std::time::Duration>,
-    /// Routing TTL: a message whose `TraceContext.hop_count` exceeds
-    /// this after a neighbour-ingress increment is dropped (and
-    /// counted in `broker.drop.ttl_exceeded`) instead of forwarded,
-    /// closing the forwarding-loop hazard. Messages without a trace
-    /// context are not TTL-checked.
-    pub max_hops: u8,
-    /// Causal-tracing knobs for this broker's flight recorder (see
+    /// Causal-tracing settings for this broker's flight recorder (see
     /// `docs/OBSERVABILITY.md`, "Causal tracing").
     pub telemetry: TelemetryConfig,
     /// Durability: when set, the broker journals its control plane
@@ -71,11 +66,8 @@ pub struct BrokerConfig {
 impl Default for BrokerConfig {
     fn default() -> Self {
         BrokerConfig {
-            bogus_attempt_limit: 3,
-            token_skew_ms: 100,
             require_tokens: true,
             advert_refresh: Some(std::time::Duration::from_millis(500)),
-            max_hops: 16,
             telemetry: TelemetryConfig::default(),
             data_dir: None,
             store: StoreConfig::default(),
@@ -103,7 +95,7 @@ struct BrokerMetrics {
     /// Spurious traces dropped for missing/invalid tokens (§5.2).
     dropped_spurious: Counter,
     /// Messages dropped because their hop count exceeded
-    /// [`BrokerConfig::max_hops`].
+    /// [`MAX_HOPS`].
     dropped_ttl: Counter,
     /// Clients disconnected for repeated bogus attempts.
     terminated_clients: Counter,
@@ -302,7 +294,7 @@ impl Broker {
     /// Creates a broker with the given identifier and clock.
     pub fn new(id: impl Into<String>, clock: SharedClock, config: BrokerConfig) -> Self {
         let id = id.into();
-        let recorder = FlightRecorder::new(id.clone(), config.telemetry.capacity);
+        let recorder = FlightRecorder::new(id.clone(), RECORDER_CAPACITY);
         let metrics = BrokerMetrics::new();
         let routes = RouteCache::new(&metrics.registry);
 
@@ -825,19 +817,20 @@ fn route_steps(
     }
     // Hop TTL: every neighbour ingress is one broker-to-broker hop, and
     // the hop count closes the forwarding-loop hazard. The incremented
-    // count is written into the frame just before delivery.
+    // count is written into the frame just before delivery. A frame
+    // without a trace context is not TTL-checked.
     let mut trace = view.trace;
     let mut hop_offset = None;
     if let (Ingress::Neighbor(_), Some(ctx)) = (ingress, trace.as_mut()) {
         ctx.hop_count = ctx.hop_count.saturating_add(1);
-        if ctx.hop_count > inner.config.max_hops {
+        if ctx.hop_count > MAX_HOPS {
             inner.metrics.dropped_ttl.inc();
             return true;
         }
         hop_offset = view.trace_hop_offset();
     }
     let telemetry = &inner.config.telemetry;
-    let traced = trace.filter(|ctx| telemetry.enabled && ctx.sampled);
+    let traced = telemetry.sampled(trace);
 
     let hash = view.topic.hash64();
     let entry = match inner.routes.lookup(hash, &view.topic) {
@@ -925,8 +918,7 @@ fn route_steps(
     let deliver_ctx = traced.or_else(|| {
         trace.filter(|_| {
             telemetry.enabled
-                && inner.clock.now_ms().saturating_sub(view.timestamp_ms)
-                    >= telemetry.slow_threshold_ms
+                && inner.clock.now_ms().saturating_sub(view.timestamp_ms) >= SLOW_THRESHOLD_MS
         })
     });
     if let (Some(off), Some(ctx)) = (hop_offset, trace) {
@@ -1041,10 +1033,7 @@ fn admit(
             .owner_keys
             .get(&token.trace_topic)
             .cloned();
-        let now = inner.clock.now_ms();
-        token
-            .admits(owner.as_ref(), now, inner.config.token_skew_ms)
-            .is_ok()
+        token.admits(owner.as_ref(), inner.clock.now_ms()).is_ok()
     });
     if !accepted {
         m.dropped_spurious.inc();
@@ -1142,9 +1131,7 @@ fn punish(inner: &Inner, client_id: &str) {
             return;
         };
         handle.bogus += 1;
-        if handle.bogus < inner.config.bogus_attempt_limit
-            || handle.terminated.swap(true, Ordering::AcqRel)
-        {
+        if handle.bogus < BOGUS_ATTEMPT_LIMIT || handle.terminated.swap(true, Ordering::AcqRel) {
             return;
         }
         Arc::clone(&handle.sender)

@@ -432,7 +432,7 @@ fn relayed_trace_is_judged_on_its_token_alone() {
     let net = SimNetwork::new(27);
     let transit = Broker::new("transit", clock.clone(), BrokerConfig::default());
     let specs = parse_properties("auth: require-token on /Constrained/Traces/*/Publish-Only/#\n");
-    let monitor = MonitorSet::new(specs.unwrap(), credential("Monitor"), 100);
+    let monitor = MonitorSet::new(specs.unwrap(), credential("Monitor"));
     transit.attach_monitor(monitor.clone());
     let owner = credential("entity:owner-relay");
     let mut rng = StdRng::seed_from_u64(27);

@@ -68,7 +68,7 @@ fn lax_chain() -> BrokerNetwork {
 /// attached client already subscribed to the audit topic.
 fn attach_monitor(net: &BrokerNetwork, idx: usize, dsl: &str) -> (MonitorSet, BrokerClient) {
     let specs = parse_properties(dsl).expect("test DSL parses");
-    let monitor = MonitorSet::new(specs, credential("Monitor"), 100);
+    let monitor = MonitorSet::new(specs, credential("Monitor"));
     let broker: &Broker = net.broker(idx);
     broker.attach_monitor(monitor.clone());
     let audit_broker = broker.clone();
@@ -420,7 +420,7 @@ fn no_event_without_a_recipient() {
         BrokerConfig::default(),
     );
     let specs = parse_properties("replay: exactly-once on /Echo/#\n").unwrap();
-    let monitor = MonitorSet::new(specs, credential("Monitor"), 100);
+    let monitor = MonitorSet::new(specs, credential("Monitor"));
     net.broker(0).attach_monitor(monitor.clone());
 
     let client = net.attach_client(0, "echo").unwrap();

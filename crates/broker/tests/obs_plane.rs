@@ -9,10 +9,7 @@ use std::time::{Duration, Instant};
 use nb_broker::network::BrokerNetwork;
 use nb_broker::{Broker, BrokerConfig};
 use nb_metrics::Registry;
-use nb_obs::{
-    telemetry_topic, AggregatorConfig, ClusterAggregator, NodeKind, PublisherConfig,
-    TelemetryPublisher,
-};
+use nb_obs::{telemetry_topic, ClusterAggregator, NodeKind, PublisherConfig, TelemetryPublisher};
 use nb_transport::clock::system_clock;
 use nb_transport::sim::LinkConfig;
 use nb_wire::Payload;
@@ -60,7 +57,7 @@ fn broker_publisher_feeds_a_local_aggregator() {
     let publisher = broker.telemetry_publisher(PublisherConfig::default());
     publisher.publish_now();
 
-    let agg = ClusterAggregator::new(AggregatorConfig::default());
+    let agg = ClusterAggregator::new();
     assert!(pump_until(&rx, &agg, |a| !a.nodes().is_empty()));
     assert_eq!(agg.nodes(), vec![broker.id().to_string()]);
     // The keyframe carries the broker's own metric families.
@@ -152,7 +149,7 @@ fn three_broker_aggregator_converges_exactly_under_flaky_link_and_replay() {
         })
         .collect();
 
-    let agg = ClusterAggregator::new(AggregatorConfig::default());
+    let agg = ClusterAggregator::new();
 
     // Round 0 doubles as the subscription-propagation barrier: all
     // three seq-0 keyframes must arrive before faults are injected.

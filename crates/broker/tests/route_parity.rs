@@ -14,7 +14,7 @@
 //!   with and without the owner key registered; session tags under a
 //!   live, unknown, revoked or bad-MAC key;
 //! * trace contexts: none, unsampled, head-sampled, old enough for tail
-//!   sampling, with hop counts around `max_hops`.
+//!   sampling, with hop counts around `MAX_HOPS`.
 //!
 //! After every frame the broker must match the model exactly: who
 //! received what (compared decoded, not as bytes), `broker.*` counter
@@ -22,12 +22,12 @@
 //! what an attached monitor observed (replayed into a twin monitor fed
 //! the model's delivery events).
 
-use nb_broker::{Broker, BrokerConfig};
+use nb_broker::{Broker, BrokerConfig, BOGUS_ATTEMPT_LIMIT};
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
 use nb_crypto::rsa::RsaKeyPair;
 use nb_crypto::{SessionKey, Uuid};
 use nb_monitor::{parse_properties, DeliveryEvent, MonitorSet};
-use nb_telemetry::{TelemetryConfig, TraceContext};
+use nb_telemetry::{TelemetryConfig, TraceContext, MAX_HOPS, SLOW_THRESHOLD_MS};
 use nb_transport::clock::{MockClock, SharedClock};
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_wire::codec::{Decode, Encode};
@@ -42,14 +42,13 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 const START_MS: u64 = 1_700_000_000_000;
-const MAX_HOPS: u8 = 3;
-const BOGUS_LIMIT: u32 = 3;
-const SKEW_MS: u64 = 100;
-/// Age of an "old" frame: past the default 1 s tail-sampling
-/// threshold, and far enough back that a token expired 60 s ago was
-/// still valid at the frame's own timestamp.
+/// Hop counts a frame arrives with: the first two, and the three
+/// around the TTL.
+const HOPS: [u8; 5] = [0, 1, MAX_HOPS - 1, MAX_HOPS, MAX_HOPS + 1];
+/// Age of an "old" frame: past the 1 s tail-sampling threshold, and
+/// far enough back that a token expired 60 s ago was still valid at
+/// the frame's own timestamp.
 const OLD_MS: u64 = 90_000;
-const SLOW_MS: u64 = 1_000;
 const TIMEOUT: Duration = Duration::from_secs(5);
 
 const NODE: &str = "b0";
@@ -229,7 +228,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
     (
         (0u8..5, 0usize..1_000, 0u8..64, any::<bool>(), 0u8..3),
         (0u8..4, any::<bool>(), 0u8..5, 0u8..4),
-        (0u8..3, 0u8..MAX_HOPS + 2, any::<bool>()),
+        (0u8..3, 0u8..HOPS.len() as u8, any::<bool>()),
         (0u8..4, any::<bool>(), 0u8..4, 1usize..5),
     )
         .prop_map(|(a, b, c, d)| {
@@ -269,7 +268,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 ][tag as usize],
                 keys_installed: keys_installed != 0,
                 trace: [TraceKind::None, TraceKind::Unsampled, TraceKind::Sampled][trace as usize],
-                hop,
+                hop: HOPS[usize::from(hop)],
                 old,
                 require_tokens: strict != 0,
                 telemetry,
@@ -424,7 +423,7 @@ impl Model {
         let tail = !head
             && case.telemetry
             && delivered.trace.is_some()
-            && START_MS - msg.timestamp_ms >= SLOW_MS;
+            && START_MS - msg.timestamp_ms >= SLOW_THRESHOLD_MS;
         let hop_byte = hop.unwrap_or(0);
         if head {
             out.spans
@@ -550,7 +549,7 @@ impl Model {
         }
         let bogus = self.bogus.entry(id).or_default();
         *bogus += 1;
-        if *bogus >= BOGUS_LIMIT {
+        if *bogus >= BOGUS_ATTEMPT_LIMIT {
             self.attached.remove(id);
             self.subscribed.remove(id);
             out.count("broker.client.terminated");
@@ -631,25 +630,18 @@ impl Rig {
         let fx = fixtures();
         let clock: SharedClock = Arc::new(MockClock::new(START_MS));
         let config = BrokerConfig {
-            bogus_attempt_limit: BOGUS_LIMIT,
-            token_skew_ms: SKEW_MS,
             require_tokens: case.require_tokens,
             advert_refresh: None,
-            max_hops: MAX_HOPS,
             telemetry: TelemetryConfig {
                 enabled: case.telemetry,
-                slow_threshold_ms: SLOW_MS,
                 ..TelemetryConfig::default()
             },
             ..BrokerConfig::default()
         };
         let broker = Broker::new(NODE, clock, config);
         let monitor = case.monitor.then(|| {
-            let monitor = MonitorSet::new(
-                parse_properties(MONITOR_DSL).unwrap(),
-                fx.monitor.clone(),
-                SKEW_MS,
-            );
+            let monitor =
+                MonitorSet::new(parse_properties(MONITOR_DSL).unwrap(), fx.monitor.clone());
             broker.attach_monitor(monitor.clone());
             monitor
         });
@@ -749,7 +741,7 @@ impl Rig {
         }
         if case.c2_terminated {
             let reserved = Topic::parse(CONTROL).unwrap();
-            for i in 0..BOGUS_LIMIT {
+            for i in 0..BOGUS_ATTEMPT_LIMIT {
                 let mut frame = Message::new(
                     50 + u64::from(i),
                     reserved.clone(),
@@ -854,11 +846,7 @@ impl Rig {
 /// one attached to the broker.
 fn twin_monitor(case: &Case) -> MonitorSet {
     let fx = fixtures();
-    let twin = MonitorSet::new(
-        parse_properties(MONITOR_DSL).unwrap(),
-        fx.monitor.clone(),
-        SKEW_MS,
-    );
+    let twin = MonitorSet::new(parse_properties(MONITOR_DSL).unwrap(), fx.monitor.clone());
     if case.owner_registered {
         twin.register_owner(fx.trace_topic, fx.owner.certificate.public_key.clone());
     }

@@ -249,7 +249,7 @@ fn revoked_session_replay_fires_exactly_one_violation() {
          session: require-session on /Constrained/Traces/*/Publish-Only/#\n",
     )
     .unwrap();
-    let monitor = MonitorSet::new(specs, credential("Monitor"), 100);
+    let monitor = MonitorSet::new(specs, credential("Monitor"));
     net.broker(1).attach_monitor(monitor.clone());
 
     let subscriber = subscribe_tracker(&net, trace_topic);

@@ -5,7 +5,7 @@
 
 use nb_broker::network::BrokerNetwork;
 use nb_broker::BrokerConfig;
-use nb_telemetry::{Stage, TelemetryConfig, TraceContext};
+use nb_telemetry::{Stage, TelemetryConfig, TraceContext, MAX_HOPS};
 use nb_transport::clock::system_clock;
 use nb_transport::sim::LinkConfig;
 use nb_wire::{Payload, Topic};
@@ -30,13 +30,15 @@ fn wait_until(timeout: Duration, mut ready: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn hop_ttl_drops_messages_beyond_max_hops() {
-    // 3-broker chain with a 1-hop budget: broker-1 (hop 1) may still
-    // deliver, broker-2 (hop 2) must drop.
-    let cfg = BrokerConfig {
-        max_hops: 1,
-        ..BrokerConfig::default()
-    };
-    let net = BrokerNetwork::chain(3, LinkConfig::instant(), system_clock(), cfg);
+    // 3-broker chain, published one hop short of the budget: broker-1
+    // (hop MAX_HOPS) may still deliver, broker-2 (hop MAX_HOPS + 1)
+    // must drop.
+    let net = BrokerNetwork::chain(
+        3,
+        LinkConfig::instant(),
+        system_clock(),
+        BrokerConfig::default(),
+    );
     assert!(net.wait_for_mesh(TIMEOUT));
     let publisher = net.attach_client(0, "ttl-pub").unwrap();
     let near = net.attach_client(1, "ttl-near").unwrap();
@@ -55,7 +57,8 @@ fn hop_ttl_drops_messages_beyond_max_hops() {
         .wait_for_remote_subscription(&t("/Ttl/Topic"), TIMEOUT));
 
     // The TTL applies to any message carrying a context, sampled or not.
-    let ctx = TraceContext::root(0, false);
+    let mut ctx = TraceContext::root(0, false);
+    ctx.hop_count = MAX_HOPS - 1;
     publisher
         .publish_traced(t("/Ttl/Topic"), Payload::Blob { data: vec![1] }, ctx)
         .unwrap();
@@ -70,25 +73,31 @@ fn hop_ttl_drops_messages_beyond_max_hops() {
 
 #[test]
 fn untraced_messages_are_not_ttl_checked() {
-    let cfg = BrokerConfig {
-        max_hops: 1,
-        ..BrokerConfig::default()
-    };
-    let net = BrokerNetwork::chain(3, LinkConfig::instant(), system_clock(), cfg);
+    // MAX_HOPS + 1 broker-to-broker hops: a traced frame would be
+    // dropped at the last broker.
+    let brokers = usize::from(MAX_HOPS) + 2;
+    let net = BrokerNetwork::chain(
+        brokers,
+        LinkConfig::instant(),
+        system_clock(),
+        BrokerConfig::default(),
+    );
     assert!(net.wait_for_mesh(TIMEOUT));
+    let last = brokers - 1;
     let publisher = net.attach_client(0, "plain-pub").unwrap();
-    let far = net.attach_client(2, "plain-far").unwrap();
+    let far = net.attach_client(last, "plain-far").unwrap();
     far.subscribe(t("/Plain/Topic"), TIMEOUT).unwrap();
+    // The advert reaches broker 0 last, after every broker between.
     assert!(net
         .broker(0)
         .wait_for_remote_subscription(&t("/Plain/Topic"), TIMEOUT));
 
-    // No trace context ⇒ no TTL: still delivered across both hops.
+    // No trace context ⇒ no TTL: still delivered across every hop.
     publisher
         .publish(t("/Plain/Topic"), Payload::Blob { data: vec![2] })
         .unwrap();
     assert!(far.next_message(TIMEOUT).is_ok());
-    assert_eq!(net.broker(2).stats().dropped_ttl, 0);
+    assert!(net.brokers.iter().all(|b| b.stats().dropped_ttl == 0));
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The property DSL: a one-line-per-property grammar compiled to
 //! [`PropertySpec`]s. See the crate docs for the table of kinds.
 
+use nb_telemetry::MAX_HOPS;
 use nb_wire::Topic;
 
 /// Hard cap on properties per monitor set: the delivery-path
@@ -142,22 +143,22 @@ pub fn parse_properties(text: &str) -> Result<Vec<PropertySpec>, String> {
 /// bounded TTL, exactly-once delivery, and causally consistent
 /// availability verdicts.
 ///
-/// `max_hops` should mirror `BrokerConfig::max_hops`. When
+/// The TTL bound is the brokers' own, [`nb_telemetry::MAX_HOPS`]. When
 /// `strict_ttl` is set (use only with telemetry enabled, where every
-/// trace publication carries a context) a fifth property additionally
+/// trace publication carries a context) a sixth property additionally
 /// flags change-notification publications whose TTL section was
 /// stripped in flight.
-pub fn standard_properties(max_hops: u8, strict_ttl: bool) -> Vec<PropertySpec> {
+pub fn standard_properties(strict_ttl: bool) -> Vec<PropertySpec> {
     let mut text = format!(
         "auth: require-token on /Constrained/Traces/*/Publish-Only/#\n\
          session: require-session on /Constrained/Traces/*/Publish-Only/#\n\
-         ttl: max-hops {max_hops} on /Constrained/Traces/#\n\
+         ttl: max-hops {MAX_HOPS} on /Constrained/Traces/#\n\
          replay: exactly-once on /Constrained/Traces/#\n\
          causal: causal-verdicts on /Entities/#\n"
     );
     if strict_ttl {
         text.push_str(&format!(
-            "ttl-strip: require-ttl {max_hops} on /Constrained/Traces/*/Publish-Only/*/*/ChangeNotifications\n"
+            "ttl-strip: require-ttl {MAX_HOPS} on /Constrained/Traces/*/Publish-Only/*/*/ChangeNotifications\n"
         ));
     }
     parse_properties(&text).expect("standard property set always parses")
@@ -235,10 +236,10 @@ mod tests {
 
     #[test]
     fn standard_set_has_the_core_properties() {
-        let specs = standard_properties(16, false);
+        let specs = standard_properties(false);
         let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["auth", "session", "ttl", "replay", "causal"]);
-        let strict = standard_properties(16, true);
+        let strict = standard_properties(true);
         assert_eq!(strict.len(), 6);
         assert_eq!(strict[5].name, "ttl-strip");
     }

@@ -168,7 +168,6 @@ struct SetInner {
     /// Indices of specs by kind, so the hot path never scans
     /// non-delivery properties.
     verdict_specs: Vec<usize>,
-    token_skew_ms: u64,
     credential: Credential,
     /// Direct-mapped topic-hash → property-mask cache. Each slot packs
     /// the hash's high 48 bits as a tag with a 16-bit property mask
@@ -198,14 +197,13 @@ pub struct MonitorSet {
 
 impl MonitorSet {
     /// Builds a monitor set over `specs`, signing audit reports with
-    /// `credential`. `token_skew_ms` mirrors the broker's clock-skew
-    /// tolerance for token-window checks.
+    /// `credential`.
     ///
     /// # Panics
     ///
     /// Panics if `specs` exceeds [`crate::dsl::MAX_PROPERTIES`] (the
     /// DSL parser enforces the same cap with an error).
-    pub fn new(specs: Vec<PropertySpec>, credential: Credential, token_skew_ms: u64) -> Self {
+    pub fn new(specs: Vec<PropertySpec>, credential: Credential) -> Self {
         assert!(
             specs.len() <= crate::dsl::MAX_PROPERTIES,
             "monitor set capped at {} properties",
@@ -230,7 +228,6 @@ impl MonitorSet {
             inner: Arc::new(SetInner {
                 specs,
                 verdict_specs,
-                token_skew_ms,
                 credential,
                 prefilter: [const { AtomicU64::new(0) }; PREFILTER_SLOTS],
                 owner_keys: RwLock::new(HashMap::new()),
@@ -437,7 +434,7 @@ impl MonitorSet {
         };
         let keys = self.inner.owner_keys.read();
         let owner = keys.get(&token.trace_topic);
-        let verdict = token.admits(owner, now_ms, self.inner.token_skew_ms);
+        let verdict = token.admits(owner, now_ms);
         verdict
             .err()
             .map(|e| format!("token refused at {now_ms}: {e}"))
@@ -647,7 +644,7 @@ mod tests {
         let mut ca = CertificateAuthority::new("ca", 512, validity, &mut rng).unwrap();
         let credential = ca.issue("Monitor", validity, &mut rng).unwrap();
         let specs = crate::dsl::parse_properties("causal: causal-verdicts on /Entities/#").unwrap();
-        let monitor = MonitorSet::new(specs, credential, 100);
+        let monitor = MonitorSet::new(specs, credential);
         // A FAILED verdict with no ping outstanding breaches the
         // property every time.
         for now_ms in 0..2_000 {

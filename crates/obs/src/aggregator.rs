@@ -13,14 +13,22 @@ use parking_lot::{Mutex, RwLock};
 use crate::frame::{NodeKind, TelemetryFrame};
 use crate::telemetry_topic;
 
+/// Cumulative samples kept per node: the time-series depth windowed
+/// rates are computed over.
+const RING_CAPACITY: usize = 128;
+/// Heartbeat intervals of silence before a node is `Degraded`.
+const DEGRADED_AFTER: u64 = 3;
+/// Heartbeat intervals of silence before a node is `Down`.
+const DOWN_AFTER: u64 = 6;
+
 /// Health of one reporting node, judged by heartbeat staleness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealthState {
     /// Heartbeats arriving on schedule.
     Up,
-    /// Missed a few intervals (default: > 3 intervals silent).
+    /// Missed a few intervals (3 or more intervals silent).
     Degraded,
-    /// Considered gone (default: > 6 intervals silent).
+    /// Considered gone (6 or more intervals silent).
     Down,
 }
 
@@ -72,28 +80,6 @@ impl WindowDelta {
     }
 }
 
-/// Aggregator tuning.
-#[derive(Debug, Clone)]
-pub struct AggregatorConfig {
-    /// Ring capacity of per-node cumulative samples (the time-series
-    /// depth windowed rates are computed over).
-    pub ring_capacity: usize,
-    /// Heartbeat intervals of silence before a node is `Degraded`.
-    pub degraded_after: u64,
-    /// Heartbeat intervals of silence before a node is `Down`.
-    pub down_after: u64,
-}
-
-impl Default for AggregatorConfig {
-    fn default() -> Self {
-        AggregatorConfig {
-            ring_capacity: 128,
-            degraded_after: 3,
-            down_after: 6,
-        }
-    }
-}
-
 struct NodeSeries {
     kind: NodeKind,
     last_seq: u64,
@@ -135,7 +121,6 @@ impl AggMetrics {
 }
 
 struct Inner {
-    config: AggregatorConfig,
     trusted_key: RwLock<Option<RsaPublicKey>>,
     nodes: Mutex<BTreeMap<String, NodeSeries>>,
     metrics: AggMetrics,
@@ -155,20 +140,15 @@ pub struct ClusterAggregator {
 
 impl Default for ClusterAggregator {
     fn default() -> Self {
-        Self::new(AggregatorConfig::default())
+        Self::new()
     }
 }
 
 impl ClusterAggregator {
     /// Creates an empty aggregator.
-    pub fn new(config: AggregatorConfig) -> Self {
+    pub fn new() -> Self {
         ClusterAggregator {
             inner: Arc::new(Inner {
-                config: AggregatorConfig {
-                    ring_capacity: config.ring_capacity.max(2),
-                    degraded_after: config.degraded_after.max(1),
-                    down_after: config.down_after.max(2),
-                },
                 trusted_key: RwLock::new(None),
                 nodes: Mutex::new(BTreeMap::new()),
                 metrics: AggMetrics::new(),
@@ -258,7 +238,7 @@ impl ClusterAggregator {
         series
             .ring
             .push_back((frame.clock_ms, series.total.clone()));
-        while series.ring.len() > inner.config.ring_capacity {
+        while series.ring.len() > RING_CAPACITY {
             series.ring.pop_front();
         }
         inner.metrics.nodes.set(nodes.len() as i64);
@@ -345,10 +325,10 @@ impl ClusterAggregator {
     }
 
     /// Evaluates the scoreboard at `now_ms` (same clock domain the
-    /// publishers stamp frames with). Nodes silent for more than
-    /// `degraded_after`/`down_after` intervals are marked accordingly;
-    /// a completed departure-and-return is counted in `obs.node.flap`
-    /// when the node is next heard.
+    /// publishers stamp frames with). Nodes silent for 3 or 6
+    /// intervals or more are marked degraded or down; a completed
+    /// departure-and-return is counted in `obs.node.flap` when the node
+    /// is next heard.
     pub fn health_report(&self, now_ms: u64) -> Vec<NodeHealth> {
         let inner = &*self.inner;
         let mut nodes = inner.nodes.lock();
@@ -357,9 +337,9 @@ impl ClusterAggregator {
             .map(|(id, series)| {
                 let silent_ms = now_ms.saturating_sub(series.last_heard_ms);
                 let silent_intervals = silent_ms / series.interval_ms;
-                let state = if silent_intervals >= inner.config.down_after {
+                let state = if silent_intervals >= DOWN_AFTER {
                     HealthState::Down
-                } else if silent_intervals >= inner.config.degraded_after {
+                } else if silent_intervals >= DEGRADED_AFTER {
                     HealthState::Degraded
                 } else {
                     HealthState::Up
@@ -499,8 +479,8 @@ mod tests {
 
     #[test]
     fn health_transitions_and_flaps() {
-        let config = AggregatorConfig::default(); // degraded 3, down 6
-        let agg = ClusterAggregator::new(config);
+        let agg = ClusterAggregator::new();
+        assert_eq!((DEGRADED_AFTER, DOWN_AFTER), (3, 6));
         agg.ingest_frame(frame("b0", 0, 1_000, true, Snapshot::default()));
 
         // Fresh: up.

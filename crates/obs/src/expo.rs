@@ -182,12 +182,11 @@ pub fn json_export(agg: &ClusterAggregator, now_ms: u64, rate_window: Duration) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregator::AggregatorConfig;
     use crate::frame::{NodeKind, TelemetryFrame};
     use nb_metrics::Registry;
 
     fn seeded_aggregator() -> ClusterAggregator {
-        let agg = ClusterAggregator::new(AggregatorConfig::default());
+        let agg = ClusterAggregator::new();
         let r = Registry::new();
         r.counter("broker.publish.accepted").add(10);
         r.gauge("broker.clients").set(2);

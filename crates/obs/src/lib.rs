@@ -50,7 +50,7 @@ mod expo;
 mod frame;
 mod publisher;
 
-pub use aggregator::{AggregatorConfig, ClusterAggregator, HealthState, NodeHealth, WindowDelta};
+pub use aggregator::{ClusterAggregator, HealthState, NodeHealth, WindowDelta};
 pub use expo::{json_export, prometheus_text};
 pub use frame::{NodeKind, TelemetryFrame, FRAME_VERSION};
 pub use publisher::{ObsSink, PublisherConfig, SnapshotFn, TelemetryPublisher};

@@ -2,6 +2,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Routing TTL: a broker drops a message whose
+/// [`TraceContext::hop_count`], after its neighbour-ingress increment,
+/// exceeds this (counted in `broker.drop.ttl_exceeded`), closing the
+/// forwarding-loop hazard. The standard monitors' `ttl` bound is the
+/// same number. Well above the paper's longest chain of 6 brokers.
+pub const MAX_HOPS: u8 = 16;
+
 /// Causal identity carried inside a `wire::Message` envelope.
 ///
 /// The context is small, `Copy`, and deliberately excluded from
@@ -18,7 +25,7 @@ pub struct TraceContext {
     /// receiver can parent its own spans under it.
     pub parent_span: u64,
     /// Broker-to-broker hops taken so far; doubles as a routing TTL
-    /// (see `BrokerConfig::max_hops`).
+    /// (see [`MAX_HOPS`]).
     pub hop_count: u8,
     /// Head-sampling decision made at publish time. Unsampled messages
     /// still carry the context (for the TTL and for tail sampling) but

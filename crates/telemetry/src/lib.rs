@@ -14,10 +14,12 @@
 //!   per-instance [`FlightRecorder`] — a bounded, lock-free,
 //!   overwrite-oldest ring buffer that never allocates on the hot
 //!   path;
-//! * sampling is controlled by a [`TelemetryConfig`]: probabilistic
-//!   *head* sampling at publish ([`HeadSampler`]) plus a *tail* knob
-//!   that always records the terminal span of traces whose end-to-end
-//!   latency exceeds a threshold;
+//! * sampling is decided by a [`TelemetryConfig`]: probabilistic
+//!   *head* sampling at publish ([`TelemetryConfig::mint`], through a
+//!   [`HeadSampler`]), recording only sampled traces
+//!   ([`TelemetryConfig::sampled`]), plus *tail* sampling that always
+//!   records the terminal span of traces whose end-to-end latency
+//!   reaches [`SLOW_THRESHOLD_MS`];
 //! * [`export`] renders recorder contents as JSON-lines and Chrome
 //!   `trace_event` JSON for offline analysis.
 //!
@@ -26,7 +28,7 @@
 //! directly comparable — which is what makes per-hop latency
 //! attribution possible (see `bench/src/bin/trace_report.rs`).
 //!
-//! The knobs and formats are documented in `docs/OBSERVABILITY.md`
+//! The settings and formats are documented in `docs/OBSERVABILITY.md`
 //! under "Causal tracing".
 
 pub mod context;
@@ -34,10 +36,10 @@ pub mod export;
 pub mod recorder;
 pub mod sampler;
 
-pub use context::{fresh_span_id, fresh_trace_id, TraceContext};
+pub use context::{fresh_span_id, fresh_trace_id, TraceContext, MAX_HOPS};
 pub use export::{chrome_trace, json_lines, NodeSpans};
 pub use recorder::{FlightRecorder, SpanEvent, Stage};
-pub use sampler::{HeadSampler, TelemetryConfig};
+pub use sampler::{HeadSampler, TelemetryConfig, RECORDER_CAPACITY, SLOW_THRESHOLD_MS};
 
 use std::sync::LazyLock;
 use std::time::Instant;

@@ -1,14 +1,23 @@
-//! Sampling knobs: head sampling at publish, tail thresholds for slow
-//! traces, and the `TelemetryConfig` that carries both.
+//! Sampling: the `TelemetryConfig` that decides, once for every node,
+//! which messages carry a context and which are recorded, plus the
+//! tail threshold for slow traces.
 
-use crate::context::mix64;
+use crate::context::{fresh_span_id, mix64, TraceContext};
 
-/// Tuning knobs for the causal tracing layer.
+/// Tail-sampling threshold, ms: an *unsampled* message whose observed
+/// end-to-end latency meets or exceeds this records its terminal
+/// spans anyway, so slow outliers are never invisible.
+pub const SLOW_THRESHOLD_MS: u64 = 1_000;
+
+/// Flight-recorder capacity, in spans, of every broker, engine and
+/// tracker. Oldest spans are overwritten.
+pub const RECORDER_CAPACITY: usize = 4_096;
+
+/// The causal tracing layer's two settings.
 ///
 /// Carried by `TracingConfig` and `BrokerConfig` so one struct
-/// configures every recorder in a deployment. All knobs have safe
-/// defaults: tracing enabled, nothing head-sampled (zero hot-path
-/// cost), tail sampling only for outliers slower than one second.
+/// configures every node in a deployment. The defaults cost nothing
+/// on the hot path: tracing enabled, nothing head-sampled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch. When `false` no context is attached at publish
@@ -17,13 +26,6 @@ pub struct TelemetryConfig {
     /// Head-sampling rate in parts-per-million of published messages
     /// (`1_000_000` = trace everything, `0` = trace nothing).
     pub sample_ppm: u32,
-    /// Tail-sampling threshold: an *unsampled* message whose observed
-    /// end-to-end latency meets or exceeds this records a terminal
-    /// marker span anyway, so slow outliers are never invisible.
-    pub slow_threshold_ms: u64,
-    /// Flight-recorder capacity in spans per node (rounded up to a
-    /// power of two, minimum 16). Oldest spans are overwritten.
-    pub capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -31,9 +33,27 @@ impl Default for TelemetryConfig {
         Self {
             enabled: true,
             sample_ppm: 0,
-            slow_threshold_ms: 1_000,
-            capacity: 4_096,
         }
+    }
+}
+
+impl TelemetryConfig {
+    /// A root trace context for a freshly published message, with the
+    /// head-sampling decision made; `None` when telemetry is off.
+    pub fn mint(&self) -> Option<TraceContext> {
+        if !self.enabled {
+            return None;
+        }
+        let mut ctx = TraceContext::root(fresh_span_id(), false);
+        ctx.sampled = HeadSampler::new(self.sample_ppm).decide(ctx.trace_id);
+        Some(ctx)
+    }
+
+    /// The context a node records spans under: `trace` when telemetry
+    /// is on and the trace was head-sampled, else `None`.
+    #[inline]
+    pub fn sampled(&self, trace: Option<TraceContext>) -> Option<TraceContext> {
+        trace.filter(|ctx| self.enabled && ctx.sampled)
     }
 }
 
@@ -49,11 +69,6 @@ impl HeadSampler {
     /// Sampler keeping roughly `ppm` per million traces.
     pub fn new(ppm: u32) -> Self {
         Self { ppm }
-    }
-
-    /// Sampler configured from `cfg` (disabled config ⇒ keep nothing).
-    pub fn from_config(cfg: &TelemetryConfig) -> Self {
-        Self::new(if cfg.enabled { cfg.sample_ppm } else { 0 })
     }
 
     /// Whether the trace with this id should be head-sampled.
@@ -107,8 +122,25 @@ mod tests {
         let cfg = TelemetryConfig {
             enabled: false,
             sample_ppm: 1_000_000,
-            ..TelemetryConfig::default()
         };
-        assert!(!HeadSampler::from_config(&cfg).decide(fresh_trace_id()));
+        assert_eq!(cfg.mint(), None);
+        assert_eq!(cfg.sampled(Some(TraceContext::root(1, true))), None);
+    }
+
+    #[test]
+    fn enabled_config_mints_and_records_sampled_traces() {
+        let all = TelemetryConfig {
+            enabled: true,
+            sample_ppm: 1_000_000,
+        };
+        assert!(all
+            .mint()
+            .is_some_and(|ctx| ctx.sampled && ctx.hop_count == 0));
+        let unsampled = TelemetryConfig::default().mint();
+        assert!(unsampled.is_some_and(|ctx| !ctx.sampled));
+        let sampled = Some(TraceContext::root(1, true));
+        assert_eq!(all.sampled(sampled), sampled);
+        assert_eq!(all.sampled(unsampled), None);
+        assert_eq!(all.sampled(None), None);
     }
 }

@@ -54,9 +54,6 @@ pub struct TracingConfig {
     pub gauge_interval: Duration,
     /// Interval between NETWORK_METRICS publications.
     pub metrics_interval: Duration,
-    /// Clock-skew tolerance for token validation, ms (NTP keeps the
-    /// paper's clocks within 30–100 ms).
-    pub token_skew_ms: u64,
     /// RSA modulus size for delegate key pairs and session keys.
     /// The paper uses 1024; tests may use 512 for speed.
     pub rsa_bits: usize,
@@ -70,7 +67,7 @@ pub struct TracingConfig {
     pub session_keys: bool,
     /// Messages a trace session key may tag before rotation is due.
     pub session_max_messages: u64,
-    /// Causal-tracing knobs, shared by the brokers, engines, entities
+    /// Causal-tracing settings, shared by the brokers, engines, entities
     /// and trackers of a deployment (see `docs/OBSERVABILITY.md`,
     /// "Causal tracing").
     pub telemetry: nb_telemetry::TelemetryConfig,
@@ -89,7 +86,6 @@ impl Default for TracingConfig {
             auto_tick: true,
             gauge_interval: Duration::from_secs(5),
             metrics_interval: Duration::from_secs(2),
-            token_skew_ms: 100,
             rsa_bits: 1024,
             session_keys: false,
             session_max_messages: 1 << 16,
@@ -113,7 +109,6 @@ impl TracingConfig {
             auto_tick: false,
             gauge_interval: Duration::from_millis(500),
             metrics_interval: Duration::from_millis(500),
-            token_skew_ms: 100,
             rsa_bits: 512,
             session_keys: false,
             session_max_messages: 1 << 16,
@@ -132,7 +127,10 @@ mod tests {
         assert_eq!(c.rsa_bits, 1024);
         assert_eq!(PING_WINDOW, 10);
         assert!(c.min_ping_interval < c.ping_interval);
-        assert!((30..=100_000).contains(&c.token_skew_ms));
+        // §4.3: NTP keeps clocks within 30-100 ms.
+        assert!((30..=100).contains(&nb_wire::token::CLOCK_SKEW_MS));
+        // The TTL must let a trace cross the paper's longest chain.
+        const { assert!(nb_telemetry::MAX_HOPS >= 6) };
     }
 
     #[test]

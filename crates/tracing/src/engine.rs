@@ -20,7 +20,7 @@ use nb_crypto::{SessionKey, SessionKeyring, Uuid};
 use nb_metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
 use nb_monitor::{MonitorSet, VerdictKind};
 use nb_obs::{NodeKind, PublisherConfig, TelemetryPublisher};
-use nb_telemetry::{now_ns, FlightRecorder, HeadSampler, SpanEvent, Stage, TraceContext};
+use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TraceContext, RECORDER_CAPACITY};
 use nb_transport::clock::SharedClock;
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::payload::{SessionGrant, TraceKeyMaterial};
@@ -173,8 +173,6 @@ struct EngineInner {
     metrics: EngineMetrics,
     /// Per-engine causal-tracing span ring.
     recorder: FlightRecorder,
-    /// Head-sampling decision for engine-originated messages.
-    sampler: HeadSampler,
     stop: AtomicBool,
     rng: Mutex<StdRng>,
     consumer: String,
@@ -210,8 +208,7 @@ impl TracingEngine {
             .subscribe_internal(&consumer, topics::registration())
             .expect("engine may subscribe to the registration channel");
 
-        let recorder = FlightRecorder::new(consumer.clone(), setup.config.telemetry.capacity);
-        let sampler = HeadSampler::from_config(&setup.config.telemetry);
+        let recorder = FlightRecorder::new(consumer.clone(), RECORDER_CAPACITY);
         let session_keys = setup.broker.session_keyring();
         let inner = Arc::new(EngineInner {
             broker: setup.broker,
@@ -225,7 +222,6 @@ impl TracingEngine {
             session_keys,
             metrics: EngineMetrics::new(),
             recorder,
-            sampler,
             stop: AtomicBool::new(false),
             rng: Mutex::new(StdRng::seed_from_u64(setup.seed)),
             consumer,
@@ -387,17 +383,6 @@ fn message(inner: &EngineInner, topic: Topic, payload: Payload, now: u64) -> Mes
     )
 }
 
-/// Mints a root trace context for an engine-originated message, with
-/// the head-sampling decision applied. `None` when telemetry is off.
-fn mint_trace(inner: &EngineInner) -> Option<TraceContext> {
-    if !inner.config.telemetry.enabled {
-        return None;
-    }
-    let mut ctx = TraceContext::root(nb_telemetry::fresh_span_id(), false);
-    ctx.sampled = inner.sampler.decide(ctx.trace_id);
-    Some(ctx)
-}
-
 /// Records the root span of an engine-originated message. Its span id
 /// is the context's `parent_span`, so every downstream span (broker
 /// hops, tracker apply) chains under it.
@@ -414,11 +399,7 @@ fn record_root(inner: &EngineInner, ctx: &TraceContext, stage: Stage, start_ns: 
 }
 
 fn handle_message(inner: &Arc<EngineInner>, msg: Message) {
-    let traced = if inner.config.telemetry.enabled {
-        msg.trace.filter(|c| c.sampled)
-    } else {
-        None
-    };
+    let traced = inner.config.telemetry.sampled(msg.trace);
     let t0 = if traced.is_some() { now_ns() } else { 0 };
     match &msg.payload {
         Payload::TraceRegistration { .. } => handle_registration(inner, &msg),
@@ -680,10 +661,7 @@ fn handle_session_message(inner: &Arc<EngineInner>, msg: Message) {
         Payload::DelegationToken { token } => {
             // Verify the delegation actually comes from the topic owner.
             let owner = Some(&session.cert.public_key);
-            if token
-                .admits(owner, now, inner.config.token_skew_ms)
-                .is_err()
-            {
+            if token.admits(owner, now).is_err() {
                 inner.metrics.auth_failures.inc();
                 return;
             }
@@ -948,7 +926,7 @@ fn publish_trace(
     let Some(token) = session.token.clone() else {
         return None; // cannot publish without delegation (§4.3)
     };
-    let ctx = mint_trace(inner);
+    let ctx = inner.config.telemetry.mint();
     let t0 = if ctx.is_some_and(|c| c.sampled) {
         now_ns()
     } else {
@@ -1052,7 +1030,7 @@ fn run_tick(inner: &Arc<EngineInner>) {
             if let Some(monitor) = inner.monitor.read().as_ref() {
                 monitor.on_ping_sent(inner.broker.id(), &session.entity_id, seq, now);
             }
-            let ctx = mint_trace(inner);
+            let ctx = inner.config.telemetry.mint();
             let t0 = if ctx.is_some_and(|c| c.sampled) {
                 now_ns()
             } else {

@@ -26,11 +26,10 @@ use nb_crypto::hybrid::SealedEnvelope;
 use nb_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use nb_crypto::{SessionKey, Uuid};
 use nb_tdn::TdnCluster;
-use nb_telemetry::{HeadSampler, TraceContext};
 use nb_transport::clock::SharedClock;
 use nb_wire::codec::{Decode, Encode};
 use nb_wire::payload::{DiscoveryRestrictions, SessionGrant, TraceKeyMaterial};
-use nb_wire::token::{AuthorizationToken, Rights};
+use nb_wire::token::{AuthorizationToken, Rights, CLOCK_SKEW_MS};
 use nb_wire::trace::{topics, EntityState, LoadInformation};
 use nb_wire::{Message, Payload, Topic};
 use parking_lot::{Condvar, Mutex};
@@ -51,8 +50,6 @@ pub struct EntityOptions {
     pub broker_key: RsaPublicKey,
     /// Who may discover the trace topic.
     pub restrictions: DiscoveryRestrictions,
-    /// Trace-topic lifetime in ms (0 = unbounded).
-    pub topic_lifetime_ms: u64,
     /// RSA per-message signatures or the §6.3 HMAC optimization.
     pub signing_mode: SigningMode,
     /// Encrypt traces with a secret trace key (§5.1).
@@ -81,28 +78,12 @@ struct EntityInner {
     /// it passes half its life.
     token: Mutex<Option<AuthorizationToken>>,
     rng: Mutex<StdRng>,
-    /// Head-sampling decision for entity-originated messages.
-    sampler: HeadSampler,
     stop: AtomicBool,
     pings_answered: AtomicU64,
     /// Signalled after every answered ping (see
     /// [`TracedEntity::wait_for_pings`]).
     ping_notify: Mutex<()>,
     ping_cv: Condvar,
-}
-
-impl EntityInner {
-    /// Mints a root trace context for an outgoing message, `None` when
-    /// telemetry is off. Trace contexts ride outside the signed/MACed
-    /// region, so attaching one never perturbs authentication.
-    fn mint_trace(&self) -> Option<TraceContext> {
-        if !self.config.telemetry.enabled {
-            return None;
-        }
-        let mut ctx = TraceContext::root(nb_telemetry::fresh_span_id(), false);
-        ctx.sampled = self.sampler.decide(ctx.trace_id);
-        Some(ctx)
-    }
 }
 
 /// A running traced entity.
@@ -122,12 +103,13 @@ impl TracedEntity {
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let timeout = Duration::from_secs(10);
 
-        // 1. Trace-topic creation at the TDN.
+        // 1. Trace-topic creation at the TDN; the topic lives as long
+        //    as the entity (lifetime 0 = unbounded).
         let advertisement = tdns.create_topic(
             &opts.credential.certificate,
             &topics::descriptor_for_entity(&opts.entity_id),
             opts.restrictions.clone(),
-            opts.topic_lifetime_ms,
+            0,
         )?;
         let trace_topic = advertisement.topic_id;
 
@@ -193,7 +175,6 @@ impl TracedEntity {
 
         let session_channel = topics::entity_to_broker(&trace_topic, &session_id);
         let delegate = RsaKeyPair::generate(opts.config.rsa_bits, &mut rng)?;
-        let sampler = HeadSampler::from_config(&opts.config.telemetry);
 
         let inner = Arc::new(EntityInner {
             id: opts.entity_id,
@@ -211,7 +192,6 @@ impl TracedEntity {
             delegate: Mutex::new(delegate),
             token: Mutex::new(None),
             rng: Mutex::new(rng),
-            sampler,
             stop: AtomicBool::new(false),
             pings_answered: AtomicU64::new(0),
             ping_notify: Mutex::new(()),
@@ -292,7 +272,9 @@ impl TracedEntity {
             .inner
             .client
             .make_message(self.inner.session_channel.clone(), payload);
-        if let Some(ctx) = self.inner.mint_trace() {
+        // Trace contexts ride outside the signed/MACed region, so
+        // attaching one never perturbs authentication.
+        if let Some(ctx) = self.inner.config.telemetry.mint() {
             msg = msg.with_trace(ctx);
         }
         authenticate_message(&self.inner, &mut msg)?;
@@ -311,7 +293,7 @@ impl TracedEntity {
                 self.inner.trace_topic,
                 delegate.public.clone(),
                 Rights::Publish,
-                now.saturating_sub(self.inner.config.token_skew_ms),
+                now.saturating_sub(CLOCK_SKEW_MS),
                 now + TOKEN_LIFETIME_MS,
             )?
         };

@@ -16,7 +16,7 @@ use nb_broker::BrokerConfig;
 use nb_crypto::cert::{CertificateAuthority, Credential, Validity};
 use nb_crypto::rsa::RsaPublicKey;
 use nb_monitor::MonitorSet;
-use nb_obs::{AggregatorConfig, ClusterAggregator, PublisherConfig, TelemetryPublisher};
+use nb_obs::{ClusterAggregator, PublisherConfig, TelemetryPublisher};
 use nb_tdn::TdnCluster;
 use nb_transport::clock::SharedClock;
 use nb_transport::sim::LinkConfig;
@@ -238,7 +238,6 @@ impl Deployment {
             .collect();
 
         let broker_cfg = BrokerConfig {
-            token_skew_ms: config.token_skew_ms,
             telemetry: config.telemetry.clone(),
             ..BrokerConfig::default()
         };
@@ -329,7 +328,7 @@ impl Deployment {
             );
         }
 
-        let aggregator = ClusterAggregator::new(AggregatorConfig::default());
+        let aggregator = ClusterAggregator::new();
         aggregator.require_signatures(key.clone());
         let home = &self.network.brokers[0];
         let consumer = format!("obs-aggregator@{}", home.id());
@@ -370,11 +369,8 @@ impl Deployment {
             let mut rng = self.rng.lock();
             self.ca.lock().issue("Monitor", validity, &mut *rng)?
         };
-        let specs = nb_monitor::standard_properties(
-            BrokerConfig::default().max_hops,
-            self.config.telemetry.enabled,
-        );
-        let monitor = MonitorSet::new(specs, credential, self.config.token_skew_ms);
+        let specs = nb_monitor::standard_properties(self.config.telemetry.enabled);
+        let monitor = MonitorSet::new(specs, credential);
         for broker in &self.network.brokers {
             broker.attach_monitor(monitor.clone());
         }
@@ -473,7 +469,6 @@ impl Deployment {
                 credential,
                 broker_key,
                 restrictions,
-                topic_lifetime_ms: 0,
                 signing_mode,
                 secured,
                 config: self.config.clone(),

@@ -21,7 +21,7 @@ use nb_crypto::{SessionKey, SessionKeyring, SessionVerdict, Uuid};
 use nb_metrics::{Counter, Registry, Snapshot};
 use nb_store::{Durable, Recovery, StoreConfig};
 use nb_tdn::TdnCluster;
-use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TraceContext};
+use nb_telemetry::{now_ns, FlightRecorder, SpanEvent, Stage, TraceContext, RECORDER_CAPACITY};
 use nb_transport::clock::SharedClock;
 use nb_wire::codec::Decode;
 use nb_wire::payload::{TopicAdvertisement, TraceKeyMaterial};
@@ -43,7 +43,7 @@ pub struct TrackerOptions {
     /// notifications, all-updates, state transitions, load information
     /// or network metrics", §3.5).
     pub interests: Vec<TraceCategory>,
-    /// Scheme configuration (token skew).
+    /// Scheme configuration (the tracker reads its telemetry settings).
     pub config: TracingConfig,
     /// Durability root. `Some(dir)` journals applied traces to
     /// `dir/tracker.{wal,snap}` and recovers the availability view on
@@ -155,7 +155,7 @@ impl Tracker {
             None => (AvailabilityView::new(), None, None),
         };
 
-        let recorder = FlightRecorder::new(opts.tracker_id.clone(), opts.config.telemetry.capacity);
+        let recorder = FlightRecorder::new(opts.tracker_id.clone(), RECORDER_CAPACITY);
         let inner = Arc::new(TrackerInner {
             id: opts.tracker_id,
             credential: opts.credential,
@@ -321,8 +321,8 @@ fn discover_advertisement(
 /// topic owner signed ([`AuthorizationToken::admits`]); a refusal is
 /// counted.
 fn token_admitted(inner: &TrackerInner, msg: &Message) -> bool {
-    let (now, skew) = (inner.clock.now_ms(), inner.config.token_skew_ms);
-    let admits = |t: &AuthorizationToken| t.admits(Some(&inner.owner_key), now, skew).is_ok();
+    let now = inner.clock.now_ms();
+    let admits = |t: &AuthorizationToken| t.admits(Some(&inner.owner_key), now).is_ok();
     let admitted = msg.token.as_ref().is_some_and(admits);
     if !admitted {
         inner.metrics.rejected_tokens.inc();
@@ -375,11 +375,7 @@ fn record_span(inner: &TrackerInner, ctx: Option<&TraceContext>, stage: Stage, t
 }
 
 fn handle_message(inner: &Arc<TrackerInner>, msg: Message) {
-    let traced = if inner.config.telemetry.enabled {
-        msg.trace.filter(|c| c.sampled)
-    } else {
-        None
-    };
+    let traced = inner.config.telemetry.sampled(msg.trace);
     let t0 = if traced.is_some() { now_ns() } else { 0 };
     // §5.1: control messages count only under the owner's token ("after
     // confirming the validity of the security token, then respond…").

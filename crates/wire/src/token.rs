@@ -51,10 +51,10 @@ impl Rights {
     }
 }
 
-/// Default tolerated clock skew when validating token windows. The
-/// paper assumes NTP keeps clocks "within 30-100 milliseconds"; we
-/// allow a conservative 100 ms.
-pub const DEFAULT_SKEW_MS: u64 = 100;
+/// Tolerated clock skew on both edges of a token's validity window,
+/// at every node that checks one. The paper assumes NTP keeps clocks
+/// "within 30-100 milliseconds"; we allow a conservative 100 ms.
+pub const CLOCK_SKEW_MS: u64 = 100;
 
 /// Why a token past its validity window is refused.
 const EXPIRED: &str = "token past its validity window";
@@ -116,15 +116,14 @@ impl AuthorizationToken {
     }
 
     /// Full verification: owner signature, rights, and validity window
-    /// (with `skew_ms` tolerance on both edges).
+    /// (with [`CLOCK_SKEW_MS`] tolerance on both edges).
     pub fn verify(
         &self,
         owner_key: &RsaPublicKey,
         expected_rights: Rights,
         now_ms: u64,
-        skew_ms: u64,
     ) -> Result<()> {
-        let outcome = self.verify_inner(owner_key, expected_rights, now_ms, skew_ms);
+        let outcome = self.verify_inner(owner_key, expected_rights, now_ms);
         match &outcome {
             Ok(()) => instrument::TOKENS_VERIFIED.inc(),
             Err(_) => instrument::TOKENS_REJECTED.inc(),
@@ -137,9 +136,8 @@ impl AuthorizationToken {
         owner_key: &RsaPublicKey,
         expected_rights: Rights,
         now_ms: u64,
-        skew_ms: u64,
     ) -> Result<()> {
-        self.check_window(now_ms, skew_ms)?;
+        self.check_window(now_ms, CLOCK_SKEW_MS)?;
         if self.rights != expected_rights {
             return Err(CryptoError::CertificateInvalid("token grants different rights").into());
         }
@@ -149,15 +147,13 @@ impl AuthorizationToken {
     }
 
     /// §4.3's rule for every node that relays or consumes a trace: the
-    /// validity window with `skew_ms` on both edges and, when the topic
+    /// validity window with [`CLOCK_SKEW_MS`] on both edges and, when the topic
     /// owner's key is known, [`Rights::Publish`] under the owner's
     /// signature ([`AuthorizationToken::verify`]). A transit broker,
     /// which does not know the owner, checks the window alone.
-    pub fn admits(&self, owner: Option<&RsaPublicKey>, now_ms: u64, skew_ms: u64) -> Result<()> {
-        self.check_window(now_ms, skew_ms)?;
-        owner.map_or(Ok(()), |key| {
-            self.verify(key, Rights::Publish, now_ms, skew_ms)
-        })
+    pub fn admits(&self, owner: Option<&RsaPublicKey>, now_ms: u64) -> Result<()> {
+        self.check_window(now_ms, CLOCK_SKEW_MS)?;
+        owner.map_or(Ok(()), |key| self.verify(key, Rights::Publish, now_ms))
     }
 
     /// The one comparison of the validity window: `skew_ms` widens both
@@ -291,13 +287,8 @@ mod tests {
     fn valid_token_verifies() {
         let fx = fixture();
         let t = token(NOW - 10_000, NOW + 60_000);
-        t.verify(
-            &fx.owner.certificate.public_key,
-            Rights::Publish,
-            NOW,
-            DEFAULT_SKEW_MS,
-        )
-        .unwrap();
+        t.verify(&fx.owner.certificate.public_key, Rights::Publish, NOW)
+            .unwrap();
     }
 
     #[test]
@@ -305,7 +296,7 @@ mod tests {
         let fx = fixture();
         let t = token(NOW - 60_000, NOW - 1_000);
         assert!(t
-            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW, 0)
+            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW)
             .is_err());
         assert!(t.is_expired(NOW));
     }
@@ -315,49 +306,31 @@ mod tests {
         let fx = fixture();
         let t = token(NOW - 60_000, NOW - 50);
         // Expired by 50 ms but within the 100 ms NTP skew allowance.
-        t.verify(
-            &fx.owner.certificate.public_key,
-            Rights::Publish,
-            NOW,
-            DEFAULT_SKEW_MS,
-        )
-        .unwrap();
-        // Outside the allowance it fails.
+        t.verify(&fx.owner.certificate.public_key, Rights::Publish, NOW)
+            .unwrap();
+        // Past the allowance it fails.
+        let past = NOW - 50 + CLOCK_SKEW_MS + 1;
         assert!(t
-            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW, 10)
+            .verify(&fx.owner.certificate.public_key, Rights::Publish, past)
             .is_err());
     }
 
     #[test]
     fn window_boundary_is_inclusive_at_both_ends() {
         // Cross-layer contract with `Validity::contains` and session
-        // keys: acceptance exactly *at* the boundary instants, even
-        // with zero skew allowance.
+        // keys: acceptance exactly *at* the boundary instants, widened
+        // by the skew allowance; `is_expired` takes no allowance.
         let fx = fixture();
+        let key = &fx.owner.certificate.public_key;
         let t = token(NOW - 60_000, NOW + 60_000);
-        t.verify(
-            &fx.owner.certificate.public_key,
-            Rights::Publish,
-            NOW - 60_000,
-            0,
-        )
-        .expect("accepted at exactly valid_from_ms with zero skew");
-        t.verify(
-            &fx.owner.certificate.public_key,
-            Rights::Publish,
-            NOW + 60_000,
-            0,
-        )
-        .expect("accepted at exactly valid_until_ms with zero skew");
+        t.verify(key, Rights::Publish, NOW - 60_000 - CLOCK_SKEW_MS)
+            .expect("accepted at exactly valid_from_ms - skew");
+        t.verify(key, Rights::Publish, NOW + 60_000 + CLOCK_SKEW_MS)
+            .expect("accepted at exactly valid_until_ms + skew");
         assert!(!t.is_expired(NOW + 60_000));
         assert!(t.is_expired(NOW + 60_001));
         assert!(t
-            .verify(
-                &fx.owner.certificate.public_key,
-                Rights::Publish,
-                NOW + 60_001,
-                0
-            )
+            .verify(key, Rights::Publish, NOW + 60_001 + CLOCK_SKEW_MS)
             .is_err());
     }
 
@@ -366,7 +339,7 @@ mod tests {
         let fx = fixture();
         let t = token(NOW + 10_000, NOW + 60_000);
         assert!(t
-            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW, 0)
+            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW)
             .is_err());
     }
 
@@ -375,12 +348,7 @@ mod tests {
         let fx = fixture();
         let t = token(NOW - 1000, NOW + 60_000);
         assert!(t
-            .verify(
-                &fx.owner.certificate.public_key,
-                Rights::Subscribe,
-                NOW,
-                DEFAULT_SKEW_MS
-            )
+            .verify(&fx.owner.certificate.public_key, Rights::Subscribe, NOW)
             .is_err());
     }
 
@@ -390,12 +358,7 @@ mod tests {
         let mut t = token(NOW - 1000, NOW + 60_000);
         t.signature[10] ^= 0xff;
         assert!(t
-            .verify(
-                &fx.owner.certificate.public_key,
-                Rights::Publish,
-                NOW,
-                DEFAULT_SKEW_MS
-            )
+            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW)
             .is_err());
     }
 
@@ -405,12 +368,7 @@ mod tests {
         let mut t = token(NOW - 1000, NOW + 60_000);
         t.valid_until_ms += 1_000_000; // try to extend the delegation
         assert!(t
-            .verify(
-                &fx.owner.certificate.public_key,
-                Rights::Publish,
-                NOW,
-                DEFAULT_SKEW_MS
-            )
+            .verify(&fx.owner.certificate.public_key, Rights::Publish, NOW)
             .is_err());
     }
 
@@ -419,9 +377,7 @@ mod tests {
         let t = token(NOW - 1000, NOW + 60_000);
         let mut rng = StdRng::seed_from_u64(55);
         let other = RsaKeyPair::generate(512, &mut rng).unwrap();
-        assert!(t
-            .verify(&other.public, Rights::Publish, NOW, DEFAULT_SKEW_MS)
-            .is_err());
+        assert!(t.verify(&other.public, Rights::Publish, NOW).is_err());
     }
 
     #[test]
@@ -450,7 +406,7 @@ mod tests {
     #[test]
     fn admits_table() {
         let owner = &fixture().owner.certificate.public_key;
-        let (skew, max) = (DEFAULT_SKEW_MS, u64::MAX);
+        let (skew, max) = (CLOCK_SKEW_MS, u64::MAX);
         // (valid_from, valid_until, now, admitted): both edges take the
         // skew and are inclusive; near u64::MAX they saturate, so a
         // window ending within `skew` of the maximum never expires.
@@ -467,7 +423,7 @@ mod tests {
         ] {
             let t = token(from, until);
             for key in [None, Some(owner)] {
-                let got = t.admits(key, now, skew).is_ok();
+                let got = t.admits(key, now).is_ok();
                 assert_eq!(
                     got,
                     admitted,
@@ -483,12 +439,12 @@ mod tests {
         let mut forged = token(NOW - 1000, NOW + 60_000);
         forged.signature[10] ^= 0xff;
         for t in [&subscribe, &forged] {
-            t.admits(None, NOW, skew).unwrap();
-            assert!(t.admits(Some(owner), NOW, skew).is_err());
+            t.admits(None, NOW).unwrap();
+            assert!(t.admits(Some(owner), NOW).is_err());
         }
         let other = RsaKeyPair::generate(512, &mut StdRng::seed_from_u64(56)).unwrap();
         let valid = token(NOW - 1000, NOW + 60_000);
-        assert!(valid.admits(Some(&other.public), NOW, skew).is_err());
-        valid.admits(Some(owner), NOW, skew).unwrap();
+        assert!(valid.admits(Some(&other.public), NOW).is_err());
+        valid.admits(Some(owner), NOW).unwrap();
     }
 }
