@@ -173,29 +173,9 @@ impl BrokerNetwork {
     }
 
     /// Attaches a new client to broker `idx` over the network's
-    /// default medium.
+    /// medium.
     pub fn attach_client(&self, idx: usize, client_id: &str) -> Result<BrokerClient> {
-        self.attach_client_over(idx, client_id, self.medium)
-    }
-
-    /// Attaches a client over a custom-behaviour simulated link.
-    pub fn attach_client_with(
-        &self,
-        idx: usize,
-        client_id: &str,
-        link_cfg: LinkConfig,
-    ) -> Result<BrokerClient> {
-        self.attach_client_over(idx, client_id, Medium::Sim(link_cfg))
-    }
-
-    /// Attaches a client over an explicit medium.
-    pub fn attach_client_over(
-        &self,
-        idx: usize,
-        client_id: &str,
-        medium: Medium,
-    ) -> Result<BrokerClient> {
-        let (broker_side, client_side, _link) = medium.pair(&self.net)?;
+        let (broker_side, client_side, _link) = self.medium.pair(&self.net)?;
         self.brokers[idx].attach_client(broker_side);
         BrokerClient::attach(
             client_side,
@@ -274,9 +254,8 @@ impl BrokerNetwork {
             .is_some()
     }
 
-    /// The underlying simulated network (fault scripting against
-    /// client links created with
-    /// [`BrokerNetwork::attach_client_with`]).
+    /// The underlying simulated network: on a simulated medium, every
+    /// link of this network, inter-broker and client, runs on it.
     pub fn sim(&self) -> &SimNetwork {
         &self.net
     }

@@ -44,17 +44,6 @@ impl BigUint {
         }
     }
 
-    /// Builds a value from a `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut out = BigUint {
-            limbs: vec![lo, hi],
-        };
-        out.normalize();
-        out
-    }
-
     /// Constructs from raw little-endian limbs (normalizing).
     pub(crate) fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut out = BigUint { limbs };
@@ -532,14 +521,6 @@ mod tests {
         assert!(n(2).is_even());
         assert!(n(3).is_odd());
         assert!(BigUint::from_limbs(vec![1, 5]).is_odd());
-    }
-
-    #[test]
-    fn from_u128_splits_limbs() {
-        let v = BigUint::from_u128((1u128 << 100) + 7);
-        assert_eq!(v.bit_length(), 101);
-        assert!(v.bit(100));
-        assert!(v.bit(0) && v.bit(1) && v.bit(2));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! canonical binary TBS ("to be signed") encoding instead of ASN.1/DER,
 //! which the scheme itself never inspects.
 
-use crate::bigint::BigUint;
 use crate::digest::DigestAlgorithm;
 use crate::error::CryptoError;
 use crate::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
@@ -88,12 +87,6 @@ impl Certificate {
         issuer_key
             .verify(DigestAlgorithm::Sha256, &self.tbs_bytes(), &self.signature)
             .map_err(|_| CryptoError::CertificateInvalid("bad issuer signature"))
-    }
-
-    /// Whether this certificate is self-signed (issuer == subject and
-    /// the signature verifies under its own key).
-    pub fn is_self_signed(&self, now_ms: u64) -> bool {
-        self.issuer == self.subject && self.verify(&self.public_key, now_ms).is_ok()
     }
 
     /// Canonical full encoding (TBS || signature), for wire transfer.
@@ -307,11 +300,6 @@ fn take_str(cur: &mut &[u8]) -> Result<String, CryptoError> {
     String::from_utf8(chunk.to_vec()).map_err(|_| CryptoError::Malformed("non-UTF8 string"))
 }
 
-/// `BigUint` re-export check helper: fingerprints as hex for logs.
-pub fn fingerprint_hex(fp: &[u8; 32]) -> String {
-    BigUint::from_bytes_be(fp).to_hex()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,7 +326,9 @@ mod tests {
     #[test]
     fn ca_root_is_self_signed() {
         let ca = ca().lock().unwrap();
-        assert!(ca.certificate().is_self_signed(NOW));
+        let root = ca.certificate();
+        assert_eq!(root.issuer, root.subject);
+        root.verify(&root.public_key, NOW).unwrap();
     }
 
     #[test]
@@ -435,7 +425,6 @@ mod tests {
         let b = ca.issue("entity:fb", validity(), &mut rng).unwrap();
         assert_eq!(a.certificate.fingerprint(), a.certificate.fingerprint());
         assert_ne!(a.certificate.fingerprint(), b.certificate.fingerprint());
-        assert!(!fingerprint_hex(&a.certificate.fingerprint()).is_empty());
     }
 
     #[test]

@@ -57,14 +57,6 @@ pub enum DigestAlgorithm {
 }
 
 impl DigestAlgorithm {
-    /// Output length in bytes.
-    pub fn output_len(self) -> usize {
-        match self {
-            DigestAlgorithm::Sha1 => 20,
-            DigestAlgorithm::Sha256 => 32,
-        }
-    }
-
     /// Hashes `data` with the selected algorithm.
     pub fn digest(self, data: &[u8]) -> Vec<u8> {
         match self {
@@ -102,12 +94,5 @@ mod tests {
         }
         assert!(DigestAlgorithm::from_wire_id(0).is_err());
         assert!(DigestAlgorithm::from_wire_id(99).is_err());
-    }
-
-    #[test]
-    fn output_len_matches_digest() {
-        for alg in [DigestAlgorithm::Sha1, DigestAlgorithm::Sha256] {
-            assert_eq!(alg.digest(b"x").len(), alg.output_len());
-        }
     }
 }

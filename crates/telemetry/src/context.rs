@@ -52,14 +52,6 @@ impl TraceContext {
         self.hop_count = self.hop_count.saturating_add(1);
         self
     }
-
-    /// Copy of this context re-parented under `span` (used when a node
-    /// forwards the message onward after recording its own span).
-    #[must_use]
-    pub fn child_of(mut self, span: u64) -> Self {
-        self.parent_span = span;
-        self
-    }
 }
 
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
@@ -128,14 +120,5 @@ mod tests {
         let mut far = ctx;
         far.hop_count = u8::MAX;
         assert_eq!(far.next_hop().hop_count, u8::MAX);
-    }
-
-    #[test]
-    fn child_of_reparents_only() {
-        let ctx = TraceContext::root(1, true).next_hop();
-        let child = ctx.child_of(99);
-        assert_eq!(child.parent_span, 99);
-        assert_eq!(child.trace_id, ctx.trace_id);
-        assert_eq!(child.hop_count, ctx.hop_count);
     }
 }

@@ -110,11 +110,6 @@ impl Ticker {
         self.interval_ms
     }
 
-    /// Milliseconds-since-epoch of the next scheduled firing.
-    pub fn next_due_ms(&self) -> u64 {
-        self.next_due.load(Ordering::SeqCst)
-    }
-
     /// Returns `true` exactly once per due tick.
     ///
     /// If more than one interval elapsed since the last poll the
@@ -197,7 +192,10 @@ mod tests {
         mock.advance(1000);
         assert!(t.due());
         assert!(!t.due(), "missed ticks are skipped, not burst");
-        assert_eq!(t.next_due_ms(), 1010);
+        mock.advance(9);
+        assert!(!t.due());
+        mock.advance(1);
+        assert!(t.due(), "the next tick is one interval after the poll");
     }
 
     #[test]

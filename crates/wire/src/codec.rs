@@ -44,11 +44,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends a big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Appends a big-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -184,11 +179,6 @@ impl<'a> Reader<'a> {
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Reads a big-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_be_bytes(self.take(2, "u16")?.try_into().unwrap()))
     }
 
     /// Reads a big-endian `u32`.
@@ -338,7 +328,6 @@ mod tests {
     fn scalar_round_trips() {
         let mut w = Writer::new();
         w.put_u8(0xab);
-        w.put_u16(0x1234);
         w.put_u32(0xdeadbeef);
         w.put_u64(0x0123456789abcdef);
         w.put_f64(1.5);
@@ -347,7 +336,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xab);
-        assert_eq!(r.get_u16().unwrap(), 0x1234);
         assert_eq!(r.get_u32().unwrap(), 0xdeadbeef);
         assert_eq!(r.get_u64().unwrap(), 0x0123456789abcdef);
         assert_eq!(r.get_f64().unwrap(), 1.5);

@@ -252,11 +252,6 @@ pub struct TraceKeyMaterial {
 }
 
 impl TraceKeyMaterial {
-    /// Standard material for a fresh 192-bit AES-CBC trace key.
-    pub fn aes192_cbc(key: Vec<u8>) -> Self {
-        Self::aes192(key, CipherMode::Cbc)
-    }
-
     /// Material for a 192-bit AES key with an explicit mode — the
     /// §5.1 negotiation of "the encryption algorithm and padding
     /// scheme" (padding only applies to CBC; CTR needs none).
@@ -917,7 +912,7 @@ mod tests {
         };
         assert_eq!(SessionGrant::from_bytes(&grant.to_bytes()).unwrap(), grant);
 
-        let km = TraceKeyMaterial::aes192_cbc(vec![0x11; 24]);
+        let km = TraceKeyMaterial::aes192(vec![0x11; 24], CipherMode::Cbc);
         assert_eq!(TraceKeyMaterial::from_bytes(&km.to_bytes()).unwrap(), km);
         assert_eq!(km.padding, "PKCS7");
     }

@@ -60,11 +60,6 @@ pub struct TopicView<'a> {
 }
 
 impl<'a> TopicView<'a> {
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.count
-    }
-
     /// Iterates the raw segment byte slices.
     pub fn segments(&self) -> SegmentIter<'a> {
         SegmentIter {
@@ -487,7 +482,7 @@ mod tests {
         let bytes = m.to_bytes();
         let v = MessageView::parse(&bytes).unwrap();
         let segs: Vec<&[u8]> = v.topic.segments().collect();
-        assert_eq!(segs.len(), v.topic.segment_count());
+        assert_eq!(segs.len(), m.topic.len());
         assert_eq!(segs[0], b"Constrained");
         assert_eq!(segs[4], b"abc");
     }
