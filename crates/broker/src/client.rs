@@ -152,11 +152,12 @@ impl BrokerClient {
     }
 
     /// Receives the next routed message (stashed messages first).
+    /// Nothing arriving within `timeout` is [`BrokerError::Timeout`].
     pub fn next_message(&self, timeout: Duration) -> Result<Message> {
         if let Some(m) = self.stash.lock().pop_front() {
             return Ok(m);
         }
-        Ok(self.recv(timeout)?)
+        self.recv(timeout)
     }
 
     fn wait_correlated(&self, request_id: u64, timeout: Duration) -> Result<Message> {
@@ -166,10 +167,7 @@ impl BrokerClient {
             if remaining.is_zero() {
                 return Err(BrokerError::Timeout);
             }
-            let msg = self.recv(remaining).map_err(|e| match e {
-                TransportError::Timeout => BrokerError::Timeout,
-                other => BrokerError::Transport(other),
-            })?;
+            let msg = self.recv(remaining)?;
             if msg.correlation_id == request_id {
                 return Ok(msg);
             }
@@ -179,18 +177,20 @@ impl BrokerClient {
 
     /// Receives the next frame that decodes. Any client may publish on a
     /// plain topic, so one that does not decode is skipped rather than
-    /// ending the caller's receive loop; timeouts and link errors return.
-    fn recv(&self, timeout: Duration) -> std::result::Result<Message, TransportError> {
+    /// ending the caller's receive loop; timeouts and link errors return,
+    /// a timeout as [`BrokerError::Timeout`].
+    fn recv(&self, timeout: Duration) -> Result<Message> {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self
                 .endpoint
-                .recv_with(Some(remaining), |frame| Message::from_bytes(frame))?
+                .recv_with(Some(remaining), |frame| Message::from_bytes(frame))
             {
-                Ok(msg) => return Ok(msg),
-                Err(_) if remaining.is_zero() => return Err(TransportError::Timeout),
-                Err(_) => {}
+                Ok(Ok(msg)) => return Ok(msg),
+                Ok(Err(_)) if !remaining.is_zero() => {}
+                Ok(Err(_)) | Err(TransportError::Timeout) => return Err(BrokerError::Timeout),
+                Err(e) => return Err(BrokerError::Transport(e)),
             }
         }
     }

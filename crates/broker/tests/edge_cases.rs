@@ -3,7 +3,7 @@
 //! metrics registry.
 
 use nb_broker::network::BrokerNetwork;
-use nb_broker::{Broker, BrokerClient, BrokerConfig};
+use nb_broker::{Broker, BrokerClient, BrokerConfig, BrokerError};
 use nb_transport::clock::system_clock;
 use nb_transport::endpoint::{Endpoint, FrameSender};
 use nb_transport::sim::{LinkConfig, SimNetwork};
@@ -44,6 +44,21 @@ fn malformed_frames_count_as_bogus_and_terminate() {
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(broker.stats().terminated_clients, 1);
     assert_eq!(broker.client_count(), 0);
+}
+
+#[test]
+fn next_message_on_an_idle_link_times_out() {
+    // The same error a request helper reports, so a receive pump
+    // matches one timeout.
+    let net = BrokerNetwork::chain(
+        1,
+        LinkConfig::instant(),
+        system_clock(),
+        BrokerConfig::default(),
+    );
+    let client = net.attach_client(0, "idle").unwrap();
+    let err = client.next_message(Duration::from_millis(50)).unwrap_err();
+    assert!(matches!(err, BrokerError::Timeout), "{err:?}");
 }
 
 #[test]

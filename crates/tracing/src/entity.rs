@@ -467,9 +467,6 @@ impl TracedEntity {
                     let msg = match inner.client.next_message(Duration::from_millis(50)) {
                         Ok(m) => m,
                         Err(nb_broker::BrokerError::Timeout) => continue,
-                        Err(nb_broker::BrokerError::Transport(
-                            nb_transport::TransportError::Timeout,
-                        )) => continue,
                         Err(_) => return,
                     };
                     if let Payload::Ping { seq, sent_at_ms } = msg.payload {

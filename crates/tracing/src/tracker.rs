@@ -282,9 +282,6 @@ impl Tracker {
                 let msg = match inner.client.next_message(Duration::from_millis(50)) {
                     Ok(m) => m,
                     Err(nb_broker::BrokerError::Timeout) => continue,
-                    Err(nb_broker::BrokerError::Transport(
-                        nb_transport::TransportError::Timeout,
-                    )) => continue,
                     Err(_) => return,
                 };
                 handle_message(&inner, msg);
