@@ -255,7 +255,8 @@ impl BrokerNetwork {
     }
 
     /// The underlying simulated network: on a simulated medium, every
-    /// link of this network, inter-broker and client, runs on it.
+    /// link of this network, inter-broker and client, runs on it, and
+    /// a caller may lay raw links of its own on it.
     pub fn sim(&self) -> &SimNetwork {
         &self.net
     }
